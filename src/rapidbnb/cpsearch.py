@@ -222,8 +222,8 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         if branch is not None:
             var, side, bound_value, bval, direction = branch
             try:
-                if not rec.branch(var, side, bound_value, level):
-                    continue
+                # a learned unit may already imply the bound: search anyway
+                rec.branch(var, side, bound_value, level)
             except EmptyBoxError:
                 continue  # incompatible with bounds learned meanwhile
         res = prop.to_fixpoint(box, rec)

@@ -36,6 +36,22 @@ class TestPseudoSolution:
         assert list(pseudo_solution(box, c)) == [1.0, 6.0, 3.0]
 
 
+def dense_planted_instance(rng):
+    """4-6 variables in 0..4, 2-4 rows over every variable, coefficients
+    in -5..5, each rhs -1..3 away from a planted point's activity."""
+    n = int(rng.integers(4, 7))
+    m = int(rng.integers(2, 5))
+    c = rng.integers(-5, 6, size=n).astype(float)
+    planted = rng.integers(0, 5, size=n)
+    rows = []
+    for _ in range(m):
+        coefs = rng.integers(-5, 6, size=n)
+        rhs = float(coefs @ planted + rng.integers(-1, 4))
+        rows.append((tuple(range(n)), tuple(float(a) for a in coefs),
+                     "<=", rhs))
+    return from_inequalities(c, rows, [0] * n, [4] * n, integer_set=range(n))
+
+
 class TestVerdictsAgainstEnumeration:
     def test_matches_oracle(self):
         rng = np.random.default_rng(60)
@@ -54,6 +70,24 @@ class TestVerdictsAgainstEnumeration:
                 assert out.solution is None
                 n_inf += 1
         assert n_opt >= 20 and n_inf >= 20
+
+    def test_learned_unit_keeps_implied_branch(self):
+        # a learned unit bound that already implies a pending branch must
+        # leave that subtree searched, not skipped
+        wrong = []
+        for s in range(60):
+            inst = dense_planted_instance(np.random.default_rng(s))
+            status, value, _ = oracles.enumerate_optimum(inst)
+            for probe_seed in range(4):
+                out = cp_search(inst, inst.root_box(),
+                                CpConfig(node_limit=10**6, seed=probe_seed))
+                got = out.solution_value if out.status is CpStatus.OPTIMAL \
+                    else None
+                if out.status is CpStatus.NODE_LIMIT or \
+                        (status == "optimal") != (got is not None) or \
+                        (got is not None and abs(got - value) > 1e-9):
+                    wrong.append((s, probe_seed, out.status.value, got, value))
+        assert wrong == []
 
     def test_incumbent_bound_prunes_everything(self):
         # probe bounded at the known optimum proves nothing better exists
