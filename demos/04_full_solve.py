@@ -31,8 +31,7 @@ def run_both(inst, seed=3):
     plain = solve(inst, MipConfig(rapid_mode="off", seed=seed))
     probe = solve(inst, MipConfig(
         rapid_mode="local", seed=seed,
-        rapid=RapidConfig(criteria=frozenset({"degeneracy"}),
-                          base_seed=seed)))
+        rapid=RapidConfig(criteria=frozenset({"degeneracy"}))))
     return plain, probe
 
 

@@ -87,9 +87,7 @@ def run_suite(directory, configs: dict[str, MipConfig],
     for path in paths:
         for seed in seeds:
             for name, cfg in configs.items():
-                run_cfg = dataclasses.replace(
-                    cfg, seed=seed,
-                    rapid=dataclasses.replace(cfg.rapid, base_seed=seed))
+                run_cfg = dataclasses.replace(cfg, seed=seed)
                 try:
                     instance, _ = parse_mps(path)
                     res = solve(instance, run_cfg)

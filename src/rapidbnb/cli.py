@@ -1,7 +1,9 @@
 """Command line front end: solve one MPS instance, report text or JSON.
 
-Exit codes: 0 on any completed solve (infeasible is an answer), 2 when
-the input file cannot be parsed, 3 when the configuration is rejected.
+Exit codes: 0 on any completed solve (infeasible is an answer), 1 when
+the solve fails (unbounded relaxation, numerical breakdown, a propagator
+that does not converge), 2 when the input file cannot be parsed, 3 when
+the configuration is rejected.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .mipsearch import ConfigError, MipConfig, SolveError, solve
 from .model import ModelError, fmt_g
-from .mps import MpsParseError, parse_mps, write_mps  # noqa: F401  (write_mps is part of the CLI surface)
+from .mps import MpsParseError, parse_mps
+from .propagation import PropagationCycleError
 from .rapid import RapidConfig
 
 
@@ -66,8 +71,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             seed=args.seed, rapid_mode=args.rapid,
             rapid=RapidConfig(criteria=criteria, f=args.freq_f,
                               beta=args.freq_beta,
-                              max_transferred_conflicts=args.max_conflicts,
-                              base_seed=args.seed))
+                              max_transferred_conflicts=args.max_conflicts))
         config.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -75,7 +79,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         result = solve(instance, config)
-    except SolveError as exc:
+    except (SolveError, ArithmeticError, np.linalg.LinAlgError,
+            PropagationCycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,6 @@
-"""Conflict graphs over bound changes and no-good learning.
+"""The trail of bound changes, no-good learning and conflict activity.
 
-A search records every accepted bound change on a trail.  Deductions
+A search records every accepted bound change on one trail.  Deductions
 point back at the bound changes their propagator actually read, plus the
 constraint that fired; branching decisions have no antecedents.  When a
 failure is recorded, resolving backwards from its antecedents until a
@@ -40,7 +40,6 @@ class BoundChange:
     level: int
     reason: int                      # constraint id, BRANCH_REASON, or CUTOFF_REASON
     antecedents: tuple[int, ...]     # trail positions this deduction read
-    position: int
     old_value: float                 # bound before the change, for undo
     shadowed: int | None             # previous trail position on (var, side)
 
@@ -49,25 +48,29 @@ class BoundChange:
 class Failure:
     reason: int
     antecedents: tuple[int, ...]
-    level: int
 
 
-class ConflictGraph:
-    """Trail of bound changes plus the implication structure over them."""
+class Trail:
+    """Every accepted bound change of one search over `box`, in order,
+    with the level and reason it was made at, plus the last failure.
 
-    def __init__(self) -> None:
+    Propagators talk to this object: `apply` tightens the box and, when
+    the bound actually moved, records the deduction with the trail
+    positions of the bounds it read.
+    """
+
+    def __init__(self, box: BoundBox) -> None:
+        self.box = box
         self.changes: list[BoundChange] = []
         self.failure: Failure | None = None
+        self.level = 0
         self._last: dict[tuple[int, Side], int] = {}
 
-    def __len__(self) -> int:
+    def mark(self) -> int:
         return len(self.changes)
 
-    def position_of(self, var: int, side: Side) -> int | None:
-        """Latest trail position for a bound, None if still at its start value."""
-        return self._last.get((var, side))
-
     def resolve(self, bounds: Iterable[tuple[int, Side]]) -> tuple[int, ...]:
+        """Trail positions of the given bounds; start values have none."""
         out = []
         for var, side in bounds:
             pos = self._last.get((var, side))
@@ -75,73 +78,60 @@ class ConflictGraph:
                 out.append(pos)
         return tuple(sorted(set(out)))
 
-    def record(self, var: int, side: Side, value: float, level: int,
-               reason: int, antecedents: tuple[int, ...],
-               old_value: float) -> int:
-        pos = len(self.changes)
-        key = (var, side)
-        self.changes.append(BoundChange(var, side, float(value), level, reason,
-                                        antecedents, pos, float(old_value),
-                                        self._last.get(key)))
-        self._last[key] = pos
-        return pos
-
-    def record_failure(self, reason: int, antecedents: tuple[int, ...],
-                       level: int) -> None:
-        self.failure = Failure(reason, antecedents, level)
-
-    def rewind_to(self, length: int, box: BoundBox | None = None) -> None:
-        """Pop trail entries beyond `length`, optionally undoing the box."""
-        while len(self.changes) > length:
-            ch = self.changes.pop()
-            key = (ch.var, ch.side)
-            if ch.shadowed is None:
-                del self._last[key]
-            else:
-                self._last[key] = ch.shadowed
-            if box is not None:
-                box.set_raw(ch.var, ch.side, ch.old_value)
-        self.failure = None
-
-
-class TrailRecorder:
-    """Couples a BoundBox with a ConflictGraph for one search.
-
-    Propagators talk to this object: `apply` tightens the box and, when
-    the bound actually moved, records the deduction with its reason.
-    """
-
-    def __init__(self, box: BoundBox, graph: ConflictGraph | None = None):
-        self.box = box
-        self.graph = graph if graph is not None else ConflictGraph()
-        self.level = 0
-
-    def mark(self) -> int:
-        return len(self.graph)
-
     def branch(self, var: int, side: Side, value: float, level: int) -> bool:
+        """Open decision level `level`; later deductions record it too."""
         self.level = level
-        old = self.box.get(var, side)
-        if not self.box.tighten(var, side, value):
-            return False
-        self.graph.record(var, side, value, level, BRANCH_REASON, (), old)
-        return True
+        return self.apply(var, side, value, BRANCH_REASON, ())
 
     def apply(self, var: int, side: Side, value: float, reason: int,
               reason_bounds: Iterable[tuple[int, Side]]) -> bool:
         old = self.box.get(var, side)
         if not self.box.tighten(var, side, value):
             return False
-        ants = self.graph.resolve(reason_bounds)
-        self.graph.record(var, side, value, self.level, reason, ants, old)
+        key = (var, side)
+        self.changes.append(BoundChange(
+            var, side, float(value), self.level, reason,
+            self.resolve(reason_bounds), old, self._last.get(key)))
+        self._last[key] = len(self.changes) - 1
         return True
 
     def fail(self, reason: int, reason_bounds: Iterable[tuple[int, Side]]) -> None:
-        self.graph.record_failure(reason, self.graph.resolve(reason_bounds),
-                                  self.level)
+        self.failure = Failure(reason, self.resolve(reason_bounds))
 
-    def rewind_to_mark(self, mark: int) -> None:
-        self.graph.rewind_to(mark, self.box)
+    def rewind(self, mark: int) -> None:
+        """Undo every change after `mark` in the box and forget the failure."""
+        while len(self.changes) > mark:
+            ch = self.changes.pop()
+            key = (ch.var, ch.side)
+            if ch.shadowed is None:
+                del self._last[key]
+            else:
+                self._last[key] = ch.shadowed
+            self.box.set_raw(ch.var, ch.side, ch.old_value)
+        self.failure = None
+
+
+class VsidsTable:
+    """Conflict-participation activity per bound literal side."""
+
+    def __init__(self):
+        self.activity: dict[tuple[int, Side], float] = {}
+        self.conflicts_seen = 0
+
+    def score(self, var: int) -> float:
+        return self.activity.get((var, Side.LOWER), 0.0) + \
+            self.activity.get((var, Side.UPPER), 0.0)
+
+    def bump(self, literals: Iterable[tuple[int, Side, float]]) -> None:
+        """+1 per literal of a fresh conflict; every 100 conflicts the
+        whole table shrinks by 0.95 (argmax-preserving)."""
+        for var, side, _val in literals:
+            key = (var, side)
+            self.activity[key] = self.activity.get(key, 0.0) + 1.0
+        self.conflicts_seen += 1
+        if self.conflicts_seen % 100 == 0:
+            for key in self.activity:
+                self.activity[key] *= 0.95
 
 
 @dataclass(frozen=True)
@@ -234,64 +224,56 @@ class LearnedRecord:
 class AnalysisOutcome:
     disjunction: BoundDisjunction | None
     tainted: bool
-    used_reasons: frozenset[int]
     root_failure: bool = False
-    aborted_continuous: bool = False
-    trivial: bool = False
     audit: ConflictAudit | None = None
 
 
-def analyze_1uip(graph: ConflictGraph, current_level: int,
-                 int_mask: np.ndarray,
-                 tainted_ids: frozenset[int] | set[int] = frozenset(),
-                 box: BoundBox | None = None) -> AnalysisOutcome:
+def analyze_1uip(trail: Trail, int_mask: np.ndarray,
+                 tainted_ids: frozenset[int] | set[int]) -> AnalysisOutcome:
     """First-UIP cut for the recorded failure.
 
-    `current_level` is only a hint; resolution happens at the deepest
-    level actually present among the failure's antecedents, so stale
-    failures coming out of replayed trails analyze correctly too.
+    Resolution happens at the deepest level actually present among the
+    failure's antecedents, so stale failures coming out of replayed
+    trails analyze correctly too.  The audit snapshots the trail's box.
     """
-    fail = graph.failure
+    fail = trail.failure
     if fail is None:
         raise ValueError("no failure recorded")
-    used: set[int] = {fail.reason}
+    changes = trail.changes
     tainted = fail.reason == CUTOFF_REASON or fail.reason in tainted_ids
 
-    conflict: set[int] = set(fail.antecedents)
     # literals implied at level 0 hold everywhere in the scope
-    conflict = {p for p in conflict if graph.changes[p].level > 0}
+    conflict = {p for p in fail.antecedents if changes[p].level > 0}
     if not conflict:
-        return AnalysisOutcome(None, tainted, frozenset(used), root_failure=True)
+        return AnalysisOutcome(None, tainted, root_failure=True)
 
-    deepest = max(graph.changes[p].level for p in conflict)
+    deepest = max(changes[p].level for p in conflict)
     while True:
-        at_deepest = [p for p in conflict if graph.changes[p].level == deepest]
+        at_deepest = [p for p in conflict if changes[p].level == deepest]
         if len(at_deepest) <= 1:
             break
         # the branching is the oldest entry of its level, so a propagation
         # is always available while two entries remain
         expandable = [q for q in at_deepest
-                      if graph.changes[q].reason != BRANCH_REASON]
+                      if changes[q].reason != BRANCH_REASON]
         if not expandable:
             break
         p = max(expandable)
-        ch = graph.changes[p]
+        ch = changes[p]
         conflict.discard(p)
-        used.add(ch.reason)
         if ch.reason == CUTOFF_REASON or ch.reason in tainted_ids:
             tainted = True
         for q in ch.antecedents:
-            if graph.changes[q].level > 0:
+            if changes[q].level > 0:
                 conflict.add(q)
 
     # negate the cut; merge per (var, side) keeping the weakest literal
     lower: dict[int, tuple[float, int]] = {}
     upper: dict[int, tuple[float, int]] = {}
     for p in sorted(conflict):
-        ch = graph.changes[p]
+        ch = changes[p]
         if not int_mask[ch.var]:
-            return AnalysisOutcome(None, tainted, frozenset(used),
-                                   aborted_continuous=True)
+            return AnalysisOutcome(None, tainted)
         if ch.side is Side.UPPER:
             lam = ch.value + 1.0  # not(x <= v)  ==  x >= v + 1
             cur = lower.get(ch.var)
@@ -304,21 +286,19 @@ def analyze_1uip(graph: ConflictGraph, current_level: int,
                              (max(cur[0], mu), max(cur[1], ch.level)))
 
     if set(lower) & set(upper):
-        return AnalysisOutcome(None, tainted, frozenset(used), trivial=True)
+        return AnalysisOutcome(None, tainted)
 
     disj = BoundDisjunction(
         tuple((v, val) for v, (val, _) in sorted(lower.items())),
         tuple((v, val) for v, (val, _) in sorted(upper.items())))
-    audit = None
-    if box is not None:
-        audit_lits = tuple(
-            [(v, Side.LOWER, val, lvl) for v, (val, lvl) in sorted(lower.items())] +
-            [(v, Side.UPPER, val, lvl) for v, (val, lvl) in sorted(upper.items())])
-        watched = {v: (float(box.lower[v]), float(box.upper[v]))
-                   for v in disj.variables()}
-        audit = ConflictAudit(audit_lits, deepest, watched, tainted,
-                              origin="")
-    return AnalysisOutcome(disj, tainted, frozenset(used), audit=audit)
+    audit_lits = tuple(
+        [(v, Side.LOWER, val, lvl) for v, (val, lvl) in sorted(lower.items())] +
+        [(v, Side.UPPER, val, lvl) for v, (val, lvl) in sorted(upper.items())])
+    box = trail.box
+    watched = {v: (float(box.lower[v]), float(box.upper[v]))
+               for v in disj.variables()}
+    audit = ConflictAudit(audit_lits, deepest, watched, tainted, origin="")
+    return AnalysisOutcome(disj, tainted, audit=audit)
 
 
 def to_knapsack(d: BoundDisjunction, lower: np.ndarray,

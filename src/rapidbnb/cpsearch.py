@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .conflict import (CUTOFF_REASON, ConflictAudit, ConflictGraph,
-                       LearnedConstraint, TrailRecorder, analyze_1uip,
-                       to_knapsack)
+from .conflict import (CUTOFF_REASON, ConflictAudit, LearnedConstraint,
+                       Trail, analyze_1uip, to_knapsack)
 from .model import FEAS_TOL, BoundBox, EmptyBoxError, Instance, Side
 from .propagation import Outcome, Propagator
 
@@ -39,10 +38,13 @@ class CpStatus(Enum):
     INFEASIBLE = "solved-infeasible"
 
 
+# longest conflict the probe stores, as a share of the variable count
+MAX_CONFLICT_FRAC = 0.05
+
+
 @dataclass
 class CpConfig:
     node_limit: int
-    max_conflict_frac: float = 0.05
     seed: int = 0
     incumbent_bound: float = math.inf
 
@@ -144,8 +146,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     c = instance.c
 
     box = scope_box.copy()
-    graph = ConflictGraph()
-    rec = TrailRecorder(box, graph)
+    trail = Trail(box)
     prop = Propagator(instance)
     next_cid = instance.num_rows
     for cid, con in extra_constraints:
@@ -154,7 +155,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
 
     rng = random.Random(config.seed)
     stats = InferenceStats(base=seed_inference)
-    cap = math.ceil(config.max_conflict_frac * n)
+    cap = math.ceil(MAX_CONFLICT_FRAC * n)
     conflicts: list[LearnedConstraint] = []
     audits: list[ConflictAudit] = []
     tainted_ids: set[int] = set()
@@ -178,7 +179,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     def handle_failure() -> bool:
         """Analyze the recorded failure; False stops the whole search."""
         nonlocal next_cid, scope_infeasible
-        out = analyze_1uip(graph, rec.level, int_mask, tainted_ids, box=box)
+        out = analyze_1uip(trail, int_mask, tainted_ids)
         if out.root_failure:
             # nothing (left) in the scope, or nothing improving if tainted
             if not out.tainted:
@@ -215,18 +216,17 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     while stack and nodes < config.node_limit:
         mark, level, branch = stack.pop()
         nodes += 1
-        rec.rewind_to_mark(mark)
-        rec.level = level
+        trail.rewind(mark)
         if not apply_global_fix():
             continue
         if branch is not None:
             var, side, bound_value, bval, direction = branch
             try:
                 # a learned unit may already imply the bound: search anyway
-                rec.branch(var, side, bound_value, level)
+                trail.branch(var, side, bound_value, level)
             except EmptyBoxError:
                 continue  # incompatible with bounds learned meanwhile
-        res = prop.to_fixpoint(box, rec)
+        res = prop.to_fixpoint(box, trail)
         if branch is not None:
             stats.add(var, bval, direction, len(res.deductions))
         if res.outcome is Outcome.INFEASIBLE:
@@ -239,7 +239,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         if obj >= cbar - FEAS_TOL:  # cannot improve here, ties included
             reasons = [(j, Side.LOWER if c[j] > 0 else Side.UPPER)
                        for j in range(n) if c[j] != 0.0]
-            rec.fail(CUTOFF_REASON, reasons)
+            trail.fail(CUTOFF_REASON, reasons)
             if not handle_failure():
                 stack.clear()
             continue
@@ -252,7 +252,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
             var, v = select_inference_branching(box, int_mask, stats, xbar, rng)
         except AllFixedError:
             continue  # fixed point violates a row only within tolerance
-        mark2 = rec.mark()
+        mark2 = trail.mark()
         down = (mark2, level + 1, (var, Side.UPPER, float(v), v, InferenceStats.DOWN))
         up = (mark2, level + 1, (var, Side.LOWER, float(v + 1), v, InferenceStats.UP))
         if xbar[var] <= v:
@@ -272,7 +272,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     final = scope_box.copy()
     if not scope_infeasible:
         try:
-            for ch in graph.changes:
+            for ch in trail.changes:
                 if ch.level != 0:
                     break
                 final.tighten(ch.var, ch.side, ch.value)

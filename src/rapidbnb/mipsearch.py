@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conflict import (ConflictAudit, ConflictGraph, LearnedConstraint,
-                       LearnedRecord, TrailRecorder, analyze_1uip,
-                       to_knapsack, upgrade_singleton)
+from .conflict import (ConflictAudit, LearnedConstraint, LearnedRecord,
+                       Trail, VsidsTable, analyze_1uip, to_knapsack,
+                       upgrade_singleton)
 from .cpsearch import CpStatus, InferenceStats
 from .lp import LpStatus, solve_lp, strong_branch
 from .model import (INF, INT_TOL, BoundBox, EmptyBoxError, Instance, Side,
@@ -48,32 +48,6 @@ class ConfigError(ValueError):
 
 class SolveError(RuntimeError):
     """The solve cannot continue (unbounded relaxation and friends)."""
-
-
-class VsidsTable:
-    """Conflict-participation activity per bound literal side."""
-
-    def __init__(self):
-        self.activity: dict[tuple[int, Side], float] = {}
-        self.conflicts_seen = 0
-
-    def score(self, var: int) -> float:
-        return self.activity.get((var, Side.LOWER), 0.0) + \
-            self.activity.get((var, Side.UPPER), 0.0)
-
-
-def vsids_bump_and_decay(table: VsidsTable,
-                         literals) -> VsidsTable:
-    """+1 per literal of a fresh conflict; every 100 conflicts the whole
-    table shrinks by 0.95 (argmax-preserving)."""
-    for var, side, _val in literals:
-        key = (var, side)
-        table.activity[key] = table.activity.get(key, 0.0) + 1.0
-    table.conflicts_seen += 1
-    if table.conflicts_seen % 100 == 0:
-        for key in table.activity:
-            table.activity[key] *= 0.95
-    return table
 
 
 @dataclass
@@ -254,7 +228,7 @@ class _Solve:
         heapq.heappush(self.heap, (node.lower_bound, node.id, node))
 
     def _dual_now(self) -> float:
-        vals = [entry[0] for entry in self.heap]
+        vals = [self.heap[0][0]] if self.heap else []
         if self.next_node is not None:
             vals.append(self.next_node.lower_bound)
         if not vals:
@@ -275,10 +249,9 @@ class _Solve:
 
     # -- conflict handling -------------------------------------------
 
-    def _on_propagation_conflict(self, node: Node, rec: TrailRecorder,
+    def _on_propagation_conflict(self, node: Node, trail: Trail,
                                  local_ids: set[int]) -> None:
-        out = analyze_1uip(rec.graph, rec.level, self.inst.integer_mask,
-                           local_ids, box=rec.box)
+        out = analyze_1uip(trail, self.inst.integer_mask, local_ids)
         if out.root_failure:
             # the proof used nothing below the root: globally infeasible
             if not out.tainted:
@@ -293,7 +266,7 @@ class _Solve:
             # derivation leaned on a node-local constraint; not globally valid
             self.log(f"conflict node {node.id} size {d.size} scope discarded")
             return
-        vsids_bump_and_decay(self.stats.vsids, d.literals())
+        self.stats.vsids.bump(d.literals())
         self.log(f"conflict node {node.id} size {d.size} scope global")
         if d.size == 1:
             try:
@@ -310,20 +283,19 @@ class _Solve:
 
     # -- node processing ---------------------------------------------
 
-    def _replay(self, node: Node, box: BoundBox, rec: TrailRecorder,
-                prop: Propagator, local_ids: set[int],
+    def _replay(self, node: Node, trail: Trail, prop: Propagator,
+                local_ids: set[int],
                 ) -> tuple[bool, list[tuple[int, LearnedConstraint]]]:
         """Rebuild node state; False means the node died on the way."""
         active_locals: list[tuple[int, LearnedConstraint]] = []
-        res = prop.to_fixpoint(box, rec)
+        res = prop.to_fixpoint(trail.box, trail)
         if res.outcome is Outcome.INFEASIBLE:
-            self._on_propagation_conflict(node, rec, local_ids)
+            self._on_propagation_conflict(node, trail, local_ids)
             return False, active_locals
         for nd in node.path():
-            rec.level = nd.depth
             for var, side, val in nd.delta:
                 try:
-                    rec.branch(var, side, val, nd.depth)
+                    trail.branch(var, side, val, nd.depth)
                 except EmptyBoxError:
                     return False, active_locals
             for cid, lc in nd.locals_own:
@@ -331,9 +303,9 @@ class _Solve:
                 local_ids.add(cid)
                 active_locals.append((cid, lc))
                 self.log(f"lattach {cid} node {node.id}")
-            res = prop.to_fixpoint(box, rec)
+            res = prop.to_fixpoint(trail.box, trail)
             if res.outcome is Outcome.INFEASIBLE:
-                self._on_propagation_conflict(node, rec, local_ids)
+                self._on_propagation_conflict(node, trail, local_ids)
                 return False, active_locals
         return True, active_locals
 
@@ -341,10 +313,9 @@ class _Solve:
         inst, stats = self.inst, self.stats
         t_switch = time.perf_counter()
         box = self.global_box.copy()
-        rec = TrailRecorder(box, ConflictGraph())
         prop = self._propagator()
         local_ids: set[int] = set()
-        ok, active_locals = self._replay(node, box, rec, prop, local_ids)
+        ok, active_locals = self._replay(node, Trail(box), prop, local_ids)
         stats.switching_time += time.perf_counter() - t_switch
         if not ok:
             self._leaf(node, "infeasible", kind="infeasible")
@@ -382,8 +353,9 @@ class _Solve:
                 extras = tuple(self.global_constraints) + tuple(active_locals)
                 summary = maybe_run(
                     node, stats, inst, self.cfg.rapid, at_root,
-                    lp_result=lp, box=box, extra_constraints=extras,
-                    alloc_cid=self._alloc_cid, events=self.events,
+                    seed=self.cfg.seed, lp_result=lp, box=box,
+                    extra_constraints=extras, alloc_cid=self._alloc_cid,
+                    events=self.events,
                     global_box=self.global_box if at_root else None,
                     global_sink=self.global_constraints if at_root else None)
                 if summary is not None:

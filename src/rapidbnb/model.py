@@ -169,6 +169,8 @@ class Instance:
 
         for arr in (self.c, self.lower, self.upper, self.integer_mask):
             arr.flags.writeable = False
+        self.integer_indices = tuple(
+            int(j) for j in np.flatnonzero(self.integer_mask))
         self._dense: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -178,10 +180,6 @@ class Instance:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def integer_indices(self) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.integer_mask))
 
     def root_box(self) -> "BoundBox":
         return BoundBox(self.lower, self.upper)
@@ -263,23 +261,16 @@ def classify(instance: Instance) -> ProblemClass:
 
 
 class BoundBox:
-    """Mutable working bounds for one search, plus a change counter.
+    """Mutable working bounds for one search."""
 
-    `generation` increases on every accepted tightening, so callers can
-    cheaply detect whether anything moved between two points in time.
-    """
-
-    __slots__ = ("lower", "upper", "generation")
+    __slots__ = ("lower", "upper")
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray):
         self.lower = np.array(lower, dtype=float)
         self.upper = np.array(upper, dtype=float)
-        self.generation = 0
 
     def copy(self) -> "BoundBox":
-        box = BoundBox(self.lower, self.upper)
-        box.generation = self.generation
-        return box
+        return BoundBox(self.lower, self.upper)
 
     @property
     def num_vars(self) -> int:
@@ -326,7 +317,6 @@ class BoundBox:
                 if value >= self.upper[var] - FEAS_TOL:
                     return False
             self.upper[var] = value
-        self.generation += 1
         return True
 
     def set_raw(self, var: int, side: Side, value: float) -> None:

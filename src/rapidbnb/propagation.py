@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conflict import BoundDisjunction, LearnedConstraint, TrailRecorder
+from .conflict import BoundDisjunction, LearnedConstraint, Trail
 from .model import FEAS_TOL, INT_TOL, BoundBox, Instance, Row, RowKind, Side
 
 
@@ -209,11 +209,6 @@ def setcover_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
     return tuple((j, Side.LOWER, 1.0) for j in row.cols)
 
 
-def propagate_setcover(row: Row, box: BoundBox, watch: list[int],
-                       ) -> Deduction | RowInfeasible | None:
-    return propagate_watched(setcover_literals(row), box, watch)
-
-
 class _Item:
     __slots__ = ("cid", "row", "lits", "watch")
 
@@ -261,25 +256,25 @@ class Propagator:
         return propagate_linear_row(row, box, self.int_mask)
 
     def to_fixpoint(self, box: BoundBox,
-                    recorder: TrailRecorder | None = None) -> PropagationResult:
+                    trail: Trail | None = None) -> PropagationResult:
         """Round-robin all constraints until a full quiet pass.
 
         Raises PropagationCycleError past 1000 evaluations per constraint,
         which indicates a non-converging propagator rather than big input.
         """
-        if recorder is None:
-            recorder = TrailRecorder(box)
-        assert recorder.box is box
+        if trail is None:
+            trail = Trail(box)
+        assert trail.box is box
         guard = 1000 * max(1, len(self.items))
         evals = 0
         applied: list[tuple[int, Side, float]] = []
 
         def cross_fail(item: _Item, d: Deduction) -> bool:
             if d.side is Side.LOWER and d.value > box.upper[d.var] + FEAS_TOL:
-                recorder.fail(item.cid, d.reason + ((d.var, Side.UPPER),))
+                trail.fail(item.cid, d.reason + ((d.var, Side.UPPER),))
                 return True
             if d.side is Side.UPPER and d.value < box.lower[d.var] - FEAS_TOL:
-                recorder.fail(item.cid, d.reason + ((d.var, Side.LOWER),))
+                trail.fail(item.cid, d.reason + ((d.var, Side.LOWER),))
                 return True
             return False
 
@@ -294,7 +289,7 @@ class Propagator:
                 if res is None:
                     continue
                 if isinstance(res, RowInfeasible):
-                    recorder.fail(item.cid, res.reason)
+                    trail.fail(item.cid, res.reason)
                     return PropagationResult(Outcome.INFEASIBLE, applied, item.cid)
                 if isinstance(res, Deduction):
                     res = [res]
@@ -302,7 +297,7 @@ class Propagator:
                     if cross_fail(item, d):
                         return PropagationResult(Outcome.INFEASIBLE, applied,
                                                  item.cid)
-                    if recorder.apply(d.var, d.side, d.value, item.cid, d.reason):
+                    if trail.apply(d.var, d.side, d.value, item.cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True
             if not changed:

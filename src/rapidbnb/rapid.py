@@ -30,7 +30,6 @@ class RapidConfig:
     degeneracy_share_threshold: float = 0.80
     face_ratio_threshold: float = 2.0
     obj_support_slack: int = 0
-    base_seed: int = 0
 
 
 @dataclass
@@ -129,13 +128,14 @@ def evaluate_criteria(node, stats, lp_degeneracy: DegeneracyInfo,
 
 
 def maybe_run(node, stats, instance: Instance, config: RapidConfig,
-              at_root: bool, *, lp_result, box, extra_constraints,
+              at_root: bool, *, seed: int, lp_result, box, extra_constraints,
               alloc_cid, events: list[str], global_box=None,
               global_sink=None) -> TransferSummary | None:
     """Fire the probe when the depth schedule and a criterion both say so.
 
-    Returns None when nothing ran.  The CP seed is base_seed xor node id
-    so distinct nodes probe differently but reruns are identical.
+    Returns None when nothing ran.  The CP seed is the solve's `seed`
+    xor node id so distinct nodes probe differently but reruns are
+    identical.
     """
     if not is_rl_depth(node.depth, config.f, config.beta):
         return None
@@ -156,7 +156,7 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig,
         return None
     stats.rl_calls += 1
     cp_cfg = CpConfig(node_limit=node_limit_from_iters(stats.iter_lp),
-                      seed=config.base_seed ^ node.id,
+                      seed=seed ^ node.id,
                       incumbent_bound=stats.incumbent_value)
     outcome = cp_search(instance, box, cp_cfg,
                         extra_constraints=tuple(extra_constraints),
@@ -178,8 +178,6 @@ def transfer(outcome, node, stats, *, config: RapidConfig, instance: Instance,
     constraints, so descendants re-derive them during replay); a solution
     is installed only after verification against the original instance.
     """
-    from .mipsearch import vsids_bump_and_decay   # same package, no cycle at call time
-
     # the probe's claims are all relative to the scope it started from
     scope_lower = box.lower.copy()
     scope_upper = box.upper.copy()
@@ -196,7 +194,7 @@ def transfer(outcome, node, stats, *, config: RapidConfig, instance: Instance,
         else:
             node.locals_own.append((cid, lc))
             scope = "local"
-        vsids_bump_and_decay(stats.vsids, lc.disjunction.literals())
+        stats.vsids.bump(lc.disjunction.literals())
         events.append(f"lconstr {cid} node {node.id} level {node.depth} "
                       f"scope {scope} size {lc.length} form {lc.form}")
         stats.learned.append(LearnedRecord(scope, lc, scope_lower,

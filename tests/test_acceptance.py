@@ -36,7 +36,7 @@ def rl_config(seed: int = 1) -> MipConfig:
     return MipConfig(rapid_mode="local", seed=seed,
                      rapid=RapidConfig(criteria=frozenset({"degeneracy",
                                                            "nsols"}),
-                                       f=1, beta=2.0, base_seed=seed))
+                                       f=1, beta=2.0))
 
 
 class SuiteEntry:
@@ -144,7 +144,7 @@ def test_criterion_02_learned_constraint_validity(suite):
     local_cfg = MipConfig(
         rapid_mode="local", seed=1,
         rapid=RapidConfig(criteria=frozenset({"leaves"}), f=1, beta=2.0,
-                          ratio_threshold=2.0, base_seed=1))
+                          ratio_threshold=2.0))
     for seed, n, m in ((31, 16, 67), (202, 18, 76), (11, 18, 72)):
         rng = np.random.default_rng(seed)
         for _ in range(4):

@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rapidbnb import cli
 from rapidbnb.cli import main
+from rapidbnb.propagation import PropagationCycleError
 from rapidbnb.rapid import CRITERION_NAMES
 
 DATA = Path(__file__).parent / "data"
@@ -62,6 +65,20 @@ class TestExitCodes:
         p.write_text(UNBOUNDED_LP)
         code, _, err = run(["solve", str(p)], capsys)
         assert code == 1 and "unbounded" in err
+
+    @pytest.mark.parametrize("exc", [
+        ArithmeticError("phase-1 ray"),
+        np.linalg.LinAlgError("singular basis"),
+        PropagationCycleError("no fixpoint"),
+    ])
+    def test_solver_breakdown_is_a_solve_failure(self, exc, monkeypatch,
+                                                 capsys):
+        def broken(instance, config):
+            raise exc
+        monkeypatch.setattr(cli, "solve", broken)
+        code, out, err = run(["solve", str(DATA / "cover3.mps")], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {exc}\n"
 
     def test_infeasible_answer_still_exits_zero(self, tmp_path, capsys):
         p = tmp_path / "empty.mps"

@@ -13,7 +13,7 @@ from rapidbnb import (
     cp_search,
     to_knapsack,
 )
-from rapidbnb.conflict import TrailRecorder, upgrade_singleton
+from rapidbnb.conflict import Trail, upgrade_singleton
 
 import oracles
 
@@ -112,23 +112,24 @@ class TestSingletonUpgrade:
 class TestTrail:
     def test_branch_apply_rewind(self):
         box = BoundBox(np.zeros(2), np.full(2, 3.0))
-        rec = TrailRecorder(box)
-        mark = rec.mark()
-        assert rec.branch(0, Side.UPPER, 1.0, level=1)
-        assert rec.apply(1, Side.LOWER, 2.0, reason=0,
-                         reason_bounds=((0, Side.UPPER),))
+        trail = Trail(box)
+        mark = trail.mark()
+        assert trail.branch(0, Side.UPPER, 1.0, level=1)
+        assert trail.apply(1, Side.LOWER, 2.0, reason=0,
+                           reason_bounds=((0, Side.UPPER),))
         assert box.upper[0] == 1.0
         assert box.lower[1] == 2.0
-        rec.rewind_to_mark(mark)
+        assert trail.changes[1].antecedents == (0,)
+        trail.rewind(mark)
         assert box.upper[0] == 3.0
         assert box.lower[1] == 0.0
 
     def test_rejected_tightening_not_recorded(self):
         box = BoundBox(np.zeros(1), np.full(1, 3.0))
-        rec = TrailRecorder(box)
-        before = rec.mark()
-        assert not rec.branch(0, Side.UPPER, 3.0, level=1)  # not tighter
-        assert rec.mark() == before
+        trail = Trail(box)
+        before = trail.mark()
+        assert not trail.branch(0, Side.UPPER, 3.0, level=1)  # not tighter
+        assert trail.mark() == before
 
 
 def harvest_audits(n_instances=12, seed=50):

@@ -78,15 +78,14 @@ class TestVerdictsAgainstEnumeration:
         for s in range(60):
             inst = dense_planted_instance(np.random.default_rng(s))
             status, value, _ = oracles.enumerate_optimum(inst)
+            want = (CpStatus.OPTIMAL, value) if status == "optimal" \
+                else (CpStatus.INFEASIBLE, math.inf)
             for probe_seed in range(4):
                 out = cp_search(inst, inst.root_box(),
                                 CpConfig(node_limit=10**6, seed=probe_seed))
-                got = out.solution_value if out.status is CpStatus.OPTIMAL \
-                    else None
-                if out.status is CpStatus.NODE_LIMIT or \
-                        (status == "optimal") != (got is not None) or \
-                        (got is not None and abs(got - value) > 1e-9):
-                    wrong.append((s, probe_seed, out.status.value, got, value))
+                got = (out.status, out.solution_value)
+                if got != want:     # integral data: values compare exactly
+                    wrong.append((s, probe_seed, got, want))
         assert wrong == []
 
     def test_incumbent_bound_prunes_everything(self):

@@ -1,0 +1,27 @@
+"""Package structure: the modules of `rapidbnb` import each other without
+cycles, at module level and inside functions alike."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rapidbnb"
+
+
+def relative_imports(path: Path) -> set[str]:
+    """Sibling modules named by every relative import in the file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:           # from . import a, b
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_intra_package_imports_are_acyclic():
+    graph = {p.stem: relative_imports(p) for p in PACKAGE.glob("*.py")}
+    assert len(graph) >= 10
+    # raises graphlib.CycleError naming the cycle
+    TopologicalSorter(graph).prepare()

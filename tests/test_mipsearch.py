@@ -15,12 +15,11 @@ from rapidbnb import (
     from_inequalities,
     solve,
 )
+from rapidbnb.conflict import VsidsTable
 from rapidbnb.mipsearch import (
-    VsidsTable,
     hybrid_branching_score,
     record_leaf,
     select_branching,
-    vsids_bump_and_decay,
 )
 
 import oracles
@@ -154,9 +153,9 @@ class TestBranchingMachinery:
     def test_vsids_bump_and_decay(self):
         table = VsidsTable()
         for _ in range(99):
-            vsids_bump_and_decay(table, ((0, Side.LOWER, 0.0),))
+            table.bump(((0, Side.LOWER, 0.0),))
         assert table.activity[(0, Side.LOWER)] == 99.0
-        vsids_bump_and_decay(table, ((0, Side.LOWER, 0.0),))
+        table.bump(((0, Side.LOWER, 0.0),))
         assert table.conflicts_seen == 100
         assert table.activity[(0, Side.LOWER)] == 95.0  # (99+1) * 0.95
         assert table.score(0) == 95.0
@@ -166,8 +165,8 @@ class TestBranchingMachinery:
         stats = SearchStats()
         stats.update_pseudo_cost(1, 0, 5.0)
         stats.update_pseudo_cost(1, 1, 5.0)
-        vsids_bump_and_decay(stats.vsids, ((0, Side.LOWER, 0.0),) * 3)
-        vsids_bump_and_decay(stats.vsids, ((0, Side.UPPER, 0.0),) * 2)
+        stats.vsids.bump(((0, Side.LOWER, 0.0),) * 3)
+        stats.vsids.bump(((0, Side.UPPER, 0.0),) * 2)
         stats.leaves_infeasible = 0
         stats.leaves_cutoff = 0
         assert select_branching([0, 1], stats) == 1   # 25.0 beats 0.5

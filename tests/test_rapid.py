@@ -149,13 +149,13 @@ class TestTriggerBoundaries:
 
 class TestScheduleGating:
     def run_maybe(self, inst, node, stats, criteria, at_root, events=None,
-                  base_seed=0):
+                  seed=0):
         box = inst.root_box()
         lp = solve_lp(inst, box)
-        cfg = RapidConfig(criteria=frozenset(criteria), base_seed=base_seed)
+        cfg = RapidConfig(criteria=frozenset(criteria))
         ids = itertools.count()
         sink = []
-        summary = maybe_run(node, stats, inst, cfg, at_root,
+        summary = maybe_run(node, stats, inst, cfg, at_root, seed=seed,
                             lp_result=lp, box=box, extra_constraints=(),
                             alloc_cid=lambda: next(ids),
                             events=events if events is not None else [],
@@ -216,7 +216,7 @@ class TestScheduleGating:
         inst = coverage_instance(n=6)
         st = SearchStats(leaves_infeasible=500, n_solutions=1, iter_lp=0)
         summary, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
-                                    {"leaves"}, at_root=False, base_seed=12)
+                                    {"leaves"}, at_root=False, seed=12)
         direct = cp_search(inst, inst.root_box(),
                            CpConfig(node_limit=500, seed=12 ^ 9,
                                     incumbent_bound=INF),
@@ -233,7 +233,7 @@ class TestScheduleGating:
             events = []
             summary, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
                                         {"nsols"}, at_root=True,
-                                        events=events, base_seed=3)
+                                        events=events, seed=3)
             outs.append((summary, events))
         assert outs[0] == outs[1]
 
