@@ -1,4 +1,4 @@
-"""The trail of bound changes, no-good learning and conflict activity.
+"""The trail of bound changes and no-good learning.
 
 A search records every accepted bound change on one trail.  Deductions
 point back at the bound changes their propagator actually read, plus the
@@ -109,29 +109,6 @@ class Trail:
                 self._last[key] = ch.shadowed
             self.box.set_raw(ch.var, ch.side, ch.old_value)
         self.failure = None
-
-
-class VsidsTable:
-    """Conflict-participation activity per bound literal side."""
-
-    def __init__(self):
-        self.activity: dict[tuple[int, Side], float] = {}
-        self.conflicts_seen = 0
-
-    def score(self, var: int) -> float:
-        return self.activity.get((var, Side.LOWER), 0.0) + \
-            self.activity.get((var, Side.UPPER), 0.0)
-
-    def bump(self, literals: Iterable[tuple[int, Side, float]]) -> None:
-        """+1 per literal of a fresh conflict; every 100 conflicts the
-        whole table shrinks by 0.95 (argmax-preserving)."""
-        for var, side, _val in literals:
-            key = (var, side)
-            self.activity[key] = self.activity.get(key, 0.0) + 1.0
-        self.conflicts_seen += 1
-        if self.conflicts_seen % 100 == 0:
-            for key in self.activity:
-                self.activity[key] *= 0.95
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ This is the fast companion search: no LP anywhere, just propagation to a
 fixpoint per node, bounding against the box optimum of the objective,
 conflict analysis on every pruned node, and inference-guided branching
 that dives toward the pseudo solution.  It returns whatever it learned:
-short conflicts, scope-valid bound tightenings, possibly a solution, and
-its inference statistics.
+short conflicts, scope-valid bound tightenings and possibly a solution.
+Its inference counts go straight into the caller's branching table.
 
 Conflicts whose proof leans on the objective cutoff hold only for
 improving solutions.  They still propagate inside this search (that is
@@ -22,14 +22,12 @@ from enum import Enum
 
 import numpy as np
 
+from .branching import (AllFixedError, BranchingStats,
+                        select_inference_branching)
 from .conflict import (CUTOFF_REASON, ConflictAudit, LearnedConstraint,
                        Trail, analyze_1uip, to_knapsack)
 from .model import FEAS_TOL, BoundBox, EmptyBoxError, Instance, Side
 from .propagation import Outcome, Propagator
-
-
-class AllFixedError(Exception):
-    """Branching was asked for but every integer variable is fixed."""
 
 
 class CpStatus(Enum):
@@ -49,39 +47,6 @@ class CpConfig:
     incumbent_bound: float = math.inf
 
 
-class InferenceStats:
-    """Deductions triggered per (variable, value, direction) branching.
-
-    `base` is an optional read-only baseline (a caller's accumulated
-    statistics); scores read through it, while `counts` holds only what
-    this object accumulated itself, so merging back never double counts.
-    """
-
-    DOWN = 0
-    UP = 1
-
-    def __init__(self, base: "InferenceStats | None" = None):
-        self.counts: dict[tuple[int, int, int], int] = {}
-        self.totals: dict[int, int] = {}
-        self.base = base
-
-    def add(self, var: int, value: int, direction: int, amount: int = 1) -> None:
-        if amount == 0:
-            return
-        key = (var, value, direction)
-        self.counts[key] = self.counts.get(key, 0) + amount
-        self.totals[var] = self.totals.get(var, 0) + amount
-
-    def total(self, var: int) -> int:
-        own = self.totals.get(var, 0)
-        return own + (self.base.total(var) if self.base is not None else 0)
-
-    def merge(self, other: "InferenceStats") -> None:
-        """Fold the other object's own counts into this one."""
-        for (var, value, direction), k in other.counts.items():
-            self.add(var, value, direction, k)
-
-
 @dataclass
 class CpOutcome:
     status: CpStatus
@@ -89,7 +54,6 @@ class CpOutcome:
     box: BoundBox
     solution: np.ndarray | None
     solution_value: float
-    inference: InferenceStats
     nodes: int
     audits: list[ConflictAudit] = field(default_factory=list)
 
@@ -105,39 +69,20 @@ def pseudo_solution(box: BoundBox, c: np.ndarray) -> np.ndarray:
     return np.where(c < 0, box.upper, box.lower).astype(float)
 
 
-def select_inference_branching(box: BoundBox, int_mask: np.ndarray,
-                               stats: InferenceStats, pseudo: np.ndarray,
-                               rng: random.Random) -> tuple[int, int]:
-    """Unfixed integer variable with the best inference record.
-
-    Ties fall to the rng so repeated probes explore differently under
-    different seeds but identically under the same seed.  The returned
-    value v is the pseudo-solution value clamped into [l, u-1], so the
-    child containing the pseudo solution is always well defined.
-    """
-    cands = [j for j in range(len(pseudo))
-             if int_mask[j] and box.upper[j] - box.lower[j] > 0.5]
-    if not cands:
-        raise AllFixedError
-    best = max(stats.total(j) for j in cands)
-    ties = [j for j in cands if stats.total(j) == best]
-    var = ties[0] if len(ties) == 1 else rng.choice(ties)
-    v = int(min(max(pseudo[var], box.lower[var]), box.upper[var] - 1))
-    return var, v
-
-
 def _rows_satisfied(instance: Instance, x: np.ndarray) -> bool:
     return all(row.activity(x) <= row.rhs + FEAS_TOL for row in instance.rows)
 
 
 def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
               extra_constraints: tuple[tuple[int, LearnedConstraint], ...] = (),
-              seed_inference: InferenceStats | None = None) -> CpOutcome:
+              branching: BranchingStats | None = None) -> CpOutcome:
     """Run the probe on `instance` restricted to `scope_box`.
 
     `extra_constraints` are (id, constraint) pairs already known valid
-    for the scope (for example the caller's globally learned ones).  Two
-    runs with equal inputs and seeds produce identical outcomes.
+    for the scope (for example the caller's globally learned ones).  The
+    probe branches on the inference counts in `branching` and adds its
+    own to them.  Two runs with equal inputs, seeds and tables produce
+    identical outcomes.
     """
     n = instance.num_vars
     int_mask = instance.integer_mask
@@ -154,7 +99,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         next_cid = max(next_cid, cid + 1)
 
     rng = random.Random(config.seed)
-    stats = InferenceStats(base=seed_inference)
+    table = branching if branching is not None else BranchingStats()
     cap = math.ceil(MAX_CONFLICT_FRAC * n)
     conflicts: list[LearnedConstraint] = []
     audits: list[ConflictAudit] = []
@@ -165,7 +110,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     scope_infeasible = False
     nodes = 0
     # stack entries: (trail mark of the parent, level, branch or None)
-    # branch = (var, side, bound value, branch value, direction)
+    # branch = (var, side, bound value)
     stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
 
     def apply_global_fix() -> bool:
@@ -220,7 +165,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         if not apply_global_fix():
             continue
         if branch is not None:
-            var, side, bound_value, bval, direction = branch
+            var, side, bound_value = branch
             try:
                 # a learned unit may already imply the bound: search anyway
                 trail.branch(var, side, bound_value, level)
@@ -228,7 +173,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
                 continue  # incompatible with bounds learned meanwhile
         res = prop.to_fixpoint(box, trail)
         if branch is not None:
-            stats.add(var, bval, direction, len(res.deductions))
+            table.add_inferences(var, len(res.deductions))
         if res.outcome is Outcome.INFEASIBLE:
             if not handle_failure():
                 stack.clear()
@@ -249,12 +194,12 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
             continue
 
         try:
-            var, v = select_inference_branching(box, int_mask, stats, xbar, rng)
+            var, v = select_inference_branching(box, int_mask, table, xbar, rng)
         except AllFixedError:
             continue  # fixed point violates a row only within tolerance
         mark2 = trail.mark()
-        down = (mark2, level + 1, (var, Side.UPPER, float(v), v, InferenceStats.DOWN))
-        up = (mark2, level + 1, (var, Side.LOWER, float(v + 1), v, InferenceStats.UP))
+        down = (mark2, level + 1, (var, Side.UPPER, float(v)))
+        up = (mark2, level + 1, (var, Side.LOWER, float(v + 1)))
         if xbar[var] <= v:
             stack.extend((up, down))   # dive into the half holding x-bar
         else:
@@ -287,4 +232,4 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     return CpOutcome(status=status, conflicts=conflicts, box=final,
                      solution=best,
                      solution_value=cbar if best is not None else math.inf,
-                     inference=stats, nodes=nodes, audits=audits)
+                     nodes=nodes, audits=audits)

@@ -361,15 +361,12 @@ def measure_degeneracy(result: LpResult, num_rows: int) -> DegeneracyInfo:
 
 
 def strong_branch(instance: Instance, box: BoundBox, var: int,
-                  parent: LpResult, stats=None,
+                  parent: LpResult,
                   ) -> tuple[float | None, float | None, int]:
     """Probe both children of branching on `var` at the parent LP value.
 
     Returns (down objective, up objective, simplex iterations); None
-    stands for an infeasible child.  When `stats` is given, its
-    sb_no_improvement / sb_objective_changed counters are bumped per
-    child: equal objective within 1e-6, or infeasibility, counts as no
-    improvement.
+    stands for an infeasible child.
     """
     assert parent.x is not None and parent.objective is not None
     frac = float(parent.x[var])
@@ -387,10 +384,4 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
         res = solve_lp(instance, child, warm_basis=parent.basis_status)
         iters += res.iterations
         objs.append(res.objective if res.status is LpStatus.OPTIMAL else None)
-    if stats is not None:
-        for obj in objs:
-            if obj is None or abs(obj - parent.objective) <= 1e-6:
-                stats.sb_no_improvement += 1
-            else:
-                stats.sb_objective_changed += 1
     return objs[0], objs[1], iters

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .branching import PC_FLOOR, BranchingStats, select_branching
 from .conflict import (ConflictAudit, LearnedConstraint, LearnedRecord,
-                       Trail, VsidsTable, analyze_1uip, to_knapsack,
-                       upgrade_singleton)
-from .cpsearch import CpStatus, InferenceStats
+                       Trail, analyze_1uip, to_knapsack, upgrade_singleton)
+from .cpsearch import CpStatus
 from .lp import LpStatus, solve_lp, strong_branch
 from .model import (INF, INT_TOL, BoundBox, EmptyBoxError, Instance, Side,
                     fmt_g)
@@ -34,11 +34,8 @@ GAP_TOL = 1e-6
 PLUNGE_CAP = 10
 SB_DEPTH_CAP = 4
 SB_CANDIDATES = 5
-PC_FLOOR = 1e-6
-# (pseudo-cost, inference, conflict) weights; the second set takes over
-# when infeasible leaves outnumber cutoff leaves more than tenfold
-WEIGHTS_DEFAULT = (1.0, 0.1, 0.1)
-WEIGHTS_CONFLICT_HEAVY = (0.1, 0.5, 1.0)
+# branching turns conflict heavy when infeasible leaves outnumber cutoff
+# leaves more than this many times
 LEAF_RATIO_SHIFT = 10.0
 
 
@@ -61,10 +58,7 @@ class SearchStats:
     leaves_cutoff: int = 0
     sb_no_improvement: int = 0
     sb_objective_changed: int = 0
-    pc_sum: dict[tuple[int, int], float] = field(default_factory=dict)
-    pc_count: dict[tuple[int, int], int] = field(default_factory=dict)
-    inference_counts: InferenceStats = field(default_factory=InferenceStats)
-    vsids: VsidsTable = field(default_factory=VsidsTable)
+    branching: BranchingStats = field(default_factory=BranchingStats)
     iter_lp: int = 0
     switching_time: float = 0.0
     rl_calls: int = 0
@@ -73,14 +67,10 @@ class SearchStats:
     audits: list[ConflictAudit] = field(default_factory=list)
     learned: list[LearnedRecord] = field(default_factory=list)
 
-    def update_pseudo_cost(self, var: int, direction: int, gain: float) -> None:
-        key = (var, direction)
-        self.pc_sum[key] = self.pc_sum.get(key, 0.0) + gain
-        self.pc_count[key] = self.pc_count.get(key, 0) + 1
-
-    def pseudo_cost(self, var: int, direction: int) -> float:
-        k = self.pc_count.get((var, direction), 0)
-        return self.pc_sum[(var, direction)] / k if k else 0.0
+    @property
+    def conflict_heavy(self) -> bool:
+        return self.leaves_infeasible > \
+            LEAF_RATIO_SHIFT * max(1, self.leaves_cutoff)
 
 
 def record_leaf(kind: str, stats: SearchStats,
@@ -96,26 +86,6 @@ def record_leaf(kind: str, stats: SearchStats,
         stats.incumbent_value = float(value)
     else:
         raise ValueError(f"unknown leaf kind {kind!r}")
-
-
-def hybrid_branching_score(var: int, stats: SearchStats) -> float:
-    w_pc, w_inf, w_vsids = WEIGHTS_DEFAULT
-    if stats.leaves_infeasible > LEAF_RATIO_SHIFT * max(1, stats.leaves_cutoff):
-        w_pc, w_inf, w_vsids = WEIGHTS_CONFLICT_HEAVY
-    product = max(stats.pseudo_cost(var, 0), PC_FLOOR) * \
-        max(stats.pseudo_cost(var, 1), PC_FLOOR)
-    return (w_pc * product
-            + w_inf * stats.inference_counts.total(var)
-            + w_vsids * stats.vsids.score(var))
-
-
-def select_branching(fractional: list[int], stats: SearchStats) -> int:
-    best, best_score = fractional[0], -INF
-    for j in fractional:
-        s = hybrid_branching_score(j, stats)
-        if s > best_score:
-            best, best_score = j, s
-    return best
 
 
 @dataclass
@@ -266,7 +236,7 @@ class _Solve:
             # derivation leaned on a node-local constraint; not globally valid
             self.log(f"conflict node {node.id} size {d.size} scope discarded")
             return
-        self.stats.vsids.bump(d.literals())
+        self.stats.branching.bump(d.literals())
         self.log(f"conflict node {node.id} size {d.size} scope global")
         if d.size == 1:
             try:
@@ -336,8 +306,9 @@ class _Solve:
         node.lower_bound = max(node.lower_bound, obj)
         if node.branch_var >= 0 and math.isfinite(node.parent_obj):
             gain = max(obj - node.parent_obj, 0.0)
-            stats.update_pseudo_cost(node.branch_var, node.branch_dir,
-                                     gain / max(node.branch_frac, PC_FLOOR))
+            stats.branching.update_pseudo_cost(
+                node.branch_var, node.branch_dir,
+                gain / max(node.branch_frac, PC_FLOOR))
         if node.lower_bound >= stats.incumbent_value - GAP_TOL:
             self._leaf(node, "cutoff", kind="cutoff")
             return
@@ -377,7 +348,8 @@ class _Solve:
 
         if node.depth <= SB_DEPTH_CAP:
             self._strong_branch_round(node, box, lp, obj, x, fractional)
-        var = select_branching(fractional, stats)
+        var = select_branching(fractional, stats.branching,
+                               stats.conflict_heavy)
         self._branch(node, box, lp.basis_status, obj, x, var)
 
     def _finish_integral(self, node: Node, box: BoundBox, x: np.ndarray) -> None:
@@ -399,18 +371,24 @@ class _Solve:
 
     def _strong_branch_round(self, node: Node, box: BoundBox, lp, obj: float,
                              x: np.ndarray, fractional: list[int]) -> None:
-        stats = self.stats
-        ranked = sorted(fractional,
-                        key=lambda j: (-hybrid_branching_score(j, stats), j))
+        stats, table = self.stats, self.stats.branching
+        heavy = stats.conflict_heavy
+        ranked = sorted(fractional, key=lambda j: (-table.score(j, heavy), j))
         for j in ranked[:SB_CANDIDATES]:
-            dn, up, iters = strong_branch(self.inst, box, j, lp, stats)
+            dn, up, iters = strong_branch(self.inst, box, j, lp)
             stats.iter_lp += iters
+            for child in (dn, up):
+                # an infeasible child or an unmoved objective is no gain
+                if child is None or abs(child - obj) <= 1e-6:
+                    stats.sb_no_improvement += 1
+                else:
+                    stats.sb_objective_changed += 1
             f_dn = x[j] - math.floor(x[j])
-            if dn is not None and stats.pc_count.get((j, 0), 0) == 0:
-                stats.update_pseudo_cost(j, 0, max(dn - obj, 0.0)
+            if dn is not None and (j, 0) not in table.pc_count:
+                table.update_pseudo_cost(j, 0, max(dn - obj, 0.0)
                                          / max(f_dn, PC_FLOOR))
-            if up is not None and stats.pc_count.get((j, 1), 0) == 0:
-                stats.update_pseudo_cost(j, 1, max(up - obj, 0.0)
+            if up is not None and (j, 1) not in table.pc_count:
+                table.update_pseudo_cost(j, 1, max(up - obj, 0.0)
                                          / max(1.0 - f_dn, PC_FLOOR))
 
     def _branch(self, node: Node, box: BoundBox, basis, obj: float,

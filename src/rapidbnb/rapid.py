@@ -2,7 +2,8 @@
 
 Six trigger criteria, an exponentially thinning depth schedule, and the
 transfer of everything the probe learned: constraints, bounds, a
-solution, branching statistics, or a finished subtree.
+solution, or a finished subtree.  The probe adds its inference counts
+to the host's branching table itself.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from .model import FEAS_TOL, INF, EmptyBoxError, Instance, Side, fmt_g
 CRITERION_NAMES = ("dualbound", "leaves", "degeneracy", "obj", "nsols", "sblps")
 # only box-shaped evidence exists before any branching has happened
 ROOT_CRITERIA = frozenset({"degeneracy", "obj", "nsols"})
+# trigger thresholds; every comparison against them is strict
+RATIO_THRESHOLD = 10.0
+DEGENERACY_SHARE_THRESHOLD = 0.80
+FACE_RATIO_THRESHOLD = 2.0
+OBJ_SUPPORT_SLACK = 0
 
 
 @dataclass
@@ -26,10 +32,6 @@ class RapidConfig:
     f: int = 5
     beta: float = 4.0
     max_transferred_conflicts: int = 10
-    ratio_threshold: float = 10.0
-    degeneracy_share_threshold: float = 0.80
-    face_ratio_threshold: float = 2.0
-    obj_support_slack: int = 0
 
 
 @dataclass
@@ -78,15 +80,10 @@ def _ratio(num: float, den: float) -> float:
     return INF if num > 0 else 0.0
 
 
-def evaluate_criteria(node, stats, lp_degeneracy: DegeneracyInfo,
-                      config: RapidConfig, *, instance: Instance | None = None,
-                      box=None) -> CriterionReport:
-    """Measure all six triggers against the current search state.
-
-    `node` is accepted for callers that have one; the report itself is a
-    function of the statistics, the LP degeneracy, and the node box.
-    All threshold comparisons are strict.
-    """
+def evaluate_criteria(stats, lp_degeneracy: DegeneracyInfo, *,
+                      instance: Instance, box) -> CriterionReport:
+    """Measure all six triggers against the search statistics, the LP
+    degeneracy and the node box.  All threshold comparisons are strict."""
     fired: dict[str, bool] = {}
     measured: dict[str, float] = {}
 
@@ -97,23 +94,19 @@ def evaluate_criteria(node, stats, lp_degeneracy: DegeneracyInfo,
 
     measured["leaves"] = _ratio(stats.leaves_infeasible, stats.leaves_cutoff)
     fired["leaves"] = stats.leaves_infeasible > \
-        config.ratio_threshold * stats.leaves_cutoff
+        RATIO_THRESHOLD * stats.leaves_cutoff
 
     measured["degeneracy"] = lp_degeneracy.degenerate_share
     measured["face_ratio"] = lp_degeneracy.face_ratio
     fired["degeneracy"] = (
-        lp_degeneracy.degenerate_share > config.degeneracy_share_threshold
-        or lp_degeneracy.face_ratio > config.face_ratio_threshold)
+        lp_degeneracy.degenerate_share > DEGENERACY_SHARE_THRESHOLD
+        or lp_degeneracy.face_ratio > FACE_RATIO_THRESHOLD)
 
-    if instance is not None and box is not None:
-        unfixed_support = sum(
-            1 for j in range(instance.num_vars)
-            if instance.c[j] != 0.0 and box.upper[j] - box.lower[j] > 1e-6)
-        measured["obj"] = float(unfixed_support)
-        fired["obj"] = unfixed_support <= config.obj_support_slack
-    else:
-        measured["obj"] = INF
-        fired["obj"] = False
+    unfixed_support = sum(
+        1 for j in range(instance.num_vars)
+        if instance.c[j] != 0.0 and box.upper[j] - box.lower[j] > 1e-6)
+    measured["obj"] = float(unfixed_support)
+    fired["obj"] = unfixed_support <= OBJ_SUPPORT_SLACK
 
     measured["nsols"] = float(stats.n_solutions)
     fired["nsols"] = stats.n_solutions == 0
@@ -122,7 +115,7 @@ def evaluate_criteria(node, stats, lp_degeneracy: DegeneracyInfo,
                                stats.sb_objective_changed)
     evaluated = stats.sb_no_improvement + stats.sb_objective_changed
     fired["sblps"] = evaluated >= 1 and stats.sb_no_improvement > \
-        config.ratio_threshold * stats.sb_objective_changed
+        RATIO_THRESHOLD * stats.sb_objective_changed
 
     return CriterionReport(fired=fired, measured=measured)
 
@@ -142,8 +135,7 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig,
     if not bool(instance.integer_mask.all()):
         return None      # the probe handles pure integer scopes only
     degen = measure_degeneracy(lp_result, instance.num_rows)
-    report = evaluate_criteria(node, stats, degen, config,
-                               instance=instance, box=box)
+    report = evaluate_criteria(stats, degen, instance=instance, box=box)
     enabled = frozenset(config.criteria)
     if at_root:
         enabled &= ROOT_CRITERIA
@@ -160,7 +152,7 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig,
                       incumbent_bound=stats.incumbent_value)
     outcome = cp_search(instance, box, cp_cfg,
                         extra_constraints=tuple(extra_constraints),
-                        seed_inference=stats.inference_counts)
+                        branching=stats.branching)
     return transfer(outcome, node, stats, config=config, instance=instance,
                     box=box, at_root=at_root, alloc_cid=alloc_cid,
                     events=events, global_box=global_box,
@@ -194,7 +186,7 @@ def transfer(outcome, node, stats, *, config: RapidConfig, instance: Instance,
         else:
             node.locals_own.append((cid, lc))
             scope = "local"
-        stats.vsids.bump(lc.disjunction.literals())
+        stats.branching.bump(lc.disjunction.literals())
         events.append(f"lconstr {cid} node {node.id} level {node.depth} "
                       f"scope {scope} size {lc.length} form {lc.form}")
         stats.learned.append(LearnedRecord(scope, lc, scope_lower,
@@ -246,7 +238,6 @@ def transfer(outcome, node, stats, *, config: RapidConfig, instance: Instance,
             sol_rejected = True
             events.append(f"rl-solution-rejected node {node.id}")
 
-    stats.inference_counts.merge(outcome.inference)
     finalized = outcome.status is not CpStatus.NODE_LIMIT or scope_emptied
     summary = TransferSummary(
         node_id=node.id, depth=node.depth, status=outcome.status,

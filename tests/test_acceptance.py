@@ -20,6 +20,7 @@ from rapidbnb.mipsearch import MipConfig, SearchStats, solve
 from rapidbnb.model import INF, Instance, Side
 from rapidbnb.mps import write_mps
 from rapidbnb.propagation import Outcome, Propagator
+from rapidbnb import rapid
 from rapidbnb.rapid import RapidConfig, evaluate_criteria, is_rl_depth
 
 SUITE_SIZE = 200
@@ -115,7 +116,7 @@ def _audit_learned(inst, learned) -> tuple[int, int, dict]:
     return checked, violations, scopes
 
 
-def test_criterion_02_learned_constraint_validity(suite):
+def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
     entries, _ = suite
     checked = violations = 0
     scopes = {"global": 0, "local": 0}
@@ -141,10 +142,10 @@ def test_criterion_02_learned_constraint_validity(suite):
                     scopes[key] += s[key]
     # weighted clause instances keep the root probe quiet (the leaves
     # criterion has no evidence there), so transfers land node-local
+    monkeypatch.setattr(rapid, "RATIO_THRESHOLD", 2.0)
     local_cfg = MipConfig(
         rapid_mode="local", seed=1,
-        rapid=RapidConfig(criteria=frozenset({"leaves"}), f=1, beta=2.0,
-                          ratio_threshold=2.0))
+        rapid=RapidConfig(criteria=frozenset({"leaves"}), f=1, beta=2.0))
     for seed, n, m in ((31, 16, 67), (202, 18, 76), (11, 18, 72)):
         rng = np.random.default_rng(seed)
         for _ in range(4):
@@ -235,7 +236,9 @@ def test_criterion_05_formula_checks():
 def _fired(stats=None, share=0.0, face=1.0, **stat_kwargs):
     st = stats or SearchStats(**stat_kwargs)
     info = DegeneracyInfo(degenerate_share=share, face_ratio=face)
-    return evaluate_criteria(None, st, info, RapidConfig()).fired
+    inst = Instance(np.ones(2), [], np.zeros(2), np.ones(2), [0, 1])
+    return evaluate_criteria(st, info, instance=inst,
+                             box=inst.root_box()).fired
 
 
 def test_criterion_06_trigger_boundaries():

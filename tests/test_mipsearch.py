@@ -15,12 +15,9 @@ from rapidbnb import (
     from_inequalities,
     solve,
 )
-from rapidbnb.conflict import VsidsTable
-from rapidbnb.mipsearch import (
-    hybrid_branching_score,
-    record_leaf,
-    select_branching,
-)
+from rapidbnb.branching import BranchingStats, select_branching
+from rapidbnb.lp import strong_branch
+from rapidbnb.mipsearch import record_leaf
 
 import oracles
 
@@ -151,34 +148,46 @@ class TestEventLog:
 
 class TestBranchingMachinery:
     def test_vsids_bump_and_decay(self):
-        table = VsidsTable()
+        table = BranchingStats()
         for _ in range(99):
             table.bump(((0, Side.LOWER, 0.0),))
         assert table.activity[(0, Side.LOWER)] == 99.0
         table.bump(((0, Side.LOWER, 0.0),))
         assert table.conflicts_seen == 100
         assert table.activity[(0, Side.LOWER)] == 95.0  # (99+1) * 0.95
-        assert table.score(0) == 95.0
+        assert table.vsids(0) == 95.0
 
     def test_weight_shift_flips_selection(self):
         # pseudo-cost favourite vs conflict favourite under both regimes
         stats = SearchStats()
-        stats.update_pseudo_cost(1, 0, 5.0)
-        stats.update_pseudo_cost(1, 1, 5.0)
-        stats.vsids.bump(((0, Side.LOWER, 0.0),) * 3)
-        stats.vsids.bump(((0, Side.UPPER, 0.0),) * 2)
+        table = stats.branching
+        table.update_pseudo_cost(1, 0, 5.0)
+        table.update_pseudo_cost(1, 1, 5.0)
+        table.bump(((0, Side.LOWER, 0.0),) * 3)
+        table.bump(((0, Side.UPPER, 0.0),) * 2)
         stats.leaves_infeasible = 0
         stats.leaves_cutoff = 0
-        assert select_branching([0, 1], stats) == 1   # 25.0 beats 0.5
+        assert not stats.conflict_heavy
+        assert select_branching([0, 1], table, stats.conflict_heavy) == 1
+        assert table.score(1, False) == pytest.approx(25.0)   # beats 0.5
         stats.leaves_infeasible = 21                  # 21 > 10 * max(1, 2)
         stats.leaves_cutoff = 2
-        assert select_branching([0, 1], stats) == 0   # 5.0 beats 2.5
-        assert hybrid_branching_score(0, stats) > \
-            hybrid_branching_score(1, stats)
+        assert stats.conflict_heavy
+        assert select_branching([0, 1], table, stats.conflict_heavy) == 0
+        assert table.score(0, True) == pytest.approx(5.0)     # beats 2.5
+        assert table.score(1, True) == pytest.approx(2.5)
+
+    def test_inference_counts_enter_the_score(self):
+        table = BranchingStats()
+        table.add_inferences(3, 4)
+        table.add_inferences(3, 0)
+        table.add_inferences(3, 2)
+        assert table.inference(3) == 6 and table.inference(5) == 0
+        assert select_branching([5, 3], table, False) == 3
+        assert table.score(3, False) == pytest.approx(1e-12 + 0.6)
 
     def test_ties_pick_lowest_index(self):
-        stats = SearchStats()
-        assert select_branching([4, 2, 7], stats) == 4
+        assert select_branching([4, 2, 7], BranchingStats(), False) == 4
 
     def test_record_leaf(self):
         stats = SearchStats()
@@ -197,8 +206,21 @@ class TestBranchingMachinery:
         res = solve(inst, MipConfig(seed=1))
         assert res.status == "optimal"
         assert res.objective == 5.0  # ceil(9/2)
-        assert len(res.stats.pc_count) >= 1
+        assert len(res.stats.branching.pc_count) >= 1
         assert res.stats.sb_no_improvement + res.stats.sb_objective_changed >= 1
+
+    def test_strong_branching_counts_two_children_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return strong_branch(*args, **kwargs)
+
+        monkeypatch.setattr("rapidbnb.mipsearch.strong_branch", counted)
+        res = solve(cycle_cover(9), MipConfig(seed=1))
+        assert res.status == "optimal" and len(calls) >= 1
+        assert res.stats.sb_no_improvement + \
+            res.stats.sb_objective_changed == 2 * len(calls)
 
 
 class TestResultShape:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+from rapidbnb.branching import BranchingStats
 from rapidbnb.conflict import BoundDisjunction, LearnedConstraint
-from rapidbnb.cpsearch import (CpConfig, CpOutcome, CpStatus, InferenceStats,
-                               cp_search)
+from rapidbnb.cpsearch import CpConfig, CpOutcome, CpStatus, cp_search
 from rapidbnb.lp import DegeneracyInfo, solve_lp
 from rapidbnb.mipsearch import Node, SearchStats
 from rapidbnb.model import INF, Side, from_inequalities
@@ -54,11 +54,12 @@ class TestDepthSchedule:
             is_rl_depth(3, 5, 0.5)
 
 
-def report_for(stats, share=0.0, face=1.0, config=None, instance=None,
-               box=None):
+def report_for(stats, share=0.0, face=1.0, instance=None, box=None):
+    if instance is None:
+        instance = coverage_instance(n=3)
+        box = instance.root_box()
     info = DegeneracyInfo(degenerate_share=share, face_ratio=face)
-    return evaluate_criteria(None, stats, info, config or RapidConfig(),
-                             instance=instance, box=box)
+    return evaluate_criteria(stats, info, instance=instance, box=box)
 
 
 class TestTriggerBoundaries:
@@ -136,10 +137,6 @@ class TestTriggerBoundaries:
         box.tighten(2, Side.UPPER, 0.0)
         rep = report_for(st, instance=inst, box=box)
         assert rep.fired["obj"] and rep.measured["obj"] == 0.0
-
-    def test_objective_support_needs_the_box(self):
-        rep = report_for(SearchStats())
-        assert not rep.fired["obj"] and rep.measured["obj"] == INF
 
     def test_report_covers_all_names(self):
         rep = report_for(SearchStats())
@@ -220,10 +217,28 @@ class TestScheduleGating:
         direct = cp_search(inst, inst.root_box(),
                            CpConfig(node_limit=500, seed=12 ^ 9,
                                     incumbent_bound=INF),
-                           seed_inference=InferenceStats())
+                           branching=BranchingStats())
         assert summary.status is direct.status
         assert summary.cp_nodes == direct.nodes
         assert summary.conflicts_attached == min(10, len(direct.conflicts))
+
+    def test_probe_inference_counts_reach_the_host_table(self):
+        # the probe adds its counts to the host's table as it runs; a
+        # direct probe with the same seed leaves the same counts in a
+        # fresh table
+        inst = oracles.random_sat_instance(np.random.default_rng(5),
+                                           n=10, m=42)
+        st = SearchStats(leaves_infeasible=500, n_solutions=1, iter_lp=0)
+        summary, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
+                                    {"leaves"}, at_root=False, seed=12)
+        direct = BranchingStats()
+        out = cp_search(inst, inst.root_box(),
+                        CpConfig(node_limit=500, seed=12 ^ 9,
+                                 incumbent_bound=INF),
+                        branching=direct)
+        assert summary.cp_nodes == out.nodes > 1
+        assert sum(direct.inferences.values()) > 0
+        assert st.branching.inferences == direct.inferences
 
     def test_identical_reruns(self):
         inst = coverage_instance(n=6)
@@ -239,10 +254,9 @@ class TestScheduleGating:
 
 
 def crafted_outcome(box, status=CpStatus.OPTIMAL, conflicts=(),
-                    solution=None, value=INF, inference=None, nodes=4):
+                    solution=None, value=INF, nodes=4):
     return CpOutcome(status=status, conflicts=list(conflicts), box=box,
-                     solution=solution, solution_value=value,
-                     inference=inference or InferenceStats(), nodes=nodes,
+                     solution=solution, solution_value=value, nodes=nodes,
                      audits=[])
 
 
@@ -366,15 +380,6 @@ class TestTransferRules:
         assert not summary.solution_installed
         assert not summary.solution_rejected
         assert self.stats.n_solutions == 0
-
-    def test_inference_statistics_fold_back(self):
-        inf_probe = InferenceStats()
-        inf_probe.add(2, 1, InferenceStats.UP, 3)
-        inf_probe.add(2, 0, InferenceStats.DOWN, 1)
-        self.stats.inference_counts.add(2, 1, InferenceStats.UP, 5)
-        self.run_transfer(
-            crafted_outcome(self.box.copy(), inference=inf_probe))
-        assert self.stats.inference_counts.total(2) == 9
 
     def test_finalized_tracks_probe_status(self):
         for status, done in ((CpStatus.OPTIMAL, True),
