@@ -6,11 +6,19 @@ non-improving pivots so termination is guaranteed.  Basic values are
 recomputed from the basis factorization every iteration; at the problem
 sizes this solver targets that is cheaper than being clever and it keeps
 accumulated error out of the picture.
+
+The linear algebra stays in numpy, but pricing, the ratio test and the
+phase-1 bookkeeping are scalar loops over Python lists of plain ints and
+floats.  With a few dozen columns the per-call overhead of numpy
+dominates: vectorized pricing measured slower than these loops, and
+comparing an `np.int8` entry with an `IntEnum` member costs about fifty
+times a plain int comparison.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -33,6 +41,12 @@ class BasisStatus(IntEnum):
     BASIC = 0
     AT_LOWER = 1
     AT_UPPER = 2
+
+
+# plain ints for the simplex loops
+BASIC = int(BasisStatus.BASIC)
+AT_LOWER = int(BasisStatus.AT_LOWER)
+AT_UPPER = int(BasisStatus.AT_UPPER)
 
 
 @dataclass
@@ -58,7 +72,8 @@ def default_iteration_cap(n: int, m: int) -> int:
 
 class _Simplex:
     def __init__(self, instance: Instance, box: BoundBox,
-                 warm_basis: np.ndarray | None, cap: int):
+                 warm_basis: np.ndarray | None, cap: int,
+                 deadline: float | None):
         A, b = instance.dense()
         self.n = instance.num_vars
         self.m = instance.num_rows
@@ -66,96 +81,101 @@ class _Simplex:
         self.T = np.hstack([A, np.eye(self.m)]) if self.m else np.zeros((0, self.N))
         self.b = b
         self.cost = np.concatenate([instance.c, np.zeros(self.m)])
-        self.lo = np.concatenate([box.lower, np.zeros(self.m)])
-        self.hi = np.concatenate([box.upper, np.full(self.m, math.inf)])
+        self.lo: list[float] = np.concatenate(
+            [box.lower, np.zeros(self.m)]).tolist()
+        self.hi: list[float] = np.concatenate(
+            [box.upper, np.full(self.m, math.inf)]).tolist()
+        # fixed columns never move
+        self.movable = [j for j in range(self.N)
+                        if not self.hi[j] - self.lo[j] <= INT_TOL]
         self.cap = cap
+        self.deadline = deadline
         self.iterations = 0
         self.bland = False
         self.no_improve = 0
         self.bland_after = 3 * self.N
-        self.status = np.full(self.N, BasisStatus.AT_LOWER, dtype=np.int8)
+        self.status: list[int] = []
         self.basis: list[int] = []
+        # value vector and reduced costs of the last iteration at the optimum
+        self.x: np.ndarray | None = None
+        self.red: np.ndarray | None = None
         self._install_start(warm_basis)
 
     # ---- setup -----------------------------------------------------
 
     def _nb_start_value(self, j: int) -> float:
-        if self.status[j] == BasisStatus.AT_UPPER:
-            if math.isfinite(self.hi[j]):
-                return self.hi[j]
-            self.status[j] = BasisStatus.AT_LOWER
-        if math.isfinite(self.lo[j]):
-            return self.lo[j]
-        if math.isfinite(self.hi[j]):
-            self.status[j] = BasisStatus.AT_UPPER
-            return self.hi[j]
+        lo, hi = self.lo[j], self.hi[j]
+        if self.status[j] == AT_UPPER:
+            if math.isfinite(hi):
+                return hi
+            self.status[j] = AT_LOWER
+        if math.isfinite(lo):
+            return lo
+        if math.isfinite(hi):
+            self.status[j] = AT_UPPER
+            return hi
         return 0.0
 
     def _install_start(self, warm: np.ndarray | None) -> None:
-        used_warm = False
         if warm is not None and warm.shape == (self.N,):
-            cand = [j for j in range(self.N) if warm[j] == BasisStatus.BASIC]
-            if len(cand) == self.m:
-                B = self.T[:, cand] if self.m else np.zeros((0, 0))
-                if self.m == 0 or abs(np.linalg.slogdet(B)[0]) == 1:
-                    self.basis = list(cand)
-                    self.status = warm.astype(np.int8).copy()
-                    used_warm = True
-        if not used_warm:
-            self.basis = list(range(self.n, self.N))
-            self.status = np.full(self.N, BasisStatus.AT_LOWER, dtype=np.int8)
-        for j in self.basis:
-            self.status[j] = BasisStatus.BASIC
+            status = warm.tolist()
+            cand = [j for j, st in enumerate(status) if st == BASIC]
+            if len(cand) == self.m and (
+                    self.m == 0 or
+                    abs(np.linalg.slogdet(self.T[:, cand])[0]) == 1):
+                self.basis = cand
+                self.status = status
+                return
+        self.basis = list(range(self.n, self.N))
+        self.status = [AT_LOWER] * self.n + [BASIC] * self.m
 
     # ---- core linear algebra ----------------------------------------
+    # B is the basis matrix T[:, basis], built once per pivot by run()
 
-    def _recompute(self) -> np.ndarray:
+    def _recompute(self, B: np.ndarray | None) -> np.ndarray:
         """Full value vector consistent with the current basis."""
-        x = np.zeros(self.N)
-        for j in range(self.N):
-            if self.status[j] != BasisStatus.BASIC:
-                x[j] = self._nb_start_value(j)
+        status, start = self.status, self._nb_start_value
+        x = np.array([0.0 if status[j] == BASIC else start(j)
+                      for j in range(self.N)])
         if self.m:
-            B = self.T[:, self.basis]
             rhs = self.b - self.T @ x + B @ x[self.basis]
             x[self.basis] = np.linalg.solve(B, rhs)
         return x
 
-    def _duals(self, cost: np.ndarray) -> np.ndarray:
+    def _reduced_costs(self, B: np.ndarray | None,
+                       cost: np.ndarray) -> np.ndarray:
         if not self.m:
-            return np.zeros(0)
-        B = self.T[:, self.basis]
-        return np.linalg.solve(B.T, cost[self.basis])
+            return cost.copy()
+        y = np.linalg.solve(B.T, cost[self.basis])
+        return cost - self.T.T @ y
 
-    def _direction(self, j: int) -> np.ndarray:
+    def _direction(self, B: np.ndarray | None, j: int) -> list[float]:
         if not self.m:
-            return np.zeros(0)
-        B = self.T[:, self.basis]
-        return np.linalg.solve(B, self.T[:, j])
+            return []
+        return np.linalg.solve(B, self.T[:, j]).tolist()
 
     # ---- pivoting ----------------------------------------------------
 
-    def _entering(self, red: np.ndarray) -> tuple[int, int] | None:
+    def _entering(self, red: list[float]) -> tuple[int, int] | None:
         """Pick a nonbasic column and a movement sign, or None at optimum."""
+        status, lo, hi = self.status, self.lo, self.hi
         best = None
         best_score = PIVOT_TOL
-        for j in range(self.N):
-            st = self.status[j]
-            if st == BasisStatus.BASIC:
+        for j in self.movable:
+            st = status[j]
+            if st == BASIC:
                 continue
-            if self.hi[j] - self.lo[j] <= INT_TOL:
-                continue  # fixed columns never move
             d = red[j]
             sgn = 0
-            if st == BasisStatus.AT_LOWER:
+            if st == AT_LOWER:
                 if d < -PIVOT_TOL:
                     sgn = 1
-                elif d > PIVOT_TOL and not math.isfinite(self.lo[j]):
+                elif d > PIVOT_TOL and not math.isfinite(lo[j]):
                     sgn = -1  # started free at zero, may go down
             else:
                 if d > PIVOT_TOL:
                     sgn = -1
-                elif d < -PIVOT_TOL and not math.isfinite(self.hi[j]):
+                elif d < -PIVOT_TOL and not math.isfinite(hi[j]):
                     sgn = 1
             if sgn == 0:
                 continue
@@ -166,86 +186,87 @@ class _Simplex:
                 best = (j, sgn)
         return best
 
-    def _ratio_test(self, j: int, sgn: int, x: np.ndarray,
-                    phase1: bool) -> tuple[float, int | None, int]:
+    def _ratio_test(self, B: np.ndarray | None, j: int, sgn: int,
+                    x: list[float], phase1: bool,
+                    ) -> tuple[float, int | None, int]:
         """Largest step t for entering column j moving with sign sgn.
 
         Returns (t, leaving_position_in_basis | None, leaving_bound_side).
         leaving None means the entering column hits its own other bound.
         """
-        w = self._direction(j)
+        w = self._direction(B, j)
+        lo, hi, basis = self.lo, self.hi, self.basis
         t_best = math.inf
         leave_pos = None
-        leave_side = BasisStatus.AT_LOWER
-        for pos, i in enumerate(self.basis):
+        leave_side = AT_LOWER
+        for pos, i in enumerate(basis):
             rate = -sgn * w[pos]
             if abs(rate) <= PIVOT_TOL:
                 continue
             xi = x[i]
-            below = phase1 and xi < self.lo[i] - FEAS_TOL
-            above = phase1 and xi > self.hi[i] + FEAS_TOL
+            below = phase1 and xi < lo[i] - FEAS_TOL
+            above = phase1 and xi > hi[i] + FEAS_TOL
             if rate > 0:  # value increases
                 if below:
-                    target = self.lo[i]
+                    target = lo[i]
                 elif above:
                     continue  # moving further out never blocks
                 else:
-                    target = self.hi[i]
+                    target = hi[i]
                 if not math.isfinite(target):
                     continue
                 t = (target - xi) / rate
-                side = BasisStatus.AT_LOWER if below else BasisStatus.AT_UPPER
+                side = AT_LOWER if below else AT_UPPER
             else:  # value decreases
                 if above:
-                    target = self.hi[i]
+                    target = hi[i]
                 elif below:
                     continue
                 else:
-                    target = self.lo[i]
+                    target = lo[i]
                 if not math.isfinite(target):
                     continue
                 t = (target - xi) / rate
-                side = BasisStatus.AT_UPPER if above else BasisStatus.AT_LOWER
+                side = AT_UPPER if above else AT_LOWER
             t = max(t, 0.0)
             if t < t_best - PIVOT_TOL or (t < t_best + PIVOT_TOL and
-                                          (leave_pos is None or i < self.basis[leave_pos])):
+                                          (leave_pos is None or i < basis[leave_pos])):
                 t_best = t
                 leave_pos = pos
                 leave_side = side
-        own_range = self.hi[j] - self.lo[j]
+        own_range = hi[j] - lo[j]
         if math.isfinite(own_range) and own_range < t_best - PIVOT_TOL:
-            return own_range, None, BasisStatus.AT_LOWER
+            return own_range, None, AT_LOWER
         return t_best, leave_pos, leave_side
 
-    def _pivot(self, j: int, sgn: int, t: float, leave_pos: int | None,
-               leave_side: int) -> None:
+    def _pivot(self, j: int, leave_pos: int | None, leave_side: int) -> None:
         if leave_pos is None:
             # bound flip, basis unchanged
-            self.status[j] = (BasisStatus.AT_UPPER
-                              if self.status[j] == BasisStatus.AT_LOWER
-                              else BasisStatus.AT_LOWER)
+            self.status[j] = AT_UPPER if self.status[j] == AT_LOWER else AT_LOWER
             return
         i = self.basis[leave_pos]
         self.basis[leave_pos] = j
-        self.status[j] = BasisStatus.BASIC
+        self.status[j] = BASIC
         self.status[i] = leave_side
 
     # ---- phases ------------------------------------------------------
 
-    def _violation(self, x: np.ndarray) -> float:
+    def _violation(self, x: list[float]) -> float:
+        lo, hi = self.lo, self.hi
         v = 0.0
         for i in self.basis:
-            v += max(0.0, self.lo[i] - x[i]) + max(0.0, x[i] - self.hi[i])
+            v += max(0.0, lo[i] - x[i]) + max(0.0, x[i] - hi[i])
         return v
 
-    def _phase1_cost(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.N)
+    def _phase1_cost(self, x: list[float]) -> np.ndarray:
+        lo, hi = self.lo, self.hi
+        g = [0.0] * self.N
         for i in self.basis:
-            if x[i] < self.lo[i] - FEAS_TOL:
+            if x[i] < lo[i] - FEAS_TOL:
                 g[i] = -1.0
-            elif x[i] > self.hi[i] + FEAS_TOL:
+            elif x[i] > hi[i] + FEAS_TOL:
                 g[i] = 1.0
-        return g
+        return np.array(g)
 
     def run(self) -> LpStatus:
         phase1 = True
@@ -253,15 +274,20 @@ class _Simplex:
         while True:
             if self.iterations >= self.cap:
                 return LpStatus.ITERATION_LIMIT
-            x = self._recompute()
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                return LpStatus.ITERATION_LIMIT
+            B = self.T[:, self.basis] if self.m else None
+            x = self._recompute(B)
+            xl = x.tolist()
             if phase1:
-                viol = self._violation(x)
+                viol = self._violation(xl)
                 if viol <= FEAS_TOL:
+                    # the basis is unchanged, so x still holds
                     phase1 = False
                     prev = math.inf
                     self.no_improve = 0
-                    continue
-                cost = self._phase1_cost(x)
+            if phase1:
+                cost = self._phase1_cost(xl)
                 objective = viol
             else:
                 cost = self.cost
@@ -275,39 +301,38 @@ class _Simplex:
                 self.no_improve = 0
             prev = objective
 
-            y = self._duals(cost)
-            red = cost - (self.T.T @ y if self.m else 0.0)
-            choice = self._entering(red)
+            red = self._reduced_costs(B, cost)
+            choice = self._entering(red.tolist())
             if choice is None:
                 if phase1:
                     return LpStatus.INFEASIBLE
+                self.x, self.red = x, red
                 return LpStatus.OPTIMAL
             j, sgn = choice
-            t, leave_pos, leave_side = self._ratio_test(j, sgn, x, phase1)
+            t, leave_pos, leave_side = self._ratio_test(B, j, sgn, xl, phase1)
             if not math.isfinite(t):
                 if phase1:
                     raise ArithmeticError("phase-1 ray; numerical trouble")
                 return LpStatus.UNBOUNDED
-            self._pivot(j, sgn, t, leave_pos, leave_side)
+            self._pivot(j, leave_pos, leave_side)
             self.iterations += 1
 
     # ---- extraction ----------------------------------------------------
 
     def result(self, status: LpStatus, box: BoundBox) -> LpResult:
         fixed = (box.upper - box.lower) <= INT_TOL
+        basis_status = np.array(self.status, dtype=np.int8)
         if status is not LpStatus.OPTIMAL:
             return LpResult(status, iterations=self.iterations,
-                            basis_status=self.status.copy(),
+                            basis_status=basis_status,
                             fixed_mask=fixed)
-        x = self._recompute()
-        y = self._duals(self.cost)
-        red = self.cost - (self.T.T @ y if self.m else 0.0)
+        red = self.red
         red[self.basis] = 0.0  # exactly zero on the basis
-        xs = x[:self.n].copy()
+        xs = self.x[:self.n].copy()
         np.clip(xs, box.lower, box.upper, out=xs)
         return LpResult(LpStatus.OPTIMAL, x=xs,
                         objective=float(self.cost[:self.n] @ xs),
-                        basis_status=self.status.copy(),
+                        basis_status=basis_status,
                         reduced_costs=red,
                         iterations=self.iterations,
                         fixed_mask=fixed)
@@ -315,22 +340,25 @@ class _Simplex:
 
 def solve_lp(instance: Instance, box: BoundBox,
              warm_basis: np.ndarray | None = None,
-             iteration_cap: int | None = None) -> LpResult:
+             iteration_cap: int | None = None,
+             deadline: float | None = None) -> LpResult:
     """Solve the LP relaxation over `box`.
 
     Deterministic for identical inputs.  `warm_basis` takes a previous
-    result's basis_status; an unusable one is silently ignored.
+    result's basis_status; an unusable one is silently ignored.  Once
+    `time.monotonic()` passes `deadline`, the solve stops before its next
+    pivot with ITERATION_LIMIT.
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
     cap = iteration_cap if iteration_cap is not None else \
         default_iteration_cap(instance.num_vars, instance.num_rows)
     try:
-        sx = _Simplex(instance, box, warm_basis, cap)
+        sx = _Simplex(instance, box, warm_basis, cap, deadline)
         status = sx.run()
     except np.linalg.LinAlgError:
         if warm_basis is not None:
-            return solve_lp(instance, box, None, iteration_cap)
+            return solve_lp(instance, box, None, iteration_cap, deadline)
         raise
     return sx.result(status, box)
 
@@ -361,12 +389,12 @@ def measure_degeneracy(result: LpResult, num_rows: int) -> DegeneracyInfo:
 
 
 def strong_branch(instance: Instance, box: BoundBox, var: int,
-                  parent: LpResult,
+                  parent: LpResult, deadline: float | None = None,
                   ) -> tuple[float | None, float | None, int]:
     """Probe both children of branching on `var` at the parent LP value.
 
     Returns (down objective, up objective, simplex iterations); None
-    stands for an infeasible child.
+    stands for an infeasible child or one stopped at `deadline`.
     """
     assert parent.x is not None and parent.objective is not None
     frac = float(parent.x[var])
@@ -381,7 +409,8 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
         if child.is_empty():
             objs.append(None)
             continue
-        res = solve_lp(instance, child, warm_basis=parent.basis_status)
+        res = solve_lp(instance, child, warm_basis=parent.basis_status,
+                       deadline=deadline)
         iters += res.iterations
         objs.append(res.objective if res.status is LpStatus.OPTIMAL else None)
     return objs[0], objs[1], iters

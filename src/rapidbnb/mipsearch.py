@@ -173,6 +173,7 @@ class _Solve:
         self.next_id = 1
         self.exhausted = False
         self.t0 = time.monotonic()
+        self.deadline = self.t0 + config.time_limit
 
     # -- plumbing ----------------------------------------------------
 
@@ -291,7 +292,7 @@ class _Solve:
             self._leaf(node, "infeasible", kind="infeasible")
             return
 
-        lp = solve_lp(inst, box, warm_basis=node.basis)
+        lp = solve_lp(inst, box, warm_basis=node.basis, deadline=self.deadline)
         stats.iter_lp += lp.iterations
         if lp.status is LpStatus.UNBOUNDED:
             raise SolveError("LP relaxation is unbounded; finite bounds required")
@@ -375,7 +376,8 @@ class _Solve:
         heavy = stats.conflict_heavy
         ranked = sorted(fractional, key=lambda j: (-table.score(j, heavy), j))
         for j in ranked[:SB_CANDIDATES]:
-            dn, up, iters = strong_branch(self.inst, box, j, lp)
+            dn, up, iters = strong_branch(self.inst, box, j, lp,
+                                          deadline=self.deadline)
             stats.iter_lp += iters
             for child in (dn, up):
                 # an infeasible child or an unmoved objective is no gain
@@ -449,7 +451,7 @@ class _Solve:
         res = self._propagator().to_fixpoint(self.global_box)
         if res.outcome is Outcome.INFEASIBLE:
             return self._finish("infeasible")
-        root_lp = solve_lp(inst, self.global_box)
+        root_lp = solve_lp(inst, self.global_box, deadline=self.deadline)
         stats.iter_lp += root_lp.iterations
         if root_lp.status is LpStatus.INFEASIBLE:
             return self._finish("infeasible")

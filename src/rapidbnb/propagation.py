@@ -91,12 +91,12 @@ def propagate_linear_row(row: Row, box: BoundBox, int_mask: np.ndarray,
             continue  # residual activity unbounded below without j
         rest = minact if contrib[k] == -np.inf else minact - contrib[k]
         residual = row.rhs - rest
-        reason = tuple(r for i, r in enumerate(reads) if i != k)
         if a > 0:
             value = residual / a
             if int_mask[j]:
                 value = float(np.floor(value + INT_TOL))
             if value < box.upper[j] - FEAS_TOL:
+                reason = tuple(reads[:k] + reads[k + 1:])
                 if value < box.lower[j] - FEAS_TOL:
                     return RowInfeasible(reason + ((j, Side.LOWER),))
                 deds.append(Deduction(j, Side.UPPER, value, reason))
@@ -105,6 +105,7 @@ def propagate_linear_row(row: Row, box: BoundBox, int_mask: np.ndarray,
             if int_mask[j]:
                 value = float(np.ceil(value - INT_TOL))
             if value > box.lower[j] + FEAS_TOL:
+                reason = tuple(reads[:k] + reads[k + 1:])
                 if value > box.upper[j] + FEAS_TOL:
                     return RowInfeasible(reason + ((j, Side.UPPER),))
                 deds.append(Deduction(j, Side.LOWER, value, reason))

@@ -1,6 +1,11 @@
-"""Bounded-variable simplex against the vertex-enumeration oracle."""
+"""Bounded-variable simplex against the vertex-enumeration oracle and,
+where scipy is installed, against HiGHS."""
+
+import math
+import time
 
 import numpy as np
+import pytest
 
 from rapidbnb import LpStatus, from_inequalities, measure_degeneracy, solve_lp
 from rapidbnb.lp import strong_branch
@@ -92,6 +97,15 @@ class TestMechanics:
                 break
         assert hit
 
+    def test_passed_deadline_stops_before_the_first_pivot(self):
+        rng = np.random.default_rng(85)
+        for _ in range(10):
+            inst = oracles.random_lp(rng)
+            res = solve_lp(inst, inst.root_box(),
+                           deadline=time.monotonic() - 1.0)
+            assert res.status is LpStatus.ITERATION_LIMIT
+            assert res.iterations == 0
+
     def test_unbounded_detected(self):
         inst = from_inequalities([-1.0], [], [0], [np.inf], integer_set=())
         res = solve_lp(inst, inst.root_box())
@@ -121,3 +135,105 @@ class TestStrongBranch:
         assert up is not None and up >= parent.objective - VALUE_TOL
         assert iters >= 0
         assert box.lower[j] == 0.0 and box.upper[j] == 2.0  # box untouched
+
+    def test_passed_deadline_gives_no_child_objective(self):
+        inst = from_inequalities([-1.0, -1.0],
+                                 [((0, 1), (2.0, 2.0), "<=", 3.0)],
+                                 [0, 0], [2, 2], integer_set=(0, 1))
+        box = inst.root_box()
+        parent = solve_lp(inst, box)
+        j = int(np.argmax(np.abs(parent.x - np.round(parent.x))))
+        assert strong_branch(inst, box, j, parent,
+                             deadline=time.monotonic() - 1.0) == (None, None, 0)
+
+
+def wide_lp(rng: np.random.Generator, n: int, m: int):
+    """A seeded LP with n structurals and at least m rows.
+
+    A quarter of the structurals have no upper bound, a quarter no lower
+    bound and some neither; one extra row caps each missing bound, so the
+    LP stays bounded while its columns start from every kind of bound.
+    Right-hand sides sit around the activity of a point inside the box,
+    a few of them below it, so some of the LPs are infeasible.
+    """
+    lower = rng.integers(-4, 1, size=n).astype(float)
+    upper = lower + rng.integers(1, 7, size=n)
+    kind = rng.integers(0, 5, size=n)
+    lower[(kind == 1) | (kind == 3)] = -np.inf
+    upper[(kind == 2) | (kind == 3)] = np.inf
+    point = np.where(np.isfinite(lower), lower, upper - 2.0)
+    point = np.where(np.isfinite(point), point, 0.0) + rng.random(n)
+    c = rng.integers(-6, 7, size=n).astype(float)
+    rows = []
+    for _ in range(m):
+        width = int(rng.integers(2, min(n, 8) + 1))
+        cols = tuple(sorted(rng.choice(n, size=width, replace=False).tolist()))
+        coefs = rng.integers(-5, 6, size=width)
+        coefs[coefs == 0] = 1
+        act = float(sum(a * point[j] for j, a in zip(cols, coefs)))
+        rhs = math.floor(act) + float(rng.integers(-2, 6))
+        rows.append((cols, tuple(float(a) for a in coefs), "<=", rhs))
+    for j in range(n):
+        if not math.isfinite(upper[j]):
+            rows.append(((j,), (1.0,), "<=", 9.0))
+        if not math.isfinite(lower[j]):
+            rows.append(((j,), (-1.0,), "<=", 9.0))
+    return from_inequalities(c, rows, lower, upper, integer_set=())
+
+
+class TestAgainstHighs:
+    """Differential check against scipy's HiGHS, cold and warm started."""
+
+    @staticmethod
+    def highs(inst, box):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        A, b = inst.dense()
+        bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+                  for lo, hi in zip(box.lower, box.upper)]
+        res = linprog(inst.c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+        assert res.status in (0, 2), res.message
+        return (LpStatus.OPTIMAL, res.fun) if res.status == 0 else \
+            (LpStatus.INFEASIBLE, None)
+
+    def check(self, inst, box, warm=None):
+        res = solve_lp(inst, box, warm_basis=warm)
+        status, value = self.highs(inst, box)
+        assert res.status is status
+        if status is LpStatus.OPTIMAL:
+            assert abs(res.objective - value) <= VALUE_TOL
+        if res.basis_status is not None:
+            assert res.basis_status.dtype == np.int8
+            assert res.basis_status.shape == (inst.num_vars + inst.num_rows,)
+            assert int(np.sum(res.basis_status == 0)) == inst.num_rows
+        return res
+
+    def test_cold_and_warm_children(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(86)
+        seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+        n_warm = 0
+        for _ in range(40):
+            n = int(rng.integers(10, 41))
+            inst = wide_lp(rng, n, int(rng.integers(n // 3, n)))
+            box = inst.root_box()
+            parent = self.check(inst, box)
+            seen[parent.status] += 1
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            again = solve_lp(inst, box, warm_basis=parent.basis_status)
+            assert again.iterations == 0
+            assert abs(again.objective - parent.objective) <= VALUE_TOL
+            # children after one bound change, as strong branching builds them
+            for j in rng.choice(n, size=3, replace=False).tolist():
+                for down in (True, False):
+                    child = box.copy()
+                    if down:
+                        child.upper[j] = math.floor(parent.x[j] - 0.5)
+                    else:
+                        child.lower[j] = math.ceil(parent.x[j] + 0.5)
+                    if child.is_empty():
+                        continue
+                    res = self.check(inst, child, warm=parent.basis_status)
+                    seen[res.status] += 1
+                    n_warm += 1
+        assert min(seen.values()) >= 10 and n_warm >= 100

@@ -91,6 +91,15 @@ class TestLimits:
         res = solve(inst, MipConfig(time_limit=1e-9))
         assert res.status == "timelimit"
 
+    def test_time_limit_covers_the_root_lp(self):
+        # the root LP stops before its first pivot: no node, no LP iteration
+        inst = oracles.random_sat_instance(np.random.default_rng(63),
+                                           n=60, m=252)
+        res = solve(inst, MipConfig(time_limit=1e-9, rapid_mode="off"))
+        assert res.status == "timelimit"
+        assert res.nodes == 0
+        assert res.stats.iter_lp == 0
+
     def test_time_limit_must_be_positive(self):
         with pytest.raises(ConfigError):
             MipConfig(time_limit=0.0).validate()
