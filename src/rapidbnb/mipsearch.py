@@ -172,6 +172,7 @@ class _Solve:
         self.nodes_processed = 0
         self.next_id = 1
         self.exhausted = False
+        self.timed_out = False
         self.t0 = time.monotonic()
         self.deadline = self.t0 + config.time_limit
 
@@ -300,6 +301,11 @@ class _Solve:
             self._leaf(node, "infeasible", kind="infeasible")
             return
         if lp.status is LpStatus.ITERATION_LIMIT:
+            if time.monotonic() > self.deadline:
+                # stopped by the time limit, not the cap: the node stays open
+                self._push(node)
+                self.timed_out = True
+                return
             self._branch_fallback(node, box, lp)
             return
 
@@ -483,12 +489,15 @@ class _Solve:
                 self._push(node)
                 status = "nodelimit"
                 break
-            if time.monotonic() - self.t0 > self.cfg.time_limit:
+            if time.monotonic() > self.deadline:
                 self._push(node)
                 status = "timelimit"
                 break
-            self.nodes_processed += 1
             self._process(node)
+            if self.timed_out:
+                status = "timelimit"
+                break
+            self.nodes_processed += 1
             if self.exhausted:
                 break
         return self._finish(status)

@@ -1,6 +1,7 @@
 """Branch-and-bound driver: verdicts, limits, branching machinery, events."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rapidbnb import (
 )
 from rapidbnb.branching import BranchingStats, select_branching
 from rapidbnb.lp import strong_branch
-from rapidbnb.mipsearch import record_leaf
+from rapidbnb.mipsearch import _Solve, record_leaf
 
 import oracles
 
@@ -99,6 +100,28 @@ class TestLimits:
         assert res.status == "timelimit"
         assert res.nodes == 0
         assert res.stats.iter_lp == 0
+
+    def test_deadline_at_a_fully_fixed_node_ends_in_timelimit(self,
+                                                              monkeypatch):
+        # every integer is fixed, so there is nothing to branch on; the
+        # deadline passes while the node is replayed, before its LP
+        k = 5
+        rows = [((i, (i + 1) % k), (-1.0, -1.0), "<=", -1.0)
+                for i in range(k)]
+        inst = from_inequalities([1.0] * k, rows, [1] * k, [1] * k,
+                                 integer_set=range(k))
+        replay = _Solve._replay
+
+        def replay_past_deadline(self, *args):
+            self.deadline = time.monotonic() - 1.0
+            return replay(self, *args)
+
+        monkeypatch.setattr(_Solve, "_replay", replay_past_deadline)
+        res = _Solve(inst, MipConfig(rapid_mode="off")).run()
+        assert res.status == "timelimit"
+        assert res.nodes == 0
+        assert res.objective is None
+        assert abs(res.dual_bound - 5.0) <= 1e-9   # the open root's bound
 
     def test_time_limit_must_be_positive(self):
         with pytest.raises(ConfigError):
