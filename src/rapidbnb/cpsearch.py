@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,6 +46,7 @@ class CpConfig:
     node_limit: int
     seed: int = 0
     incumbent_bound: float = math.inf
+    deadline: float | None = None     # time.monotonic() value that stops it
 
 
 @dataclass
@@ -159,6 +161,8 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         return True
 
     while stack and nodes < config.node_limit:
+        if config.deadline is not None and time.monotonic() > config.deadline:
+            break
         mark, level, branch = stack.pop()
         nodes += 1
         trail.rewind(mark)
@@ -205,7 +209,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         else:
             stack.extend((down, up))
 
-    if stack and nodes >= config.node_limit:
+    if stack:   # cut short by the node limit or the deadline
         status = CpStatus.NODE_LIMIT
     elif scope_infeasible:
         status = CpStatus.INFEASIBLE

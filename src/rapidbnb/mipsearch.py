@@ -335,7 +335,8 @@ class _Solve:
                     extra_constraints=extras, alloc_cid=self._alloc_cid,
                     events=self.events,
                     global_box=self.global_box if at_root else None,
-                    global_sink=self.global_constraints if at_root else None)
+                    global_sink=self.global_constraints if at_root else None,
+                    deadline=self.deadline)
                 if summary is not None:
                     if summary.finalized:
                         if summary.status is CpStatus.INFEASIBLE or \

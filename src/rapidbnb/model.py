@@ -47,7 +47,7 @@ class Side(enum.IntEnum):
 class RowKind(enum.Enum):
     LINEAR = "linear"
     KNAPSACK = "knapsack"
-    SETCOVER = "setcover"
+    CLAUSE = "clause"
 
 
 class ProblemClass(enum.Enum):
@@ -60,12 +60,12 @@ class ProblemClass(enum.Enum):
 class Row:
     """One constraint `sum(coefs[k] * x[cols[k]]) <= rhs`.
 
-    `kind` is assigned by structural classification against the global
-    bounds; knapsack rows additionally carry their integer weights sorted
-    heaviest first, which the knapsack propagator relies on.
+    `Instance` sets `kind` (see `classify_row`), which picks the row's
+    propagator.  Knapsack rows also carry `weights`: (column, integer
+    weight) pairs, heaviest first and in column order among ties.
     """
 
-    __slots__ = ("cols", "coefs", "rhs", "name", "kind", "weight_order")
+    __slots__ = ("cols", "coefs", "rhs", "name", "kind", "weights")
 
     def __init__(self, cols: Sequence[int], coefs: Sequence[float], rhs: float,
                  name: str = ""):
@@ -80,7 +80,7 @@ class Row:
         self.rhs = float(rhs)
         self.name = name
         self.kind = RowKind.LINEAR
-        self.weight_order: tuple[int, ...] = ()
+        self.weights: tuple[tuple[int, int], ...] = ()
 
     def activity(self, x: np.ndarray) -> float:
         return sum(a * x[j] for j, a in zip(self.cols, self.coefs))
@@ -99,16 +99,19 @@ def classify_row(row: Row, lower: np.ndarray, upper: np.ndarray,
                  int_mask: np.ndarray) -> RowKind:
     """Structural row classification against the global box.
 
+    clause:   all binary columns, coefficients +-1, rhs = (number of +1) - 1:
+              the disjunction of `x_j >= 1` over -1 and `x_j <= 0` over +1
+              coefficients, e.g. set cover or `x0 + x1 <= 1`.
     knapsack: all binary columns, positive integer coefficients.
-    setcover: all binary columns, every coefficient -1, rhs -1
-              (the <= normal form of `sum x >= 1`).
+    linear:   everything else.
     """
     if not row.cols:
         return RowKind.LINEAR
     if not all(_is_binary(j, lower, upper, int_mask) for j in row.cols):
         return RowKind.LINEAR
-    if all(a == -1.0 for a in row.coefs) and row.rhs == -1.0:
-        return RowKind.SETCOVER
+    if all(abs(a) == 1.0 for a in row.coefs) and \
+            row.rhs == sum(a > 0 for a in row.coefs) - 1:
+        return RowKind.CLAUSE
     if all(a > 0 and abs(a - round(a)) <= INT_TOL for a in row.coefs):
         return RowKind.KNAPSACK
     return RowKind.LINEAR
@@ -163,9 +166,8 @@ class Instance:
                     raise ModelError(f"row {row.name!r} references column {j}")
             row.kind = classify_row(row, self.lower, self.upper, self.integer_mask)
             if row.kind is RowKind.KNAPSACK:
-                weights = [int(round(a)) for a in row.coefs]
-                order = sorted(range(len(weights)), key=lambda k: -weights[k])
-                row.weight_order = tuple(order)
+                pairs = [(j, int(round(a))) for j, a in zip(row.cols, row.coefs)]
+                row.weights = tuple(sorted(pairs, key=lambda p: -p[1]))
 
         for arr in (self.c, self.lower, self.upper, self.integer_mask):
             arr.flags.writeable = False
@@ -272,18 +274,8 @@ class BoundBox:
     def copy(self) -> "BoundBox":
         return BoundBox(self.lower, self.upper)
 
-    @property
-    def num_vars(self) -> int:
-        return self.lower.shape[0]
-
     def is_empty(self, tol: float = FEAS_TOL) -> bool:
         return bool(np.any(self.lower > self.upper + tol))
-
-    def is_fixed(self, j: int, tol: float = INT_TOL) -> bool:
-        return self.upper[j] - self.lower[j] <= tol
-
-    def width(self, j: int) -> float:
-        return self.upper[j] - self.lower[j]
 
     def get(self, j: int, side: Side) -> float:
         return float(self.lower[j] if side is Side.LOWER else self.upper[j])

@@ -1,12 +1,15 @@
-"""Bound propagation: single-row strengthening and a fixpoint driver.
+"""Bound propagation: one propagator per constraint form, and a fixpoint
+driver.  All three propagators share one deduction shape.
 
-Three propagators share one deduction shape.  Linear rows use residual
-activity bounding, knapsack rows (binary vars, positive integer weights)
-use exact integer arithmetic over a weight-sorted order with early exit,
-and set-covering rows plus learned bound disjunctions run a two-watched
-literal scheme.  Every deduction carries the minimal set of bounds its
-propagator actually read, so a conflict graph can be reconstructed from
-the trail alone.
+Clauses (learned bound disjunctions and `RowKind.CLAUSE` rows) run a
+two-watched-literal scheme; knapsack rows walk their heaviest-first
+integer weights with early exit; every other row uses residual activity
+bounding.  A learned conflict propagates as its disjunction even when it
+has a linear form (`LearnedConstraint.linear`): on sub-boxes of the box
+it was learned over, residual activity on that row deduces the same
+units, values and reasons at about twice the cost.  Every deduction
+carries the minimal set of bounds its propagator actually read, so a
+conflict graph can be reconstructed from the trail alone.
 
 Watch lists are search-local mutable state: they are (re)built when a
 constraint enters a Propagator and never shared between searches.  They
@@ -119,23 +122,22 @@ def propagate_knapsack(row: Row, box: BoundBox) -> list[Deduction] | RowInfeasib
     fits is fixed to zero.  Walking weights heaviest-first allows an
     early exit at the first item that fits.
     """
-    weights = [int(round(a)) for a in row.coefs]
-    capacity = int(np.floor(row.rhs + INT_TOL))
+    # an integer load exceeds floor(rhs + tol) exactly when it exceeds this
+    capacity = row.rhs + INT_TOL
     used = 0
     reason: list[tuple[int, Side]] = []
-    for k, j in enumerate(row.cols):
+    for j, w in row.weights:
         if box.lower[j] >= 0.5:
-            used += weights[k]
+            used += w
             reason.append((j, Side.LOWER))
     if used > capacity:
         return RowInfeasible(tuple(reason))
     frozen = tuple(reason)
     deds: list[Deduction] = []
-    for k in row.weight_order:
-        j = row.cols[k]
+    for j, w in row.weights:
         if box.lower[j] >= 0.5 or box.upper[j] <= 0.5:
             continue
-        if used + weights[k] > capacity:
+        if used + w > capacity:
             deds.append(Deduction(j, Side.UPPER, 0.0, frozen))
         else:
             break  # everything lighter fits as well
@@ -205,9 +207,10 @@ def propagate_watched(lits: Sequence[tuple[int, Side, float]], box: BoundBox,
     return None
 
 
-def setcover_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
-    # normal form is -sum(x) <= -1, the literal view is `some x_k >= 1`
-    return tuple((j, Side.LOWER, 1.0) for j in row.cols)
+def clause_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
+    # a RowKind.CLAUSE row as literals: -1 gives x_j >= 1, +1 gives x_j <= 0
+    return tuple((j, Side.LOWER, 1.0) if a < 0 else (j, Side.UPPER, 0.0)
+                 for j, a in zip(row.cols, row.coefs))
 
 
 class _Item:
@@ -238,14 +241,13 @@ class Propagator:
     def add_constraint(self, cid: int,
                        con: Row | BoundDisjunction | LearnedConstraint) -> None:
         if isinstance(con, LearnedConstraint):
-            con = con.linear if con.linear is not None else con.disjunction
-        if isinstance(con, Row):
-            if con.kind is RowKind.SETCOVER:
-                self.items.append(_Item(cid, lits=setcover_literals(con)))
-            else:
-                self.items.append(_Item(cid, row=con))
-        else:
+            con = con.disjunction
+        if isinstance(con, BoundDisjunction):
             self.items.append(_Item(cid, lits=con.literals()))
+        elif con.kind is RowKind.CLAUSE:
+            self.items.append(_Item(cid, lits=clause_literals(con)))
+        else:
+            self.items.append(_Item(cid, row=con))
 
     def _evaluate(self, item: _Item, box: BoundBox,
                   ) -> list[Deduction] | Deduction | RowInfeasible | None:

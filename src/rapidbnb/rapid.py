@@ -123,12 +123,12 @@ def evaluate_criteria(stats, lp_degeneracy: DegeneracyInfo, *,
 def maybe_run(node, stats, instance: Instance, config: RapidConfig,
               at_root: bool, *, seed: int, lp_result, box, extra_constraints,
               alloc_cid, events: list[str], global_box=None,
-              global_sink=None) -> TransferSummary | None:
+              global_sink=None, deadline=None) -> TransferSummary | None:
     """Fire the probe when the depth schedule and a criterion both say so.
 
     Returns None when nothing ran.  The CP seed is the solve's `seed`
     xor node id so distinct nodes probe differently but reruns are
-    identical.
+    identical.  The probe stops at `deadline`, a `time.monotonic()` value.
     """
     if not is_rl_depth(node.depth, config.f, config.beta):
         return None
@@ -149,7 +149,8 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig,
     stats.rl_calls += 1
     cp_cfg = CpConfig(node_limit=node_limit_from_iters(stats.iter_lp),
                       seed=seed ^ node.id,
-                      incumbent_bound=stats.incumbent_value)
+                      incumbent_bound=stats.incumbent_value,
+                      deadline=deadline)
     outcome = cp_search(instance, box, cp_cfg,
                         extra_constraints=tuple(extra_constraints),
                         branching=stats.branching)

@@ -124,6 +124,17 @@ class TestNodeLimit:
                 assert out.nodes == 50
         assert hit
 
+    def test_passed_deadline_stops_before_the_first_node(self):
+        inst = oracles.random_sat_instance(np.random.default_rng(64))
+        scope = inst.root_box()
+        out = cp_search(inst, scope, CpConfig(node_limit=500,
+                                              deadline=-math.inf))
+        assert out.status is CpStatus.NODE_LIMIT
+        assert out.nodes == 0
+        assert out.conflicts == []
+        assert list(out.box.lower) == list(scope.lower)
+        assert list(out.box.upper) == list(scope.upper)
+
 
 class TestLearnedFacts:
     def test_conflict_length_cap(self):

@@ -50,13 +50,30 @@ class TestClassification:
         assert classify_row(Row((0, 1), (2.0, 3.0), 4.0), lower, upper, mask) \
             is RowKind.KNAPSACK
         assert classify_row(Row((0, 1, 2), (-1.0, -1.0, -1.0), -1.0),
-                            lower, upper, mask) is RowKind.SETCOVER
+                            lower, upper, mask) is RowKind.CLAUSE
         assert classify_row(Row((0, 1), (2.0, -3.0), 4.0), lower, upper, mask) \
             is RowKind.LINEAR
-        # non-binary column disqualifies both special kinds
+        # mixed signs: x0 <= 0 or x1 >= 1 or x2 <= 0
+        assert classify_row(Row((0, 1, 2), (1.0, -1.0, 1.0), 1.0),
+                            lower, upper, mask) is RowKind.CLAUSE
+        # at most one of two, checked ahead of the knapsack form
+        assert classify_row(Row((0, 1), (1.0, 1.0), 1.0), lower, upper, mask) \
+            is RowKind.CLAUSE
+        # x1 >= x0 + 1 is not a clause: its rhs is one too low
+        assert classify_row(Row((0, 1), (1.0, -1.0), -1.0), lower, upper, mask) \
+            is RowKind.LINEAR
+        # a non-binary column disqualifies every special kind
         wide = np.array([0.0, 0.0, 2.0])
         assert classify_row(Row((0, 2), (1.0, 1.0), 2.0), lower, wide, mask) \
             is RowKind.LINEAR
+        # a weight tie: pairs heaviest first, in column order among equals
+        inst = from_inequalities(
+            [0.0] * 4, [((0, 1, 2, 3), (2.0, 3.0, 2.0, 3.0), "<=", 5.0)],
+            [0] * 4, [1] * 4, integer_set=range(4))
+        row = inst.rows[0]
+        assert row.kind is RowKind.KNAPSACK
+        assert row.weights == ((1, 3), (3, 3), (0, 2), (2, 2))
+        assert all(type(w) is int for _, w in row.weights)
 
     def test_problem_classes(self):
         bp = from_inequalities([1.0, 1.0], [], [0, 0], [1, 1], integer_set=(0, 1))
@@ -138,9 +155,6 @@ class TestBoundBox:
 
     def test_helpers(self):
         box = BoundBox(np.array([0.0, 1.0]), np.array([0.0, 4.0]))
-        assert box.is_fixed(0)
-        assert not box.is_fixed(1)
-        assert box.width(1) == 3.0
         assert box.get(1, Side.LOWER) == 1.0
         assert box.get(1, Side.UPPER) == 4.0
         assert not box.is_empty()

@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from rapidbnb import BoundBox, Instance, Propagator, from_inequalities
-from rapidbnb.propagation import Outcome
+from rapidbnb import (BoundBox, BoundDisjunction, Instance, Propagator, Row,
+                      from_inequalities, to_knapsack)
+from rapidbnb.propagation import (Deduction, Outcome, RowInfeasible,
+                                  clause_literals, propagate_linear_row,
+                                  propagate_watched)
 
 import oracles
 
@@ -151,3 +154,72 @@ class TestDeductionRecords:
                     assert value > before[0][var]
                 else:
                     assert value < before[1][var]
+
+
+def verdict(res):
+    """A propagator's answer as comparable data: the failure's reason set,
+    or the set of deduced (var, side, value, reason set)."""
+    if isinstance(res, RowInfeasible):
+        return "infeasible", frozenset(res.reason)
+    if isinstance(res, Deduction):
+        res = [res]
+    return "deduced", frozenset((d.var, d.side, d.value, frozenset(d.reason))
+                                for d in res or ())
+
+
+def random_watch(rng, n_lits):
+    if n_lits == 1:
+        return [0, 0]
+    return [int(k) for k in rng.choice(n_lits, size=2, replace=False)]
+
+
+class TestClauseRoutes:
+    """Watched literals and residual activity agree on every clause, which
+    is what lets every clause propagate on watched literals alone."""
+
+    def test_clause_rows(self):
+        rng = np.random.default_rng(73)
+        kinds = set()
+        for k in range(400):
+            n = int(rng.integers(1, 6))
+            coefs = rng.choice([-1.0, 1.0], size=n)
+            row = Row(range(n), coefs, float((coefs > 0).sum()) - 1.0)
+            # each variable free, fixed to zero or fixed to one
+            lower = rng.integers(0, 2, size=n).astype(float)
+            upper = np.maximum(lower, rng.integers(0, 2, size=n))
+            box = BoundBox(lower, upper)
+            watched = propagate_watched(clause_literals(row), box,
+                                        random_watch(rng, n))
+            linear = propagate_linear_row(row, box, np.ones(n, dtype=bool))
+            assert verdict(watched) == verdict(linear), f"case {k}"
+            kinds.add(verdict(watched)[0] if verdict(watched)[1] else "quiet")
+        assert kinds == {"infeasible", "deduced", "quiet"}
+
+    def test_learned_conflicts_on_sub_boxes(self):
+        rng = np.random.default_rng(74)
+        kinds = set()
+        for k in range(400):
+            n = int(rng.integers(1, 6))
+            ref_lower = rng.integers(0, 3, size=n).astype(float)
+            ref_upper = ref_lower + rng.integers(1, 4, size=n)
+            lows, ups = [], []
+            for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                replace=False):
+                v = int(v)
+                if rng.integers(0, 2):
+                    lows.append((v, ref_lower[v] + 1.0))
+                else:
+                    ups.append((v, ref_upper[v] - 1.0))
+            d = BoundDisjunction(tuple(lows), tuple(ups))
+            row = to_knapsack(d, ref_lower, ref_upper)
+            # a random sub-box of the reference box
+            a = rng.integers(ref_lower, ref_upper + 1)
+            b = rng.integers(ref_lower, ref_upper + 1)
+            box = BoundBox(np.minimum(a, b).astype(float),
+                           np.maximum(a, b).astype(float))
+            watched = propagate_watched(d.literals(), box,
+                                        random_watch(rng, d.size))
+            linear = propagate_linear_row(row, box, np.ones(n, dtype=bool))
+            assert verdict(watched) == verdict(linear), f"case {k}"
+            kinds.add(verdict(watched)[0] if verdict(watched)[1] else "quiet")
+        assert kinds == {"infeasible", "deduced", "quiet"}
