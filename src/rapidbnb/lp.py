@@ -81,10 +81,8 @@ class _Simplex:
         self.T = np.hstack([A, np.eye(self.m)]) if self.m else np.zeros((0, self.N))
         self.b = b
         self.cost = np.concatenate([instance.c, np.zeros(self.m)])
-        self.lo: list[float] = np.concatenate(
-            [box.lower, np.zeros(self.m)]).tolist()
-        self.hi: list[float] = np.concatenate(
-            [box.upper, np.full(self.m, math.inf)]).tolist()
+        self.lo: list[float] = box.lower + [0.0] * self.m
+        self.hi: list[float] = box.upper + [math.inf] * self.m
         # fixed columns never move
         self.movable = [j for j in range(self.N)
                         if not self.hi[j] - self.lo[j] <= INT_TOL]
@@ -320,7 +318,7 @@ class _Simplex:
     # ---- extraction ----------------------------------------------------
 
     def result(self, status: LpStatus, box: BoundBox) -> LpResult:
-        fixed = (box.upper - box.lower) <= INT_TOL
+        fixed = (np.array(box.upper) - np.array(box.lower)) <= INT_TOL
         basis_status = np.array(self.status, dtype=np.int8)
         if status is not LpStatus.OPTIMAL:
             return LpResult(status, iterations=self.iterations,
@@ -403,9 +401,9 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
     for child_hi in (True, False):
         child = box.copy()
         if child_hi:
-            child.upper[var] = math.floor(frac + INT_TOL)
+            child.upper[var] = float(math.floor(frac + INT_TOL))
         else:
-            child.lower[var] = math.ceil(frac - INT_TOL)
+            child.lower[var] = float(math.ceil(frac - INT_TOL))
         if child.is_empty():
             objs.append(None)
             continue

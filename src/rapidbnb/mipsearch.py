@@ -250,8 +250,8 @@ class _Solve:
             d, to_knapsack(d, self.global_box.lower, self.global_box.upper))
         self.global_constraints.append((self._alloc_cid(), lc))
         self.stats.learned.append(LearnedRecord(
-            "global", lc, self.global_box.lower.copy(),
-            self.global_box.upper.copy()))
+            "global", lc, np.array(self.global_box.lower),
+            np.array(self.global_box.upper)))
 
     # -- node processing ---------------------------------------------
 
@@ -436,7 +436,7 @@ class _Solve:
     def _branch_fallback(self, node: Node, box: BoundBox, lp) -> None:
         # iteration-capped LP: no proven bound, keep the parent's and split
         x = np.clip(lp.x, box.lower, box.upper) if lp.x is not None \
-            else box.lower.copy()
+            else np.array(box.lower)
         fractional = self._fractional(box, x)
         if fractional:
             var = fractional[0]

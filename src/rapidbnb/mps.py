@@ -57,12 +57,19 @@ class _RowDecl:
         self.range_val: float | None = None
 
 
-def _num(tok: str, line_no: int) -> float:
+def _num(tok: str, line_no: int, finite: bool = False) -> float:
+    """A numeric field; NaN never parses, and `finite` also rules out
+    the infinities that RHS and bound values may take."""
     try:
-        return float(tok)
+        val = float(tok)
     except ValueError:
+        val = math.nan
+    # val - val is 0.0 for every finite val, NaN for NaN and the infinities
+    if val - val != 0.0 and (finite or val != val):
+        kind = "a finite number" if finite else "a number"
         raise MpsParseError(NON_NUMERIC_FIELD, line_no,
-                            f"expected a number, got {tok!r}") from None
+                            f"expected {kind}, got {tok!r}")
+    return val
 
 
 def parse_mps(source: str | bytes | os.PathLike,
@@ -172,7 +179,7 @@ def parse_mps(source: str | bytes | os.PathLike,
             if in_integer_block:
                 integer_cols.add(j)
             for rname, vtok in zip(toks[1::2], toks[2::2]):
-                val = _num(vtok, line_no)
+                val = _num(vtok, line_no, finite=True)
                 if rname == objective_row:
                     obj_coefs[j] = obj_coefs.get(j, 0.0) + val
                     continue

@@ -15,15 +15,23 @@ Watch lists are search-local mutable state: they are (re)built when a
 constraint enters a Propagator and never shared between searches.  They
 survive backtracking unrepaired because undoing bound changes can only
 turn false literals non-false, which keeps watched invariants intact.
+
+The fixpoint driver evaluates only dirty constraints, in the manner of
+Chaff and MiniSat: those that read a variable whose bounds moved since
+the constraint's last evaluation.  Each propagator's result depends only
+on the bounds of its own variables (and, for clauses, on the watches,
+which a repeat evaluation over the same bounds leaves as they are), so
+re-evaluating a clean constraint would repeat deductions that are
+already applied or were already filtered.  Skipping it leaves the trail,
+and so every conflict, exactly as a full round-robin would.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .conflict import BoundDisjunction, LearnedConstraint, Trail
 from .model import FEAS_TOL, INT_TOL, BoundBox, Instance, Row, RowKind, Side
@@ -60,56 +68,67 @@ class PropagationResult:
     failed_constraint: int | None = None
 
 
-def propagate_linear_row(row: Row, box: BoundBox, int_mask: np.ndarray,
+_INF = math.inf
+_NEG_INF = -math.inf
+
+
+def _reads(row: Row, skip: int = -1) -> tuple[tuple[int, Side], ...]:
+    # the bounds residual activity reads, leaving out position `skip`; built
+    # from a list because tuple(generator) cost 0.8 MiB peak RSS on int-local
+    return tuple([(j, Side.LOWER if a > 0 else Side.UPPER)
+                  for k, (j, a) in enumerate(zip(row.cols, row.coefs))
+                  if k != skip])
+
+
+def propagate_linear_row(row: Row, box: BoundBox, int_mask: Sequence[bool],
                          ) -> list[Deduction] | RowInfeasible:
     """Residual-activity strengthening for one <= row.
 
     The minimum activity uses the lower bound under positive coefficients
     and the upper bound under negative ones; those are exactly the bounds
-    reported as reasons.  Bounds for integer variables are rounded.
+    reported as reasons.  Finite bounds for integer variables are rounded.
     """
+    lower, upper = box.lower, box.upper
+    rhs = row.rhs
     contrib: list[float] = []
-    reads: list[tuple[int, Side]] = []
     minact = 0.0
     n_inf = 0
     for j, a in zip(row.cols, row.coefs):
-        if a > 0:
-            val = a * box.lower[j]
-            reads.append((j, Side.LOWER))
-        else:
-            val = a * box.upper[j]
-            reads.append((j, Side.UPPER))
+        val = a * lower[j] if a > 0 else a * upper[j]
         contrib.append(val)
-        if val == -np.inf:
+        if val == _NEG_INF:
             n_inf += 1
         else:
             minact += val
 
-    if n_inf == 0 and minact > row.rhs + FEAS_TOL:
-        return RowInfeasible(tuple(reads))
+    if n_inf == 0 and minact > rhs + FEAS_TOL:
+        return RowInfeasible(_reads(row))
+    if n_inf > 1:
+        return []   # every residual activity is unbounded below
 
     deds: list[Deduction] = []
-    for k, (j, a) in enumerate(zip(row.cols, row.coefs)):
-        if n_inf - (1 if contrib[k] == -np.inf else 0) > 0:
+    for k, (j, a, val) in enumerate(zip(row.cols, row.coefs, contrib)):
+        if val == _NEG_INF:
+            rest = minact
+        elif n_inf:
             continue  # residual activity unbounded below without j
-        rest = minact if contrib[k] == -np.inf else minact - contrib[k]
-        residual = row.rhs - rest
+        else:
+            rest = minact - val
+        value = (rhs - rest) / a
         if a > 0:
-            value = residual / a
-            if int_mask[j]:
-                value = float(np.floor(value + INT_TOL))
-            if value < box.upper[j] - FEAS_TOL:
-                reason = tuple(reads[:k] + reads[k + 1:])
-                if value < box.lower[j] - FEAS_TOL:
+            if int_mask[j] and _NEG_INF < value < _INF:
+                value = float(math.floor(value + INT_TOL))
+            if value < upper[j] - FEAS_TOL:
+                reason = _reads(row, k)
+                if value < lower[j] - FEAS_TOL:
                     return RowInfeasible(reason + ((j, Side.LOWER),))
                 deds.append(Deduction(j, Side.UPPER, value, reason))
         else:
-            value = residual / a
-            if int_mask[j]:
-                value = float(np.ceil(value - INT_TOL))
-            if value > box.lower[j] + FEAS_TOL:
-                reason = tuple(reads[:k] + reads[k + 1:])
-                if value > box.upper[j] + FEAS_TOL:
+            if int_mask[j] and _NEG_INF < value < _INF:
+                value = float(math.ceil(value - INT_TOL))
+            if value > lower[j] + FEAS_TOL:
+                reason = _reads(row, k)
+                if value > upper[j] + FEAS_TOL:
                     return RowInfeasible(reason + ((j, Side.UPPER),))
                 deds.append(Deduction(j, Side.LOWER, value, reason))
     return deds
@@ -124,10 +143,11 @@ def propagate_knapsack(row: Row, box: BoundBox) -> list[Deduction] | RowInfeasib
     """
     # an integer load exceeds floor(rhs + tol) exactly when it exceeds this
     capacity = row.rhs + INT_TOL
+    lower, upper = box.lower, box.upper
     used = 0
     reason: list[tuple[int, Side]] = []
     for j, w in row.weights:
-        if box.lower[j] >= 0.5:
+        if lower[j] >= 0.5:
             used += w
             reason.append((j, Side.LOWER))
     if used > capacity:
@@ -135,7 +155,7 @@ def propagate_knapsack(row: Row, box: BoundBox) -> list[Deduction] | RowInfeasib
     frozen = tuple(reason)
     deds: list[Deduction] = []
     for j, w in row.weights:
-        if box.lower[j] >= 0.5 or box.upper[j] <= 0.5:
+        if lower[j] >= 0.5 or upper[j] <= 0.5:
             continue
         if used + w > capacity:
             deds.append(Deduction(j, Side.UPPER, 0.0, frozen))
@@ -184,22 +204,32 @@ def propagate_watched(lits: Sequence[tuple[int, Side, float]], box: BoundBox,
         var, side, val = lits[0]
         return Deduction(var, side, val, ())
 
-    for slot in (0, 1):
-        if _lit_state(lits[watch[slot]], box) == _FALSE:
-            other = watch[1 - slot]
-            for idx in range(len(lits)):
-                if idx != other and idx != watch[slot] and \
-                        _lit_state(lits[idx], box) != _FALSE:
-                    watch[slot] = idx
+    # each watch's state is computed once, and once for its replacement;
+    # the box does not change here, so the states stay current
+    w0, w1 = watch
+    s0 = _lit_state(lits[w0], box)
+    if s0 == _FALSE:
+        for idx in range(len(lits)):
+            if idx != w1 and idx != w0:
+                st = _lit_state(lits[idx], box)
+                if st != _FALSE:
+                    w0, s0 = idx, st
                     break
-    s0 = _lit_state(lits[watch[0]], box)
-    s1 = _lit_state(lits[watch[1]], box)
+    s1 = _lit_state(lits[w1], box)
+    if s1 == _FALSE:
+        for idx in range(len(lits)):
+            if idx != w0 and idx != w1:
+                st = _lit_state(lits[idx], box)
+                if st != _FALSE:
+                    w1, s1 = idx, st
+                    break
+    watch[0], watch[1] = w0, w1
     if s0 == _TRUE or s1 == _TRUE:
         return None
     if s0 == _FALSE and s1 == _FALSE:
         return RowInfeasible(tuple(_lit_falsifier(l) for l in lits))
     if s0 == _FALSE or s1 == _FALSE:
-        unit_idx = watch[1] if s0 == _FALSE else watch[0]
+        unit_idx = w1 if s0 == _FALSE else w0
         unit = lits[unit_idx]
         reason = tuple(_lit_falsifier(l) for i, l in enumerate(lits)
                        if i != unit_idx)
@@ -223,18 +253,29 @@ class _Item:
         self.lits = lits
         self.watch = [0, min(1, len(lits) - 1)] if lits is not None else None
 
+    def variables(self) -> Sequence[int]:
+        return self.row.cols if self.lits is None else \
+            [v for v, _, _ in self.lits]
+
 
 class Propagator:
     """All constraints active for one search scope, with fixpoint driving.
 
     Instance rows keep their row index as constraint id; learned
     constraints must be registered under ids that do not collide.
+
+    Between fixpoints the propagator remembers which constraints are
+    dirty: `occ[j]` lists the items that read variable j, and `snapshot`
+    holds the bounds at the end of the last fixpoint that ended quiet.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.int_mask = instance.integer_mask
+        self.int_mask: list[bool] = instance.integer_mask.tolist()
         self.items: list[_Item] = []
+        self.dirty: list[bool] = []
+        self.occ: list[list[int]] = [[] for _ in range(instance.num_vars)]
+        self.snapshot: tuple[list[float], list[float]] | None = None
         for i, row in enumerate(instance.rows):
             self.add_constraint(i, row)
 
@@ -243,11 +284,16 @@ class Propagator:
         if isinstance(con, LearnedConstraint):
             con = con.disjunction
         if isinstance(con, BoundDisjunction):
-            self.items.append(_Item(cid, lits=con.literals()))
+            item = _Item(cid, lits=con.literals())
         elif con.kind is RowKind.CLAUSE:
-            self.items.append(_Item(cid, lits=clause_literals(con)))
+            item = _Item(cid, lits=clause_literals(con))
         else:
-            self.items.append(_Item(cid, row=con))
+            item = _Item(cid, row=con)
+        idx = len(self.items)
+        self.items.append(item)
+        self.dirty.append(True)
+        for j in item.variables():
+            self.occ[j].append(idx)
 
     def _evaluate(self, item: _Item, box: BoundBox,
                   ) -> list[Deduction] | Deduction | RowInfeasible | None:
@@ -258,9 +304,35 @@ class Propagator:
             return propagate_knapsack(row, box)
         return propagate_linear_row(row, box, self.int_mask)
 
+    def _mark_moved(self, box: BoundBox) -> None:
+        """Dirty every item that reads a variable moved since the snapshot;
+        without a snapshot every item is dirty."""
+        dirty, occ = self.dirty, self.occ
+        if self.snapshot is None:
+            dirty[:] = [True] * len(dirty)
+            return
+        snap_lower, snap_upper = self.snapshot
+        self.snapshot = None
+        if box.lower == snap_lower and box.upper == snap_upper:
+            return
+        for j, (lo, up, slo, sup) in enumerate(
+                zip(box.lower, box.upper, snap_lower, snap_upper)):
+            if lo != slo or up != sup:
+                for i in occ[j]:
+                    dirty[i] = True
+
     def to_fixpoint(self, box: BoundBox,
                     trail: Trail | None = None) -> PropagationResult:
-        """Round-robin all constraints until a full quiet pass.
+        """Passes over the dirty constraints, in index order, until a pass
+        applies nothing.
+
+        A constraint is dirty when it is new, when a variable it reads
+        moved since the last quiet fixpoint, after an INFEASIBLE return,
+        and after any deduction on one of its variables, its own
+        included.  A clean constraint's variables have not moved since
+        it was last evaluated, so evaluating it again would change
+        nothing: the result is the same trail as evaluating every
+        constraint in every pass.
 
         Raises PropagationCycleError past 1000 evaluations per constraint,
         which indicates a non-converging propagator rather than big input.
@@ -268,7 +340,9 @@ class Propagator:
         if trail is None:
             trail = Trail(box)
         assert trail.box is box
-        guard = 1000 * max(1, len(self.items))
+        self._mark_moved(box)
+        items, dirty, occ = self.items, self.dirty, self.occ
+        guard = 1000 * max(1, len(items))
         evals = 0
         applied: list[tuple[int, Side, float]] = []
 
@@ -283,7 +357,10 @@ class Propagator:
 
         while True:
             changed = False
-            for item in self.items:
+            for i, item in enumerate(items):
+                if not dirty[i]:
+                    continue
+                dirty[i] = False
                 evals += 1
                 if evals > guard:
                     raise PropagationCycleError(
@@ -303,7 +380,10 @@ class Propagator:
                     if trail.apply(d.var, d.side, d.value, item.cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True
+                        for k in occ[d.var]:
+                            dirty[k] = True
             if not changed:
                 break
+        self.snapshot = (list(box.lower), list(box.upper))
         outcome = Outcome.REDUCED if applied else Outcome.FIXPOINT
         return PropagationResult(outcome, applied)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .conflict import BoundDisjunction, LearnedConstraint, LearnedRecord
 from .cpsearch import CpConfig, CpStatus, cp_search, node_limit_from_iters
 from .lp import DegeneracyInfo, measure_degeneracy
@@ -172,8 +174,8 @@ def transfer(outcome, node, stats, *, config: RapidConfig, instance: Instance,
     is installed only after verification against the original instance.
     """
     # the probe's claims are all relative to the scope it started from
-    scope_lower = box.lower.copy()
-    scope_upper = box.upper.copy()
+    scope_lower = np.array(box.lower)
+    scope_upper = np.array(box.upper)
 
     ranked = sorted(outcome.conflicts,
                     key=lambda lc: (0 if lc.linear is not None else 1,

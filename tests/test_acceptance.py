@@ -275,8 +275,8 @@ def test_criterion_07_propagation_soundness(suite):
             assert pts.shape[0] == 0, f"case {k} cut off feasible points"
         else:
             for x in pts:
-                assert (x >= box.lower - TOL).all() and \
-                    (x <= box.upper + TOL).all(), f"case {k} lost a point"
+                assert (x >= np.asarray(box.lower) - TOL).all() and \
+                    (x <= np.asarray(box.upper) + TOL).all(), f"case {k} lost a point"
             n_reduced += res.outcome is Outcome.REDUCED
         # row order must not change the fixpoint
         perm = rng.permutation(e.inst.num_rows)

@@ -32,6 +32,20 @@ COLUMNS
  X COST 1.0
 """
 
+NAN_BASE = """\
+NAME N
+ROWS
+ N C
+ L R1
+COLUMNS
+ X C 1.0
+ Y C 1.0 R1 1.0
+RHS
+BOUNDS
+ UP BND Y 4.0
+ENDATA
+"""
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -49,6 +63,19 @@ class TestExitCodes:
         p.write_text(TRUNCATED)
         code, _, err = run(["solve", str(p)], capsys)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("old,new", [
+        (" X C 1.0", " X C 1.0 R1 nan"),
+        ("RHS\n", "RHS\n RHS R1 nan\n"),
+        (" UP BND Y 4.0", " UP BND Y nan"),
+    ])
+    def test_nan_field_is_a_parse_failure(self, old, new, tmp_path, capsys):
+        p = tmp_path / "nan.mps"
+        p.write_text(NAN_BASE)
+        assert run(["solve", str(p)], capsys)[0] == 0
+        p.write_text(NAN_BASE.replace(old, new, 1))
+        code, out, err = run(["solve", str(p)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_flat_depth_schedule_is_a_config_failure(self, capsys):
         code, _, err = run(["solve", str(DATA / "cover3.mps"),

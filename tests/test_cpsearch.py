@@ -186,8 +186,8 @@ class TestLearnedFacts:
             if out.status is CpStatus.INFEASIBLE:
                 continue
             for x in pts:
-                assert np.all(x >= out.box.lower - 1e-9)
-                assert np.all(x <= out.box.upper + 1e-9)
+                assert np.all(x >= np.asarray(out.box.lower) - 1e-9)
+                assert np.all(x <= np.asarray(out.box.upper) + 1e-9)
 
 
 def _from_audit(audit):

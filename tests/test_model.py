@@ -37,6 +37,18 @@ class TestRow:
         with pytest.raises(ModelError):
             Row((0, 1), (1.0,), 1.0)
 
+    @pytest.mark.parametrize("coefs,rhs", [
+        ((1.0, float("nan")), 1.0),
+        ((1.0, float("inf")), 1.0),
+        ((1.0, 2.0), float("nan")),
+    ])
+    def test_nan_rejected(self, coefs, rhs):
+        with pytest.raises(ModelError):
+            Row((0, 1), coefs, rhs)
+
+    def test_infinite_rhs_allowed(self):
+        assert Row((0, 1), (1.0, 2.0), float("inf")).rhs == float("inf")
+
     def test_activity(self):
         row = Row((0, 2), (2.0, -1.0), 5.0)
         assert row.activity(np.array([3.0, 9.0, 4.0])) == 2.0
@@ -115,6 +127,20 @@ class TestInstance:
         inst = from_inequalities([0.0], [], [0.4], [2.7], integer_set=(0,))
         assert inst.lower[0] == 1.0
         assert inst.upper[0] == 2.0
+
+    @pytest.mark.parametrize("objective,lower,upper", [
+        ([float("nan"), 1.0], [0, 0], [1, 1]),
+        ([float("inf"), 1.0], [0, 0], [1, 1]),
+        ([1.0, 1.0], [float("nan"), 0], [1, 1]),
+        ([1.0, 1.0], [0, 0], [1, float("nan")]),
+    ])
+    def test_nan_rejected(self, objective, lower, upper):
+        with pytest.raises(ModelError):
+            Instance(objective, [], lower, upper, [])
+
+    def test_infinite_continuous_bounds_allowed(self):
+        inst = Instance([1.0], [], [-float("inf")], [float("inf")], [])
+        assert inst.lower[0] == -float("inf") and inst.upper[0] == float("inf")
 
     def test_check_point(self):
         inst = small_instance()

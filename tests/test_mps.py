@@ -110,6 +110,28 @@ class TestParseErrors:
             parse_mps(GOOD_MIN.replace(" RHS R1 4", " RHS R1 abc"))
         assert err.value.code == NON_NUMERIC_FIELD
 
+    @pytest.mark.parametrize("old,new", [
+        ("ENDATA", "BOUNDS\n UP BND x nan\nENDATA"),     # bound
+        (" x OBJ 1 R1 1", " x OBJ 1 R1 nan"),             # matrix
+        (" x OBJ 1 R1 1", " x OBJ NaN R1 1"),             # objective
+        (" RHS R1 4", " RHS R1 nan"),                     # right-hand side
+        ("ENDATA", "RANGES\n RNG R1 nan\nENDATA"),       # range
+        (" x OBJ 1 R1 1", " x OBJ 1 R1 inf"),             # infinite matrix
+        (" x OBJ 1 R1 1", " x OBJ -inf R1 1"),            # infinite objective
+    ])
+    def test_nan_and_infinite_coefficients_rejected(self, old, new):
+        with pytest.raises(MpsParseError) as err:
+            parse_mps(GOOD_MIN.replace(old, new))
+        assert err.value.code == NON_NUMERIC_FIELD
+        assert err.value.line_no > 0
+
+    def test_infinite_rhs_and_bounds_stay_legal(self):
+        text = GOOD_MIN.replace(" RHS R1 4", " RHS R1 inf").replace(
+            "ENDATA", "BOUNDS\n LO BND x -inf\n UP BND x 3\nENDATA")
+        inst, _ = parse_mps(text)
+        assert inst.rows[0].rhs == float("inf")
+        assert inst.lower[0] == -float("inf") and inst.upper[0] == 3.0
+
     def test_unknown_bound_type(self):
         text = GOOD_MIN.replace("ENDATA", "BOUNDS\n XX BND x 1\nENDATA")
         with pytest.raises(MpsParseError) as err:

@@ -1,11 +1,17 @@
-"""Bound propagation: soundness, order independence, special-form rows."""
+"""Bound propagation: soundness, order independence, special-form rows,
+and the dirty-set fixpoint against a full round-robin."""
+
+import math
 
 import numpy as np
 
-from rapidbnb import (BoundBox, BoundDisjunction, Instance, Propagator, Row,
-                      from_inequalities, to_knapsack)
-from rapidbnb.propagation import (Deduction, Outcome, RowInfeasible,
-                                  clause_literals, propagate_linear_row,
+from rapidbnb import (BoundBox, BoundDisjunction, Instance, LearnedConstraint,
+                      Propagator, Row, from_inequalities, to_knapsack)
+from rapidbnb.conflict import Trail
+from rapidbnb.model import FEAS_TOL, RowKind, Side
+from rapidbnb.propagation import (Deduction, Outcome, PropagationResult,
+                                  RowInfeasible, clause_literals,
+                                  propagate_knapsack, propagate_linear_row,
                                   propagate_watched)
 
 import oracles
@@ -34,8 +40,8 @@ class TestSoundness:
             if outcome is Outcome.REDUCED:
                 n_reduced += 1
             for x in pts:
-                assert np.all(x >= box.lower - 1e-9), f"case {k}"
-                assert np.all(x <= box.upper + 1e-9), f"case {k}"
+                assert np.all(x >= np.asarray(box.lower) - 1e-9), f"case {k}"
+                assert np.all(x <= np.asarray(box.upper) + 1e-9), f"case {k}"
         assert n_reduced >= 5  # the suite must actually exercise reductions
 
     def test_row_permutation_same_fixpoint(self):
@@ -223,3 +229,204 @@ class TestClauseRoutes:
             assert verdict(watched) == verdict(linear), f"case {k}"
             kinds.add(verdict(watched)[0] if verdict(watched)[1] else "quiet")
         assert kinds == {"infeasible", "deduced", "quiet"}
+
+
+class RoundRobin:
+    """Reference fixpoint: every constraint in every pass, until a whole
+    pass applies nothing.  Same constraint forms, order and watches as
+    `Propagator`, built on the public propagators only."""
+
+    def __init__(self, instance: Instance):
+        self.int_mask = instance.integer_mask
+        self.items = []     # (cid, row or None, literals or None, watches)
+        self.evals = 0
+        for i, row in enumerate(instance.rows):
+            self.add_constraint(i, row)
+
+    def add_constraint(self, cid, con):
+        if isinstance(con, LearnedConstraint):
+            con = con.disjunction
+        if isinstance(con, BoundDisjunction):
+            lits = con.literals()
+        elif con.kind is RowKind.CLAUSE:
+            lits = clause_literals(con)
+        else:
+            self.items.append((cid, con, None, None))
+            return
+        self.items.append((cid, None, lits, [0, min(1, len(lits) - 1)]))
+
+    def evaluate(self, row, lits, watch, box):
+        self.evals += 1
+        if lits is not None:
+            return propagate_watched(lits, box, watch)
+        if row.kind is RowKind.KNAPSACK:
+            return propagate_knapsack(row, box)
+        return propagate_linear_row(row, box, self.int_mask)
+
+    def to_fixpoint(self, box, trail):
+        applied = []
+        while True:
+            changed = False
+            for cid, row, lits, watch in self.items:
+                res = self.evaluate(row, lits, watch, box)
+                if res is None:
+                    continue
+                if isinstance(res, RowInfeasible):
+                    trail.fail(cid, res.reason)
+                    return PropagationResult(Outcome.INFEASIBLE, applied, cid)
+                for d in [res] if isinstance(res, Deduction) else res:
+                    lo, up = box.lower[d.var], box.upper[d.var]
+                    if d.side is Side.LOWER and d.value > up + FEAS_TOL:
+                        trail.fail(cid, d.reason + ((d.var, Side.UPPER),))
+                        return PropagationResult(Outcome.INFEASIBLE, applied, cid)
+                    if d.side is Side.UPPER and d.value < lo - FEAS_TOL:
+                        trail.fail(cid, d.reason + ((d.var, Side.LOWER),))
+                        return PropagationResult(Outcome.INFEASIBLE, applied, cid)
+                    if trail.apply(d.var, d.side, d.value, cid, d.reason):
+                        applied.append((d.var, d.side, d.value))
+                        changed = True
+            if not changed:
+                break
+        outcome = Outcome.REDUCED if applied else Outcome.FIXPOINT
+        return PropagationResult(outcome, applied)
+
+
+class CountingPropagator(Propagator):
+    evals = 0
+
+    def _evaluate(self, item, box):
+        self.evals += 1
+        return super()._evaluate(item, box)
+
+
+def mixed_instance(rng) -> Instance:
+    """Binaries under clause and knapsack rows, general integers in 0..6
+    and sometimes a half-unbounded continuous column, under dense rows."""
+    n_bin = int(rng.integers(4, 9))
+    n_int = int(rng.integers(2, 6))
+    n = n_bin + n_int
+    lower = [0.0] * n
+    upper = [1.0] * n_bin + [6.0] * n_int
+    if rng.random() < 0.5:          # one continuous column, unbounded below
+        lower.append(-math.inf)
+        upper.append(float(rng.integers(2, 8)))
+        n += 1
+    planted = [float(rng.integers(0, 2)) for _ in range(n_bin)] + \
+        [float(rng.integers(0, 7)) for _ in range(n_int)] + \
+        [min(upper[-1], 1.0)] * (n - n_bin - n_int)
+    rows = []
+    for _ in range(int(rng.integers(2, 6))):       # clauses
+        cols = sorted(rng.choice(n_bin, size=3, replace=False).tolist())
+        coefs = rng.choice([-1.0, 1.0], size=3)
+        rows.append((cols, coefs, "<=", float((coefs > 0).sum()) - 1.0))
+    for _ in range(int(rng.integers(1, 4))):       # knapsacks
+        width = int(rng.integers(2, n_bin + 1))
+        cols = sorted(rng.choice(n_bin, size=width, replace=False).tolist())
+        weights = rng.integers(1, 7, size=width).astype(float)
+        rows.append((cols, weights, "<=",
+                     float(rng.integers(1, int(weights.sum()) + 1))))
+    for _ in range(int(rng.integers(2, 5))):       # dense rows
+        cols = list(range(n_bin - 2, n))
+        coefs = rng.choice([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0],
+                           size=len(cols))
+        act = sum(a * planted[j] for j, a in zip(cols, coefs))
+        rows.append((cols, coefs, "<=", act + float(rng.integers(-2, 4))))
+    return from_inequalities(rng.integers(-3, 4, size=n).astype(float),
+                             rows, lower, upper,
+                             integer_set=range(n_bin + n_int))
+
+
+def random_disjunction(rng, inst: Instance) -> BoundDisjunction:
+    ints = list(inst.integer_indices)
+    size = int(rng.integers(1, 5))
+    lows, ups = [], []
+    for v in sorted(rng.choice(ints, size=min(size, len(ints)),
+                               replace=False).tolist()):
+        lo, up = inst.lower[v], inst.upper[v]
+        if rng.random() < 0.5:
+            lows.append((v, float(rng.integers(lo + 1, up + 1))))
+        else:
+            ups.append((v, float(rng.integers(lo, up))))
+    return BoundDisjunction(tuple(lows), tuple(ups))
+
+
+def trail_record(trail: Trail):
+    changes = [(c.var, c.side, c.value, c.reason, c.antecedents)
+               for c in trail.changes]
+    failure = None if trail.failure is None else \
+        (trail.failure.reason, trail.failure.antecedents)
+    return changes, failure, list(trail.box.lower), list(trail.box.upper)
+
+
+class TestDirtySetFixpoint:
+    """Evaluating only constraints whose variables moved gives the same
+    outcome, applied list and trail as evaluating every constraint."""
+
+    def test_matches_round_robin(self):
+        rng = np.random.default_rng(75)
+        outcomes = set()
+        kinds = set()
+        new_evals = ref_evals = 0
+        for case in range(60):
+            inst = mixed_instance(rng)
+            kinds.update(row.kind for row in inst.rows)
+            new, ref = CountingPropagator(inst), RoundRobin(inst)
+            tr_new, tr_ref = Trail(inst.root_box()), Trail(inst.root_box())
+            marks = []
+            next_cid = inst.num_rows
+            for step in range(60):
+                box = tr_new.box
+                op = rng.random()
+                free = [j for j in inst.integer_indices
+                        if box.upper[j] - box.lower[j] > 0.5]
+                if op < 0.3 and free:
+                    var = int(rng.choice(free))
+                    lo, up = int(box.lower[var]), int(box.upper[var])
+                    if rng.random() < 0.5:
+                        side, val = Side.UPPER, float(rng.integers(lo, up))
+                    else:
+                        side, val = Side.LOWER, float(rng.integers(lo + 1, up + 1))
+                    marks.append(tr_new.mark())
+                    for tr in (tr_new, tr_ref):
+                        tr.branch(var, side, val, len(marks))
+                elif op < 0.4 and free:
+                    # a bound written past the trail, as a learned unit is
+                    var = int(rng.choice(free))
+                    val = box.lower[var] + 1.0
+                    for tr in (tr_new, tr_ref):
+                        tr.box.tighten(var, Side.LOWER, val)
+                elif op < 0.55:
+                    mark = marks.pop() if marks else 0
+                    for tr in (tr_new, tr_ref):
+                        tr.rewind(mark)
+                elif op < 0.65:
+                    d = random_disjunction(rng, inst)
+                    con = LearnedConstraint(d) if rng.random() < 0.5 else d
+                    new.add_constraint(next_cid, con)
+                    ref.add_constraint(next_cid, con)
+                    next_cid += 1
+                else:
+                    a = new.to_fixpoint(tr_new.box, tr_new)
+                    b = ref.to_fixpoint(tr_ref.box, tr_ref)
+                    where = f"case {case} step {step}"
+                    assert a.outcome is b.outcome, where
+                    assert a.deductions == b.deductions, where
+                    assert a.failed_constraint == b.failed_constraint, where
+                    outcomes.add(a.outcome)
+                assert trail_record(tr_new) == trail_record(tr_ref), \
+                    f"case {case} step {step}"
+            new_evals += new.evals
+            ref_evals += ref.evals
+        assert outcomes == set(Outcome)
+        assert kinds == set(RowKind)
+        assert new_evals < ref_evals    # the dirty set must skip something
+
+    def test_infinite_rhs_on_integer_row_is_quiet(self):
+        box = BoundBox([0.0, 0.0], [4.0, 4.0])
+        for coefs in ((1.0, 2.0), (-1.0, 3.0), (-2.0, -1.0)):
+            row = Row((0, 1), coefs, math.inf)
+            assert propagate_linear_row(row, box, [True, True]) == []
+        inst = Instance([0.0, 0.0], [Row((0, 1), (-1.0, 3.0), math.inf)],
+                        [0, 0], [4, 4], [0, 1])
+        res = Propagator(inst).to_fixpoint(inst.root_box())
+        assert res.outcome is Outcome.FIXPOINT
