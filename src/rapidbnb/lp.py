@@ -2,10 +2,18 @@
 
 Dense two-phase implementation over columns [structural | slack] with
 Dantzig pricing, falling back to Bland's rule after a run of
-non-improving pivots so termination is guaranteed.  Basic values are
-recomputed from the basis factorization every iteration; at the problem
-sizes this solver targets that is cheaper than being clever and it keeps
-accumulated error out of the picture.
+non-improving pivots so termination is guaranteed.
+
+The solver keeps `Binv`, the dense inverse of the basis matrix, for the
+whole LP: each iteration recomputes the basic values, the duals and the
+entering column's direction as three matrix-vector products with it,
+and a basis change updates it in O(m^2) by one rank-1 (eta) update that
+reuses the ratio test's direction; a bound flip leaves it as it is.  It
+is rebuilt from scratch (one O(m^3) inversion) at the start of a warm
+LP, after every REFACTOR_INTERVAL updates and whenever the recomputed
+point misses `T x = b` by more than RESIDUAL_TOL relative to the size of
+b, so rounding errors of the updates cannot pile up.  Both rules depend
+only on pivot counts and values, so the solve stays deterministic.
 
 The linear algebra stays in numpy, but pricing, the ratio test and the
 phase-1 bookkeeping are scalar loops over Python lists of plain ints and
@@ -28,6 +36,8 @@ from .model import FEAS_TOL, INT_TOL, BoundBox, Instance
 
 PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-6
+REFACTOR_INTERVAL = 50   # rank-1 updates of Binv between two inversions
+RESIDUAL_TOL = 1e-9      # max |b - T x| over 1 + max |b| that forces one
 
 
 class LpStatus(Enum):
@@ -80,6 +90,8 @@ class _Simplex:
         self.N = self.n + self.m
         self.T = np.hstack([A, np.eye(self.m)]) if self.m else np.zeros((0, self.N))
         self.b = b
+        self.residual_limit = RESIDUAL_TOL * (
+            1.0 + float(np.abs(b).max(initial=0.0)))
         self.cost = np.concatenate([instance.c, np.zeros(self.m)])
         self.lo: list[float] = box.lower + [0.0] * self.m
         self.hi: list[float] = box.upper + [math.inf] * self.m
@@ -94,6 +106,8 @@ class _Simplex:
         self.bland_after = 3 * self.N
         self.status: list[int] = []
         self.basis: list[int] = []
+        self.Binv = np.eye(self.m)   # inverse of T[:, basis]; slack start
+        self.updates = 0             # rank-1 updates since the last inversion
         # value vector and reduced costs of the last iteration at the optimum
         self.x: np.ndarray | None = None
         self.red: np.ndarray | None = None
@@ -118,39 +132,55 @@ class _Simplex:
         if warm is not None and warm.shape == (self.N,):
             status = warm.tolist()
             cand = [j for j, st in enumerate(status) if st == BASIC]
-            if len(cand) == self.m and (
-                    self.m == 0 or
-                    abs(np.linalg.slogdet(self.T[:, cand])[0]) == 1):
-                self.basis = cand
-                self.status = status
-                return
+            if len(cand) == self.m:
+                try:
+                    # the inversion doubles as the singularity check
+                    self.Binv = np.linalg.inv(self.T[:, cand])
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    self.basis = cand
+                    self.status = status
+                    return
         self.basis = list(range(self.n, self.N))
         self.status = [AT_LOWER] * self.n + [BASIC] * self.m
 
     # ---- core linear algebra ----------------------------------------
-    # B is the basis matrix T[:, basis], built once per pivot by run()
 
-    def _recompute(self, B: np.ndarray | None) -> np.ndarray:
+    def _refactor(self) -> None:
+        self.Binv = np.linalg.inv(self.T[:, self.basis])
+        self.updates = 0
+
+    def _recompute(self) -> np.ndarray:
         """Full value vector consistent with the current basis."""
         status, start = self.status, self._nb_start_value
         x = np.array([0.0 if status[j] == BASIC else start(j)
                       for j in range(self.N)])
-        if self.m:
-            rhs = self.b - self.T @ x + B @ x[self.basis]
-            x[self.basis] = np.linalg.solve(B, rhs)
+        if not self.m:
+            return x
+        if self.updates >= REFACTOR_INTERVAL:
+            self._refactor()
+        rhs = self.b - self.T @ x
+        x[self.basis] = self.Binv @ rhs
+        if float(np.abs(self.b - self.T @ x).max()) > self.residual_limit:
+            self._refactor()
+            x[self.basis] = self.Binv @ rhs
         return x
 
-    def _reduced_costs(self, B: np.ndarray | None,
-                       cost: np.ndarray) -> np.ndarray:
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         if not self.m:
             return cost.copy()
-        y = np.linalg.solve(B.T, cost[self.basis])
-        return cost - self.T.T @ y
+        y = cost[self.basis] @ self.Binv
+        return cost - y @ self.T
 
-    def _direction(self, B: np.ndarray | None, j: int) -> list[float]:
-        if not self.m:
-            return []
-        return np.linalg.solve(B, self.T[:, j]).tolist()
+    def _update(self, pos: int, w: np.ndarray) -> None:
+        """Binv after column basis[pos] leaves for the column whose
+        direction Binv @ T[:, j] is w."""
+        Binv = self.Binv
+        row = Binv[pos] / w[pos]
+        Binv -= np.outer(w, row)
+        Binv[pos] = row
+        self.updates += 1
 
     # ---- pivoting ----------------------------------------------------
 
@@ -184,15 +214,15 @@ class _Simplex:
                 best = (j, sgn)
         return best
 
-    def _ratio_test(self, B: np.ndarray | None, j: int, sgn: int,
+    def _ratio_test(self, w: list[float], j: int, sgn: int,
                     x: list[float], phase1: bool,
                     ) -> tuple[float, int | None, int]:
-        """Largest step t for entering column j moving with sign sgn.
+        """Largest step t for entering column j, whose direction is w,
+        moving with sign sgn.
 
         Returns (t, leaving_position_in_basis | None, leaving_bound_side).
         leaving None means the entering column hits its own other bound.
         """
-        w = self._direction(B, j)
         lo, hi, basis = self.lo, self.hi, self.basis
         t_best = math.inf
         leave_pos = None
@@ -226,7 +256,8 @@ class _Simplex:
                     continue
                 t = (target - xi) / rate
                 side = AT_UPPER if above else AT_LOWER
-            t = max(t, 0.0)
+            if t < 0.0:
+                t = 0.0
             if t < t_best - PIVOT_TOL or (t < t_best + PIVOT_TOL and
                                           (leave_pos is None or i < basis[leave_pos])):
                 t_best = t
@@ -237,11 +268,13 @@ class _Simplex:
             return own_range, None, AT_LOWER
         return t_best, leave_pos, leave_side
 
-    def _pivot(self, j: int, leave_pos: int | None, leave_side: int) -> None:
+    def _pivot(self, j: int, leave_pos: int | None, leave_side: int,
+               w: np.ndarray) -> None:
         if leave_pos is None:
-            # bound flip, basis unchanged
+            # bound flip, basis and Binv unchanged
             self.status[j] = AT_UPPER if self.status[j] == AT_LOWER else AT_LOWER
             return
+        self._update(leave_pos, w)
         i = self.basis[leave_pos]
         self.basis[leave_pos] = j
         self.status[j] = BASIC
@@ -253,7 +286,11 @@ class _Simplex:
         lo, hi = self.lo, self.hi
         v = 0.0
         for i in self.basis:
-            v += max(0.0, lo[i] - x[i]) + max(0.0, x[i] - hi[i])
+            xi = x[i]
+            if xi < lo[i]:
+                v += lo[i] - xi
+            elif xi > hi[i]:
+                v += xi - hi[i]
         return v
 
     def _phase1_cost(self, x: list[float]) -> np.ndarray:
@@ -274,8 +311,7 @@ class _Simplex:
                 return LpStatus.ITERATION_LIMIT
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return LpStatus.ITERATION_LIMIT
-            B = self.T[:, self.basis] if self.m else None
-            x = self._recompute(B)
+            x = self._recompute()
             xl = x.tolist()
             if phase1:
                 viol = self._violation(xl)
@@ -299,7 +335,7 @@ class _Simplex:
                 self.no_improve = 0
             prev = objective
 
-            red = self._reduced_costs(B, cost)
+            red = self._reduced_costs(cost)
             choice = self._entering(red.tolist())
             if choice is None:
                 if phase1:
@@ -307,12 +343,14 @@ class _Simplex:
                 self.x, self.red = x, red
                 return LpStatus.OPTIMAL
             j, sgn = choice
-            t, leave_pos, leave_side = self._ratio_test(B, j, sgn, xl, phase1)
+            w = self.Binv @ self.T[:, j]
+            t, leave_pos, leave_side = self._ratio_test(w.tolist(), j, sgn,
+                                                        xl, phase1)
             if not math.isfinite(t):
                 if phase1:
                     raise ArithmeticError("phase-1 ray; numerical trouble")
                 return LpStatus.UNBOUNDED
-            self._pivot(j, leave_pos, leave_side)
+            self._pivot(j, leave_pos, leave_side, w)
             self.iterations += 1
 
     # ---- extraction ----------------------------------------------------

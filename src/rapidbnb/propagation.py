@@ -328,11 +328,15 @@ class Propagator:
 
         A constraint is dirty when it is new, when a variable it reads
         moved since the last quiet fixpoint, after an INFEASIBLE return,
-        and after any deduction on one of its variables, its own
-        included.  A clean constraint's variables have not moved since
+        and after another constraint's deduction on one of its
+        variables.  A clean constraint's variables have not moved since
         it was last evaluated, so evaluating it again would change
         nothing: the result is the same trail as evaluating every
-        constraint in every pass.
+        constraint in every pass.  Its own deductions do not dirty it,
+        because no propagator reads a bound it deduces: residual
+        activity deduces the side of a bound it does not read, a
+        clause's unit literal becomes true, and a knapsack fixes free
+        items to zero while it reads only the items fixed to one.
 
         Raises PropagationCycleError past 1000 evaluations per constraint,
         which indicates a non-converging propagator rather than big input.
@@ -381,7 +385,8 @@ class Propagator:
                         applied.append((d.var, d.side, d.value))
                         changed = True
                         for k in occ[d.var]:
-                            dirty[k] = True
+                            if k != i:
+                                dirty[k] = True
             if not changed:
                 break
         self.snapshot = (list(box.lower), list(box.upper))

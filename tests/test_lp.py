@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from rapidbnb import LpStatus, from_inequalities, measure_degeneracy, solve_lp
-from rapidbnb.lp import strong_branch
+from rapidbnb.lp import (AT_LOWER, BASIC, REFACTOR_INTERVAL, _Simplex,
+                         strong_branch)
 
 import oracles
 
@@ -237,3 +238,98 @@ class TestAgainstHighs:
                     seen[res.status] += 1
                     n_warm += 1
         assert min(seen.values()) >= 10 and n_warm >= 100
+
+
+def negated(inst):
+    """The same rows and bounds under the opposite objective."""
+    return from_inequalities(-np.asarray(inst.c),
+                             [(r.cols, r.coefs, "<=", r.rhs) for r in inst.rows],
+                             inst.lower, inst.upper, integer_set=())
+
+
+@pytest.fixture
+def refactors(monkeypatch):
+    """Counts inversions of the basis matrix after the start."""
+    count = [0]
+    original = _Simplex._refactor
+
+    def counting(self):
+        count[0] += 1
+        original(self)
+
+    monkeypatch.setattr(_Simplex, "_refactor", counting)
+    return count
+
+
+class TestKeptInverse:
+    """The basis inverse kept across pivots: periodic and residual-driven
+    refactorization, and the singular warm start."""
+
+    def test_long_lps_refactorize_and_agree(self, refactors):
+        # cold from the slack basis, warm from the optimum of the opposite
+        # objective: both need more pivots than one refactorization interval
+        pytest.importorskip("scipy")
+        check = TestAgainstHighs().check
+        for seed in range(3):
+            inst = wide_lp(np.random.default_rng(90 + seed), 60, 40)
+            box = inst.root_box()
+            far = solve_lp(negated(inst), box)
+            assert far.status is LpStatus.OPTIMAL
+            for warm in (None, far.basis_status):
+                refactors[0] = 0
+                res = check(inst, box, warm=warm)
+                assert res.status is LpStatus.OPTIMAL
+                assert res.iterations > REFACTOR_INTERVAL
+                assert refactors[0] >= 1
+
+    def test_corrupted_inverse_is_refactorized(self, refactors, monkeypatch):
+        # every rank-1 update leaves a wrong inverse behind; the residual
+        # check must notice before the next pivot uses it
+        pytest.importorskip("scipy")
+        check = TestAgainstHighs().check
+        original = _Simplex._update
+        corrupted = [0]
+
+        def corrupting(self, pos, w):
+            original(self, pos, w)
+            self.Binv += 1e-3
+            corrupted[0] += 1
+
+        monkeypatch.setattr(_Simplex, "_update", corrupting)
+        rng = np.random.default_rng(93)
+        n_checked = 0
+        for _ in range(10):
+            inst = wide_lp(rng, 20, 12)
+            box = inst.root_box()
+            corrupted[0] = refactors[0] = 0
+            cold = check(inst, box)
+            assert refactors[0] >= corrupted[0]
+            if cold.status is not LpStatus.OPTIMAL:
+                continue
+            child = box.copy()
+            j = int(np.argmax(np.abs(cold.x)))
+            child.upper[j] = math.floor(cold.x[j] - 0.5)
+            if not child.is_empty():
+                check(inst, child, warm=cold.basis_status)
+            n_checked += corrupted[0] > 0
+        assert n_checked >= 5
+
+    @pytest.mark.parametrize("basic", [(2, 4), (0, 1)])
+    def test_singular_warm_basis_starts_from_slacks(self, basic):
+        # x2 is in no row, so its column is zero; x0 and x1 share theirs
+        inst = from_inequalities([-1.0, -1.0, 1.0],
+                                 [((0, 1), (1.0, 1.0), "<=", 3.0),
+                                  ((0, 1), (2.0, 2.0), "<=", 5.0)],
+                                 [0, 0, 0], [2, 2, 2], integer_set=())
+        warm = np.full(inst.num_vars + inst.num_rows, AT_LOWER, dtype=np.int8)
+        warm[list(basic)] = BASIC
+        box = inst.root_box()
+        sx = _Simplex(inst, box, warm, cap=100, deadline=None)
+        assert sx.basis == [3, 4]
+        assert np.array_equal(sx.Binv, np.eye(2))
+        cold = solve_lp(inst, box)
+        res = solve_lp(inst, box, warm_basis=warm)
+        assert res.status is LpStatus.OPTIMAL
+        assert (res.objective, res.iterations) == (cold.objective,
+                                                   cold.iterations)
+        assert abs(res.objective - (-2.5)) <= VALUE_TOL

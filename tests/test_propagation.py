@@ -430,3 +430,37 @@ class TestDirtySetFixpoint:
                         [0, 0], [4, 4], [0, 1])
         res = Propagator(inst).to_fixpoint(inst.root_box())
         assert res.outcome is Outcome.FIXPOINT
+
+    def test_own_deductions_leave_a_constraint_quiet(self):
+        # the fixpoint does not re-dirty a constraint for its own
+        # deductions; that holds only while no propagator reads a bound
+        # it deduces, so re-evaluating right after applying them is quiet
+        rng = np.random.default_rng(76)
+        deduced = set()
+        for case in range(200):
+            inst = mixed_instance(rng)
+            prop = Propagator(inst)
+            for item in prop.items:
+                root = inst.root_box()
+                a = [rng.integers(lo, up + 1) if math.isfinite(lo) else lo
+                     for lo, up in zip(root.lower, root.upper)]
+                b = [rng.integers(lo, up + 1) if math.isfinite(lo) else up
+                     for lo, up in zip(root.lower, root.upper)]
+                box = BoundBox([float(min(x, y)) for x, y in zip(a, b)],
+                               [float(max(x, y)) for x, y in zip(a, b)])
+                res = prop._evaluate(item, box)
+                if isinstance(res, RowInfeasible) or not res:
+                    continue
+                deds = [res] if isinstance(res, Deduction) else res
+                if any((d.side is Side.LOWER and
+                        d.value > box.upper[d.var] + FEAS_TOL) or
+                       (d.side is Side.UPPER and
+                        d.value < box.lower[d.var] - FEAS_TOL) for d in deds):
+                    continue
+                for d in deds:
+                    box.tighten(d.var, d.side, d.value)
+                again = prop._evaluate(item, box)
+                assert not again, f"case {case} constraint {item.cid}"
+                deduced.add(RowKind.CLAUSE if item.lits is not None
+                            else item.row.kind)
+        assert deduced == {RowKind.CLAUSE, RowKind.KNAPSACK, RowKind.LINEAR}
