@@ -61,11 +61,16 @@ class Row:
     """One constraint `sum(coefs[k] * x[cols[k]]) <= rhs`.
 
     `Instance` sets `kind` (see `classify_row`), which picks the row's
-    propagator.  Knapsack rows also carry `weights`: (column, integer
-    weight) pairs, heaviest first and in column order among ties.
+    propagator.  `prepared` holds what that propagator builds once per
+    row: for knapsack rows, set by `Instance`, the (column, integer
+    weight) pairs, heaviest first and in column order among ties; for
+    rows under residual activity, set on their first deduction or
+    failure, the (column, side) bound each term reads.  One slot serves
+    both: a seventh would move every Row into a larger allocation size
+    class, which lifted `clause-local` peak RSS by 0.75 MiB.
     """
 
-    __slots__ = ("cols", "coefs", "rhs", "name", "kind", "weights")
+    __slots__ = ("cols", "coefs", "rhs", "name", "kind", "prepared")
 
     def __init__(self, cols: Sequence[int], coefs: Sequence[float], rhs: float,
                  name: str = ""):
@@ -87,7 +92,7 @@ class Row:
             raise ModelError(f"row {name or '<unnamed>'} has a NaN right-hand side")
         self.name = name
         self.kind = RowKind.LINEAR
-        self.weights: tuple[tuple[int, int], ...] = ()
+        self.prepared: tuple[tuple[int, int], ...] = ()
 
     def activity(self, x: np.ndarray) -> float:
         return sum(a * x[j] for j, a in zip(self.cols, self.coefs))
@@ -179,7 +184,7 @@ class Instance:
             row.kind = classify_row(row, self.lower, self.upper, self.integer_mask)
             if row.kind is RowKind.KNAPSACK:
                 pairs = [(j, int(round(a))) for j, a in zip(row.cols, row.coefs)]
-                row.weights = tuple(sorted(pairs, key=lambda p: -p[1]))
+                row.prepared = tuple(sorted(pairs, key=lambda p: -p[1]))
 
         for arr in (self.c, self.lower, self.upper, self.integer_mask):
             arr.flags.writeable = False

@@ -11,6 +11,11 @@ units, values and reasons at about twice the cost.  Every deduction
 carries the minimal set of bounds its propagator actually read, so a
 conflict graph can be reconstructed from the trail alone.
 
+Residual activity skips a row whose slack covers its widest term's
+range, as SCIP's linear constraint handler does with `maxactdelta`
+(Achterberg 2007, ch. 7), and slices each deduction's reason from a
+tuple kept on the row (`Row.prepared`).
+
 Watch lists are search-local mutable state: they are (re)built when a
 constraint enters a Propagator and never shared between searches.  They
 survive backtracking unrepaired because undoing bound changes can only
@@ -72,12 +77,32 @@ _INF = math.inf
 _NEG_INF = -math.inf
 
 
-def _reads(row: Row, skip: int = -1) -> tuple[tuple[int, Side], ...]:
-    # the bounds residual activity reads, leaving out position `skip`; built
-    # from a list because tuple(generator) cost 0.8 MiB peak RSS on int-local
-    return tuple([(j, Side.LOWER if a > 0 else Side.UPPER)
-                  for k, (j, a) in enumerate(zip(row.cols, row.coefs))
-                  if k != skip])
+# a skipped row's slack must beat its widest term by this share of the
+# magnitudes in play (rhs, the widest term, and the largest term and
+# minimum activity through `pos`); the per-term pass rounds away less than
+# a tenth of it, so the skip never hides a deduction the terms would make
+SKIP_MARGIN = 1e-14
+
+
+# one (column, side) pair object per value, shared by the reads of every
+# row, so a row's reads cost one pointer per term; at most two entries per
+# column index
+_PAIRS: dict[tuple[int, Side], tuple[int, Side]] = {}
+
+
+def _reads(row: Row) -> tuple[tuple[int, Side], ...]:
+    # the bounds residual activity reads, in column order: a failure's
+    # reason, and a deduction's less its own column.  Built on the row's
+    # first deduction or failure and kept in `row.prepared`, unless that
+    # holds a knapsack row's weights
+    if row.kind is RowKind.KNAPSACK or not row.prepared:
+        pairs = [(j, Side.LOWER if a > 0 else Side.UPPER)
+                 for j, a in zip(row.cols, row.coefs)]
+        reads = tuple([_PAIRS.setdefault(p, p) for p in pairs])
+        if row.kind is RowKind.KNAPSACK:
+            return reads
+        row.prepared = reads
+    return row.prepared
 
 
 def propagate_linear_row(row: Row, box: BoundBox, int_mask: Sequence[bool],
@@ -87,27 +112,56 @@ def propagate_linear_row(row: Row, box: BoundBox, int_mask: Sequence[bool],
     The minimum activity uses the lower bound under positive coefficients
     and the upper bound under negative ones; those are exactly the bounds
     reported as reasons.  Finite bounds for integer variables are rounded.
+
+    A row whose slack `rhs - minact` is at least its widest term's range
+    `reach = max |a_j| (u_j - l_j)`, plus `SKIP_MARGIN` times the largest
+    magnitude in play, returns `[]` before the per-term pass: each
+    candidate bound then lies at or beyond the opposite bound, so no term
+    can deduce anything.  That holds while integer columns carry integral
+    bounds, which `Instance` and every propagator keep.
     """
     lower, upper = box.lower, box.upper
     rhs = row.rhs
-    contrib: list[float] = []
-    minact = 0.0
+    minact = reach = pos = 0.0
     n_inf = 0
     for j, a in zip(row.cols, row.coefs):
-        val = a * lower[j] if a > 0 else a * upper[j]
-        contrib.append(val)
-        if val == _NEG_INF:
-            n_inf += 1
+        if a > 0:
+            lo = lower[j]
+            val = a * lo
+            span = a * (upper[j] - lo)
         else:
-            minact += val
+            up = upper[j]
+            val = a * up
+            span = a * (lower[j] - up)
+        if span > reach:
+            reach = span
+        minact += val
+        if val > 0:
+            pos += val
+    if not minact > _NEG_INF:
+        # a term is unbounded below: count those and sum the others
+        minact = 0.0
+        for j, a in zip(row.cols, row.coefs):
+            val = a * lower[j] if a > 0 else a * upper[j]
+            if val == _NEG_INF:
+                n_inf += 1
+            else:
+                minact += val
 
-    if n_inf == 0 and minact > rhs + FEAS_TOL:
-        return RowInfeasible(_reads(row))
-    if n_inf > 1:
+    if n_inf == 0:
+        if minact > rhs + FEAS_TOL:
+            return RowInfeasible(_reads(row))
+        # every term and minact lie within [-(pos - minact), pos]
+        if rhs - minact >= reach + SKIP_MARGIN * (
+                abs(rhs) + reach + pos + pos - minact):
+            return []
+    elif n_inf > 1:
         return []   # every residual activity is unbounded below
 
     deds: list[Deduction] = []
-    for k, (j, a, val) in enumerate(zip(row.cols, row.coefs, contrib)):
+    full = None
+    for k, (j, a) in enumerate(zip(row.cols, row.coefs)):
+        val = a * lower[j] if a > 0 else a * upper[j]
         if val == _NEG_INF:
             rest = minact
         elif n_inf:
@@ -119,7 +173,8 @@ def propagate_linear_row(row: Row, box: BoundBox, int_mask: Sequence[bool],
             if int_mask[j] and _NEG_INF < value < _INF:
                 value = float(math.floor(value + INT_TOL))
             if value < upper[j] - FEAS_TOL:
-                reason = _reads(row, k)
+                full = full or _reads(row)
+                reason = full[:k] + full[k + 1:]
                 if value < lower[j] - FEAS_TOL:
                     return RowInfeasible(reason + ((j, Side.LOWER),))
                 deds.append(Deduction(j, Side.UPPER, value, reason))
@@ -127,7 +182,8 @@ def propagate_linear_row(row: Row, box: BoundBox, int_mask: Sequence[bool],
             if int_mask[j] and _NEG_INF < value < _INF:
                 value = float(math.ceil(value - INT_TOL))
             if value > lower[j] + FEAS_TOL:
-                reason = _reads(row, k)
+                full = full or _reads(row)
+                reason = full[:k] + full[k + 1:]
                 if value > upper[j] + FEAS_TOL:
                     return RowInfeasible(reason + ((j, Side.UPPER),))
                 deds.append(Deduction(j, Side.LOWER, value, reason))
@@ -146,7 +202,8 @@ def propagate_knapsack(row: Row, box: BoundBox) -> list[Deduction] | RowInfeasib
     lower, upper = box.lower, box.upper
     used = 0
     reason: list[tuple[int, Side]] = []
-    for j, w in row.weights:
+    weights = row.prepared
+    for j, w in weights:
         if lower[j] >= 0.5:
             used += w
             reason.append((j, Side.LOWER))
@@ -154,7 +211,7 @@ def propagate_knapsack(row: Row, box: BoundBox) -> list[Deduction] | RowInfeasib
         return RowInfeasible(tuple(reason))
     frozen = tuple(reason)
     deds: list[Deduction] = []
-    for j, w in row.weights:
+    for j, w in weights:
         if lower[j] >= 0.5 or upper[j] <= 0.5:
             continue
         if used + w > capacity:

@@ -84,8 +84,8 @@ class TestClassification:
             [0] * 4, [1] * 4, integer_set=range(4))
         row = inst.rows[0]
         assert row.kind is RowKind.KNAPSACK
-        assert row.weights == ((1, 3), (3, 3), (0, 2), (2, 2))
-        assert all(type(w) is int for _, w in row.weights)
+        assert row.prepared == ((1, 3), (3, 3), (0, 2), (2, 2))
+        assert all(type(w) is int for _, w in row.prepared)
 
     def test_problem_classes(self):
         bp = from_inequalities([1.0, 1.0], [], [0, 0], [1, 1], integer_set=(0, 1))

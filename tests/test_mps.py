@@ -1,12 +1,16 @@
 """MPS reader/writer: golden files, diagnostics, errors, round trips."""
 
 import io
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rapidbnb import ProblemClass, classify, parse_mps, solve, write_mps
+from rapidbnb import (Instance, ProblemClass, Row, classify, parse_mps, solve,
+                      write_mps)
 from rapidbnb.mps import (
     MALFORMED_SECTION,
     NON_NUMERIC_FIELD,
@@ -151,6 +155,41 @@ class TestParseErrors:
         assert err.value.code == UNKNOWN_ROW_REFERENCE
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def instances(draw):
+    """Instances with integer and continuous columns, half-infinite and
+    free continuous bounds, and rows whose right-hand side may be
+    infinite."""
+    n = draw(st.integers(1, 6))
+    ints = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lower, upper = [], []
+    for is_int in ints:
+        if is_int:
+            lo = draw(st.integers(-10 ** 6, 10 ** 6))
+            lower.append(float(lo))
+            upper.append(float(lo + draw(st.integers(0, 10 ** 6))))
+        else:
+            lo = draw(st.one_of(st.just(-math.inf), finite_floats))
+            up = draw(st.one_of(st.just(math.inf), finite_floats))
+            if lo > up:
+                lo, up = up, lo
+            lower.append(lo)
+            upper.append(up)
+    rows = []
+    for i in range(draw(st.integers(0, 5))):
+        cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        coefs = draw(st.lists(finite_floats, min_size=len(cols),
+                              max_size=len(cols)))
+        rhs = draw(st.floats(allow_nan=False))
+        rows.append(Row(cols, coefs, rhs, name=f"r{i}"))
+    c = draw(st.lists(finite_floats, min_size=n, max_size=n))
+    return Instance(c, rows, lower, upper,
+                    [j for j, is_int in enumerate(ints) if is_int])
+
+
 class TestRoundTrip:
     def test_random_instances_survive(self):
         rng = np.random.default_rng(7)
@@ -171,9 +210,26 @@ class TestRoundTrip:
                 assert mine.coefs == theirs.coefs
                 assert mine.rhs == theirs.rhs
 
+    @given(instances())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_instances_survive(self, inst):
+        buf = io.StringIO()
+        write_mps(inst, buf)
+        back, diag = parse_mps(buf.getvalue())
+        assert diag.warnings == []
+        assert list(back.c) == list(inst.c)
+        assert list(back.lower) == list(inst.lower)
+        assert list(back.upper) == list(inst.upper)
+        assert list(back.integer_mask) == list(inst.integer_mask)
+        # MPS lists entries by column, so each row's terms come back in
+        # column order
+        assert [(sorted(zip(r.cols, r.coefs)), r.rhs) for r in back.rows] \
+            == [(sorted(zip(r.cols, r.coefs)), r.rhs) for r in inst.rows]
+
     def test_write_to_path(self, tmp_path):
         inst, _ = parse_mps(DATA / "cover3.mps")
         out = tmp_path / "copy.mps"
         write_mps(inst, out)
         again, _ = parse_mps(out)
         assert again.num_rows == inst.num_rows
+

@@ -2,19 +2,26 @@
 and the dirty-set fixpoint against a full round-robin."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from rapidbnb import (BoundBox, BoundDisjunction, Instance, LearnedConstraint,
-                      Propagator, Row, from_inequalities, to_knapsack)
+                      MipConfig, Propagator, RapidConfig, Row,
+                      from_inequalities, propagation, solve, to_knapsack)
 from rapidbnb.conflict import Trail
-from rapidbnb.model import FEAS_TOL, RowKind, Side
+from rapidbnb.model import FEAS_TOL, INT_TOL, RowKind, Side
 from rapidbnb.propagation import (Deduction, Outcome, PropagationResult,
                                   RowInfeasible, clause_literals,
                                   propagate_knapsack, propagate_linear_row,
                                   propagate_watched)
+from rapidbnb.rapid import CRITERION_NAMES
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 N_SOUNDNESS_CASES = 60
 
@@ -464,3 +471,277 @@ class TestDirtySetFixpoint:
                 deduced.add(RowKind.CLAUSE if item.lits is not None
                             else item.row.kind)
         assert deduced == {RowKind.CLAUSE, RowKind.KNAPSACK, RowKind.LINEAR}
+
+
+def _reference_reads(row: Row, skip: int = -1):
+    return tuple([(j, Side.LOWER if a > 0 else Side.UPPER)
+                  for k, (j, a) in enumerate(zip(row.cols, row.coefs))
+                  if k != skip])
+
+
+def reference_linear_row(row: Row, box: BoundBox, int_mask):
+    """Residual activity as it was before the skip test: every term is
+    evaluated, and every reason is rebuilt from the row."""
+    lower, upper = box.lower, box.upper
+    rhs = row.rhs
+    contrib = []
+    minact = 0.0
+    n_inf = 0
+    for j, a in zip(row.cols, row.coefs):
+        val = a * lower[j] if a > 0 else a * upper[j]
+        contrib.append(val)
+        if val == -math.inf:
+            n_inf += 1
+        else:
+            minact += val
+    if n_inf == 0 and minact > rhs + FEAS_TOL:
+        return RowInfeasible(_reference_reads(row))
+    if n_inf > 1:
+        return []
+    deds = []
+    for k, (j, a, val) in enumerate(zip(row.cols, row.coefs, contrib)):
+        if val == -math.inf:
+            rest = minact
+        elif n_inf:
+            continue
+        else:
+            rest = minact - val
+        value = (rhs - rest) / a
+        if a > 0:
+            if int_mask[j] and -math.inf < value < math.inf:
+                value = float(math.floor(value + INT_TOL))
+            if value < upper[j] - FEAS_TOL:
+                reason = _reference_reads(row, k)
+                if value < lower[j] - FEAS_TOL:
+                    return RowInfeasible(reason + ((j, Side.LOWER),))
+                deds.append(Deduction(j, Side.UPPER, value, reason))
+        else:
+            if int_mask[j] and -math.inf < value < math.inf:
+                value = float(math.ceil(value - INT_TOL))
+            if value > lower[j] + FEAS_TOL:
+                reason = _reference_reads(row, k)
+                if value > upper[j] + FEAS_TOL:
+                    return RowInfeasible(reason + ((j, Side.UPPER),))
+                deds.append(Deduction(j, Side.LOWER, value, reason))
+    return deds
+
+
+class CountingMask(list):
+    """An integrality mask that counts its reads: residual activity reads
+    it only in its per-term pass, so a quiet evaluation on a finite box
+    that reads nothing took the skip."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+def exact_row_case(rng):
+    """Integer coefficients and integral bounds small enough that every
+    activity sum is exact, with the slack at the widest term's range or
+    one off it: the skip test's boundary."""
+    n = int(rng.integers(1, 9))
+    coefs = [float(int(rng.integers(1, 2 ** 20)) * sign(rng))
+             for _ in range(n)]
+    lower = [float(rng.integers(-2 ** 20, 2 ** 20)) for _ in range(n)]
+    upper = [lo + float(rng.integers(0, 2 ** 10)) for lo in lower]
+    minact = sum(int(a) * int(lo if a > 0 else up)
+                 for a, lo, up in zip(coefs, lower, upper))
+    reach = max(abs(int(a)) * int(up - lo)
+                for a, lo, up in zip(coefs, lower, upper))
+    rhs = float(minact + reach + int(rng.integers(-1, 2)))
+    return (Row(range(n), coefs, rhs), BoundBox(lower, upper),
+            [bool(rng.random() < 0.5) for _ in range(n)])
+
+
+def sign(rng):
+    return 1.0 if rng.random() < 0.5 else -1.0
+
+
+def log_uniform(rng, lo_exp, hi_exp):
+    return float(10.0 ** rng.uniform(lo_exp, hi_exp))
+
+
+def wide_row_case(rng):
+    """Mixed-sign coefficients from 1e-6 to 1e12, integer columns with
+    integral bounds and continuous columns that may be half-infinite."""
+    n = int(rng.integers(1, 9))
+    coefs, lower, upper, ints = [], [], [], []
+    for _ in range(n):
+        coefs.append(log_uniform(rng, -6, 12) * sign(rng))
+        is_int = bool(rng.random() < 0.5)
+        centre = log_uniform(rng, -6, 12) * sign(rng)
+        width = log_uniform(rng, -6, 12) if rng.random() < 0.7 else 0.0
+        lo, up = centre, centre + width
+        if is_int:
+            lo, up = float(math.floor(lo)), float(math.floor(up))
+        elif rng.random() < 0.2:
+            if rng.random() < 0.5:
+                lo = -math.inf
+            else:
+                up = math.inf
+        lower.append(lo)
+        upper.append(up)
+        ints.append(is_int)
+    terms = [a * (lo if a > 0 else up) for a, lo, up in zip(coefs, lower, upper)]
+    finite = [t for t in terms if math.isfinite(t)]
+    minact = math.fsum(finite)
+    reach = max(abs(a) * (up - lo) for a, lo, up in zip(coefs, lower, upper))
+    pick = rng.random()
+    if pick < 0.05:
+        rhs = math.inf
+    elif pick < 0.45 and math.isfinite(reach):
+        # within a relative hair of the boundary, on either side
+        rhs = minact + reach * (1.0 + sign(rng)
+                                * log_uniform(rng, -17, -9))
+    else:
+        scale = reach if math.isfinite(reach) else max(map(abs, finite or [1]))
+        rhs = minact + scale * float(rng.uniform(-0.5, 2.5))
+    return Row(range(n), coefs, rhs), BoundBox(lower, upper), ints
+
+
+def cancelling_row_case(rng):
+    """Pairs of terms up to 1e17 on narrow or fixed domains whose minimum
+    contributions cancel, with the slack near the reach: both are small,
+    while the rounding of each term dwarfs the feasibility tolerance."""
+    coefs, lower, upper = [], [], []
+    fixed = rng.random() < 0.5
+    for _ in range(int(rng.integers(1, 4))):
+        big = float(math.floor(log_uniform(rng, 8, 17)))
+        c1, c2 = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+        partner = float(math.floor(c1 * big / c2))
+        w1, w2 = (0, 0) if fixed else rng.integers(0, 50, size=2)
+        coefs += [c1, -c2]
+        lower += [big, partner - float(w2)]
+        upper += [big + float(w1), partner]
+    minact = 0.0
+    for a, lo, up in zip(coefs, lower, upper):
+        minact += a * (lo if a > 0 else up)
+    reach = max(abs(a) * (up - lo) for a, lo, up in zip(coefs, lower, upper))
+    rhs = minact + reach + float(rng.uniform(-1, 1)) * 2.0 ** int(
+        rng.integers(0, 8))
+    n = len(coefs)
+    return (Row(range(n), coefs, rhs), BoundBox(lower, upper),
+            [bool(rng.random() < 0.5) for _ in range(n)])
+
+
+def solver_row_case(rng):
+    """A dense general-integer row as the benchmark draws them, on a
+    random integral sub-box of 0..6."""
+    n = int(rng.integers(2, 11))
+    coefs = rng.integers(-5, 6, size=n).astype(float)
+    coefs[coefs == 0] = 1.0
+    a = rng.integers(0, 7, size=n)
+    b = rng.integers(0, 7, size=n)
+    planted = rng.integers(np.minimum(a, b), np.maximum(a, b) + 1)
+    rhs = float(coefs @ planted + rng.integers(-1, 4))
+    return (Row(range(n), coefs, rhs),
+            BoundBox(np.minimum(a, b).astype(float),
+                     np.maximum(a, b).astype(float)),
+            [True] * n)
+
+
+def as_data(res):
+    if isinstance(res, RowInfeasible):
+        return "infeasible", res.reason
+    return "deduced", [(d.var, d.side, d.value, d.reason) for d in res]
+
+
+class TestLinearRowSkip:
+    """Residual activity with the skip test and per-row reason tuples
+    gives the same verdicts, values and reasons as evaluating every term."""
+
+    def check(self, cases, rng, make):
+        quiet = skipped = 0
+        kinds = set()
+        for case in range(cases):
+            row, box, ints = make(rng)
+            for _ in range(2):      # a second pass reuses the row's reads
+                mask = CountingMask(ints)
+                new = propagate_linear_row(row, box, mask)
+                ref = reference_linear_row(row, box, ints)
+                assert as_data(new) == as_data(ref), f"case {case}: {row!r}"
+                kinds.add(as_data(new)[0] if new else "quiet")
+                if new == []:
+                    quiet += 1
+                    skipped += mask.reads == 0
+        return kinds, quiet, skipped
+
+    def test_solver_rows_skip_most_quiet_evaluations(self):
+        kinds, quiet, skipped = self.check(
+            2000, np.random.default_rng(77), solver_row_case)
+        assert kinds == {"infeasible", "deduced", "quiet"}
+        assert skipped > 0.5 * quiet
+
+    def test_wide_magnitudes_and_infinite_bounds(self):
+        kinds, quiet, skipped = self.check(
+            4000, np.random.default_rng(78), wide_row_case)
+        assert kinds == {"infeasible", "deduced", "quiet"}
+        assert 0 < skipped < quiet
+
+    def test_cancelling_large_terms(self):
+        kinds, quiet, skipped = self.check(
+            4000, np.random.default_rng(80), cancelling_row_case)
+        assert kinds == {"infeasible", "deduced", "quiet"}
+        assert 0 < skipped < quiet
+
+    def test_slack_equal_to_reach(self):
+        kinds, _, _ = self.check(
+            1000, np.random.default_rng(79), exact_row_case)
+        assert {"deduced", "quiet"} <= kinds
+
+    def test_knapsack_rows_keep_their_weights(self):
+        # a knapsack row's prepared slot holds its weights, which residual
+        # activity must neither take for reads nor overwrite
+        inst = from_inequalities([0.0] * 3, [((0, 1, 2), (3.0, 2.0, 2.0),
+                                              "<=", 4.0)],
+                                 [0] * 3, [1] * 3, integer_set=range(3))
+        row = inst.rows[0]
+        assert row.kind is RowKind.KNAPSACK
+        weights = row.prepared
+        box = BoundBox([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        new = propagate_linear_row(row, box, [True] * 3)
+        assert as_data(new) == as_data(
+            reference_linear_row(row, box, [True] * 3))
+        assert new and row.prepared == weights
+
+    def test_no_margin_would_hide_a_deduction(self):
+        # -x0 + x1 <= -8000 with x1 = 1000: the minimum activity rounds
+        # to -1e20, whose ulp is 16384, so the slack 1e20 equals the reach
+        # and a skip without its margin would return nothing, while the
+        # terms deduce x0 >= 8000
+        row = Row((0, 1), (-1.0, 1.0), -8000.0)
+        box = BoundBox([0.0, 1000.0], [1e20, 1000.0])
+        new = propagate_linear_row(row, box, [False, False])
+        assert as_data(new) == as_data(
+            reference_linear_row(row, box, [False, False]))
+        assert [(d.var, d.side, d.value) for d in new] == \
+            [(0, Side.LOWER, 8000.0)]
+
+
+def test_solves_match_the_reference_row_propagator(monkeypatch):
+    """Whole solves with local probes and every criterion leave the same
+    event log, answer and counts under the reference residual activity:
+    the skip test and the shared reasons change no search."""
+    rng = np.random.default_rng(81)
+    config = MipConfig(rapid_mode="local", seed=1,
+                       rapid=RapidConfig(criteria=frozenset(CRITERION_NAMES)))
+    insts = []
+    for k in range(6):
+        m = gen.general_int_model(rng, f"general_int{k}", 10, 6)
+        insts.append(from_inequalities(m.c, m.rows, m.lower, m.upper,
+                                       range(len(m.c))))
+
+    def run():
+        return [(r.status, r.objective, r.nodes, r.stats.iter_lp,
+                 r.rl_calls, r.events)
+                for r in (solve(inst, config) for inst in insts)]
+
+    new = run()
+    monkeypatch.setattr(propagation, "propagate_linear_row",
+                        reference_linear_row)
+    assert run() == new
+    # probes below the root ran, not only the root probe
+    assert any(rl_calls > 1 for *_, rl_calls, _ in new)
