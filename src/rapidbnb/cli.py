@@ -2,8 +2,12 @@
 
 Exit codes: 0 on any completed solve (infeasible is an answer), 1 when
 the solve fails (unbounded relaxation, numerical breakdown, a propagator
-that does not converge), 2 when the input file cannot be parsed, 3 when
-the configuration is rejected.
+that does not converge), 2 when the input file cannot be parsed or an
+output file (`--emit-events`, `--solution-out`) cannot be opened, 3 when
+the configuration is rejected.  Both output files are opened, and
+truncated, before the solve starts, so an unwritable path fails at once;
+they stay empty when the solve fails, and the solution file also when
+no solution was found.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -77,20 +82,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    try:
-        result = solve(instance, config)
-    except (SolveError, ArithmeticError, np.linalg.LinAlgError,
-            PropagationCycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.emit_events:
-        with open(args.emit_events, "w") as fh:
-            fh.write("\n".join(result.events) + "\n")
-    if args.solution_out and result.solution is not None:
-        with open(args.solution_out, "w") as fh:
+    with ExitStack() as outputs:
+        try:
+            events_fh, solution_fh = (
+                outputs.enter_context(open(path, "w")) if path else None
+                for path in (args.emit_events, args.solution_out))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            result = solve(instance, config)
+        except (SolveError, ArithmeticError, np.linalg.LinAlgError,
+                PropagationCycleError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if events_fh is not None:
+            events_fh.write("\n".join(result.events) + "\n")
+        if solution_fh is not None and result.solution is not None:
             for name, val in zip(instance.var_names, result.solution):
-                fh.write(f"{name} {fmt_g(val)}\n")
+                solution_fh.write(f"{name} {fmt_g(val)}\n")
 
     if args.json:
         payload = {

@@ -14,6 +14,13 @@ LP, after every REFACTOR_INTERVAL updates and whenever the recomputed
 point misses `T x = b` by more than RESIDUAL_TOL relative to the size of
 b, so rounding errors of the updates cannot pile up.  Both rules depend
 only on pivot counts and values, so the solve stays deterministic.
+LPs that start from one basis share its inversion through a `WarmStart`:
+strong branching inverts the node's basis once per round, and each LP
+starts from a copy of that inverse.
+
+The nonbasic values are built once per LP and kept: a pivot or bound
+flip rewrites only the entering, leaving or flipped column, so an
+iteration costs no pass over every column's bounds.
 
 The linear algebra stays in numpy, but pricing, the ratio test and the
 phase-1 bookkeeping are scalar loops over Python lists of plain ints and
@@ -80,9 +87,44 @@ def default_iteration_cap(n: int, m: int) -> int:
     return 10 * (n + m) + 1000
 
 
+class WarmStart:
+    """A basis status vector that LPs over one instance start from.
+
+    Its basis is inverted once, by the first LP that installs it, and
+    every LP gets its own copy of the inverse, because the simplex
+    updates its inverse in place.  A basis of the wrong length, with the
+    wrong number of basic columns or singular gives no inverse: those
+    LPs start from the slack basis.
+    """
+
+    def __init__(self, status: np.ndarray):
+        self.status = status
+        self.basis: list[int] = []   # the basic columns, once inverted
+        self._inverse: np.ndarray | None = None
+        self._tried = False
+
+    def inverse(self, T: np.ndarray) -> np.ndarray | None:
+        """A copy of the inverse of the basic columns of T, or None."""
+        if not self._tried:
+            self._tried = True
+            m, N = T.shape
+            if self.status.shape == (N,):
+                cand = [j for j, st in enumerate(self.status.tolist())
+                        if st == BASIC]
+                if len(cand) == m:
+                    try:
+                        # the inversion doubles as the singularity check
+                        self._inverse = np.linalg.inv(T[:, cand])
+                    except np.linalg.LinAlgError:
+                        pass
+                    else:
+                        self.basis = cand
+        return None if self._inverse is None else self._inverse.copy()
+
+
 class _Simplex:
     def __init__(self, instance: Instance, box: BoundBox,
-                 warm_basis: np.ndarray | None, cap: int,
+                 warm_basis: np.ndarray | WarmStart | None, cap: int,
                  deadline: float | None):
         A, b = instance.dense()
         self.n = instance.num_vars
@@ -106,8 +148,10 @@ class _Simplex:
         self.bland_after = 3 * self.N
         self.status: list[int] = []
         self.basis: list[int] = []
-        self.Binv = np.eye(self.m)   # inverse of T[:, basis]; slack start
+        self.Binv: np.ndarray        # inverse of T[:, basis]
         self.updates = 0             # rank-1 updates since the last inversion
+        # nonbasic values, zero on the basis; built by the first _recompute
+        self.xn: np.ndarray | None = None
         # value vector and reduced costs of the last iteration at the optimum
         self.x: np.ndarray | None = None
         self.red: np.ndarray | None = None
@@ -128,20 +172,17 @@ class _Simplex:
             return hi
         return 0.0
 
-    def _install_start(self, warm: np.ndarray | None) -> None:
-        if warm is not None and warm.shape == (self.N,):
-            status = warm.tolist()
-            cand = [j for j, st in enumerate(status) if st == BASIC]
-            if len(cand) == self.m:
-                try:
-                    # the inversion doubles as the singularity check
-                    self.Binv = np.linalg.inv(self.T[:, cand])
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    self.basis = cand
-                    self.status = status
-                    return
+    def _install_start(self, warm: np.ndarray | WarmStart | None) -> None:
+        if warm is not None:
+            if not isinstance(warm, WarmStart):
+                warm = WarmStart(warm)
+            Binv = warm.inverse(self.T)
+            if Binv is not None:
+                self.Binv = Binv
+                self.basis = list(warm.basis)
+                self.status = warm.status.tolist()
+                return
+        self.Binv = np.eye(self.m)
         self.basis = list(range(self.n, self.N))
         self.status = [AT_LOWER] * self.n + [BASIC] * self.m
 
@@ -153,9 +194,11 @@ class _Simplex:
 
     def _recompute(self) -> np.ndarray:
         """Full value vector consistent with the current basis."""
-        status, start = self.status, self._nb_start_value
-        x = np.array([0.0 if status[j] == BASIC else start(j)
-                      for j in range(self.N)])
+        if self.xn is None:
+            status, start = self.status, self._nb_start_value
+            self.xn = np.array([0.0 if status[j] == BASIC else start(j)
+                                for j in range(self.N)])
+        x = self.xn.copy()
         if not self.m:
             return x
         if self.updates >= REFACTOR_INTERVAL:
@@ -270,15 +313,19 @@ class _Simplex:
 
     def _pivot(self, j: int, leave_pos: int | None, leave_side: int,
                w: np.ndarray) -> None:
+        xn = self.xn
         if leave_pos is None:
             # bound flip, basis and Binv unchanged
             self.status[j] = AT_UPPER if self.status[j] == AT_LOWER else AT_LOWER
+            xn[j] = self._nb_start_value(j)
             return
         self._update(leave_pos, w)
         i = self.basis[leave_pos]
         self.basis[leave_pos] = j
         self.status[j] = BASIC
+        xn[j] = 0.0
         self.status[i] = leave_side
+        xn[i] = self._nb_start_value(i)
 
     # ---- phases ------------------------------------------------------
 
@@ -375,15 +422,15 @@ class _Simplex:
 
 
 def solve_lp(instance: Instance, box: BoundBox,
-             warm_basis: np.ndarray | None = None,
+             warm_basis: np.ndarray | WarmStart | None = None,
              iteration_cap: int | None = None,
              deadline: float | None = None) -> LpResult:
     """Solve the LP relaxation over `box`.
 
     Deterministic for identical inputs.  `warm_basis` takes a previous
-    result's basis_status; an unusable one is silently ignored.  Once
-    `time.monotonic()` passes `deadline`, the solve stops before its next
-    pivot with ITERATION_LIMIT.
+    result's basis_status, or a `WarmStart` of it that several LPs share;
+    an unusable one is silently ignored.  Once `time.monotonic()` passes
+    `deadline`, the solve stops before its next pivot with ITERATION_LIMIT.
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
@@ -426,13 +473,19 @@ def measure_degeneracy(result: LpResult, num_rows: int) -> DegeneracyInfo:
 
 def strong_branch(instance: Instance, box: BoundBox, var: int,
                   parent: LpResult, deadline: float | None = None,
+                  warm: WarmStart | None = None,
                   ) -> tuple[float | None, float | None, int]:
     """Probe both children of branching on `var` at the parent LP value.
 
-    Returns (down objective, up objective, simplex iterations); None
-    stands for an infeasible child or one stopped at `deadline`.
+    Both children start from `warm`, a `WarmStart` of the parent's basis
+    that a strong-branching round shares across its candidates (by
+    default, one for these two children).  Returns (down objective, up
+    objective, simplex iterations); None stands for an infeasible child
+    or one stopped at `deadline`.
     """
     assert parent.x is not None and parent.objective is not None
+    if warm is None:
+        warm = WarmStart(parent.basis_status)
     frac = float(parent.x[var])
     iters = 0
     objs: list[float | None] = []
@@ -445,8 +498,7 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
         if child.is_empty():
             objs.append(None)
             continue
-        res = solve_lp(instance, child, warm_basis=parent.basis_status,
-                       deadline=deadline)
+        res = solve_lp(instance, child, warm_basis=warm, deadline=deadline)
         iters += res.iterations
         objs.append(res.objective if res.status is LpStatus.OPTIMAL else None)
     return objs[0], objs[1], iters

@@ -1,9 +1,16 @@
 """LP-based branch and bound with conflict learning and the probe hook.
 
-Node selection is best bound with depth-first plunging.  Node state is
-not stored as boxes: every node keeps its branching path and replaying
-it (one propagation round per level) rebuilds the box, which also gives
-conflict analysis correct decision levels for free.
+Node selection is best bound with depth-first plunging.  Open nodes
+store no boxes: a node keeps its branching bounds and its own local
+constraints, and its state (box, trail and propagator) is built level
+by level, one propagation round each, which also gives conflict
+analysis correct decision levels for free.  A node popped from the heap
+replays its path from the root.  A plunge child extends the state its
+parent left, with one more level on the same trail and propagator, and
+logs the same lines a replay would.  That holds only while nothing has
+changed the parent's state since its own fixpoint: a probe's transfer
+tightens the box off the trail and adds locals, so the children of a
+probed node replay from the root.
 
 Learned scopes: conflicts derived from purely global reasoning are kept
 globally; anything whose derivation touched a node-local constraint is
@@ -24,7 +31,7 @@ from .branching import PC_FLOOR, BranchingStats, select_branching
 from .conflict import (ConflictAudit, LearnedConstraint, LearnedRecord,
                        Trail, analyze_1uip, to_knapsack, upgrade_singleton)
 from .cpsearch import CpStatus
-from .lp import LpStatus, solve_lp, strong_branch
+from .lp import LpStatus, WarmStart, solve_lp, strong_branch
 from .model import (INF, INT_TOL, BoundBox, EmptyBoxError, Instance, Side,
                     fmt_g)
 from .propagation import Outcome, Propagator
@@ -115,6 +122,20 @@ class Node:
 
 
 @dataclass
+class _NodeState:
+    """What processing a node built: its box and trail, the propagator
+    with every constraint active at it, and the ids and entries of the
+    node-local ones among them."""
+
+    node: Node
+    trail: Trail
+    prop: Propagator
+    local_ids: set[int] = field(default_factory=set)
+    active_locals: list[tuple[int, LearnedConstraint]] = field(
+        default_factory=list)
+
+
+@dataclass
 class MipConfig:
     node_limit: int | None = None
     time_limit: float = 3600.0
@@ -168,6 +189,8 @@ class _Solve:
         self.next_cid = instance.num_rows
         self.heap: list[tuple[float, int, Node]] = []
         self.next_node: Node | None = None
+        # the state of next_node's parent, when the plunge can extend it
+        self.kept: _NodeState | None = None
         self.plunge = 0
         self.nodes_processed = 0
         self.next_id = 1
@@ -255,43 +278,62 @@ class _Solve:
 
     # -- node processing ---------------------------------------------
 
-    def _replay(self, node: Node, trail: Trail, prop: Propagator,
-                local_ids: set[int],
-                ) -> tuple[bool, list[tuple[int, LearnedConstraint]]]:
-        """Rebuild node state; False means the node died on the way."""
-        active_locals: list[tuple[int, LearnedConstraint]] = []
-        res = prop.to_fixpoint(trail.box, trail)
+    def _fixpoint(self, node: Node, state: _NodeState) -> bool:
+        res = state.prop.to_fixpoint(state.trail.box, state.trail)
         if res.outcome is Outcome.INFEASIBLE:
-            self._on_propagation_conflict(node, trail, local_ids)
-            return False, active_locals
+            self._on_propagation_conflict(node, state.trail, state.local_ids)
+            return False
+        return True
+
+    def _descend(self, node: Node, nd: Node, state: _NodeState) -> bool:
+        """Open level nd.depth on top of `state`: nd's branching bounds,
+        its own locals, one fixpoint.  False means `node` died there."""
+        trail = state.trail
+        for var, side, val in nd.delta:
+            try:
+                trail.branch(var, side, val, nd.depth)
+            except EmptyBoxError:
+                return False
+        for cid, lc in nd.locals_own:
+            state.prop.add_constraint(cid, lc)
+            state.local_ids.add(cid)
+            state.active_locals.append((cid, lc))
+            self.log(f"lattach {cid} node {node.id}")
+        return self._fixpoint(node, state)
+
+    def _replay(self, node: Node) -> _NodeState | None:
+        """Rebuild node state from the root; None means the node died on
+        the way."""
+        state = _NodeState(node, Trail(self.global_box.copy()),
+                           self._propagator())
+        if not self._fixpoint(node, state):
+            return None
         for nd in node.path():
-            for var, side, val in nd.delta:
-                try:
-                    trail.branch(var, side, val, nd.depth)
-                except EmptyBoxError:
-                    return False, active_locals
-            for cid, lc in nd.locals_own:
-                prop.add_constraint(cid, lc)
-                local_ids.add(cid)
-                active_locals.append((cid, lc))
-                self.log(f"lattach {cid} node {node.id}")
-            res = prop.to_fixpoint(trail.box, trail)
-            if res.outcome is Outcome.INFEASIBLE:
-                self._on_propagation_conflict(node, trail, local_ids)
-                return False, active_locals
-        return True, active_locals
+            if not self._descend(node, nd, state):
+                return None
+        return state
+
+    def _extend(self, node: Node, state: _NodeState) -> _NodeState | None:
+        """The replay of a plunge child on top of its parent's state: the
+        same trail and log lines, without the levels above."""
+        for cid, _ in state.active_locals:
+            self.log(f"lattach {cid} node {node.id}")
+        state.node = node
+        return state if self._descend(node, node, state) else None
 
     def _process(self, node: Node) -> None:
         inst, stats = self.inst, self.stats
         t_switch = time.perf_counter()
-        box = self.global_box.copy()
-        prop = self._propagator()
-        local_ids: set[int] = set()
-        ok, active_locals = self._replay(node, Trail(box), prop, local_ids)
+        kept, self.kept = self.kept, None
+        if kept is not None and node.parent is kept.node:
+            state = self._extend(node, kept)
+        else:
+            state = self._replay(node)
         stats.switching_time += time.perf_counter() - t_switch
-        if not ok:
+        if state is None:
             self._leaf(node, "infeasible", kind="infeasible")
             return
+        box, active_locals = state.trail.box, state.active_locals
 
         lp = solve_lp(inst, box, warm_basis=node.basis, deadline=self.deadline)
         stats.iter_lp += lp.iterations
@@ -338,6 +380,9 @@ class _Solve:
                     global_sink=self.global_constraints if at_root else None,
                     deadline=self.deadline)
                 if summary is not None:
+                    # the transfer changed the box off the trail and
+                    # added locals: a child must replay from the root
+                    state = None
                     if summary.finalized:
                         if summary.status is CpStatus.INFEASIBLE or \
                                 summary.scope_emptied:
@@ -359,6 +404,8 @@ class _Solve:
         var = select_branching(fractional, stats.branching,
                                stats.conflict_heavy)
         self._branch(node, box, lp.basis_status, obj, x, var)
+        if self.next_node is not None and state is not None:
+            self.kept = state
 
     def _finish_integral(self, node: Node, box: BoundBox, x: np.ndarray) -> None:
         inst, stats = self.inst, self.stats
@@ -382,9 +429,12 @@ class _Solve:
         stats, table = self.stats, self.stats.branching
         heavy = stats.conflict_heavy
         ranked = sorted(fractional, key=lambda j: (-table.score(j, heavy), j))
+        # every candidate's children start from the node's basis: invert
+        # it once for the round
+        warm = WarmStart(lp.basis_status)
         for j in ranked[:SB_CANDIDATES]:
             dn, up, iters = strong_branch(self.inst, box, j, lp,
-                                          deadline=self.deadline)
+                                          deadline=self.deadline, warm=warm)
             stats.iter_lp += iters
             for child in (dn, up):
                 # an infeasible child or an unmoved objective is no gain

@@ -46,6 +46,20 @@ BOUNDS
 ENDATA
 """
 
+INFEASIBLE = """\
+NAME E
+ROWS
+ N C
+ L R1
+COLUMNS
+    MARKER                 'MARKER' 'INTORG'
+ X C 1.0 R1 1.0
+    MARKER                 'MARKER' 'INTEND'
+RHS
+ RHS R1 -5.0
+ENDATA
+"""
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -178,6 +192,40 @@ class TestSideFiles:
         entries = dict(line.split() for line in
                        sol.read_text().strip().splitlines())
         assert entries == {"a": "0", "b": "1", "c": "0"}
+
+    @pytest.mark.parametrize("flag", ["--emit-events", "--solution-out"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_fails_before_the_solve(self, flag, where,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        def no_solve(instance, config):
+            raise AssertionError("solved before opening the outputs")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        path = tmp_path / "no" / "such" / "dir" / "out.txt" \
+            if where == "missing-dir" else tmp_path
+        code, out, err = run(["solve", str(DATA / "cover3.mps"),
+                              flag, str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_outputs_open_after_the_config_check(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        log.write_text("kept\n")
+        code, _, _ = run(["solve", str(DATA / "cover3.mps"), "--freq-f", "0",
+                          "--emit-events", str(log)], capsys)
+        assert code == 3 and log.read_text() == "kept\n"
+
+    def test_solution_file_is_empty_without_a_solution(self, tmp_path,
+                                                        capsys):
+        mps = tmp_path / "infeasible.mps"
+        mps.write_text(INFEASIBLE)
+        sol = tmp_path / "point.sol"
+        code, out, _ = run(["solve", str(mps), "--solution-out", str(sol)],
+                           capsys)
+        assert code == 0 and "infeasible" in out
+        assert sol.read_text() == ""
 
     def test_rapid_run_matches_default_answer(self, capsys):
         base = run(["solve", str(DATA / "cover3.mps"), "--json"], capsys)

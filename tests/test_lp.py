@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from rapidbnb import LpStatus, from_inequalities, measure_degeneracy, solve_lp
-from rapidbnb.lp import (AT_LOWER, BASIC, REFACTOR_INTERVAL, _Simplex,
-                         strong_branch)
+from rapidbnb.lp import (AT_LOWER, AT_UPPER, BASIC, REFACTOR_INTERVAL,
+                         WarmStart, _Simplex, strong_branch)
 
 import oracles
 
@@ -333,3 +333,114 @@ class TestKeptInverse:
         assert (res.objective, res.iterations) == (cold.objective,
                                                    cold.iterations)
         assert abs(res.objective - (-2.5)) <= VALUE_TOL
+
+
+class TestKeptNonbasicValues:
+    """The nonbasic value vector is built once per LP and patched at each
+    pivot and bound flip; it must equal a rebuild from the statuses."""
+
+    def test_matches_a_rebuild_after_every_pivot(self, monkeypatch):
+        pytest.importorskip("scipy")
+        check = TestAgainstHighs().check
+        original = _Simplex._pivot
+        seen = {"pivots": 0, "flips": 0, "free": 0}
+
+        def checked(self, j, leave_pos, leave_side, w):
+            original(self, j, leave_pos, leave_side, w)
+            status = list(self.status)
+            rebuilt = [0.0 if st == BASIC else self._nb_start_value(k)
+                       for k, st in enumerate(status)]
+            # the rebuild normalises nothing any more: the first build did
+            assert self.status == status
+            assert self.xn.tolist() == rebuilt
+            seen["pivots"] += 1
+            seen["flips"] += leave_pos is None
+            seen["free"] += sum(
+                1 for k, st in enumerate(status) if st != BASIC and
+                math.isinf(self.lo[k]) and math.isinf(self.hi[k]))
+
+        monkeypatch.setattr(_Simplex, "_pivot", checked)
+        rng = np.random.default_rng(87)
+        n_odd_warm = 0
+        for _ in range(30):
+            n = int(rng.integers(10, 31))
+            inst = wide_lp(rng, n, int(rng.integers(n // 3, n)))
+            box = inst.root_box()
+            parent = check(inst, box)
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            # a warm basis that puts every nonbasic column on an infinite
+            # bound where it has one: AT_UPPER on +inf, AT_LOWER on -inf
+            warm = parent.basis_status.copy()
+            hi = np.concatenate([inst.upper, np.full(inst.num_rows, np.inf)])
+            lo = np.concatenate([inst.lower, np.zeros(inst.num_rows)])
+            nonbasic = warm != BASIC
+            warm[nonbasic & np.isinf(hi)] = AT_UPPER
+            warm[nonbasic & np.isinf(lo) & np.isfinite(hi)] = AT_LOWER
+            n_odd_warm += int(np.sum(nonbasic & np.isinf(hi)))
+            for j in rng.choice(n, size=2, replace=False).tolist():
+                child = box.copy()
+                child.upper[j] = math.floor(parent.x[j] - 0.5)
+                if not child.is_empty():
+                    check(inst, child, warm=warm)
+        assert seen["pivots"] >= 500
+        assert seen["flips"] >= 10
+        assert seen["free"] >= 10
+        assert n_odd_warm >= 10
+
+
+class TestSharedWarmStart:
+    """Strong branching inverts the parent basis once and starts every
+    child LP from a copy of that inverse."""
+
+    def test_same_answers_as_independent_inversions(self, monkeypatch,
+                                                    refactors):
+        inversions = [0]
+        inv = np.linalg.inv
+
+        def counting(a):
+            inversions[0] += 1
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        rng = np.random.default_rng(88)
+        n_rounds = n_children = 0
+        for _ in range(25):
+            n = int(rng.integers(10, 31))
+            inst = wide_lp(rng, n, int(rng.integers(n // 3, n)))
+            box = inst.root_box()
+            parent = solve_lp(inst, box)
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            frac = [j for j in range(n)
+                    if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
+            if not frac:
+                continue
+            independent = []
+            for j in frac[:5]:
+                out = [None, None]
+                iters = 0
+                for k, child in enumerate((box.copy(), box.copy())):
+                    if k == 0:
+                        child.upper[j] = float(math.floor(parent.x[j]))
+                    else:
+                        child.lower[j] = float(math.ceil(parent.x[j]))
+                    if child.is_empty():
+                        continue
+                    res = solve_lp(inst, child,
+                                   warm_basis=parent.basis_status)
+                    iters += res.iterations
+                    if res.status is LpStatus.OPTIMAL:
+                        out[k] = res.objective
+                independent.append((out[0], out[1], iters))
+            warm = WarmStart(parent.basis_status)
+            inversions[0] = refactors[0] = 0
+            shared = [strong_branch(inst, box, j, parent, warm=warm)
+                      for j in frac[:5]]
+            assert shared == independent
+            # one inversion of the parent basis; the rest are the child
+            # LPs' own refactorizations
+            assert inversions[0] - refactors[0] == 1
+            n_rounds += 1
+            n_children += 2 * len(shared)
+        assert n_rounds >= 10 and n_children >= 50

@@ -1,7 +1,10 @@
 """Branch-and-bound driver: verdicts, limits, branching machinery, events."""
 
 import json
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,12 @@ from rapidbnb import (
 from rapidbnb.branching import BranchingStats, select_branching
 from rapidbnb.lp import strong_branch
 from rapidbnb.mipsearch import _Solve, record_leaf
+from rapidbnb.rapid import CRITERION_NAMES
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 def cycle_cover(k: int = 5):
@@ -272,3 +279,99 @@ class TestResultShape:
             "wall_seconds": res.wall_seconds, "seed": res.seed,
         }
         json.dumps(payload)  # JSON-representable as-is
+
+
+class _ReplayEveryNode(_Solve):
+    """Drops the kept plunge state before every node, so that each node
+    replays its path from the root."""
+
+    def _process(self, node):
+        self.kept = None
+        super()._process(node)
+
+
+class _CountedSolve(_Solve):
+    """Counts how nodes get their state: plunge children that extend
+    their parent's, those that die doing so, those whose inherited
+    locals are logged again, plunges below the root whose parent's probe
+    left no state to extend, and the propagators the search builds."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.counts = Counter()
+
+    def _propagator(self):
+        self.counts["propagators"] += 1
+        return super()._propagator()
+
+    def _extend(self, node, state):
+        inherited = bool(state.active_locals)
+        out = super()._extend(node, state)
+        self.counts["extended"] += 1
+        self.counts["extended with locals"] += inherited
+        self.counts["died extending"] += out is None
+        self.counts["died extending with locals"] += out is None and inherited
+        return out
+
+    def _process(self, node):
+        super()._process(node)
+        self.counts["probed plunges"] += node.depth > 0 and \
+            self.next_node is not None and self.kept is None
+
+
+ALL_CRITERIA = frozenset(CRITERION_NAMES)
+PLUNGE_MODES = {
+    "off": MipConfig(rapid_mode="off", seed=1),
+    "root": MipConfig(rapid_mode="root", seed=1),
+    "local": MipConfig(rapid_mode="local", seed=1,
+                       rapid=RapidConfig(criteria=ALL_CRITERIA)),
+}
+# probes at depths 1, 2, 4, 8, ...: many probed parents below the root
+DENSE_PROBES = MipConfig(rapid_mode="local", seed=1,
+                         rapid=RapidConfig(criteria=ALL_CRITERIA, f=1,
+                                           beta=2.0))
+
+
+def plunge_cases():
+    rng = np.random.default_rng(5)
+    models = [gen.knapsack_model(rng, "knapsack", 14, 3),
+              gen.cover_model(rng, "cover", 30, 36),
+              gen.general_int_model(rng, "general_int0", 10, 6),
+              gen.general_int_model(rng, "general_int1", 10, 6),
+              gen.general_int_model(rng, "general_int2", 10, 6),
+              gen.clause_model(rng, "clause", 20)]
+    cases = [(m, mode, config) for m in models
+             for mode, config in PLUNGE_MODES.items()]
+    # children die while extending a trail that carries probe locals
+    dense = gen.general_int_model(np.random.default_rng(45), "dense", 10, 6)
+    return cases + [(dense, "dense", DENSE_PROBES)]
+
+
+class TestPlungeState:
+    """A plunge child extends its parent's trail and propagator; the
+    search must be the one a replay from the root at every node gives."""
+
+    def test_matches_a_replay_from_the_root(self):
+        totals = Counter()
+        for model, mode, config in plunge_cases():
+            inst = from_inequalities(model.c, model.rows, model.lower,
+                                     model.upper, range(len(model.c)))
+            solver = _CountedSolve(inst, config)
+            kept = solver.run()
+            full = _ReplayEveryNode(inst, config).run()
+            where = (model.name, mode)
+            assert kept.events == full.events, where
+            assert (kept.status, kept.objective, kept.nodes,
+                    kept.stats.iter_lp) == (full.status, full.objective,
+                                            full.nodes, full.stats.iter_lp)
+            counts = solver.counts
+            # one propagator for the root fixpoint and one per node that
+            # replays; a plunge child builds none
+            assert counts["propagators"] == \
+                1 + kept.nodes - counts["extended"], where
+            totals.update(counts)
+        assert totals["extended"] >= 100
+        assert totals["died extending"] >= 3
+        assert totals["extended with locals"] >= 5
+        assert totals["died extending with locals"] >= 1
+        assert totals["probed plunges"] >= 5
