@@ -13,10 +13,11 @@ from rapidbnb import from_inequalities
 from rapidbnb.bench import directional_report
 from rapidbnb.mps import write_mps
 
-# The harness runs every *.mps file in a directory under each named
-# configuration and aggregates with shifted geometric means (shift 1
-# for seconds, shift 100 for nodes), the standard way solver runs are
-# summarized.  Here: a throwaway suite of twelve feasibility instances.
+# The report solves every *.mps file in a directory with the probe off
+# and with the local probe (degeneracy criterion), and aggregates with
+# shifted geometric means (shift 1 for seconds, shift 100 for nodes),
+# the standard way solver runs are summarized.  Here: a throwaway suite
+# of twelve feasibility instances.
 rng = np.random.default_rng(2024)
 workdir = Path(tempfile.mkdtemp(prefix="bnbsuite-"))
 n, m = 18, 75

@@ -1,8 +1,6 @@
 """rapidbnb: a pure-integer branch-and-bound solver that embeds a
 conflict-learning CP probe for bounds, constraints, and solutions."""
 
-from .bench import (affected_split, directional_report, run_suite,
-                    shifted_geomean)
 from .conflict import (BoundDisjunction, LearnedConstraint, LearnedRecord,
                        analyze_1uip, check_disjunction, to_knapsack)
 from .cpsearch import (CpConfig, CpOutcome, CpStatus, cp_search,
@@ -26,10 +24,9 @@ __all__ = [
     "MipConfig", "ModelError",
     "MpsParseError", "ParseDiagnostics", "ProblemClass", "Propagator",
     "RapidConfig", "Row", "SearchStats", "Side", "SolveError", "SolveResult",
-    "affected_split", "analyze_1uip", "check_disjunction", "classify",
-    "cp_search", "directional_report", "evaluate_criteria",
-    "from_inequalities", "is_rl_depth", "maybe_run", "measure_degeneracy",
-    "node_limit_from_iters", "parse_mps", "pseudo_solution", "run_suite",
-    "shifted_geomean", "solve", "solve_lp", "to_knapsack", "write_mps",
+    "analyze_1uip", "check_disjunction", "classify", "cp_search",
+    "evaluate_criteria", "from_inequalities", "is_rl_depth", "maybe_run",
+    "measure_degeneracy", "node_limit_from_iters", "parse_mps",
+    "pseudo_solution", "solve", "solve_lp", "to_knapsack", "write_mps",
     "__version__",
 ]

@@ -32,12 +32,11 @@ from .conflict import (ConflictAudit, LearnedConstraint, LearnedRecord,
                        Trail, analyze_1uip, to_knapsack, upgrade_singleton)
 from .cpsearch import CpStatus
 from .lp import LpStatus, WarmStart, solve_lp, strong_branch
-from .model import (INF, INT_TOL, BoundBox, EmptyBoxError, Instance, Side,
-                    fmt_g)
+from .model import (GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError, Instance,
+                    Side, fmt_g)
 from .propagation import Outcome, Propagator
 from .rapid import CRITERION_NAMES, RapidConfig, maybe_run
 
-GAP_TOL = 1e-6
 PLUNGE_CAP = 10
 SB_DEPTH_CAP = 4
 SB_CANDIDATES = 5

@@ -16,6 +16,7 @@ import numpy as np
 
 FEAS_TOL = 1e-6
 INT_TOL = 1e-6
+GAP_TOL = 1e-6      # a solution must beat the incumbent by more than this
 INF = math.inf
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .conflict import BoundDisjunction, LearnedConstraint, LearnedRecord
 from .cpsearch import CpConfig, CpStatus, cp_search, node_limit_from_iters
 from .lp import DegeneracyInfo, measure_degeneracy
-from .model import FEAS_TOL, INF, EmptyBoxError, Instance, Side, fmt_g
+from .model import (FEAS_TOL, GAP_TOL, INF, EmptyBoxError, Instance, Side,
+                    fmt_g)
 
 CRITERION_NAMES = ("dualbound", "leaves", "degeneracy", "obj", "nsols", "sblps")
 # only box-shaped evidence exists before any branching has happened
@@ -231,7 +232,7 @@ def transfer(outcome, node, stats, *, config: RapidConfig, instance: Instance,
         xs = outcome.solution
         if instance.check_point(xs):
             val = instance.objective_value(xs)
-            if val < stats.incumbent_value - 1e-6:
+            if val < stats.incumbent_value - GAP_TOL:
                 stats.incumbent = xs.copy()
                 stats.incumbent_value = val
                 stats.n_solutions += 1

@@ -1,6 +1,6 @@
-"""Batch harness: aggregation math, pairing logic, and report shape."""
+"""`rapidbnb.bench`: shifted geomeans, branching hashes, pairing logic and
+the directional report."""
 
-import csv
 import math
 
 import numpy as np
@@ -9,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rapidbnb.bench import (ConfigSummary, MissingPairError, RunRecord,
-                            _quartiles, affected_split, branching_hash,
-                            directional_report, run_suite, shifted_geomean,
-                            summarize, to_markdown, write_csv)
-from rapidbnb.mipsearch import MipConfig
+from rapidbnb.bench import (MissingPairError, affected_split, branching_hash,
+                            directional_report, shifted_geomean)
 from rapidbnb.mps import write_mps
 
 
@@ -65,15 +62,6 @@ class TestShiftedGeomean:
         assert min(vals) <= g <= max(vals)
 
 
-class TestQuartiles:
-    def test_frozen_inclusive_method(self):
-        assert _quartiles([1, 2, 3, 4]) == pytest.approx((1.75, 2.5, 3.25))
-
-    def test_degenerate_inputs(self):
-        assert _quartiles([]) == (0.0, 0.0, 0.0)
-        assert _quartiles([5.0]) == (5.0, 5.0, 5.0)
-
-
 class TestBranchingHash:
     def test_only_branch_lines_count(self):
         a = ["node 1 dual 2", "branch 1 var 3 frac 0.5", "done optimal"]
@@ -86,66 +74,19 @@ class TestBranchingHash:
         assert branching_hash(a) != branching_hash(b)
 
 
-def record(instance="i", seed=0, config="c", status="optimal", time=1.0,
-           nodes=10, bh="h"):
-    return RunRecord(instance=instance, seed=seed, config=config,
-                     status=status, time=time, nodes=nodes, objective=0.0,
-                     branch_hash=bh)
-
-
 class TestAffectedSplit:
     def test_split_by_branch_hash(self):
-        base = [record(instance="a", bh="x"), record(instance="b", bh="y")]
-        treat = [record(instance="a", config="t", bh="x"),
-                 record(instance="b", config="t", bh="z")]
+        base = {("a", 0): "x", ("b", 0): "y"}
+        treat = {("a", 0): "x", ("b", 0): "z"}
         affected, unaffected = affected_split(base, treat)
         assert affected == [("b", 0)]
         assert unaffected == [("a", 0)]
 
     def test_unmatched_keys_refused(self):
-        base = [record(instance="a"), record(instance="b")]
-        treat = [record(instance="a", config="t")]
+        base = {("a", 0): "h", ("b", 0): "h"}
+        treat = {("a", 0): "h"}
         with pytest.raises(MissingPairError):
             affected_split(base, treat)
-
-
-class TestSummarize:
-    def make_records(self):
-        rows = []
-        for i, t in enumerate((2.0, 8.0)):
-            rows.append(record(instance=f"i{i}", config="base", time=t,
-                               nodes=100))
-            rows.append(record(instance=f"i{i}", config="fast", time=t / 2,
-                               nodes=50, status="nodelimit"))
-        return rows
-
-    def test_relative_columns_against_baseline(self):
-        summaries = summarize(self.make_records(), baseline="base")
-        by = {s.config: s for s in summaries}
-        assert by["base"].time_q == pytest.approx(1.0)
-        assert by["base"].solved == 2 and by["fast"].solved == 0
-        expect_base = shifted_geomean([2.0, 8.0], 1.0)
-        expect_fast = shifted_geomean([1.0, 4.0], 1.0)
-        assert by["fast"].time_q == pytest.approx(expect_fast / expect_base)
-        assert by["fast"].nodes == pytest.approx(
-            shifted_geomean([50, 50], 100.0))
-
-    def test_unknown_baseline_refused(self):
-        with pytest.raises(ValueError):
-            summarize(self.make_records(), baseline="nope")
-
-    def test_csv_and_markdown_agree_on_shape(self, tmp_path):
-        summaries = summarize(self.make_records(), baseline="base")
-        out = tmp_path / "summary.csv"
-        write_csv(summaries, out)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][0] == "config" and len(rows) == 1 + len(summaries)
-        assert all(len(r) == len(rows[0]) for r in rows)
-        md = to_markdown(summaries)
-        lines = md.strip().splitlines()
-        assert len(lines) == 2 + len(summaries)
-        assert lines[0].count("|") == len(rows[0]) + 1
 
 
 def seed_directory(path, count=3, n=8, m=26):
@@ -153,32 +94,6 @@ def seed_directory(path, count=3, n=8, m=26):
     for k in range(count):
         inst = oracles.random_sat_instance(rng, n=n, m=m)
         write_mps(inst, path / f"gen{k}.mps")
-
-
-class TestRunSuite:
-    def test_full_cartesian_product(self, tmp_path):
-        seed_directory(tmp_path, count=2)
-        configs = {"default": MipConfig(node_limit=200)}
-        records = run_suite(tmp_path, configs, seeds=(0, 1))
-        assert len(records) == 4
-        assert {(r.instance, r.seed) for r in records} == {
-            ("gen0.mps", 0), ("gen0.mps", 1),
-            ("gen1.mps", 0), ("gen1.mps", 1)}
-        assert all(r.status in ("optimal", "infeasible", "nodelimit")
-                   for r in records)
-        assert all(r.branch_hash for r in records)
-
-    def test_bad_file_survives_as_error_record(self, tmp_path):
-        seed_directory(tmp_path, count=1)
-        (tmp_path / "broken.mps").write_text("ROWS\n N COST\n")
-        records = run_suite(tmp_path, {"d": MipConfig()}, seeds=(0,))
-        by_name = {r.instance: r for r in records}
-        assert by_name["broken.mps"].status == "error"
-        assert by_name["broken.mps"].error
-        assert by_name["gen0.mps"].status in ("optimal", "infeasible")
-
-    def test_empty_directory(self, tmp_path):
-        assert run_suite(tmp_path, {"d": MipConfig()}, seeds=(0,)) == []
 
 
 class TestDirectionalReport:
@@ -193,3 +108,16 @@ class TestDirectionalReport:
         assert report["time_ratio"] > 0 and report["nodes_ratio"] > 0
         assert "| config |" in report["markdown"] or \
             report["markdown"].startswith("| config")
+
+    def test_broken_file_counts_as_unsolved(self, tmp_path):
+        seed_directory(tmp_path, count=1)
+        (tmp_path / "broken.mps").write_text("ROWS\n N COST\n")
+        report = directional_report(tmp_path, seeds=(0, 1))
+        assert report["instances"] == 2 and report["runs"] == 8
+        for side in ("default", "rapid"):
+            assert report[side]["solved"] == 2
+        assert report["affected"] + report["unaffected"] == 4
+
+    def test_empty_directory_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            directional_report(tmp_path, seeds=(0,))

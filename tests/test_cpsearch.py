@@ -15,6 +15,7 @@ from rapidbnb import (
     node_limit_from_iters,
     pseudo_solution,
 )
+from rapidbnb.cpsearch import MAX_CONFLICT_FRAC
 
 import oracles
 
@@ -142,7 +143,7 @@ class TestLearnedFacts:
         n_stored = n_long_audits = 0
         for _ in range(6):
             inst = oracles.random_sat_instance(rng, n=60, m=252)
-            cap = math.ceil(0.05 * inst.num_vars)
+            cap = math.ceil(MAX_CONFLICT_FRAC * inst.num_vars)
             out = cp_search(inst, inst.root_box(), CpConfig(node_limit=400))
             for lc in out.conflicts:
                 assert lc.length <= cap

@@ -1,7 +1,11 @@
 """Package structure: the modules of `rapidbnb` import each other without
-cycles, at module level and inside functions alike."""
+cycles, at module level and inside functions alike, and `import rapidbnb`
+leaves the benchmark helpers unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -25,3 +29,12 @@ def test_intra_package_imports_are_acyclic():
     assert len(graph) >= 10
     # raises graphlib.CycleError naming the cycle
     TopologicalSorter(graph).prepare()
+
+
+def test_import_leaves_the_bench_module_unloaded():
+    code = ("import rapidbnb, sys; "
+            "print(sorted({'rapidbnb.bench', 'csv'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,9 @@
 a renamed or re-homed function would break only the traced benchmark.
 One traced solve here checks that every wrapped name still exists, that
 the traced counts add up to what the solver reports itself, and that
-leaving the tracer puts every original function back.
+leaving the tracer puts every original function back.  The benchmark's
+`solve_cpu_sgm_s` comes from `rapidbnb.bench`, so a change there that
+breaks the metric fails here too.
 """
 
 import sys
@@ -14,10 +16,12 @@ import numpy as np
 
 import rapidbnb
 from rapidbnb import MipConfig
+from rapidbnb.bench import shifted_geomean
 
 import oracles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import end_to_end  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
@@ -39,3 +43,19 @@ def test_traced_counts_match_the_solver():
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_end_to_end_cpu_geomean_uses_the_shared_helper():
+    # three passes over three instances; each instance's CPU time is the
+    # median over passes, scaled by the speed factor
+    rounds = [[{"cpu": 0.2}, {"cpu": 1.5}, {"cpu": 0.03}],
+              [{"cpu": 0.4}, {"cpu": 1.1}, {"cpu": 0.05}],
+              [{"cpu": 0.3}, {"cpu": 1.3}, {"cpu": 0.04}]]
+    metrics = end_to_end({"rounds": rounds, "speed_factor": 2.0,
+                          "setup_s": [0.5, 0.7, 0.6], "peak_rss_mib": 40.0})
+    per_instance = [2.0 * 0.3, 2.0 * 1.3, 2.0 * 0.04]
+    assert metrics["solve_cpu_sgm_s"] == \
+        (shifted_geomean(per_instance, 1.0), "s")
+    assert metrics["solve_cpu_total_s"] == (sum(per_instance), "s")
+    assert metrics["setup_s"] == (0.6, "s")
+    assert metrics["peak_rss_mib"] == (40.0, "MiB")
