@@ -70,13 +70,14 @@ class Trail:
         return len(self.changes)
 
     def resolve(self, bounds: Iterable[tuple[int, Side]]) -> tuple[int, ...]:
-        """Trail positions of the given bounds; start values have none."""
+        """Trail positions of the given bounds, in their order; start
+        values have none.  Conflict analysis reads them as a set."""
         out = []
         for var, side in bounds:
             pos = self._last.get((var, side))
             if pos is not None:
                 out.append(pos)
-        return tuple(sorted(set(out)))
+        return tuple(out)
 
     def branch(self, var: int, side: Side, value: float, level: int) -> bool:
         """Open decision level `level`; later deductions record it too."""
@@ -160,7 +161,6 @@ class LearnedConstraint:
 
     disjunction: BoundDisjunction
     linear: Row | None = None
-    tainted: bool = False
 
     @property
     def length(self) -> int:
@@ -179,7 +179,6 @@ class ConflictAudit:
     deepest_level: int
     node_bounds: dict[int, tuple[float, float]]
     tainted: bool
-    origin: str
 
 
 @dataclass
@@ -274,7 +273,7 @@ def analyze_1uip(trail: Trail, int_mask: np.ndarray,
     box = trail.box
     watched = {v: (float(box.lower[v]), float(box.upper[v]))
                for v in disj.variables()}
-    audit = ConflictAudit(audit_lits, deepest, watched, tainted, origin="")
+    audit = ConflictAudit(audit_lits, deepest, watched, tainted)
     return AnalysisOutcome(disj, tainted, audit=audit)
 
 

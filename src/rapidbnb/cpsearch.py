@@ -135,14 +135,13 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         d = out.disjunction
         if d is None:
             return True
-        out.audit.origin = "cp"
         audits.append(out.audit)
         if d.size > cap:
             return True
         cid = next_cid
         next_cid += 1
-        lc = LearnedConstraint(d, to_knapsack(d, scope_box.lower, scope_box.upper),
-                               tainted=out.tainted)
+        lc = LearnedConstraint(d, to_knapsack(d, scope_box.lower,
+                                              scope_box.upper))
         prop.add_constraint(cid, lc)
         if out.tainted:
             tainted_ids.add(cid)

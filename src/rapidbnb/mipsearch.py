@@ -12,6 +12,11 @@ changed the parent's state since its own fixpoint: a probe's transfer
 tightens the box off the trail and adds locals, so the children of a
 probed node replay from the root.
 
+The probe hook has two halves: `rapid.maybe_run` decides whether to
+probe a node and runs the probe, and `_Solve._transfer` applies what it
+found (conflicts, bound tightenings, a solution, or the settled node)
+to the solve's own state.
+
 Learned scopes: conflicts derived from purely global reasoning are kept
 globally; anything whose derivation touched a node-local constraint is
 discarded (the node is being pruned anyway, and re-scoping buys nothing
@@ -28,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import PC_FLOOR, BranchingStats, select_branching
-from .conflict import (ConflictAudit, LearnedConstraint, LearnedRecord,
-                       Trail, analyze_1uip, to_knapsack, upgrade_singleton)
-from .cpsearch import CpStatus
+from .conflict import (BoundDisjunction, ConflictAudit, LearnedConstraint,
+                       LearnedRecord, Trail, analyze_1uip, to_knapsack,
+                       upgrade_singleton)
+from .cpsearch import CpOutcome, CpStatus
 from .lp import LpStatus, WarmStart, solve_lp, strong_branch
-from .model import (GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError, Instance,
-                    Side, fmt_g)
+from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
+                    Instance, Side, fmt_g)
 from .propagation import Outcome, Propagator
 from .rapid import CRITERION_NAMES, RapidConfig, maybe_run
 
@@ -237,7 +243,7 @@ class _Solve:
         self.log(f"node {node.id} depth {node.depth} action {action} "
                  f"bound {fmt_g(node.lower_bound)} dual {fmt_g(dual)}")
 
-    def _fractional(self, box: BoundBox, x: np.ndarray) -> list[int]:
+    def _fractional(self, x: np.ndarray) -> list[int]:
         return [j for j in self.inst.integer_indices
                 if abs(x[j] - round(x[j])) > INT_TOL]
 
@@ -254,7 +260,6 @@ class _Solve:
         d = out.disjunction
         if d is None:
             return
-        out.audit.origin = "mip"
         self.stats.audits.append(out.audit)
         if out.tainted:
             # derivation leaned on a node-local constraint; not globally valid
@@ -361,42 +366,32 @@ class _Solve:
             self._leaf(node, "cutoff", kind="cutoff")
             return
         x = np.clip(lp.x, box.lower, box.upper)
-        fractional = self._fractional(box, x)
+        fractional = self._fractional(x)
         if not fractional:
             self._finish_integral(node, box, x)
             return
 
-        if self.cfg.rapid_mode != "off":
-            at_root = node.depth == 0
-            if at_root or self.cfg.rapid_mode == "local":
-                extras = tuple(self.global_constraints) + tuple(active_locals)
-                summary = maybe_run(
-                    node, stats, inst, self.cfg.rapid, at_root,
-                    seed=self.cfg.seed, lp_result=lp, box=box,
-                    extra_constraints=extras, alloc_cid=self._alloc_cid,
-                    events=self.events,
-                    global_box=self.global_box if at_root else None,
-                    global_sink=self.global_constraints if at_root else None,
-                    deadline=self.deadline)
-                if summary is not None:
-                    # the transfer changed the box off the trail and
-                    # added locals: a child must replay from the root
-                    state = None
-                    if summary.finalized:
-                        if summary.status is CpStatus.INFEASIBLE or \
-                                summary.scope_emptied:
-                            self._leaf(node, "rl-infeasible", kind="infeasible")
-                        else:
-                            self._leaf(node, "rl-optimal")
-                        return
-                    if node.lower_bound >= stats.incumbent_value - GAP_TOL:
-                        self._leaf(node, "cutoff", kind="cutoff")
-                        return
-                    x = np.clip(x, box.lower, box.upper)
-                    fractional = self._fractional(box, x)
-                    if not fractional:
-                        self._finish_integral(node, box, x)
-                        return
+        if self.cfg.rapid_mode != "off" and \
+                (node.depth == 0 or self.cfg.rapid_mode == "local"):
+            extras = tuple(self.global_constraints) + tuple(active_locals)
+            outcome = maybe_run(
+                node, stats, inst, self.cfg.rapid, seed=self.cfg.seed,
+                lp_result=lp, box=box, extra_constraints=extras,
+                events=self.events, deadline=self.deadline)
+            if outcome is not None:
+                # the transfer changes the box off the trail and adds
+                # locals: a child must replay from the root
+                state = None
+                if self._transfer(node, box, outcome):
+                    return
+                if node.lower_bound >= stats.incumbent_value - GAP_TOL:
+                    self._leaf(node, "cutoff", kind="cutoff")
+                    return
+                x = np.clip(x, box.lower, box.upper)
+                fractional = self._fractional(x)
+                if not fractional:
+                    self._finish_integral(node, box, x)
+                    return
 
         if node.depth <= SB_DEPTH_CAP:
             self._strong_branch_round(node, box, lp, obj, x, fractional)
@@ -405,6 +400,91 @@ class _Solve:
         self._branch(node, box, lp.basis_status, obj, x, var)
         if self.next_node is not None and state is not None:
             self.kept = state
+
+    def _transfer(self, node: Node, box: BoundBox,
+                  outcome: CpOutcome) -> bool:
+        """Keep what the probe found at `node` in `box`, its scope.
+
+        Conflicts go global at the root and node-local below it; bound
+        tightenings of a probe stopped by its budget mutate the box (below
+        the root also as one-literal local constraints, so descendants
+        re-derive them during replay); a solution is installed only after
+        verification against the original instance.  True means the probe
+        settled the node, whose leaf is already logged.
+        """
+        inst, stats = self.inst, self.stats
+        at_root = node.depth == 0
+        # the probe's claims are all relative to the scope it started from
+        scope_lower = np.array(box.lower)
+        scope_upper = np.array(box.upper)
+
+        ranked = sorted(outcome.conflicts,
+                        key=lambda lc: (0 if lc.linear is not None else 1,
+                                        lc.length))
+        kept = ranked[:self.cfg.rapid.max_transferred_conflicts]
+        scope = "global" if at_root else "local"
+        sink = self.global_constraints if at_root else node.locals_own
+        for lc in kept:
+            cid = self._alloc_cid()
+            sink.append((cid, lc))
+            stats.branching.bump(lc.disjunction.literals())
+            self.log(f"lconstr {cid} node {node.id} level {node.depth} "
+                     f"scope {scope} size {lc.length} form {lc.form}")
+            stats.learned.append(LearnedRecord(scope, lc, scope_lower,
+                                               scope_upper))
+        stats.audits.extend(outcome.audits)
+
+        n_bounds = 0
+        emptied = False
+        if outcome.status is CpStatus.NODE_LIMIT:
+            deltas = [(j, Side.LOWER, float(outcome.box.lower[j]))
+                      for j in range(inst.num_vars)
+                      if outcome.box.lower[j] > box.lower[j] + FEAS_TOL]
+            deltas += [(j, Side.UPPER, float(outcome.box.upper[j]))
+                       for j in range(inst.num_vars)
+                       if outcome.box.upper[j] < box.upper[j] - FEAS_TOL]
+            try:
+                for j, side, value in deltas:
+                    box.tighten(j, side, value)
+                    if at_root:
+                        self.global_box.tighten(j, side, value)
+                    else:
+                        lit = ((j, value),)
+                        d1 = BoundDisjunction(lower_lits=lit, upper_lits=()) \
+                            if side is Side.LOWER else \
+                            BoundDisjunction(lower_lits=(), upper_lits=lit)
+                        lc1 = LearnedConstraint(d1)
+                        node.locals_own.append((self._alloc_cid(), lc1))
+                        stats.learned.append(LearnedRecord(
+                            "local", lc1, scope_lower, scope_upper))
+                    n_bounds += 1
+            except EmptyBoxError:
+                emptied = True
+
+        installed = False
+        if outcome.solution is not None:
+            xs = outcome.solution
+            if inst.check_point(xs):
+                val = inst.objective_value(xs)
+                if val < stats.incumbent_value - GAP_TOL:
+                    record_leaf("improving", stats, xs, val)
+                    installed = True
+                    self.log(f"incumbent {fmt_g(val)} node {node.id} "
+                             "origin rl")
+            else:
+                self.log(f"rl-solution-rejected node {node.id}")
+
+        self.log(f"rl node {node.id} depth {node.depth} "
+                 f"status {outcome.status.value} conflicts {len(kept)} "
+                 f"bounds {n_bounds} solution {int(installed)} "
+                 f"cpnodes {outcome.nodes}")
+        if outcome.status is CpStatus.INFEASIBLE or emptied:
+            self._leaf(node, "rl-infeasible", kind="infeasible")
+            return True
+        if outcome.status is not CpStatus.NODE_LIMIT:
+            self._leaf(node, "rl-optimal")
+            return True
+        return False
 
     def _finish_integral(self, node: Node, box: BoundBox, x: np.ndarray) -> None:
         inst, stats = self.inst, self.stats
@@ -486,7 +566,7 @@ class _Solve:
         # iteration-capped LP: no proven bound, keep the parent's and split
         x = np.clip(lp.x, box.lower, box.upper) if lp.x is not None \
             else np.array(box.lower)
-        fractional = self._fractional(box, x)
+        fractional = self._fractional(x)
         if fractional:
             var = fractional[0]
         else:

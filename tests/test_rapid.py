@@ -1,7 +1,6 @@
-"""Probe scheduling and transfer: depth walk, trigger thresholds, and
-what the host search keeps from a finished probe."""
+"""Probe scheduling and transfer: depth walk, trigger thresholds, the
+probe run, and what the host search keeps from a finished probe."""
 
-import itertools
 import math
 
 import numpy as np
@@ -11,12 +10,12 @@ import oracles
 from rapidbnb.branching import BranchingStats
 from rapidbnb.conflict import BoundDisjunction, LearnedConstraint
 from rapidbnb.cpsearch import CpConfig, CpOutcome, CpStatus, cp_search
+from rapidbnb import rapid
 from rapidbnb.lp import DegeneracyInfo, solve_lp
-from rapidbnb.mipsearch import Node, SearchStats
+from rapidbnb.mipsearch import MipConfig, Node, SearchStats, _Solve
 from rapidbnb.model import INF, Side, from_inequalities
 from rapidbnb.rapid import (CRITERION_NAMES, ROOT_CRITERIA, RapidConfig,
-                            evaluate_criteria, is_rl_depth, maybe_run,
-                            transfer)
+                            evaluate_criteria, is_rl_depth, maybe_run)
 
 
 def coverage_instance(n=16, integer_set=None):
@@ -145,27 +144,22 @@ class TestTriggerBoundaries:
 
 
 class TestScheduleGating:
-    def run_maybe(self, inst, node, stats, criteria, at_root, events=None,
-                  seed=0):
+    def run_maybe(self, inst, node, stats, criteria, events=None, seed=0):
         box = inst.root_box()
         lp = solve_lp(inst, box)
         cfg = RapidConfig(criteria=frozenset(criteria))
-        ids = itertools.count()
-        sink = []
-        summary = maybe_run(node, stats, inst, cfg, at_root, seed=seed,
-                            lp_result=lp, box=box, extra_constraints=(),
-                            alloc_cid=lambda: next(ids),
-                            events=events if events is not None else [],
-                            global_box=box, global_sink=sink)
-        return summary, sink
+        outcome = maybe_run(node, stats, inst, cfg, seed=seed, lp_result=lp,
+                            box=box, extra_constraints=(),
+                            events=events if events is not None else [])
+        return outcome, box
 
     def test_off_schedule_depth_is_silent(self):
         inst = coverage_instance(n=6)
         events = []
-        summary, _ = self.run_maybe(inst, fresh_node(7, depth=3),
+        outcome, _ = self.run_maybe(inst, fresh_node(7, depth=3),
                                     SearchStats(), {"degeneracy"},
-                                    at_root=False, events=events)
-        assert summary is None and events == []
+                                    events=events)
+        assert outcome is None and events == []
 
     def test_tree_criteria_masked_at_root(self):
         # only evidence that exists before branching may fire at depth 0
@@ -175,9 +169,9 @@ class TestScheduleGating:
                              leaves_infeasible=500, leaves_cutoff=0,
                              sb_no_improvement=500, n_solutions=1)
             events = []
-            summary, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                        {name}, at_root=True, events=events)
-            assert summary is None
+            outcome, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
+                                        {name}, events=events)
+            assert outcome is None
             assert events[-1].endswith("fired -")
             assert st.rl_calls == 0
 
@@ -185,42 +179,45 @@ class TestScheduleGating:
         inst = coverage_instance(n=6)
         st = SearchStats(leaves_infeasible=500, leaves_cutoff=0,
                          n_solutions=1)
-        summary, _ = self.run_maybe(inst, fresh_node(4, depth=5), st,
-                                    {"leaves"}, at_root=False)
-        assert summary is not None
-        assert summary.criteria_fired == ("leaves",)
+        events = []
+        outcome, _ = self.run_maybe(inst, fresh_node(4, depth=5), st,
+                                    {"leaves"}, events=events)
+        assert outcome is not None
+        assert events == ["criteria node 4 depth 5 fired leaves"]
         assert st.rl_calls == 1 and st.criterion_fires["leaves"] == 1
 
     def test_root_probe_on_zero_progress_solution_count(self):
         inst = coverage_instance(n=6)
-        st = SearchStats(n_solutions=0)
-        summary, sink = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                       {"nsols"}, at_root=True)
-        assert summary is not None and summary.status is CpStatus.OPTIMAL
+        solve = _Solve(inst, MipConfig(rapid_mode="root"))
+        node = fresh_node(0, depth=0)
+        outcome, box = self.run_maybe(inst, node, solve.stats, {"nsols"},
+                                      events=solve.events)
+        assert outcome is not None and outcome.status is CpStatus.OPTIMAL
         # a finished probe at the root settles the whole instance
-        assert summary.finalized and summary.solution_installed
-        assert st.incumbent_value == pytest.approx(1.0)
+        assert solve._transfer(node, box, outcome)
+        assert solve.stats.incumbent_value == pytest.approx(1.0)
 
     def test_mixed_integer_scope_never_probes(self):
         inst = coverage_instance(n=6, integer_set=range(1, 6))
         st = SearchStats(n_solutions=0)
-        summary, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                    {"nsols"}, at_root=True)
-        assert summary is None and st.rl_calls == 0
+        outcome, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
+                                    {"nsols"})
+        assert outcome is None and st.rl_calls == 0
 
     def test_probe_seed_mixes_node_id(self):
         # one run through the scheduler, one direct probe with the xor seed
         inst = coverage_instance(n=6)
         st = SearchStats(leaves_infeasible=500, n_solutions=1, iter_lp=0)
-        summary, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
-                                    {"leaves"}, at_root=False, seed=12)
+        outcome, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
+                                    {"leaves"}, seed=12)
         direct = cp_search(inst, inst.root_box(),
                            CpConfig(node_limit=500, seed=12 ^ 9,
                                     incumbent_bound=INF),
                            branching=BranchingStats())
-        assert summary.status is direct.status
-        assert summary.cp_nodes == direct.nodes
-        assert summary.conflicts_attached == min(10, len(direct.conflicts))
+        assert outcome.status is direct.status
+        assert outcome.nodes == direct.nodes
+        assert [lc.disjunction for lc in outcome.conflicts] == \
+            [lc.disjunction for lc in direct.conflicts]
 
     def test_probe_inference_counts_reach_the_host_table(self):
         # the probe adds its counts to the host's table as it runs; a
@@ -229,28 +226,61 @@ class TestScheduleGating:
         inst = oracles.random_sat_instance(np.random.default_rng(5),
                                            n=10, m=42)
         st = SearchStats(leaves_infeasible=500, n_solutions=1, iter_lp=0)
-        summary, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
-                                    {"leaves"}, at_root=False, seed=12)
+        outcome, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
+                                    {"leaves"}, seed=12)
         direct = BranchingStats()
         out = cp_search(inst, inst.root_box(),
                         CpConfig(node_limit=500, seed=12 ^ 9,
                                  incumbent_bound=INF),
                         branching=direct)
-        assert summary.cp_nodes == out.nodes > 1
+        assert outcome.nodes == out.nodes > 1
         assert sum(direct.inferences.values()) > 0
         assert st.branching.inferences == direct.inferences
 
     def test_identical_reruns(self):
         inst = coverage_instance(n=6)
-        outs = []
+        runs = []
         for _ in range(2):
             st = SearchStats(n_solutions=0)
             events = []
-            summary, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                        {"nsols"}, at_root=True,
-                                        events=events, seed=3)
-            outs.append((summary, events))
-        assert outs[0] == outs[1]
+            outcome, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
+                                        {"nsols"}, events=events, seed=3)
+            runs.append((outcome, events))
+        (first, ev1), (second, ev2) = runs
+        assert ev1 == ev2
+        assert first.status is second.status
+        assert first.nodes == second.nodes
+        assert first.solution_value == second.solution_value
+        assert np.array_equal(first.solution, second.solution)
+        assert (first.box.lower, first.box.upper) == \
+            (second.box.lower, second.box.upper)
+        assert [lc.disjunction for lc in first.conflicts] == \
+            [lc.disjunction for lc in second.conflicts]
+
+    def test_outcome_comes_back_unapplied(self, monkeypatch):
+        # a probe stopped by its budget with a tighter box and a valid
+        # solution: maybe_run hands it back as is and keeps nothing
+        inst = coverage_instance(n=16)
+        tighter = inst.root_box()
+        tighter.tighten(0, Side.LOWER, 1.0)
+        xs = np.zeros(16)
+        xs[0] = 1.0
+        lc = LearnedConstraint(disj(lower=((0, 1.0), (1, 1.0))))
+        crafted = crafted_outcome(tighter, status=CpStatus.NODE_LIMIT,
+                                  conflicts=[lc], solution=xs, value=1.0)
+        monkeypatch.setattr(rapid, "cp_search", lambda *a, **k: crafted)
+        st = SearchStats(leaves_infeasible=500, n_solutions=1)
+        node = fresh_node(6, depth=5)
+        events = []
+        outcome, box = self.run_maybe(inst, node, st, {"leaves"},
+                                      events=events)
+        assert outcome is crafted
+        assert (box.lower, box.upper) == \
+            (inst.root_box().lower, inst.root_box().upper)
+        assert node.locals_own == []
+        assert st.incumbent is None and st.incumbent_value == INF
+        assert st.n_solutions == 1 and st.learned == []
+        assert events == ["criteria node 6 depth 5 fired leaves"]
 
 
 def crafted_outcome(box, status=CpStatus.OPTIMAL, conflicts=(),
@@ -261,22 +291,26 @@ def crafted_outcome(box, status=CpStatus.OPTIMAL, conflicts=(),
 
 
 class TestTransferRules:
-    """Drive transfer() with hand-built probe outcomes."""
+    """Drive _Solve._transfer with hand-built probe outcomes."""
 
     def setup_method(self):
         self.inst = coverage_instance(n=16)
+        self.solve = _Solve(self.inst, MipConfig(rapid_mode="local"))
+        self.stats = self.solve.stats
+        self.events = self.solve.events
         self.box = self.inst.root_box()
-        self.stats = SearchStats()
-        self.events = []
-        self.ids = itertools.count()
-        self.sink = []
 
-    def run_transfer(self, outcome, node=None, at_root=True):
+    def run_transfer(self, outcome, node=None):
         node = node or fresh_node(0, depth=0)
-        return transfer(outcome, node, self.stats, config=RapidConfig(),
-                        instance=self.inst, box=self.box, at_root=at_root,
-                        alloc_cid=lambda: next(self.ids), events=self.events,
-                        global_box=self.box, global_sink=self.sink), node
+        return self.solve._transfer(node, self.box, outcome), node
+
+    def rl_line(self):
+        """Conflict, bound and solution counts of the one `rl` line."""
+        lines = [e.split() for e in self.events if e.startswith("rl ")]
+        assert len(lines) == 1
+        tok = lines[0]
+        return {key: int(tok[tok.index(key) + 1])
+                for key in ("conflicts", "bounds", "solution")}
 
     def test_conflict_cap_and_ordering(self):
         # 3 linear-form, 12 disjunction-only: cap 10 keeps all linear
@@ -289,21 +323,20 @@ class TestTransferRules:
         for length in range(12, 0, -1):
             d = disj(lower=tuple((j, 1.0) for j in range(length)))
             mixed.append(LearnedConstraint(d))
-        summary, _ = self.run_transfer(
-            crafted_outcome(self.box.copy(), conflicts=mixed))
-        assert summary.conflicts_attached == 10
-        kept = [lc for _, lc in self.sink]
+        self.run_transfer(crafted_outcome(self.box.copy(), conflicts=mixed))
+        assert self.rl_line()["conflicts"] == 10
+        kept = [lc for _, lc in self.solve.global_constraints]
         assert [lc.form for lc in kept] == ["linear"] * 3 + ["disjunction"] * 7
         assert [lc.length for lc in kept] == [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
         assert all(rec.scope == "global" for rec in self.stats.learned)
 
     def test_local_attachment_below_root(self):
         lc = LearnedConstraint(disj(lower=((0, 1.0), (2, 1.0))))
-        summary, node = self.run_transfer(
+        _, node = self.run_transfer(
             crafted_outcome(self.box.copy(), conflicts=[lc]),
-            node=fresh_node(5, depth=5), at_root=False)
-        assert summary.conflicts_attached == 1
-        assert self.sink == []
+            node=fresh_node(5, depth=5))
+        assert self.rl_line()["conflicts"] == 1
+        assert self.solve.global_constraints == []
         assert [c for _, c in node.locals_own] == [lc]
         assert self.stats.learned[0].scope == "local"
 
@@ -312,30 +345,31 @@ class TestTransferRules:
         tighter.tighten(0, Side.LOWER, 1.0)
         tighter.tighten(3, Side.UPPER, 0.0)
         # a solved probe's final box is not a valid tightening claim
-        summary, _ = self.run_transfer(
-            crafted_outcome(tighter, status=CpStatus.OPTIMAL))
-        assert summary.bounds_applied == 0
+        self.run_transfer(crafted_outcome(tighter, status=CpStatus.OPTIMAL))
+        assert self.rl_line()["bounds"] == 0
         assert self.box.lower[0] == 0.0
 
     def test_bound_transfer_at_root_updates_both_boxes(self):
         tighter = self.box.copy()
         tighter.tighten(0, Side.LOWER, 1.0)
         tighter.tighten(3, Side.UPPER, 0.0)
-        summary, _ = self.run_transfer(
+        settled, _ = self.run_transfer(
             crafted_outcome(tighter, status=CpStatus.NODE_LIMIT))
-        assert summary.bounds_applied == 2
-        assert not summary.finalized
+        assert self.rl_line()["bounds"] == 2
+        assert not settled
         assert self.box.lower[0] == 1.0 and self.box.upper[3] == 0.0
+        glob = self.solve.global_box
+        assert glob.lower[0] == 1.0 and glob.upper[3] == 0.0
         # at the root nothing becomes a local constraint
         assert self.stats.learned == []
 
     def test_bound_transfer_below_root_leaves_replay_crumbs(self):
         tighter = self.box.copy()
         tighter.tighten(2, Side.UPPER, 0.0)
-        summary, node = self.run_transfer(
+        _, node = self.run_transfer(
             crafted_outcome(tighter, status=CpStatus.NODE_LIMIT),
-            node=fresh_node(8, depth=5), at_root=False)
-        assert summary.bounds_applied == 1
+            node=fresh_node(8, depth=5))
+        assert self.rl_line()["bounds"] == 1
         assert len(node.locals_own) == 1
         _, lc1 = node.locals_own[0]
         assert lc1.disjunction.upper_lits == ((2, 0.0),)
@@ -343,21 +377,27 @@ class TestTransferRules:
         rec = self.stats.learned[0]
         assert rec.scope == "local" and rec.box_upper[2] == 1.0
         assert self.box.upper[2] == 0.0
+        assert self.solve.global_box.upper[2] == 1.0
 
     def test_contradictory_deltas_empty_the_scope(self):
         crossed = self.box.copy()
         crossed.lower[0] = 1.0
         crossed.upper[0] = 0.0
-        summary, _ = self.run_transfer(
+        settled, _ = self.run_transfer(
             crafted_outcome(crossed, status=CpStatus.NODE_LIMIT))
-        assert summary.scope_emptied and summary.finalized
+        assert settled
+        assert self.events[-1].startswith(
+            "node 0 depth 0 action rl-infeasible")
+        assert self.stats.leaves_infeasible == 1
 
     def test_solution_installed_and_logged(self):
         xs = np.zeros(16)
         xs[0] = 1.0
-        summary, _ = self.run_transfer(
+        self.run_transfer(
             crafted_outcome(self.box.copy(), solution=xs, value=1.0))
-        assert summary.solution_installed and not summary.solution_rejected
+        assert self.rl_line()["solution"] == 1
+        assert not any(e.startswith("rl-solution-rejected")
+                       for e in self.events)
         assert self.stats.incumbent_value == pytest.approx(1.0)
         assert self.stats.n_solutions == 1
         assert any(e.startswith("incumbent 1 ") and e.endswith("origin rl")
@@ -365,9 +405,9 @@ class TestTransferRules:
 
     def test_infeasible_claim_is_rejected(self):
         xs = np.zeros(16)     # violates x0 + x1 >= 1
-        summary, _ = self.run_transfer(
+        self.run_transfer(
             crafted_outcome(self.box.copy(), solution=xs, value=0.0))
-        assert summary.solution_rejected and not summary.solution_installed
+        assert self.rl_line()["solution"] == 0
         assert self.stats.incumbent is None
         assert any(e.startswith("rl-solution-rejected") for e in self.events)
 
@@ -375,16 +415,21 @@ class TestTransferRules:
         self.stats.incumbent_value = 1.0
         xs = np.zeros(16)
         xs[1] = 1.0
-        summary, _ = self.run_transfer(
+        self.run_transfer(
             crafted_outcome(self.box.copy(), solution=xs, value=1.0))
-        assert not summary.solution_installed
-        assert not summary.solution_rejected
+        assert self.rl_line()["solution"] == 0
+        assert not any(e.startswith("rl-solution-rejected")
+                       for e in self.events)
         assert self.stats.n_solutions == 0
 
     def test_finalized_tracks_probe_status(self):
-        for status, done in ((CpStatus.OPTIMAL, True),
-                             (CpStatus.INFEASIBLE, True),
-                             (CpStatus.NODE_LIMIT, False)):
-            summary, _ = self.run_transfer(
+        for status, leaf in ((CpStatus.OPTIMAL, "rl-optimal"),
+                             (CpStatus.INFEASIBLE, "rl-infeasible"),
+                             (CpStatus.NODE_LIMIT, None)):
+            self.setup_method()
+            settled, _ = self.run_transfer(
                 crafted_outcome(self.box.copy(), status=status))
-            assert summary.finalized is done
+            assert settled is (leaf is not None)
+            actions = [e.split()[5] for e in self.events
+                       if e.startswith("node ")]
+            assert actions == ([leaf] if leaf else [])

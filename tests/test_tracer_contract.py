@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 import rapidbnb
-from rapidbnb import MipConfig
+from rapidbnb import MipConfig, RapidConfig, from_inequalities
 from rapidbnb.bench import shifted_geomean
 
 import oracles
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 from run import end_to_end  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
@@ -39,10 +40,39 @@ def test_traced_counts_match_the_solver():
     assert cp_nodes, "the probe must run for its count to be checked"
     assert counts["cp.nodes"] == sum(cp_nodes)
     assert counts["prop.row_evals"] > 0
+    # the probe settles this model at the root, where every call of the
+    # probe hook passes the depth schedule and writes one `criteria` line
+    assert res.nodes == 1
+    assert counts["rapid.evals"] == \
+        sum(line.startswith("criteria ") for line in res.events)
 
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_probe_event_lines_match_the_traced_counts():
+    # a general-integer model whose probes below the root keep conflicts
+    m = gen.general_int_model(np.random.default_rng(33), "g", 10, 6)
+    inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
+    config = MipConfig(rapid_mode="local", rapid=RapidConfig(
+        criteria=frozenset(rapidbnb.rapid.CRITERION_NAMES)))
+    tracer = Tracer(rapidbnb)
+    with tracer.installed():
+        res = tracer.solve(inst, config)
+    counts = tracer.last_counts
+
+    # one `rl` line per probe run, one `lconstr` line per conflict an
+    # `rl` line reports as kept; below the root the hook is also called
+    # at depths off the schedule, which write no `criteria` line
+    lines = [line.split() for line in res.events]
+    assert counts["rapid.fires"] == sum(tok[0] == "rl" for tok in lines)
+    assert counts["rapid.evals"] > sum(tok[0] == "criteria" for tok in lines)
+    kept = sum(int(tok[tok.index("conflicts") + 1])
+               for tok in lines if tok[0] == "rl")
+    assert kept > 0
+    assert kept == counts["rapid.transferred"] == \
+        sum(tok[0] == "lconstr" for tok in lines)
 
 
 def test_end_to_end_cpu_geomean_uses_the_shared_helper():
