@@ -61,7 +61,8 @@ class CpOutcome:
 
 
 def node_limit_from_iters(iter_lp: int) -> int:
-    """Probe budget coupled to how hard the LP side has worked so far."""
+    """Probe budget coupled to the LP iterations done so far: node LPs
+    and the strong-branching LPs that were solved."""
     return min(5000, max(500, int(iter_lp)))
 
 
@@ -114,6 +115,9 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     # stack entries: (trail mark of the parent, level, branch or None)
     # branch = (var, side, bound value)
     stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+    # a cutoff leans on the objective's bounds, whose sides only c fixes
+    cutoff_reasons = [(j, Side.LOWER if c[j] > 0 else Side.UPPER)
+                      for j in range(n) if c[j] != 0.0]
 
     def apply_global_fix() -> bool:
         for (v, s), val in global_fix.items():
@@ -185,9 +189,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         xbar = pseudo_solution(box, c)
         obj = float(c @ xbar)
         if obj >= cbar - FEAS_TOL:  # cannot improve here, ties included
-            reasons = [(j, Side.LOWER if c[j] > 0 else Side.UPPER)
-                       for j in range(n) if c[j] != 0.0]
-            trail.fail(CUTOFF_REASON, reasons)
+            trail.fail(CUTOFF_REASON, cutoff_reasons)
             if not handle_failure():
                 stack.clear()
             continue

@@ -402,6 +402,13 @@ class _Simplex:
 
     # ---- extraction ----------------------------------------------------
 
+    def point(self, box: BoundBox) -> tuple[np.ndarray, float]:
+        """The optimum's structural values clipped into `box`, and their
+        objective."""
+        xs = self.x[:self.n].copy()
+        np.clip(xs, box.lower, box.upper, out=xs)
+        return xs, float(self.cost[:self.n] @ xs)
+
     def result(self, status: LpStatus, box: BoundBox) -> LpResult:
         fixed = (np.array(box.upper) - np.array(box.lower)) <= INT_TOL
         basis_status = np.array(self.status, dtype=np.int8)
@@ -411,10 +418,8 @@ class _Simplex:
                             fixed_mask=fixed)
         red = self.red
         red[self.basis] = 0.0  # exactly zero on the basis
-        xs = self.x[:self.n].copy()
-        np.clip(xs, box.lower, box.upper, out=xs)
-        return LpResult(LpStatus.OPTIMAL, x=xs,
-                        objective=float(self.cost[:self.n] @ xs),
+        xs, objective = self.point(box)
+        return LpResult(LpStatus.OPTIMAL, x=xs, objective=objective,
                         basis_status=basis_status,
                         reduced_costs=red,
                         iterations=self.iterations,
@@ -424,13 +429,16 @@ class _Simplex:
 def solve_lp(instance: Instance, box: BoundBox,
              warm_basis: np.ndarray | WarmStart | None = None,
              iteration_cap: int | None = None,
-             deadline: float | None = None) -> LpResult:
+             deadline: float | None = None,
+             objective_only: bool = False) -> LpResult:
     """Solve the LP relaxation over `box`.
 
     Deterministic for identical inputs.  `warm_basis` takes a previous
     result's basis_status, or a `WarmStart` of it that several LPs share;
     an unusable one is silently ignored.  Once `time.monotonic()` passes
     `deadline`, the solve stops before its next pivot with ITERATION_LIMIT.
+    With `objective_only` the result holds the status, the objective and
+    the iterations alone.
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
@@ -441,9 +449,13 @@ def solve_lp(instance: Instance, box: BoundBox,
         status = sx.run()
     except np.linalg.LinAlgError:
         if warm_basis is not None:
-            return solve_lp(instance, box, None, iteration_cap, deadline)
+            return solve_lp(instance, box, None, iteration_cap, deadline,
+                            objective_only)
         raise
-    return sx.result(status, box)
+    if not objective_only:
+        return sx.result(status, box)
+    objective = sx.point(box)[1] if status is LpStatus.OPTIMAL else None
+    return LpResult(status, objective=objective, iterations=sx.iterations)
 
 
 def measure_degeneracy(result: LpResult, num_rows: int) -> DegeneracyInfo:
@@ -498,7 +510,8 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
         if child.is_empty():
             objs.append(None)
             continue
-        res = solve_lp(instance, child, warm_basis=warm, deadline=deadline)
+        res = solve_lp(instance, child, warm_basis=warm, deadline=deadline,
+                       objective_only=True)
         iters += res.iterations
-        objs.append(res.objective if res.status is LpStatus.OPTIMAL else None)
+        objs.append(res.objective)
     return objs[0], objs[1], iters

@@ -505,6 +505,10 @@ class _Solve:
 
     def _strong_branch_round(self, node: Node, box: BoundBox, lp, obj: float,
                              x: np.ndarray, fractional: list[int]) -> None:
+        """Strong-branch the SB_CANDIDATES best-scored fractional variables
+        to set their missing pseudo-costs.  One with both directions set is
+        skipped, not replaced: it solves no LP and adds nothing to the
+        `sb_*` counters or `iter_lp` (reliability branching, threshold 1)."""
         stats, table = self.stats, self.stats.branching
         heavy = stats.conflict_heavy
         ranked = sorted(fractional, key=lambda j: (-table.score(j, heavy), j))
@@ -512,6 +516,8 @@ class _Solve:
         # it once for the round
         warm = WarmStart(lp.basis_status)
         for j in ranked[:SB_CANDIDATES]:
+            if (j, 0) in table.pc_count and (j, 1) in table.pc_count:
+                continue
             dn, up, iters = strong_branch(self.inst, box, j, lp,
                                           deadline=self.deadline, warm=warm)
             stats.iter_lp += iters

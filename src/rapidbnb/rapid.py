@@ -95,6 +95,8 @@ def evaluate_criteria(stats, lp_degeneracy: DegeneracyInfo, *,
     measured["nsols"] = float(stats.n_solutions)
     fired["nsols"] = stats.n_solutions == 0
 
+    # strong-branching LPs solved: a candidate skipped for its known
+    # pseudo-costs solves none and counts toward neither side
     measured["sblps"] = _ratio(stats.sb_no_improvement,
                                stats.sb_objective_changed)
     evaluated = stats.sb_no_improvement + stats.sb_objective_changed

@@ -147,6 +147,22 @@ class TestStrongBranch:
         assert strong_branch(inst, box, j, parent,
                              deadline=time.monotonic() - 1.0) == (None, None, 0)
 
+    def test_objective_only_builds_nothing_else(self):
+        rng = np.random.default_rng(80)
+        statuses = set()
+        for k in range(40):
+            inst = oracles.random_lp(rng)
+            cap = 1 if k % 2 else None   # odd cases stop at the cap
+            full = solve_lp(inst, inst.root_box(), iteration_cap=cap)
+            lean = solve_lp(inst, inst.root_box(), iteration_cap=cap,
+                            objective_only=True)
+            assert (lean.status, lean.objective, lean.iterations) == \
+                (full.status, full.objective, full.iterations), f"case {k}"
+            assert lean.x is None and lean.basis_status is None
+            assert lean.reduced_costs is None and lean.fixed_mask is None
+            statuses.add(full.status)
+        assert LpStatus.OPTIMAL in statuses and len(statuses) >= 2
+
 
 def wide_lp(rng: np.random.Generator, n: int, m: int):
     """A seeded LP with n structurals and at least m rows.

@@ -21,7 +21,7 @@ from rapidbnb import (
 )
 from rapidbnb.branching import BranchingStats, select_branching
 from rapidbnb.lp import strong_branch
-from rapidbnb.mipsearch import _Solve, record_leaf
+from rapidbnb.mipsearch import SB_CANDIDATES, _Solve, record_leaf
 from rapidbnb.rapid import CRITERION_NAMES
 
 import oracles
@@ -260,6 +260,37 @@ class TestBranchingMachinery:
         assert res.status == "optimal" and len(calls) >= 1
         assert res.stats.sb_no_improvement + \
             res.stats.sb_objective_changed == 2 * len(calls)
+
+    def test_strong_branching_skips_candidates_with_both_pseudo_costs(
+            self, monkeypatch):
+        rounds = []   # per round: [branching table, ranked slots, calls]
+        original_round = _Solve._strong_branch_round
+
+        def round_(self, node, box, lp, obj, x, fractional):
+            slots = min(len(fractional), SB_CANDIDATES)
+            rounds.append([self.stats.branching, slots, 0])
+            original_round(self, node, box, lp, obj, x, fractional)
+
+        def counted(*args, **kwargs):
+            table, j = rounds[-1][0], args[2]
+            assert (j, 0) not in table.pc_count or \
+                (j, 1) not in table.pc_count, j
+            rounds[-1][2] += 1
+            return strong_branch(*args, **kwargs)
+
+        monkeypatch.setattr(_Solve, "_strong_branch_round", round_)
+        monkeypatch.setattr("rapidbnb.mipsearch.strong_branch", counted)
+        rng = np.random.default_rng(2)
+        gen.clause_model(rng, "clause", 20)   # the golden knapsack's draw
+        m = gen.knapsack_model(rng, "knapsack", 14, 3)
+        inst = from_inequalities(m.c, m.rows, m.lower, m.upper,
+                                 range(len(m.c)))
+        res = solve(inst, MipConfig(rapid_mode="off", seed=1))
+        assert res.status == "optimal"
+        # a skipped candidate is not replaced: its round makes fewer calls
+        assert any(calls < slots for _, slots, calls in rounds)
+        assert res.stats.sb_no_improvement + res.stats.sb_objective_changed \
+            == 2 * sum(calls for _, _, calls in rounds)
 
 
 class TestResultShape:
