@@ -41,16 +41,14 @@ out = cp_search(clauses, clauses.root_box(), CpConfig(node_limit=500, seed=0))
 print("\nprobe over %d clauses on %d binaries:" % (m, n))
 print("   status   ", out.status.value)
 print("   nodes    ", out.nodes)
-print("   dead ends analyzed", len(out.audits))
 print("   conflicts kept    ", len(out.conflicts),
       "(short ones only; the length cap is 5% of the variables)")
 if out.solution is not None:
     print("   witness  ", out.solution.astype(int))
 
-# Each audit records the no-good as literals plus the node state it was
-# derived in; exactly one literal comes from the deepest level.
-if out.audits:
-    a = out.audits[0]
-    print("   first no-good:", ["x%d %s %g (level %d)"
-                                % (v, s.name.lower(), val, lvl)
-                                for v, s, val, lvl in a.literals])
+# Each kept conflict is a no-good: a disjunction of bound literals that
+# every feasible point satisfies.  When its literals sit one step inside
+# the scope's bounds it also has a linear form, a single knapsack row.
+if out.conflicts:
+    lc = out.conflicts[0]
+    print("   first conflict:", lc.disjunction, "(form %s)" % lc.form)

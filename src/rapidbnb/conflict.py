@@ -172,36 +172,10 @@ class LearnedConstraint:
 
 
 @dataclass
-class ConflictAudit:
-    """Creation-time snapshot used by validity and structure checks."""
-
-    literals: tuple[tuple[int, Side, float, int], ...]  # (+ source level)
-    deepest_level: int
-    node_bounds: dict[int, tuple[float, float]]
-    tainted: bool
-
-
-@dataclass
-class LearnedRecord:
-    """One constraint the solver kept, with the box its scope covered.
-
-    `scope` is "global" or "local"; the bounds are copies taken at attach
-    time, so a validity audit can replay exactly what the constraint was
-    claimed to hold over.
-    """
-
-    scope: str
-    constraint: "LearnedConstraint"
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-
-
-@dataclass
 class AnalysisOutcome:
     disjunction: BoundDisjunction | None
     tainted: bool
     root_failure: bool = False
-    audit: ConflictAudit | None = None
 
 
 def analyze_1uip(trail: Trail, int_mask: np.ndarray,
@@ -210,7 +184,7 @@ def analyze_1uip(trail: Trail, int_mask: np.ndarray,
 
     Resolution happens at the deepest level actually present among the
     failure's antecedents, so stale failures coming out of replayed
-    trails analyze correctly too.  The audit snapshots the trail's box.
+    trails analyze correctly too.
     """
     fail = trail.failure
     if fail is None:
@@ -244,37 +218,24 @@ def analyze_1uip(trail: Trail, int_mask: np.ndarray,
                 conflict.add(q)
 
     # negate the cut; merge per (var, side) keeping the weakest literal
-    lower: dict[int, tuple[float, int]] = {}
-    upper: dict[int, tuple[float, int]] = {}
-    for p in sorted(conflict):
+    lower: dict[int, float] = {}
+    upper: dict[int, float] = {}
+    for p in conflict:
         ch = changes[p]
         if not int_mask[ch.var]:
             return AnalysisOutcome(None, tainted)
         if ch.side is Side.UPPER:
             lam = ch.value + 1.0  # not(x <= v)  ==  x >= v + 1
-            cur = lower.get(ch.var)
-            lower[ch.var] = ((lam, ch.level) if cur is None else
-                             (min(cur[0], lam), max(cur[1], ch.level)))
+            lower[ch.var] = min(lower.get(ch.var, lam), lam)
         else:
             mu = ch.value - 1.0  # not(x >= v)  ==  x <= v - 1
-            cur = upper.get(ch.var)
-            upper[ch.var] = ((mu, ch.level) if cur is None else
-                             (max(cur[0], mu), max(cur[1], ch.level)))
+            upper[ch.var] = max(upper.get(ch.var, mu), mu)
 
     if set(lower) & set(upper):
         return AnalysisOutcome(None, tainted)
-
-    disj = BoundDisjunction(
-        tuple((v, val) for v, (val, _) in sorted(lower.items())),
-        tuple((v, val) for v, (val, _) in sorted(upper.items())))
-    audit_lits = tuple(
-        [(v, Side.LOWER, val, lvl) for v, (val, lvl) in sorted(lower.items())] +
-        [(v, Side.UPPER, val, lvl) for v, (val, lvl) in sorted(upper.items())])
-    box = trail.box
-    watched = {v: (float(box.lower[v]), float(box.upper[v]))
-               for v in disj.variables()}
-    audit = ConflictAudit(audit_lits, deepest, watched, tainted)
-    return AnalysisOutcome(disj, tainted, audit=audit)
+    return AnalysisOutcome(BoundDisjunction(tuple(sorted(lower.items())),
+                                            tuple(sorted(upper.items()))),
+                           tainted)
 
 
 def to_knapsack(d: BoundDisjunction, lower: np.ndarray,

@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .branching import (AllFixedError, BranchingStats,
                         select_inference_branching)
-from .conflict import (CUTOFF_REASON, ConflictAudit, LearnedConstraint,
-                       Trail, analyze_1uip, to_knapsack)
+from .conflict import (CUTOFF_REASON, LearnedConstraint, Trail, analyze_1uip,
+                       to_knapsack)
 from .model import FEAS_TOL, BoundBox, EmptyBoxError, Instance, Side
 from .propagation import Outcome, Propagator
 
@@ -57,7 +57,6 @@ class CpOutcome:
     solution: np.ndarray | None
     solution_value: float
     nodes: int
-    audits: list[ConflictAudit] = field(default_factory=list)
 
 
 def node_limit_from_iters(iter_lp: int) -> int:
@@ -105,7 +104,6 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     table = branching if branching is not None else BranchingStats()
     cap = math.ceil(MAX_CONFLICT_FRAC * n)
     conflicts: list[LearnedConstraint] = []
-    audits: list[ConflictAudit] = []
     tainted_ids: set[int] = set()
     global_fix: dict[tuple[int, Side], float] = {}
     cbar = float(config.incumbent_bound)
@@ -137,10 +135,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
                 scope_infeasible = True
             return False
         d = out.disjunction
-        if d is None:
-            return True
-        audits.append(out.audit)
-        if d.size > cap:
+        if d is None or d.size > cap:
             return True
         cid = next_cid
         next_cid += 1
@@ -237,4 +232,4 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     return CpOutcome(status=status, conflicts=conflicts, box=final,
                      solution=best,
                      solution_value=cbar if best is not None else math.inf,
-                     nodes=nodes, audits=audits)
+                     nodes=nodes)

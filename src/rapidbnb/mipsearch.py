@@ -4,7 +4,8 @@ Node selection is best bound with depth-first plunging.  Open nodes
 store no boxes: a node keeps its branching bounds and its own local
 constraints, and its state (box, trail and propagator) is built level
 by level, one propagation round each, which also gives conflict
-analysis correct decision levels for free.  A node popped from the heap
+analysis correct decision levels for free.  The root's state is the
+one the global box was propagated with.  A node popped from the heap
 replays its path from the root.  A plunge child extends the state its
 parent left, with one more level on the same trail and propagator, and
 logs the same lines a replay would.  That holds only while nothing has
@@ -33,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import PC_FLOOR, BranchingStats, select_branching
-from .conflict import (BoundDisjunction, ConflictAudit, LearnedConstraint,
-                       LearnedRecord, Trail, analyze_1uip, to_knapsack,
-                       upgrade_singleton)
+from .conflict import (BoundDisjunction, LearnedConstraint, Trail,
+                       analyze_1uip, to_knapsack, upgrade_singleton)
 from .cpsearch import CpOutcome, CpStatus
 from .lp import LpStatus, WarmStart, solve_lp, strong_branch
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
@@ -76,8 +76,6 @@ class SearchStats:
     rl_calls: int = 0
     criterion_fires: dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in CRITERION_NAMES})
-    audits: list[ConflictAudit] = field(default_factory=list)
-    learned: list[LearnedRecord] = field(default_factory=list)
 
     @property
     def conflict_heavy(self) -> bool:
@@ -194,7 +192,8 @@ class _Solve:
         self.next_cid = instance.num_rows
         self.heap: list[tuple[float, int, Node]] = []
         self.next_node: Node | None = None
-        # the state of next_node's parent, when the plunge can extend it
+        # the state of next_node's parent, when the plunge can extend it,
+        # or the root's own before the root is processed
         self.kept: _NodeState | None = None
         self.plunge = 0
         self.nodes_processed = 0
@@ -260,7 +259,6 @@ class _Solve:
         d = out.disjunction
         if d is None:
             return
-        self.stats.audits.append(out.audit)
         if out.tainted:
             # derivation leaned on a node-local constraint; not globally valid
             self.log(f"conflict node {node.id} size {d.size} scope discarded")
@@ -276,9 +274,6 @@ class _Solve:
         lc = LearnedConstraint(
             d, to_knapsack(d, self.global_box.lower, self.global_box.upper))
         self.global_constraints.append((self._alloc_cid(), lc))
-        self.stats.learned.append(LearnedRecord(
-            "global", lc, np.array(self.global_box.lower),
-            np.array(self.global_box.upper)))
 
     # -- node processing ---------------------------------------------
 
@@ -329,7 +324,9 @@ class _Solve:
         inst, stats = self.inst, self.stats
         t_switch = time.perf_counter()
         kept, self.kept = self.kept, None
-        if kept is not None and node.parent is kept.node:
+        if kept is not None and kept.node is node:
+            state = kept        # the root's, built by run()
+        elif kept is not None and node.parent is kept.node:
             state = self._extend(node, kept)
         else:
             state = self._replay(node)
@@ -414,9 +411,6 @@ class _Solve:
         """
         inst, stats = self.inst, self.stats
         at_root = node.depth == 0
-        # the probe's claims are all relative to the scope it started from
-        scope_lower = np.array(box.lower)
-        scope_upper = np.array(box.upper)
 
         ranked = sorted(outcome.conflicts,
                         key=lambda lc: (0 if lc.linear is not None else 1,
@@ -430,9 +424,6 @@ class _Solve:
             stats.branching.bump(lc.disjunction.literals())
             self.log(f"lconstr {cid} node {node.id} level {node.depth} "
                      f"scope {scope} size {lc.length} form {lc.form}")
-            stats.learned.append(LearnedRecord(scope, lc, scope_lower,
-                                               scope_upper))
-        stats.audits.extend(outcome.audits)
 
         n_bounds = 0
         emptied = False
@@ -453,10 +444,8 @@ class _Solve:
                         d1 = BoundDisjunction(lower_lits=lit, upper_lits=()) \
                             if side is Side.LOWER else \
                             BoundDisjunction(lower_lits=(), upper_lits=lit)
-                        lc1 = LearnedConstraint(d1)
-                        node.locals_own.append((self._alloc_cid(), lc1))
-                        stats.learned.append(LearnedRecord(
-                            "local", lc1, scope_lower, scope_upper))
+                        node.locals_own.append((self._alloc_cid(),
+                                                LearnedConstraint(d1)))
                     n_bounds += 1
             except EmptyBoxError:
                 emptied = True
@@ -589,10 +578,15 @@ class _Solve:
 
     def run(self) -> SolveResult:
         inst, stats = self.inst, self.stats
-        # root propagation is globally valid: fold it into the global box
-        res = self._propagator().to_fixpoint(self.global_box)
+        # root propagation is globally valid: fold it into the global box,
+        # and keep its state for the root node
+        root = Node(id=1, parent=None, depth=0, lower_bound=-INF, delta=())
+        state = _NodeState(root, Trail(self.global_box.copy()),
+                           self._propagator())
+        res = state.prop.to_fixpoint(state.trail.box, state.trail)
         if res.outcome is Outcome.INFEASIBLE:
             return self._finish("infeasible")
+        self.global_box = state.trail.box.copy()
         root_lp = solve_lp(inst, self.global_box, deadline=self.deadline)
         stats.iter_lp += root_lp.iterations
         if root_lp.status is LpStatus.INFEASIBLE:
@@ -603,9 +597,10 @@ class _Solve:
             if root_lp.status is LpStatus.OPTIMAL else -INF
         stats.root_dual_bound = root_dual
         stats.dual_bound = root_dual
-        root = Node(id=1, parent=None, depth=0, lower_bound=root_dual,
-                    delta=(), basis=root_lp.basis_status)
+        root.lower_bound = root_dual
+        root.basis = root_lp.basis_status
         self._push(root)
+        self.kept = state
 
         limit = INF if self.cfg.node_limit is None else self.cfg.node_limit
         status: str | None = None

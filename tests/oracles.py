@@ -4,14 +4,18 @@ Everything here is deliberately slow and simple: exhaustive integer
 enumeration for IP optima, vertex enumeration for LP optima, and a
 seeded instance generator sized so enumeration stays instant.  Expected
 values frozen into tests come from these functions, never from the code
-under test.
+under test.  `SearchRecorder` watches the searches from outside and
+keeps what tests check the solver's conflicts and probe claims against.
 """
 
+import importlib
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from rapidbnb import Instance, from_inequalities
+from rapidbnb import (BoundDisjunction, CpOutcome, CpStatus, Instance,
+                      LearnedConstraint, Side, from_inequalities)
 
 FEAS_TOL = 1e-6
 
@@ -49,18 +53,32 @@ def row_system(instance: Instance):
 
 
 def feasible_points(instance: Instance, lower=None, upper=None) -> np.ndarray:
-    """Integer-feasible points inside the given box (default: root box)."""
+    """Integer-feasible points inside the given box (default: root box),
+    in the order of `integer_grid`.
+
+    The grid grows one variable at a time, and each row filters it as
+    soon as its last variable is in, so rows prune before the grid gets
+    large.
+    """
     lo = instance.lower if lower is None else np.asarray(lower, dtype=float)
     hi = instance.upper if upper is None else np.asarray(upper, dtype=float)
+    n = instance.num_vars
     if np.any(lo > hi):
-        return np.zeros((0, instance.num_vars))
-    pts = integer_grid(np.ceil(lo - FEAS_TOL), np.floor(hi + FEAS_TOL))
-    if pts.shape[0] == 0:
-        return pts
-    a, b = row_system(instance)
-    if instance.num_rows:
-        ok = np.all(pts @ a.T <= b[None, :] + FEAS_TOL, axis=1)
-        pts = pts[ok]
+        return np.zeros((0, n))
+    ready: list[list] = [[] for _ in range(n + 1)]
+    for row in instance.rows:
+        ready[1 + max(row.cols, default=-1)].append(row)
+    lo_int = np.ceil(lo - FEAS_TOL)
+    hi_int = np.floor(hi + FEAS_TOL)
+    pts = np.zeros((1, 0))
+    for j in range(n + 1):
+        for row in ready[j]:
+            act = pts[:, list(row.cols)] @ np.asarray(row.coefs, dtype=float)
+            pts = pts[act <= row.rhs + FEAS_TOL]
+        if j < n:
+            vals = np.arange(lo_int[j], hi_int[j] + 1)
+            pts = np.hstack([np.repeat(pts, len(vals), axis=0),
+                             np.tile(vals, len(pts))[:, None]])
     return pts
 
 
@@ -188,3 +206,135 @@ def random_lp(rng: np.random.Generator) -> Instance:
         rhs = act + float(rng.integers(0, 5))
         rows.append((cols, tuple(float(a) for a in coefs), "<=", rhs))
     return from_inequalities(c, rows, lower, upper, integer_set=())
+
+
+# -- watching the searches ---------------------------------------------
+
+RECORDED_NAMES = ("rapidbnb.mipsearch.analyze_1uip",
+                  "rapidbnb.cpsearch.analyze_1uip",
+                  "rapidbnb.rapid.cp_search")
+
+
+@dataclass
+class AnalysisRecord:
+    """One conflict analysis that returned a disjunction, seen from the
+    trail it analyzed rather than from the analysis' own report."""
+
+    disjunction: BoundDisjunction
+    tainted: bool                     # as the analysis reports it
+    levels: tuple[int | None, ...]    # per literal of disjunction.literals()
+    failure_level: int                # deepest level among the failure's reasons
+    bounds: dict[int, tuple[float, float]]   # the box at the failure
+
+    def is_one_uip(self) -> bool:
+        """Exactly one literal from the failure's level, none deeper, and
+        every literal false in the box the failure happened in."""
+        if self.levels.count(self.failure_level) != 1 or \
+                any(lvl is None or lvl > self.failure_level
+                    for lvl in self.levels):
+            return False
+        for var, side, value in self.disjunction.literals():
+            lo, hi = self.bounds[var]
+            if side is Side.LOWER and not hi < value - 1e-9:
+                return False
+            if side is Side.UPPER and not lo > value + 1e-9:
+                return False
+        return True
+
+
+@dataclass
+class ProbeRecord:
+    """One probe run: a copy of its scope box taken before the call, and
+    what it returned."""
+
+    scope_lower: np.ndarray
+    scope_upper: np.ndarray
+    outcome: CpOutcome
+
+    def claims(self) -> list[LearnedConstraint]:
+        """Everything the probe claims valid for its scope: each conflict,
+        and each bound of a probe stopped by its budget as one literal."""
+        out = list(self.outcome.conflicts)
+        if self.outcome.status is CpStatus.NODE_LIMIT:
+            box = self.outcome.box
+            for j, (lo, hi) in enumerate(zip(self.scope_lower,
+                                             self.scope_upper)):
+                if box.lower[j] > lo + FEAS_TOL:
+                    out.append(LearnedConstraint(
+                        BoundDisjunction(((j, box.lower[j]),), ())))
+                if box.upper[j] < hi - FEAS_TOL:
+                    out.append(LearnedConstraint(
+                        BoundDisjunction((), ((j, box.upper[j]),))))
+        return out
+
+
+def _falsified_at(changes, var: int, side: Side, value: float) -> int | None:
+    """Level of the first trail change that made the literal false."""
+    for ch in changes:
+        if ch.var == var and ch.side is not side and \
+                (ch.value < value if side is Side.LOWER else ch.value > value):
+            return ch.level
+    return None
+
+
+class SearchRecorder:
+    """Records every conflict analysis and probe run while active.
+
+    A context manager: entering wraps the names in RECORDED_NAMES, which
+    is where the searches look them up, and leaving puts the originals
+    back.  Leaving also fails loudly if a name in `require` was never
+    called, so that a function that moved or was renamed cannot leave a
+    check with nothing to check.
+    """
+
+    def __init__(self, require: tuple[str, ...] = RECORDED_NAMES) -> None:
+        self.require = require
+        self.analyses: list[AnalysisRecord] = []
+        self.probes: list[ProbeRecord] = []
+        self.calls = {name: 0 for name in RECORDED_NAMES}
+        self._saved: list[tuple[object, str, object]] = []
+
+    def _analysis(self, name: str, fn):
+        def recorded(trail, *args, **kwargs):
+            out = fn(trail, *args, **kwargs)
+            self.calls[name] += 1
+            d = out.disjunction
+            if d is not None:
+                changes = trail.changes
+                box = trail.box
+                self.analyses.append(AnalysisRecord(
+                    d, out.tainted,
+                    tuple(_falsified_at(changes, *lit)
+                          for lit in d.literals()),
+                    max(changes[p].level for p in trail.failure.antecedents),
+                    {v: (box.lower[v], box.upper[v]) for v in d.variables()}))
+            return out
+        return recorded
+
+    def _probe(self, name: str, fn):
+        def recorded(instance, scope_box, *args, **kwargs):
+            lower = np.array(scope_box.lower)
+            upper = np.array(scope_box.upper)
+            out = fn(instance, scope_box, *args, **kwargs)
+            self.calls[name] += 1
+            self.probes.append(ProbeRecord(lower, upper, out))
+            return out
+        return recorded
+
+    def __enter__(self) -> "SearchRecorder":
+        for name in RECORDED_NAMES:
+            module, attr = name.rsplit(".", 1)
+            owner = importlib.import_module(module)
+            fn = getattr(owner, attr)
+            self._saved.append((owner, attr, fn))
+            wrap = self._probe if attr == "cp_search" else self._analysis
+            setattr(owner, attr, wrap(name, fn))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        while self._saved:
+            owner, attr, fn = self._saved.pop()
+            setattr(owner, attr, fn)
+        if exc_type is None:
+            silent = [n for n in self.require if not self.calls[n]]
+            assert not silent, f"never called while recording: {silent}"

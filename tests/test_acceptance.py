@@ -7,17 +7,19 @@ check only and asserts no performance direction.
 import json
 import math
 import time
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import oracles
 from rapidbnb.cli import main as cli_main
-from rapidbnb.conflict import BoundDisjunction, to_knapsack
+from rapidbnb.conflict import BoundDisjunction, LearnedConstraint, to_knapsack
 from rapidbnb.cpsearch import cp_search, CpConfig, node_limit_from_iters
 from rapidbnb.lp import DegeneracyInfo, measure_degeneracy, solve_lp
-from rapidbnb.mipsearch import MipConfig, SearchStats, solve
-from rapidbnb.model import INF, Instance, Side
+from rapidbnb.mipsearch import MipConfig, SearchStats, SolveResult, _Solve
+from rapidbnb.model import INF, Instance
 from rapidbnb.mps import write_mps
 from rapidbnb.propagation import Outcome, Propagator
 from rapidbnb import rapid
@@ -40,12 +42,38 @@ def rl_config(seed: int = 1) -> MipConfig:
                                        f=1, beta=2.0))
 
 
+@dataclass
+class Recorded:
+    """One solve and what a `SearchRecorder` saw during it."""
+
+    result: SolveResult
+    global_constraints: list[LearnedConstraint]
+    probes: list[tuple[int, oracles.ProbeRecord]]   # (node depth, probe)
+    analyses: list[oracles.AnalysisRecord]
+
+
+def solve_recorded(inst, config, rec: oracles.SearchRecorder) -> Recorded:
+    """Solve under the active recorder.  The global constraints are read
+    off the solve after its run; each probe gets the depth of its node
+    from the `rl` line the transfer wrote for it, in order."""
+    first_probe, first_analysis = len(rec.probes), len(rec.analyses)
+    solver = _Solve(inst, config)
+    res = solver.run()
+    depths = [int(tok[tok.index("depth") + 1])
+              for tok in map(str.split, res.events) if tok[0] == "rl"]
+    probes = rec.probes[first_probe:]
+    assert len(depths) == len(probes)
+    return Recorded(res, [lc for _, lc in solver.global_constraints],
+                    list(zip(depths, probes)), rec.analyses[first_analysis:])
+
+
 class SuiteEntry:
-    def __init__(self, inst, verdict, value, runs):
+    def __init__(self, inst, verdict, value, points, runs):
         self.inst = inst
         self.verdict = verdict      # enumeration: "optimal" | "infeasible"
         self.value = value
-        self.runs = runs            # {"off": SolveResult, "rl": SolveResult}
+        self.points = points        # every feasible point
+        self.runs = runs            # {"off": Recorded, "rl": Recorded}
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +81,16 @@ def suite():
     rng = np.random.default_rng(SUITE_SEED)
     t0 = time.monotonic()
     entries = []
-    while len(entries) < SUITE_SIZE:
-        flat = len(entries) % 5 == 2   # every fifth: constant objective
-        inst = oracles.random_instance(rng, allow_zero_objective=flat)
-        verdict, value, _ = oracles.enumerate_optimum(inst)
-        runs = {"off": solve(inst, MipConfig(rapid_mode="off", seed=1)),
-                "rl": solve(inst, rl_config())}
-        entries.append(SuiteEntry(inst, verdict, value, runs))
+    with oracles.SearchRecorder() as rec:
+        while len(entries) < SUITE_SIZE:
+            flat = len(entries) % 5 == 2   # every fifth: constant objective
+            inst = oracles.random_instance(rng, allow_zero_objective=flat)
+            verdict, value, _ = oracles.enumerate_optimum(inst)
+            runs = {"off": solve_recorded(
+                        inst, MipConfig(rapid_mode="off", seed=1), rec),
+                    "rl": solve_recorded(inst, rl_config(), rec)}
+            entries.append(SuiteEntry(inst, verdict, value,
+                                      oracles.feasible_points(inst), runs))
     elapsed = time.monotonic() - t0
     return entries, elapsed
 
@@ -68,7 +99,8 @@ def test_criterion_01_exactness(suite):
     entries, elapsed = suite
     n_opt = n_inf = 0
     for k, e in enumerate(entries):
-        for mode, res in e.runs.items():
+        for mode, run in e.runs.items():
+            res = run.result
             assert res.status == e.verdict, \
                 f"case {k} ({mode}): {res.status} vs {e.verdict}"
             if e.verdict == "optimal":
@@ -87,113 +119,100 @@ def _disjunction_holds(d: BoundDisjunction, x: np.ndarray) -> bool:
         any(x[j] <= v + TOL for j, v in d.upper_lits)
 
 
-def _audit_learned(inst, learned) -> tuple[int, int, dict]:
-    """(point checks, violations, per-scope counts) for one instance."""
-    pts = oracles.feasible_points(inst)
-    checked = violations = 0
-    scopes = {"global": 0, "local": 0}
-    for rec in learned:
-        scopes[rec.scope] += 1
-        sub = pts
-        if rec.scope == "local" and len(pts):
-            mask = ((pts >= rec.box_lower - TOL).all(axis=1)
-                    & (pts <= rec.box_upper + TOL).all(axis=1))
-            sub = pts[mask]
-        if not len(sub):
-            continue
-        d = rec.constraint.disjunction
-        sat = np.zeros(len(sub), dtype=bool)
+class ClaimAudit:
+    """Checks learned constraints and probe claims against feasible
+    points: global constraints against all of them, a probe's claims
+    against those inside the box its scope had before the probe ran."""
+
+    def __init__(self):
+        self.claims = Counter()     # "global", "root probe", "local"
+        self.checked = self.violations = 0
+
+    def _check(self, lc: LearnedConstraint, pts: np.ndarray) -> None:
+        if not len(pts):
+            return
+        d = lc.disjunction
+        sat = np.zeros(len(pts), dtype=bool)
         for j, v in d.lower_lits:
-            sat |= sub[:, j] >= v - TOL
+            sat |= pts[:, j] >= v - TOL
         for j, v in d.upper_lits:
-            sat |= sub[:, j] <= v + TOL
-        violations += int((~sat).sum())
-        lin = rec.constraint.linear
+            sat |= pts[:, j] <= v + TOL
+        self.violations += int((~sat).sum())
+        lin = lc.linear
         if lin is not None:
-            act = sub[:, list(lin.cols)] @ np.asarray(lin.coefs)
-            violations += int((act > lin.rhs + TOL).sum())
-        checked += len(sub)
-    return checked, violations, scopes
+            act = pts[:, list(lin.cols)] @ np.asarray(lin.coefs)
+            self.violations += int((act > lin.rhs + TOL).sum())
+        self.checked += len(pts)
+
+    def add(self, run: Recorded, pts: np.ndarray) -> None:
+        for lc in run.global_constraints:
+            self.claims["global"] += 1
+            self._check(lc, pts)
+        for depth, probe in run.probes:
+            inside = ((pts >= probe.scope_lower - TOL).all(axis=1)
+                      & (pts <= probe.scope_upper + TOL).all(axis=1))
+            for lc in probe.claims():
+                self.claims["local" if depth > 0 else "root probe"] += 1
+                self._check(lc, pts[inside])
 
 
 def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
     entries, _ = suite
-    checked = violations = 0
-    scopes = {"global": 0, "local": 0}
+    audit = ClaimAudit()
     for e in entries:
-        for res in e.runs.values():
-            c, v, s = _audit_learned(e.inst, res.stats.learned)
-            checked, violations = checked + c, violations + v
-            for key in scopes:
-                scopes[key] += s[key]
-    suite_total = scopes["global"] + scopes["local"]
+        for run in e.runs.values():
+            audit.add(run, e.points)
+    suite_total = sum(audit.claims.values())
     # the suite envelope learns little; audit a conflict-heavy corpus
-    # through the same public entry point on top of it
-    for seed, n, m in ((31, 16, 67), (202, 18, 76), (7, 18, 76)):
-        rng = np.random.default_rng(seed)
-        for _ in range(4):
-            inst = oracles.random_sat_instance(rng, n=n, m=m)
-            for cfg in (MipConfig(rapid_mode="off", seed=1, node_limit=400),
-                        rl_config()):
-                res = solve(inst, cfg)
-                c, v, s = _audit_learned(inst, res.stats.learned)
-                checked, violations = checked + c, violations + v
-                for key in scopes:
-                    scopes[key] += s[key]
-    # weighted clause instances keep the root probe quiet (the leaves
-    # criterion has no evidence there), so transfers land node-local
-    monkeypatch.setattr(rapid, "RATIO_THRESHOLD", 2.0)
-    local_cfg = MipConfig(
-        rapid_mode="local", seed=1,
-        rapid=RapidConfig(criteria=frozenset({"leaves"}), f=1, beta=2.0))
-    for seed, n, m in ((31, 16, 67), (202, 18, 76), (11, 18, 72)):
-        rng = np.random.default_rng(seed)
-        for _ in range(4):
-            base = oracles.random_sat_instance(rng, n=n, m=m)
-            weights = rng.integers(1, 4, size=n).astype(float)
-            inst = Instance(weights, base.rows, base.lower, base.upper,
-                            np.flatnonzero(base.integer_mask))
-            res = solve(inst, local_cfg)
-            c, v, s = _audit_learned(inst, res.stats.learned)
-            checked, violations = checked + c, violations + v
-            for key in scopes:
-                scopes[key] += s[key]
-    assert violations == 0
-    assert scopes["global"] >= 50 and scopes["local"] >= 10
-    report(2, f"{scopes['global']} global + {scopes['local']} local "
-              f"constraints ({suite_total} from the exactness suite), "
-              f"{checked} point checks, 0 violations")
-
-
-def _audit_is_one_uip(audit) -> bool:
-    deepest = sum(1 for (_, _, _, lvl) in audit.literals
-                  if lvl == audit.deepest_level)
-    if deepest != 1:
-        return False
-    for var, side, value, _ in audit.literals:
-        lo, hi = audit.node_bounds[var]
-        if side is Side.LOWER and not hi < value - 1e-9:
-            return False
-        if side is Side.UPPER and not lo > value + 1e-9:
-            return False
-    return True
+    # through the same entry point on top of it
+    with oracles.SearchRecorder() as rec:
+        for seed, n, m in ((31, 16, 67), (202, 18, 76), (7, 18, 76)):
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                inst = oracles.random_sat_instance(rng, n=n, m=m)
+                pts = oracles.feasible_points(inst)
+                for cfg in (MipConfig(rapid_mode="off", seed=1,
+                                      node_limit=400), rl_config()):
+                    audit.add(solve_recorded(inst, cfg, rec), pts)
+        # weighted clause instances keep the root probe quiet (the leaves
+        # criterion has no evidence there), so transfers land node-local
+        monkeypatch.setattr(rapid, "RATIO_THRESHOLD", 2.0)
+        local_cfg = MipConfig(
+            rapid_mode="local", seed=1,
+            rapid=RapidConfig(criteria=frozenset({"leaves"}), f=1, beta=2.0))
+        for seed, n, m in ((31, 16, 67), (202, 18, 76), (11, 18, 72)):
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                base = oracles.random_sat_instance(rng, n=n, m=m)
+                weights = rng.integers(1, 4, size=n).astype(float)
+                inst = Instance(weights, base.rows, base.lower, base.upper,
+                                np.flatnonzero(base.integer_mask))
+                audit.add(solve_recorded(inst, local_cfg, rec),
+                          oracles.feasible_points(inst))
+    claims = audit.claims
+    assert audit.violations == 0
+    assert claims["global"] >= 50 and claims["local"] >= 10
+    report(2, f"{claims['global']} global constraints, {claims['local']} "
+              f"local and {claims['root probe']} root probe claims "
+              f"({suite_total} from the exactness suite), "
+              f"{audit.checked} point checks, 0 violations")
 
 
 def test_criterion_03_one_uip_structure(suite):
     entries, _ = suite
-    audits = [a for e in entries for res in e.runs.values()
-              for a in res.stats.audits]
+    analyses = [a for e in entries for run in e.runs.values()
+                for a in run.analyses]
     # top up from probe runs on clause systems if the suite ran clean
     rng = np.random.default_rng(31)
-    while len(audits) < 50:
-        inst = oracles.random_sat_instance(rng, n=16, m=67)
-        out = cp_search(inst, inst.root_box(),
-                        CpConfig(node_limit=2000, seed=5))
-        audits.extend(out.audits)
-    bad = sum(1 for a in audits if not _audit_is_one_uip(a))
-    assert bad == 0 and len(audits) >= 50
-    report(3, f"{len(audits)} conflicts, all single-deepest-literal and "
-              f"violated at their origin node")
+    with oracles.SearchRecorder(require=()) as rec:
+        while len(analyses) + len(rec.analyses) < 50:
+            inst = oracles.random_sat_instance(rng, n=16, m=67)
+            cp_search(inst, inst.root_box(), CpConfig(node_limit=2000, seed=5))
+    analyses += rec.analyses
+    bad = sum(1 for a in analyses if not a.is_one_uip())
+    assert bad == 0 and len(analyses) >= 50
+    report(3, f"{len(analyses)} conflicts, all with one literal from the "
+              f"failure's level and violated at their origin node")
 
 
 def test_criterion_04_knapsack_equivalence():
@@ -268,7 +287,7 @@ def test_criterion_07_propagation_soundness(suite):
     n_reduced = 0
     rng = np.random.default_rng(777)
     for k, e in enumerate(entries):
-        pts = oracles.feasible_points(e.inst)
+        pts = e.points
         box = e.inst.root_box()
         res = Propagator(e.inst).to_fixpoint(box)
         if res.outcome is Outcome.INFEASIBLE:

@@ -1,16 +1,23 @@
 """Trail, 1-UIP analysis output, and disjunction/knapsack conversion."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import rapidbnb
 from rapidbnb import (
     BoundBox,
     BoundDisjunction,
     CpConfig,
     EmptyBoxError,
+    Instance,
+    MipConfig,
+    RapidConfig,
     Side,
     check_disjunction,
     cp_search,
+    solve,
     to_knapsack,
 )
 from rapidbnb.conflict import Trail, upgrade_singleton
@@ -132,32 +139,67 @@ class TestTrail:
         assert trail.mark() == before
 
 
-def harvest_audits(n_instances=12, seed=50):
-    """Audits from cp_search runs over conflict-heavy clause systems."""
+def harvest_analyses(n_instances=12, seed=50):
+    """What a recorder sees of the analyses of cp_search runs over
+    conflict-heavy clause systems."""
     rng = np.random.default_rng(seed)
-    bag = []
-    for _ in range(n_instances):
-        inst = oracles.random_sat_instance(rng)
-        out = cp_search(inst, inst.root_box(), CpConfig(node_limit=300, seed=1))
-        bag.extend((inst, audit) for audit in out.audits)
-    return bag
+    with oracles.SearchRecorder(
+            require=("rapidbnb.cpsearch.analyze_1uip",)) as rec:
+        for _ in range(n_instances):
+            inst = oracles.random_sat_instance(rng)
+            cp_search(inst, inst.root_box(), CpConfig(node_limit=300, seed=1))
+    return rec.analyses
 
 
 class TestOneUipStructure:
+    """Checked against the trail each analysis ran on: a literal's level
+    is that of the first trail change that made it false."""
+
     def test_deepest_level_has_one_literal(self):
-        bag = harvest_audits()
+        bag = harvest_analyses()
         assert len(bag) >= MIN_AUDITED_CONFLICTS
-        for _, audit in bag:
-            at_deepest = [lit for lit in audit.literals
-                          if lit[3] == audit.deepest_level]
-            assert len(at_deepest) == 1
+        for rec in bag:
+            assert None not in rec.levels
+            assert rec.levels.count(rec.failure_level) == 1
+            assert max(rec.levels) == rec.failure_level
 
     def test_violated_at_originating_node(self):
         # every literal is false under the node bounds that produced it
-        for _, audit in harvest_audits():
-            for var, side, value, _level in audit.literals:
-                lo, hi = audit.node_bounds[var]
+        for rec in harvest_analyses():
+            for var, side, value in rec.disjunction.literals():
+                lo, hi = rec.bounds[var]
                 if side is Side.LOWER:
                     assert hi < value - 1e-9
                 else:
                     assert lo > value + 1e-9
+
+
+def weighted_clause_model():
+    """A weighted clause system whose `local` solve analyzes conflicts in
+    the tree search and in probes below the root."""
+    base = oracles.random_sat_instance(np.random.default_rng(31), n=16, m=67)
+    weights = np.random.default_rng(0).integers(1, 4, size=16)
+    return Instance(weights.astype(float), base.rows, base.lower, base.upper,
+                    np.flatnonzero(base.integer_mask))
+
+
+class TestSearchRecorder:
+    def test_a_solve_calls_every_recorded_name(self):
+        config = MipConfig(rapid_mode="local", seed=1, rapid=RapidConfig(
+            criteria=frozenset({"leaves"}), f=1, beta=2.0))
+        with oracles.SearchRecorder() as rec:   # requires all of them
+            solve(weighted_clause_model(), config)
+        assert rec.analyses and all(a.is_one_uip() for a in rec.analyses)
+        for name in oracles.RECORDED_NAMES:
+            module, attr = name.rsplit(".", 1)
+            assert getattr(sys.modules[module], attr) is \
+                getattr(rapidbnb, attr), name
+
+    def test_a_name_never_called_fails_loudly(self):
+        # a direct probe passes neither the tree search nor the hook
+        inst = oracles.random_sat_instance(np.random.default_rng(50))
+        with pytest.raises(AssertionError, match="never called") as err:
+            with oracles.SearchRecorder():
+                cp_search(inst, inst.root_box(), CpConfig(node_limit=300))
+        assert "rapidbnb.rapid.cp_search" in str(err.value)
+        assert "rapidbnb.cpsearch.analyze_1uip" not in str(err.value)

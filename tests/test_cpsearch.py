@@ -19,6 +19,9 @@ from rapidbnb.cpsearch import MAX_CONFLICT_FRAC
 
 import oracles
 
+# a direct probe passes only the probe's own analysis
+ANALYSIS = ("rapidbnb.cpsearch.analyze_1uip",)
+
 # frozen from the formula min(5000, max(500, iter_lp))
 BUDGET_TABLE = {0: 500, 10: 500, 500: 500, 2000: 2000,
                 5000: 5000, 10**6: 5000}
@@ -140,22 +143,23 @@ class TestNodeLimit:
 class TestLearnedFacts:
     def test_conflict_length_cap(self):
         rng = np.random.default_rng(63)
-        n_stored = n_long_audits = 0
+        n_stored = n_long = 0
         for _ in range(6):
             inst = oracles.random_sat_instance(rng, n=60, m=252)
             cap = math.ceil(MAX_CONFLICT_FRAC * inst.num_vars)
-            out = cp_search(inst, inst.root_box(), CpConfig(node_limit=400))
+            with oracles.SearchRecorder(require=ANALYSIS) as rec:
+                out = cp_search(inst, inst.root_box(),
+                                CpConfig(node_limit=400))
             for lc in out.conflicts:
                 assert lc.length <= cap
                 n_stored += 1
-            n_long_audits += sum(1 for a in out.audits
-                                 if len(a.literals) > cap)
+            n_long += sum(1 for a in rec.analyses if a.disjunction.size > cap)
         assert n_stored >= 1          # the cap passes something through
-        assert n_long_audits >= 1     # and actually filters the rest
+        assert n_long >= 1            # and actually filters the rest
 
     def test_untainted_conflicts_globally_valid(self):
-        # reconstruct each untainted conflict from its audit and check it
-        # on every feasible point; tainted ones never leave the probe
+        # check every untainted conflict the analysis derives, kept or
+        # not, on every feasible point; tainted ones never leave the probe
         rng = np.random.default_rng(64)
         n_checked = 0
         for _ in range(12):
@@ -163,13 +167,14 @@ class TestLearnedFacts:
             pts = oracles.feasible_points(inst)
             if pts.shape[0] == 0:
                 continue
-            out = cp_search(inst, inst.root_box(), CpConfig(node_limit=300))
-            for audit in out.audits:
-                if audit.tainted:
+            with oracles.SearchRecorder(require=ANALYSIS) as rec:
+                cp_search(inst, inst.root_box(), CpConfig(node_limit=300))
+            for a in rec.analyses:
+                if a.tainted:
                     continue
-                d = _from_audit(audit)
+                d = a.disjunction
                 ok = np.zeros(pts.shape[0], dtype=bool)
-                for var, side, value, _ in audit.literals:
+                for var, side, value in d.literals():
                     if side is Side.LOWER:
                         ok |= pts[:, var] >= value - 1e-9
                     else:
@@ -189,15 +194,6 @@ class TestLearnedFacts:
             for x in pts:
                 assert np.all(x >= np.asarray(out.box.lower) - 1e-9)
                 assert np.all(x <= np.asarray(out.box.upper) + 1e-9)
-
-
-def _from_audit(audit):
-    from rapidbnb import BoundDisjunction
-    lows = tuple((v, val) for v, s, val, _ in audit.literals
-                 if s is Side.LOWER)
-    ups = tuple((v, val) for v, s, val, _ in audit.literals
-                if s is Side.UPPER)
-    return BoundDisjunction(lows, ups)
 
 
 class TestDeterminism:

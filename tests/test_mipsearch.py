@@ -111,19 +111,20 @@ class TestLimits:
     def test_deadline_at_a_fully_fixed_node_ends_in_timelimit(self,
                                                               monkeypatch):
         # every integer is fixed, so there is nothing to branch on; the
-        # deadline passes while the node is replayed, before its LP
+        # deadline passes once the node is taken off the queue, before
+        # its LP
         k = 5
         rows = [((i, (i + 1) % k), (-1.0, -1.0), "<=", -1.0)
                 for i in range(k)]
         inst = from_inequalities([1.0] * k, rows, [1] * k, [1] * k,
                                  integer_set=range(k))
-        replay = _Solve._replay
+        process = _Solve._process
 
-        def replay_past_deadline(self, *args):
+        def process_past_deadline(self, *args):
             self.deadline = time.monotonic() - 1.0
-            return replay(self, *args)
+            return process(self, *args)
 
-        monkeypatch.setattr(_Solve, "_replay", replay_past_deadline)
+        monkeypatch.setattr(_Solve, "_process", process_past_deadline)
         res = _Solve(inst, MipConfig(rapid_mode="off")).run()
         assert res.status == "timelimit"
         assert res.nodes == 0
@@ -313,8 +314,8 @@ class TestResultShape:
 
 
 class _ReplayEveryNode(_Solve):
-    """Drops the kept plunge state before every node, so that each node
-    replays its path from the root."""
+    """Drops the kept state before every node, so that each node, the
+    root included, replays its path from the root."""
 
     def _process(self, node):
         self.kept = None
@@ -396,10 +397,11 @@ class TestPlungeState:
                     kept.stats.iter_lp) == (full.status, full.objective,
                                             full.nodes, full.stats.iter_lp)
             counts = solver.counts
-            # one propagator for the root fixpoint and one per node that
-            # replays; a plunge child builds none
+            # one propagator for the root fixpoint, which the root node
+            # keeps, and one per other node that replays; a plunge child
+            # builds none
             assert counts["propagators"] == \
-                1 + kept.nodes - counts["extended"], where
+                kept.nodes - counts["extended"], where
             totals.update(counts)
         assert totals["extended"] >= 100
         assert totals["died extending"] >= 3

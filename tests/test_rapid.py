@@ -279,15 +279,14 @@ class TestScheduleGating:
             (inst.root_box().lower, inst.root_box().upper)
         assert node.locals_own == []
         assert st.incumbent is None and st.incumbent_value == INF
-        assert st.n_solutions == 1 and st.learned == []
+        assert st.n_solutions == 1
         assert events == ["criteria node 6 depth 5 fired leaves"]
 
 
 def crafted_outcome(box, status=CpStatus.OPTIMAL, conflicts=(),
                     solution=None, value=INF, nodes=4):
     return CpOutcome(status=status, conflicts=list(conflicts), box=box,
-                     solution=solution, solution_value=value, nodes=nodes,
-                     audits=[])
+                     solution=solution, solution_value=value, nodes=nodes)
 
 
 class TestTransferRules:
@@ -323,12 +322,13 @@ class TestTransferRules:
         for length in range(12, 0, -1):
             d = disj(lower=tuple((j, 1.0) for j in range(length)))
             mixed.append(LearnedConstraint(d))
-        self.run_transfer(crafted_outcome(self.box.copy(), conflicts=mixed))
+        _, node = self.run_transfer(
+            crafted_outcome(self.box.copy(), conflicts=mixed))
         assert self.rl_line()["conflicts"] == 10
         kept = [lc for _, lc in self.solve.global_constraints]
         assert [lc.form for lc in kept] == ["linear"] * 3 + ["disjunction"] * 7
         assert [lc.length for lc in kept] == [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
-        assert all(rec.scope == "global" for rec in self.stats.learned)
+        assert node.locals_own == []
 
     def test_local_attachment_below_root(self):
         lc = LearnedConstraint(disj(lower=((0, 1.0), (2, 1.0))))
@@ -338,7 +338,6 @@ class TestTransferRules:
         assert self.rl_line()["conflicts"] == 1
         assert self.solve.global_constraints == []
         assert [c for _, c in node.locals_own] == [lc]
-        assert self.stats.learned[0].scope == "local"
 
     def test_bound_transfer_only_on_exhausted_probe(self):
         tighter = self.box.copy()
@@ -353,15 +352,16 @@ class TestTransferRules:
         tighter = self.box.copy()
         tighter.tighten(0, Side.LOWER, 1.0)
         tighter.tighten(3, Side.UPPER, 0.0)
-        settled, _ = self.run_transfer(
+        settled, node = self.run_transfer(
             crafted_outcome(tighter, status=CpStatus.NODE_LIMIT))
         assert self.rl_line()["bounds"] == 2
         assert not settled
         assert self.box.lower[0] == 1.0 and self.box.upper[3] == 0.0
         glob = self.solve.global_box
         assert glob.lower[0] == 1.0 and glob.upper[3] == 0.0
-        # at the root nothing becomes a local constraint
-        assert self.stats.learned == []
+        # at the root nothing becomes a constraint
+        assert node.locals_own == []
+        assert self.solve.global_constraints == []
 
     def test_bound_transfer_below_root_leaves_replay_crumbs(self):
         tighter = self.box.copy()
@@ -373,9 +373,7 @@ class TestTransferRules:
         assert len(node.locals_own) == 1
         _, lc1 = node.locals_own[0]
         assert lc1.disjunction.upper_lits == ((2, 0.0),)
-        # the validity snapshot is the box before the delta was applied
-        rec = self.stats.learned[0]
-        assert rec.scope == "local" and rec.box_upper[2] == 1.0
+        assert self.solve.global_constraints == []
         assert self.box.upper[2] == 0.0
         assert self.solve.global_box.upper[2] == 1.0
 

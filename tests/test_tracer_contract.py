@@ -75,6 +75,31 @@ def test_probe_event_lines_match_the_traced_counts():
         sum(tok[0] == "lconstr" for tok in lines)
 
 
+def test_strong_branching_lps_match_the_solver(monkeypatch):
+    # `lp.sb_lps` counts the `rapidbnb.lp.solve_lp` calls made inside
+    # `strong_branch`; a second wrapper, installed below the tracer's,
+    # counts the child LPs strong branching asks for itself
+    m = gen.knapsack_model(np.random.default_rng(5), "knapsack", 14, 3)
+    inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(14))
+    solve_lp = rapidbnb.lp.solve_lp
+    child_lps = 0
+
+    def counted(*args, **kwargs):
+        nonlocal child_lps
+        child_lps += kwargs.get("objective_only", False) is True
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(rapidbnb.lp, "solve_lp", counted)
+    tracer = Tracer(rapidbnb)
+    with tracer.installed():
+        res = tracer.solve(inst, MipConfig(rapid_mode="off"))
+    counts = tracer.last_counts
+
+    assert res.stats.sb_no_improvement + res.stats.sb_objective_changed > 0
+    assert counts["lp.sb_lps"] > 0
+    assert counts["lp.sb_lps"] == child_lps
+
+
 def test_end_to_end_cpu_geomean_uses_the_shared_helper():
     # three passes over three instances; each instance's CPU time is the
     # median over passes, scaled by the speed factor
