@@ -6,7 +6,7 @@ Bound propagation and the learning probe search
 
 import numpy as np
 
-from rapidbnb import from_inequalities
+from rapidbnb import from_inequalities, to_knapsack
 from rapidbnb.cpsearch import CpConfig, cp_search
 from rapidbnb.propagation import Propagator
 
@@ -50,5 +50,8 @@ if out.solution is not None:
 # every feasible point satisfies.  When its literals sit one step inside
 # the scope's bounds it also has a linear form, a single knapsack row.
 if out.conflicts:
-    lc = out.conflicts[0]
-    print("   first conflict:", lc.disjunction, "(form %s)" % lc.form)
+    d = out.conflicts[0]
+    root = clauses.root_box()
+    row = to_knapsack(d, root.lower, root.upper)
+    print("   first conflict:", d,
+          "(form %s)" % ("disjunction" if row is None else "linear"))

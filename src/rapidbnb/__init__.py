@@ -1,8 +1,8 @@
 """rapidbnb: a pure-integer branch-and-bound solver that embeds a
 conflict-learning CP probe for bounds, constraints, and solutions."""
 
-from .conflict import (BoundDisjunction, LearnedConstraint, analyze_1uip,
-                       check_disjunction, to_knapsack)
+from .conflict import (BoundDisjunction, analyze_1uip, check_disjunction,
+                       to_knapsack)
 from .cpsearch import (CpConfig, CpOutcome, CpStatus, cp_search,
                        node_limit_from_iters, pseudo_solution)
 from .lp import LpResult, LpStatus, measure_degeneracy, solve_lp
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundBox", "BoundDisjunction", "ConfigError", "CpConfig", "CpOutcome",
     "CpStatus", "CriterionReport", "EmptyBoxError", "Instance",
-    "LearnedConstraint", "LpResult", "LpStatus",
-    "MipConfig", "ModelError",
+    "LpResult", "LpStatus", "MipConfig", "ModelError",
     "MpsParseError", "ParseDiagnostics", "ProblemClass", "Propagator",
     "RapidConfig", "Row", "SearchStats", "Side", "SolveError", "SolveResult",
     "analyze_1uip", "check_disjunction", "classify", "cp_search",

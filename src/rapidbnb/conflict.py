@@ -155,23 +155,6 @@ def check_disjunction(d: BoundDisjunction, point: Sequence[float],
 
 
 @dataclass
-class LearnedConstraint:
-    """A stored conflict: always the disjunction, plus an equivalent
-    single linear row when the literal values allow one."""
-
-    disjunction: BoundDisjunction
-    linear: Row | None = None
-
-    @property
-    def length(self) -> int:
-        return self.disjunction.size
-
-    @property
-    def form(self) -> str:
-        return "linear" if self.linear is not None else "disjunction"
-
-
-@dataclass
 class AnalysisOutcome:
     disjunction: BoundDisjunction | None
     tainted: bool

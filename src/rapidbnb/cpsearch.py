@@ -25,8 +25,7 @@ import numpy as np
 
 from .branching import (AllFixedError, BranchingStats,
                         select_inference_branching)
-from .conflict import (CUTOFF_REASON, LearnedConstraint, Trail, analyze_1uip,
-                       to_knapsack)
+from .conflict import CUTOFF_REASON, BoundDisjunction, Trail, analyze_1uip
 from .model import FEAS_TOL, BoundBox, EmptyBoxError, Instance, Side
 from .propagation import Outcome, Propagator
 
@@ -52,10 +51,9 @@ class CpConfig:
 @dataclass
 class CpOutcome:
     status: CpStatus
-    conflicts: list[LearnedConstraint]
+    conflicts: list[BoundDisjunction]
     box: BoundBox
     solution: np.ndarray | None
-    solution_value: float
     nodes: int
 
 
@@ -76,7 +74,7 @@ def _rows_satisfied(instance: Instance, x: np.ndarray) -> bool:
 
 
 def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
-              extra_constraints: tuple[tuple[int, LearnedConstraint], ...] = (),
+              extra_constraints: tuple[tuple[int, BoundDisjunction], ...] = (),
               branching: BranchingStats | None = None) -> CpOutcome:
     """Run the probe on `instance` restricted to `scope_box`.
 
@@ -103,7 +101,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     rng = random.Random(config.seed)
     table = branching if branching is not None else BranchingStats()
     cap = math.ceil(MAX_CONFLICT_FRAC * n)
-    conflicts: list[LearnedConstraint] = []
+    conflicts: list[BoundDisjunction] = []
     tainted_ids: set[int] = set()
     global_fix: dict[tuple[int, Side], float] = {}
     cbar = float(config.incumbent_bound)
@@ -139,13 +137,11 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
             return True
         cid = next_cid
         next_cid += 1
-        lc = LearnedConstraint(d, to_knapsack(d, scope_box.lower,
-                                              scope_box.upper))
-        prop.add_constraint(cid, lc)
+        prop.add_constraint(cid, d)
         if out.tainted:
             tainted_ids.add(cid)
             return True
-        conflicts.append(lc)
+        conflicts.append(d)
         if d.size == 1:
             (v, s, val), = d.literals()
             if (s is Side.LOWER and val > scope_box.upper[v] + FEAS_TOL) or \
@@ -230,6 +226,4 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
                 status = CpStatus.INFEASIBLE
 
     return CpOutcome(status=status, conflicts=conflicts, box=final,
-                     solution=best,
-                     solution_value=cbar if best is not None else math.inf,
-                     nodes=nodes)
+                     solution=best, nodes=nodes)

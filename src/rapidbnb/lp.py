@@ -428,7 +428,6 @@ class _Simplex:
 
 def solve_lp(instance: Instance, box: BoundBox,
              warm_basis: np.ndarray | WarmStart | None = None,
-             iteration_cap: int | None = None,
              deadline: float | None = None,
              objective_only: bool = False) -> LpResult:
     """Solve the LP relaxation over `box`.
@@ -442,15 +441,13 @@ def solve_lp(instance: Instance, box: BoundBox,
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
-    cap = iteration_cap if iteration_cap is not None else \
-        default_iteration_cap(instance.num_vars, instance.num_rows)
+    cap = default_iteration_cap(instance.num_vars, instance.num_rows)
     try:
         sx = _Simplex(instance, box, warm_basis, cap, deadline)
         status = sx.run()
     except np.linalg.LinAlgError:
         if warm_basis is not None:
-            return solve_lp(instance, box, None, iteration_cap, deadline,
-                            objective_only)
+            return solve_lp(instance, box, None, deadline, objective_only)
         raise
     if not objective_only:
         return sx.result(status, box)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import PC_FLOOR, BranchingStats, select_branching
-from .conflict import (BoundDisjunction, LearnedConstraint, Trail,
-                       analyze_1uip, to_knapsack, upgrade_singleton)
+from .conflict import (BoundDisjunction, Trail, analyze_1uip, to_knapsack,
+                       upgrade_singleton)
 from .cpsearch import CpOutcome, CpStatus
 from .lp import LpStatus, WarmStart, solve_lp, strong_branch
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
@@ -106,7 +106,7 @@ class Node:
     lower_bound: float
     # bound deltas against the parent: the branching bounds of this node
     delta: tuple[tuple[int, Side, float], ...]
-    locals_own: list[tuple[int, LearnedConstraint]] = field(default_factory=list)
+    locals_own: list[tuple[int, BoundDisjunction]] = field(default_factory=list)
     basis: np.ndarray | None = None
     branch_var: int = -1
     branch_dir: int = -1
@@ -134,7 +134,7 @@ class _NodeState:
     trail: Trail
     prop: Propagator
     local_ids: set[int] = field(default_factory=set)
-    active_locals: list[tuple[int, LearnedConstraint]] = field(
+    active_locals: list[tuple[int, BoundDisjunction]] = field(
         default_factory=list)
 
 
@@ -188,7 +188,7 @@ class _Solve:
         self.stats = SearchStats()
         self.events: list[str] = []
         self.global_box = instance.root_box()
-        self.global_constraints: list[tuple[int, LearnedConstraint]] = []
+        self.global_constraints: list[tuple[int, BoundDisjunction]] = []
         self.next_cid = instance.num_rows
         self.heap: list[tuple[float, int, Node]] = []
         self.next_node: Node | None = None
@@ -219,8 +219,8 @@ class _Solve:
 
     def _propagator(self) -> Propagator:
         prop = Propagator(self.inst)
-        for cid, lc in self.global_constraints:
-            prop.add_constraint(cid, lc)
+        for cid, d in self.global_constraints:
+            prop.add_constraint(cid, d)
         return prop
 
     def _push(self, node: Node) -> None:
@@ -271,9 +271,7 @@ class _Solve:
             except EmptyBoxError:
                 self.exhausted = True
             return
-        lc = LearnedConstraint(
-            d, to_knapsack(d, self.global_box.lower, self.global_box.upper))
-        self.global_constraints.append((self._alloc_cid(), lc))
+        self.global_constraints.append((self._alloc_cid(), d))
 
     # -- node processing ---------------------------------------------
 
@@ -293,10 +291,10 @@ class _Solve:
                 trail.branch(var, side, val, nd.depth)
             except EmptyBoxError:
                 return False
-        for cid, lc in nd.locals_own:
-            state.prop.add_constraint(cid, lc)
+        for cid, d in nd.locals_own:
+            state.prop.add_constraint(cid, d)
             state.local_ids.add(cid)
-            state.active_locals.append((cid, lc))
+            state.active_locals.append((cid, d))
             self.log(f"lattach {cid} node {node.id}")
         return self._fixpoint(node, state)
 
@@ -349,7 +347,7 @@ class _Solve:
                 self._push(node)
                 self.timed_out = True
                 return
-            self._branch_fallback(node, box, lp)
+            self._branch_fallback(node, box)
             return
 
         obj = float(lp.objective)
@@ -394,7 +392,7 @@ class _Solve:
             self._strong_branch_round(node, box, lp, obj, x, fractional)
         var = select_branching(fractional, stats.branching,
                                stats.conflict_heavy)
-        self._branch(node, box, lp.basis_status, obj, x, var)
+        self._branch(node, box, lp.basis_status, obj, float(x[var]), var)
         if self.next_node is not None and state is not None:
             self.kept = state
 
@@ -412,18 +410,21 @@ class _Solve:
         inst, stats = self.inst, self.stats
         at_root = node.depth == 0
 
-        ranked = sorted(outcome.conflicts,
-                        key=lambda lc: (0 if lc.linear is not None else 1,
-                                        lc.length))
+        # linear first, then shorter; `box` is still the scope box the
+        # probe ran over, so a conflict's form is the one it had there
+        ranked = sorted(((to_knapsack(d, box.lower, box.upper) is None, d)
+                         for d in outcome.conflicts),
+                        key=lambda t: (t[0], t[1].size))
         kept = ranked[:self.cfg.rapid.max_transferred_conflicts]
         scope = "global" if at_root else "local"
         sink = self.global_constraints if at_root else node.locals_own
-        for lc in kept:
+        for disjunctive, d in kept:
             cid = self._alloc_cid()
-            sink.append((cid, lc))
-            stats.branching.bump(lc.disjunction.literals())
+            sink.append((cid, d))
+            stats.branching.bump(d.literals())
+            form = "disjunction" if disjunctive else "linear"
             self.log(f"lconstr {cid} node {node.id} level {node.depth} "
-                     f"scope {scope} size {lc.length} form {lc.form}")
+                     f"scope {scope} size {d.size} form {form}")
 
         n_bounds = 0
         emptied = False
@@ -444,8 +445,7 @@ class _Solve:
                         d1 = BoundDisjunction(lower_lits=lit, upper_lits=()) \
                             if side is Side.LOWER else \
                             BoundDisjunction(lower_lits=(), upper_lits=lit)
-                        node.locals_own.append((self._alloc_cid(),
-                                                LearnedConstraint(d1)))
+                        node.locals_own.append((self._alloc_cid(), d1))
                     n_bounds += 1
             except EmptyBoxError:
                 emptied = True
@@ -525,11 +525,13 @@ class _Solve:
                                          / max(1.0 - f_dn, PC_FLOOR))
 
     def _branch(self, node: Node, box: BoundBox, basis, obj: float,
-                x: np.ndarray, var: int, capped: bool = False) -> None:
-        v = int(math.floor(x[var]))
+                xv: float, var: int, capped: bool = False) -> None:
+        """Split `var` at its value `xv`: x <= v in one child and
+        x >= v + 1 in the other, v = floor(xv) inside the box."""
+        v = int(math.floor(xv))
         v = int(min(max(v, box.lower[var]), box.upper[var] - 1))
-        dist_dn = max(float(x[var]) - v, PC_FLOOR)
-        dist_up = max(v + 1.0 - float(x[var]), PC_FLOOR)
+        dist_dn = max(xv - v, PC_FLOOR)
+        dist_up = max(v + 1.0 - xv, PC_FLOOR)
         down = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                     lower_bound=node.lower_bound,
                     delta=((var, Side.UPPER, float(v)),), basis=basis,
@@ -541,9 +543,9 @@ class _Solve:
                   branch_var=var, branch_dir=1, branch_frac=dist_up,
                   parent_obj=obj)
         self.log(f"branch node {node.id} depth {node.depth} var {var} "
-                 f"point {v} frac {fmt_g(x[var] - v)} "
+                 f"point {v} frac {fmt_g(xv - v)} "
                  f"down {down.id} up {up.id}")
-        preferred, other = (down, up) if x[var] - v <= 0.5 else (up, down)
+        preferred, other = (down, up) if xv - v <= 0.5 else (up, down)
         if not capped and self.plunge < PLUNGE_CAP:
             self.plunge += 1
             self.next_node = preferred
@@ -551,28 +553,18 @@ class _Solve:
         else:
             self._push(down)
             self._push(up)
-        action = "branched-capped" if capped else "branched"
-        dual = self._dual_now()
-        self.stats.dual_bound = dual
-        self.log(f"node {node.id} depth {node.depth} action {action} "
-                 f"bound {fmt_g(node.lower_bound)} dual {fmt_g(dual)}")
+        self._leaf(node, "branched-capped" if capped else "branched")
 
-    def _branch_fallback(self, node: Node, box: BoundBox, lp) -> None:
-        # iteration-capped LP: no proven bound, keep the parent's and split
-        x = np.clip(lp.x, box.lower, box.upper) if lp.x is not None \
-            else np.array(box.lower)
-        fractional = self._fractional(x)
-        if fractional:
-            var = fractional[0]
-        else:
-            unfixed = [j for j in self.inst.integer_indices
-                       if box.upper[j] - box.lower[j] > 0.5]
-            if not unfixed:
-                raise SolveError("simplex iteration cap on a fully fixed node")
-            var = unfixed[0]
-            x = x.copy()
-            x[var] = math.floor((box.lower[var] + box.upper[var]) / 2.0)
-        self._branch(node, box, None, math.nan, x, var, capped=True)
+    def _branch_fallback(self, node: Node, box: BoundBox) -> None:
+        # an iteration-capped LP has no point and no proven bound: keep the
+        # parent's bound and split the first unfixed integer at its midpoint
+        unfixed = [j for j in self.inst.integer_indices
+                   if box.upper[j] - box.lower[j] > 0.5]
+        if not unfixed:
+            raise SolveError("simplex iteration cap on a fully fixed node")
+        var = unfixed[0]
+        mid = float(math.floor((box.lower[var] + box.upper[var]) / 2.0))
+        self._branch(node, box, None, math.nan, mid, var, capped=True)
 
     # -- main loop ---------------------------------------------------
 

@@ -4,10 +4,11 @@ driver.  All three propagators share one deduction shape.
 Clauses (learned bound disjunctions and `RowKind.CLAUSE` rows) run a
 two-watched-literal scheme; knapsack rows walk their heaviest-first
 integer weights with early exit; every other row uses residual activity
-bounding.  A learned conflict propagates as its disjunction even when it
-has a linear form (`LearnedConstraint.linear`): on sub-boxes of the box
-it was learned over, residual activity on that row deduces the same
-units, values and reasons at about twice the cost.  Every deduction
+bounding.  A learned conflict is only ever its disjunction, so no row is
+built for it: where it has a linear form (`conflict.to_knapsack` over
+the box it was learned in), residual activity on that row would deduce
+the same units, values and reasons on sub-boxes of that box, at about
+twice the cost.  Every deduction
 carries the minimal set of bounds its propagator actually read, so a
 conflict graph can be reconstructed from the trail alone.
 
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conflict import BoundDisjunction, LearnedConstraint, Trail
+from .conflict import BoundDisjunction, Trail
 from .model import FEAS_TOL, INT_TOL, BoundBox, Instance, Row, RowKind, Side
 
 
@@ -70,7 +71,6 @@ class RowInfeasible:
 class PropagationResult:
     outcome: Outcome
     deductions: list[tuple[int, Side, float]]
-    failed_constraint: int | None = None
 
 
 _INF = math.inf
@@ -336,10 +336,7 @@ class Propagator:
         for i, row in enumerate(instance.rows):
             self.add_constraint(i, row)
 
-    def add_constraint(self, cid: int,
-                       con: Row | BoundDisjunction | LearnedConstraint) -> None:
-        if isinstance(con, LearnedConstraint):
-            con = con.disjunction
+    def add_constraint(self, cid: int, con: Row | BoundDisjunction) -> None:
         if isinstance(con, BoundDisjunction):
             item = _Item(cid, lits=con.literals())
         elif con.kind is RowKind.CLAUSE:
@@ -431,13 +428,12 @@ class Propagator:
                     continue
                 if isinstance(res, RowInfeasible):
                     trail.fail(item.cid, res.reason)
-                    return PropagationResult(Outcome.INFEASIBLE, applied, item.cid)
+                    return PropagationResult(Outcome.INFEASIBLE, applied)
                 if isinstance(res, Deduction):
                     res = [res]
                 for d in res:
                     if cross_fail(item, d):
-                        return PropagationResult(Outcome.INFEASIBLE, applied,
-                                                 item.cid)
+                        return PropagationResult(Outcome.INFEASIBLE, applied)
                     if trail.apply(d.var, d.side, d.value, item.cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True

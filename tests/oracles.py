@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rapidbnb import (BoundDisjunction, CpOutcome, CpStatus, Instance,
-                      LearnedConstraint, Side, from_inequalities)
+from rapidbnb import (BoundDisjunction, CpOutcome, CpStatus, Instance, Side,
+                      from_inequalities)
 
 FEAS_TOL = 1e-6
 
@@ -251,7 +251,7 @@ class ProbeRecord:
     scope_upper: np.ndarray
     outcome: CpOutcome
 
-    def claims(self) -> list[LearnedConstraint]:
+    def claims(self) -> list[BoundDisjunction]:
         """Everything the probe claims valid for its scope: each conflict,
         and each bound of a probe stopped by its budget as one literal."""
         out = list(self.outcome.conflicts)
@@ -260,11 +260,9 @@ class ProbeRecord:
             for j, (lo, hi) in enumerate(zip(self.scope_lower,
                                              self.scope_upper)):
                 if box.lower[j] > lo + FEAS_TOL:
-                    out.append(LearnedConstraint(
-                        BoundDisjunction(((j, box.lower[j]),), ())))
+                    out.append(BoundDisjunction(((j, box.lower[j]),), ()))
                 if box.upper[j] < hi - FEAS_TOL:
-                    out.append(LearnedConstraint(
-                        BoundDisjunction((), ((j, box.upper[j]),))))
+                    out.append(BoundDisjunction((), ((j, box.upper[j]),)))
         return out
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from rapidbnb.cli import main as cli_main
-from rapidbnb.conflict import BoundDisjunction, LearnedConstraint, to_knapsack
+from rapidbnb.conflict import BoundDisjunction, to_knapsack
 from rapidbnb.cpsearch import cp_search, CpConfig, node_limit_from_iters
 from rapidbnb.lp import DegeneracyInfo, measure_degeneracy, solve_lp
 from rapidbnb.mipsearch import MipConfig, SearchStats, SolveResult, _Solve
@@ -47,7 +47,7 @@ class Recorded:
     """One solve and what a `SearchRecorder` saw during it."""
 
     result: SolveResult
-    global_constraints: list[LearnedConstraint]
+    global_constraints: list[BoundDisjunction]
     probes: list[tuple[int, oracles.ProbeRecord]]   # (node depth, probe)
     analyses: list[oracles.AnalysisRecord]
 
@@ -63,7 +63,7 @@ def solve_recorded(inst, config, rec: oracles.SearchRecorder) -> Recorded:
               for tok in map(str.split, res.events) if tok[0] == "rl"]
     probes = rec.probes[first_probe:]
     assert len(depths) == len(probes)
-    return Recorded(res, [lc for _, lc in solver.global_constraints],
+    return Recorded(res, [d for _, d in solver.global_constraints],
                     list(zip(depths, probes)), rec.analyses[first_analysis:])
 
 
@@ -122,38 +122,41 @@ def _disjunction_holds(d: BoundDisjunction, x: np.ndarray) -> bool:
 class ClaimAudit:
     """Checks learned constraints and probe claims against feasible
     points: global constraints against all of them, a probe's claims
-    against those inside the box its scope had before the probe ran."""
+    against those inside the box its scope had before the probe ran.
+    Each is checked as a disjunction and also as the knapsack row it has
+    over that box (the instance's for global constraints), if any."""
 
     def __init__(self):
         self.claims = Counter()     # "global", "root probe", "local"
-        self.checked = self.violations = 0
+        self.checked = self.violations = self.rows = 0
 
-    def _check(self, lc: LearnedConstraint, pts: np.ndarray) -> None:
+    def _check(self, d: BoundDisjunction, pts: np.ndarray,
+               lin=None) -> None:
         if not len(pts):
             return
-        d = lc.disjunction
         sat = np.zeros(len(pts), dtype=bool)
         for j, v in d.lower_lits:
             sat |= pts[:, j] >= v - TOL
         for j, v in d.upper_lits:
             sat |= pts[:, j] <= v + TOL
         self.violations += int((~sat).sum())
-        lin = lc.linear
         if lin is not None:
+            self.rows += 1
             act = pts[:, list(lin.cols)] @ np.asarray(lin.coefs)
             self.violations += int((act > lin.rhs + TOL).sum())
         self.checked += len(pts)
 
-    def add(self, run: Recorded, pts: np.ndarray) -> None:
-        for lc in run.global_constraints:
+    def add(self, inst: Instance, run: Recorded, pts: np.ndarray) -> None:
+        for d in run.global_constraints:
             self.claims["global"] += 1
-            self._check(lc, pts)
+            self._check(d, pts, to_knapsack(d, inst.lower, inst.upper))
         for depth, probe in run.probes:
             inside = ((pts >= probe.scope_lower - TOL).all(axis=1)
                       & (pts <= probe.scope_upper + TOL).all(axis=1))
-            for lc in probe.claims():
+            for d in probe.claims():
                 self.claims["local" if depth > 0 else "root probe"] += 1
-                self._check(lc, pts[inside])
+                self._check(d, pts[inside], to_knapsack(
+                    d, probe.scope_lower, probe.scope_upper))
 
 
 def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
@@ -161,7 +164,7 @@ def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
     audit = ClaimAudit()
     for e in entries:
         for run in e.runs.values():
-            audit.add(run, e.points)
+            audit.add(e.inst, run, e.points)
     suite_total = sum(audit.claims.values())
     # the suite envelope learns little; audit a conflict-heavy corpus
     # through the same entry point on top of it
@@ -173,7 +176,7 @@ def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
                 pts = oracles.feasible_points(inst)
                 for cfg in (MipConfig(rapid_mode="off", seed=1,
                                       node_limit=400), rl_config()):
-                    audit.add(solve_recorded(inst, cfg, rec), pts)
+                    audit.add(inst, solve_recorded(inst, cfg, rec), pts)
         # weighted clause instances keep the root probe quiet (the leaves
         # criterion has no evidence there), so transfers land node-local
         monkeypatch.setattr(rapid, "RATIO_THRESHOLD", 2.0)
@@ -187,7 +190,7 @@ def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
                 weights = rng.integers(1, 4, size=n).astype(float)
                 inst = Instance(weights, base.rows, base.lower, base.upper,
                                 np.flatnonzero(base.integer_mask))
-                audit.add(solve_recorded(inst, local_cfg, rec),
+                audit.add(inst, solve_recorded(inst, local_cfg, rec),
                           oracles.feasible_points(inst))
     claims = audit.claims
     assert audit.violations == 0
@@ -195,7 +198,8 @@ def test_criterion_02_learned_constraint_validity(suite, monkeypatch):
     report(2, f"{claims['global']} global constraints, {claims['local']} "
               f"local and {claims['root probe']} root probe claims "
               f"({suite_total} from the exactness suite), "
-              f"{audit.checked} point checks, 0 violations")
+              f"{audit.checked} point checks, {audit.rows} claims also "
+              f"checked as rows, 0 violations")
 
 
 def test_criterion_03_one_uip_structure(suite):

@@ -66,8 +66,9 @@ class TestVerdictsAgainstEnumeration:
             out = cp_search(inst, inst.root_box(), CpConfig(node_limit=10**6))
             if status == "optimal":
                 assert out.status is CpStatus.OPTIMAL, f"case {k}"
-                assert abs(out.solution_value - value) <= 1e-9, f"case {k}"
                 assert inst.check_point(out.solution), f"case {k}"
+                assert abs(inst.objective_value(out.solution) - value) \
+                    <= 1e-9, f"case {k}"
                 n_opt += 1
             else:
                 assert out.status is CpStatus.INFEASIBLE, f"case {k}"
@@ -87,7 +88,8 @@ class TestVerdictsAgainstEnumeration:
             for probe_seed in range(4):
                 out = cp_search(inst, inst.root_box(),
                                 CpConfig(node_limit=10**6, seed=probe_seed))
-                got = (out.status, out.solution_value)
+                got = (out.status, math.inf if out.solution is None
+                       else inst.objective_value(out.solution))
                 if got != want:     # integral data: values compare exactly
                     wrong.append((s, probe_seed, got, want))
         assert wrong == []
@@ -150,8 +152,8 @@ class TestLearnedFacts:
             with oracles.SearchRecorder(require=ANALYSIS) as rec:
                 out = cp_search(inst, inst.root_box(),
                                 CpConfig(node_limit=400))
-            for lc in out.conflicts:
-                assert lc.length <= cap
+            for d in out.conflicts:
+                assert d.size <= cap
                 n_stored += 1
             n_long += sum(1 for a in rec.analyses if a.disjunction.size > cap)
         assert n_stored >= 1          # the cap passes something through

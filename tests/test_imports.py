@@ -38,3 +38,11 @@ def test_import_leaves_the_bench_module_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_export_list_names_package_attributes_once():
+    import rapidbnb
+    names = rapidbnb.__all__
+    assert len(names) == len(set(names)), "a name is listed twice"
+    missing = [name for name in names if not hasattr(rapidbnb, name)]
+    assert missing == []

@@ -9,7 +9,8 @@ import pytest
 
 from rapidbnb import LpStatus, from_inequalities, measure_degeneracy, solve_lp
 from rapidbnb.lp import (AT_LOWER, AT_UPPER, BASIC, REFACTOR_INTERVAL,
-                         WarmStart, _Simplex, strong_branch)
+                         WarmStart, _Simplex, default_iteration_cap,
+                         strong_branch)
 
 import oracles
 
@@ -87,12 +88,14 @@ class TestMechanics:
             assert abs(warm.objective - cold.objective) <= VALUE_TOL
             assert warm.iterations <= cold.iterations
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                            lambda n, m: 1)
         rng = np.random.default_rng(84)
         hit = False
         for _ in range(50):
             inst = oracles.random_lp(rng)
-            res = solve_lp(inst, inst.root_box(), iteration_cap=1)
+            res = solve_lp(inst, inst.root_box())
             if res.status is LpStatus.ITERATION_LIMIT:
                 hit = True
                 break
@@ -147,15 +150,17 @@ class TestStrongBranch:
         assert strong_branch(inst, box, j, parent,
                              deadline=time.monotonic() - 1.0) == (None, None, 0)
 
-    def test_objective_only_builds_nothing_else(self):
+    def test_objective_only_builds_nothing_else(self, monkeypatch):
         rng = np.random.default_rng(80)
         statuses = set()
         for k in range(40):
             inst = oracles.random_lp(rng)
-            cap = 1 if k % 2 else None   # odd cases stop at the cap
-            full = solve_lp(inst, inst.root_box(), iteration_cap=cap)
-            lean = solve_lp(inst, inst.root_box(), iteration_cap=cap,
-                            objective_only=True)
+            # odd cases stop at a cap of one iteration
+            monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                                (lambda n, m: 1) if k % 2
+                                else default_iteration_cap)
+            full = solve_lp(inst, inst.root_box())
+            lean = solve_lp(inst, inst.root_box(), objective_only=True)
             assert (lean.status, lean.objective, lean.iterations) == \
                 (full.status, full.objective, full.iterations), f"case {k}"
             assert lean.x is None and lean.basis_status is None

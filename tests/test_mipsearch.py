@@ -55,6 +55,27 @@ class TestVerdicts:
                 n_inf += 1
         assert n_opt >= 20 and n_inf >= 20
 
+    def test_capped_node_lps_still_solve_exactly(self, monkeypatch):
+        # one simplex iteration per LP: capped nodes carry no point and
+        # split their first unfixed integer at its midpoint
+        monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                            lambda n, m: 1)
+        rng = np.random.default_rng(23)
+        capped = 0
+        for k in range(40):
+            inst = oracles.random_instance(rng)
+            status, value, _ = oracles.enumerate_optimum(inst)
+            for mode in ("off", "local"):
+                res = solve(inst, MipConfig(rapid_mode=mode, seed=k))
+                where = f"case {k} ({mode})"
+                assert res.status == status, where
+                if status == "optimal":
+                    assert abs(res.objective - value) <= 1e-9, where
+                capped += sum(line.split()[5] == "branched-capped"
+                              for line in res.events
+                              if line.startswith("node "))
+        assert capped >= 40
+
     def test_unbounded_raises(self):
         inst = from_inequalities([-1.0], [], [0], [np.inf], integer_set=())
         with pytest.raises(SolveError):

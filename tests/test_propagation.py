@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rapidbnb import (BoundBox, BoundDisjunction, Instance, LearnedConstraint,
-                      MipConfig, Propagator, RapidConfig, Row,
-                      from_inequalities, propagation, solve, to_knapsack)
+from rapidbnb import (BoundBox, BoundDisjunction, Instance, MipConfig,
+                      Propagator, RapidConfig, Row, from_inequalities,
+                      propagation, solve, to_knapsack)
 from rapidbnb.conflict import Trail
 from rapidbnb.model import FEAS_TOL, INT_TOL, RowKind, Side
 from rapidbnb.propagation import (Deduction, Outcome, PropagationResult,
@@ -146,9 +146,10 @@ class TestSpecialForms:
         box = inst.root_box()
         box.lower[0] = 1.0
         box.lower[1] = 1.0
-        res = prop.to_fixpoint(box)
+        trail = Trail(box)
+        res = prop.to_fixpoint(box, trail)
         assert res.outcome is Outcome.INFEASIBLE
-        assert res.failed_constraint is not None
+        assert trail.failure.reason == 0      # the knapsack row's id
 
 
 class TestDeductionRecords:
@@ -251,8 +252,6 @@ class RoundRobin:
             self.add_constraint(i, row)
 
     def add_constraint(self, cid, con):
-        if isinstance(con, LearnedConstraint):
-            con = con.disjunction
         if isinstance(con, BoundDisjunction):
             lits = con.literals()
         elif con.kind is RowKind.CLAUSE:
@@ -280,15 +279,15 @@ class RoundRobin:
                     continue
                 if isinstance(res, RowInfeasible):
                     trail.fail(cid, res.reason)
-                    return PropagationResult(Outcome.INFEASIBLE, applied, cid)
+                    return PropagationResult(Outcome.INFEASIBLE, applied)
                 for d in [res] if isinstance(res, Deduction) else res:
                     lo, up = box.lower[d.var], box.upper[d.var]
                     if d.side is Side.LOWER and d.value > up + FEAS_TOL:
                         trail.fail(cid, d.reason + ((d.var, Side.UPPER),))
-                        return PropagationResult(Outcome.INFEASIBLE, applied, cid)
+                        return PropagationResult(Outcome.INFEASIBLE, applied)
                     if d.side is Side.UPPER and d.value < lo - FEAS_TOL:
                         trail.fail(cid, d.reason + ((d.var, Side.LOWER),))
-                        return PropagationResult(Outcome.INFEASIBLE, applied, cid)
+                        return PropagationResult(Outcome.INFEASIBLE, applied)
                     if trail.apply(d.var, d.side, d.value, cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True
@@ -408,17 +407,17 @@ class TestDirtySetFixpoint:
                         tr.rewind(mark)
                 elif op < 0.65:
                     d = random_disjunction(rng, inst)
-                    con = LearnedConstraint(d) if rng.random() < 0.5 else d
-                    new.add_constraint(next_cid, con)
-                    ref.add_constraint(next_cid, con)
+                    rng.random()    # a draw the seeded step sequence expects
+                    new.add_constraint(next_cid, d)
+                    ref.add_constraint(next_cid, d)
                     next_cid += 1
                 else:
                     a = new.to_fixpoint(tr_new.box, tr_new)
                     b = ref.to_fixpoint(tr_ref.box, tr_ref)
                     where = f"case {case} step {step}"
                     assert a.outcome is b.outcome, where
+                    # the failing constraint is compared in the trails
                     assert a.deductions == b.deductions, where
-                    assert a.failed_constraint == b.failed_constraint, where
                     outcomes.add(a.outcome)
                 assert trail_record(tr_new) == trail_record(tr_ref), \
                     f"case {case} step {step}"

@@ -2,20 +2,26 @@
 probe run, and what the host search keeps from a finished probe."""
 
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from rapidbnb.branching import BranchingStats
-from rapidbnb.conflict import BoundDisjunction, LearnedConstraint
+from rapidbnb.conflict import BoundDisjunction, to_knapsack
 from rapidbnb.cpsearch import CpConfig, CpOutcome, CpStatus, cp_search
 from rapidbnb import rapid
 from rapidbnb.lp import DegeneracyInfo, solve_lp
-from rapidbnb.mipsearch import MipConfig, Node, SearchStats, _Solve
-from rapidbnb.model import INF, Side, from_inequalities
+from rapidbnb.mipsearch import MipConfig, Node, SearchStats, _Solve, solve
+from rapidbnb.model import INF, BoundBox, Side, from_inequalities
 from rapidbnb.rapid import (CRITERION_NAMES, ROOT_CRITERIA, RapidConfig,
                             evaluate_criteria, is_rl_depth, maybe_run)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 def coverage_instance(n=16, integer_set=None):
@@ -216,8 +222,7 @@ class TestScheduleGating:
                            branching=BranchingStats())
         assert outcome.status is direct.status
         assert outcome.nodes == direct.nodes
-        assert [lc.disjunction for lc in outcome.conflicts] == \
-            [lc.disjunction for lc in direct.conflicts]
+        assert outcome.conflicts == direct.conflicts
 
     def test_probe_inference_counts_reach_the_host_table(self):
         # the probe adds its counts to the host's table as it runs; a
@@ -250,12 +255,10 @@ class TestScheduleGating:
         assert ev1 == ev2
         assert first.status is second.status
         assert first.nodes == second.nodes
-        assert first.solution_value == second.solution_value
         assert np.array_equal(first.solution, second.solution)
         assert (first.box.lower, first.box.upper) == \
             (second.box.lower, second.box.upper)
-        assert [lc.disjunction for lc in first.conflicts] == \
-            [lc.disjunction for lc in second.conflicts]
+        assert first.conflicts == second.conflicts
 
     def test_outcome_comes_back_unapplied(self, monkeypatch):
         # a probe stopped by its budget with a tighter box and a valid
@@ -265,9 +268,9 @@ class TestScheduleGating:
         tighter.tighten(0, Side.LOWER, 1.0)
         xs = np.zeros(16)
         xs[0] = 1.0
-        lc = LearnedConstraint(disj(lower=((0, 1.0), (1, 1.0))))
+        d = disj(lower=((0, 1.0), (1, 1.0)))
         crafted = crafted_outcome(tighter, status=CpStatus.NODE_LIMIT,
-                                  conflicts=[lc], solution=xs, value=1.0)
+                                  conflicts=[d], solution=xs)
         monkeypatch.setattr(rapid, "cp_search", lambda *a, **k: crafted)
         st = SearchStats(leaves_infeasible=500, n_solutions=1)
         node = fresh_node(6, depth=5)
@@ -284,9 +287,9 @@ class TestScheduleGating:
 
 
 def crafted_outcome(box, status=CpStatus.OPTIMAL, conflicts=(),
-                    solution=None, value=INF, nodes=4):
+                    solution=None, nodes=4):
     return CpOutcome(status=status, conflicts=list(conflicts), box=box,
-                     solution=solution, solution_value=value, nodes=nodes)
+                     solution=solution, nodes=nodes)
 
 
 class TestTransferRules:
@@ -303,6 +306,11 @@ class TestTransferRules:
         node = node or fresh_node(0, depth=0)
         return self.solve._transfer(node, self.box, outcome), node
 
+    def lconstr_lines(self):
+        """(form, size) of every `lconstr` line, in order."""
+        return [(tok[tok.index("form") + 1], int(tok[tok.index("size") + 1]))
+                for tok in map(str.split, self.events) if tok[0] == "lconstr"]
+
     def rl_line(self):
         """Conflict, bound and solution counts of the one `rl` line."""
         lines = [e.split() for e in self.events if e.startswith("rl ")]
@@ -313,31 +321,38 @@ class TestTransferRules:
 
     def test_conflict_cap_and_ordering(self):
         # 3 linear-form, 12 disjunction-only: cap 10 keeps all linear
-        # first, then the shortest disjunctions
-        mixed = []
-        for length in (3, 1, 2):
-            d = disj(lower=tuple((j, 1.0) for j in range(length)))
-            # only the form tag matters to the ranking, not the row itself
-            mixed.append(LearnedConstraint(d, linear=object()))
-        for length in range(12, 0, -1):
-            d = disj(lower=tuple((j, 1.0) for j in range(length)))
-            mixed.append(LearnedConstraint(d))
+        # first, then the shortest disjunctions.  The forms are those over
+        # the probed node's box, domains 1..3 in a model over 0..3: there
+        # a literal x_j >= 2 sits one step inside the box (a knapsack row
+        # exists, though not over the global box) and x_j >= 3 does not
+        inst = from_inequalities([1.0] * 16, [], [0.0] * 16, [3.0] * 16,
+                                 range(16))
+        self.solve = _Solve(inst, MipConfig(rapid_mode="local"))
+        self.events = self.solve.events
+        self.box = BoundBox([1.0] * 16, [3.0] * 16)
+        mixed = [disj(lower=tuple((j, 2.0) for j in range(length)))
+                 for length in (3, 1, 2)]
+        mixed += [disj(lower=tuple((j, 3.0) for j in range(length)))
+                  for length in range(12, 0, -1)]
         _, node = self.run_transfer(
-            crafted_outcome(self.box.copy(), conflicts=mixed))
+            crafted_outcome(self.box.copy(), conflicts=mixed),
+            node=fresh_node(5, depth=5))
         assert self.rl_line()["conflicts"] == 10
-        kept = [lc for _, lc in self.solve.global_constraints]
-        assert [lc.form for lc in kept] == ["linear"] * 3 + ["disjunction"] * 7
-        assert [lc.length for lc in kept] == [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
-        assert node.locals_own == []
+        assert self.lconstr_lines() == \
+            [("linear", k) for k in (1, 2, 3)] + \
+            [("disjunction", k) for k in range(1, 8)]
+        kept = [d for _, d in node.locals_own]
+        assert kept == mixed[1:3] + mixed[:1] + mixed[-1:-8:-1]
+        assert self.solve.global_constraints == []
 
     def test_local_attachment_below_root(self):
-        lc = LearnedConstraint(disj(lower=((0, 1.0), (2, 1.0))))
+        d = disj(lower=((0, 1.0), (2, 1.0)))
         _, node = self.run_transfer(
-            crafted_outcome(self.box.copy(), conflicts=[lc]),
+            crafted_outcome(self.box.copy(), conflicts=[d]),
             node=fresh_node(5, depth=5))
         assert self.rl_line()["conflicts"] == 1
         assert self.solve.global_constraints == []
-        assert [c for _, c in node.locals_own] == [lc]
+        assert [c for _, c in node.locals_own] == [d]
 
     def test_bound_transfer_only_on_exhausted_probe(self):
         tighter = self.box.copy()
@@ -371,8 +386,8 @@ class TestTransferRules:
             node=fresh_node(8, depth=5))
         assert self.rl_line()["bounds"] == 1
         assert len(node.locals_own) == 1
-        _, lc1 = node.locals_own[0]
-        assert lc1.disjunction.upper_lits == ((2, 0.0),)
+        _, d1 = node.locals_own[0]
+        assert d1 == disj(upper=((2, 0.0),))
         assert self.solve.global_constraints == []
         assert self.box.upper[2] == 0.0
         assert self.solve.global_box.upper[2] == 1.0
@@ -392,7 +407,7 @@ class TestTransferRules:
         xs = np.zeros(16)
         xs[0] = 1.0
         self.run_transfer(
-            crafted_outcome(self.box.copy(), solution=xs, value=1.0))
+            crafted_outcome(self.box.copy(), solution=xs))
         assert self.rl_line()["solution"] == 1
         assert not any(e.startswith("rl-solution-rejected")
                        for e in self.events)
@@ -404,7 +419,7 @@ class TestTransferRules:
     def test_infeasible_claim_is_rejected(self):
         xs = np.zeros(16)     # violates x0 + x1 >= 1
         self.run_transfer(
-            crafted_outcome(self.box.copy(), solution=xs, value=0.0))
+            crafted_outcome(self.box.copy(), solution=xs))
         assert self.rl_line()["solution"] == 0
         assert self.stats.incumbent is None
         assert any(e.startswith("rl-solution-rejected") for e in self.events)
@@ -414,7 +429,7 @@ class TestTransferRules:
         xs = np.zeros(16)
         xs[1] = 1.0
         self.run_transfer(
-            crafted_outcome(self.box.copy(), solution=xs, value=1.0))
+            crafted_outcome(self.box.copy(), solution=xs))
         assert self.rl_line()["solution"] == 0
         assert not any(e.startswith("rl-solution-rejected")
                        for e in self.events)
@@ -431,3 +446,35 @@ class TestTransferRules:
             actions = [e.split()[5] for e in self.events
                        if e.startswith("node ")]
             assert actions == ([leaf] if leaf else [])
+
+
+def test_probe_conflicts_ranked_by_form_over_the_scope_box():
+    # a general-integer model whose probes below the root keep conflicts
+    # of both forms; each probe's `lconstr` lines, written ahead of its
+    # `rl` line, must follow the ranking recomputed from the scope box
+    # the probe was handed: knapsack-row form first, then shorter
+    m = gen.general_int_model(np.random.default_rng(33), "g", 10, 6)
+    inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
+    config = MipConfig(rapid_mode="local", rapid=RapidConfig(
+        criteria=frozenset(CRITERION_NAMES)))
+    with oracles.SearchRecorder(require=("rapidbnb.rapid.cp_search",)) as rec:
+        res = solve(inst, config)
+    logged, current = [], []
+    for tok in map(str.split, res.events):
+        if tok[0] == "lconstr":
+            current.append((tok[tok.index("form") + 1],
+                            int(tok[tok.index("size") + 1])))
+        elif tok[0] == "rl":
+            logged.append(current)
+            current = []
+    assert len(logged) == len(rec.probes)
+    forms = Counter()
+    for probe, lines in zip(rec.probes, logged):
+        ranked = sorted((to_knapsack(d, probe.scope_lower,
+                                     probe.scope_upper) is None, d.size)
+                        for d in probe.outcome.conflicts)
+        expected = [("disjunction" if disjunctive else "linear", size)
+                    for disjunctive, size in ranked]
+        assert lines == expected[:config.rapid.max_transferred_conflicts]
+        forms.update(form for form, _ in lines)
+    assert forms["linear"] >= 1 and forms["disjunction"] >= 1
