@@ -1,8 +1,7 @@
 """rapidbnb: a pure-integer branch-and-bound solver that embeds a
 conflict-learning CP probe for bounds, constraints, and solutions."""
 
-from .conflict import (BoundDisjunction, analyze_1uip, check_disjunction,
-                       to_knapsack)
+from .conflict import BoundDisjunction, analyze_1uip, to_knapsack
 from .cpsearch import (CpConfig, CpOutcome, CpStatus, cp_search,
                        node_limit_from_iters, pseudo_solution)
 from .lp import LpResult, LpStatus, measure_degeneracy, solve_lp
@@ -23,7 +22,7 @@ __all__ = [
     "LpResult", "LpStatus", "MipConfig", "ModelError",
     "MpsParseError", "ParseDiagnostics", "ProblemClass", "Propagator",
     "RapidConfig", "Row", "SearchStats", "Side", "SolveError", "SolveResult",
-    "analyze_1uip", "check_disjunction", "classify", "cp_search",
+    "analyze_1uip", "classify", "cp_search",
     "evaluate_criteria", "from_inequalities", "is_rl_depth", "maybe_run",
     "measure_degeneracy", "node_limit_from_iters", "parse_mps",
     "pseudo_solution", "solve", "solve_lp", "to_knapsack", "write_mps",

@@ -22,7 +22,7 @@ Two bookkeeping details matter for soundness:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -140,18 +140,6 @@ class BoundDisjunction:
         parts = [f"x{v} >= {val:g}" for v, val in self.lower_lits]
         parts += [f"x{v} <= {val:g}" for v, val in self.upper_lits]
         return " or ".join(parts) if parts else "<empty>"
-
-
-def check_disjunction(d: BoundDisjunction, point: Sequence[float],
-                      tol: float = 1e-6) -> bool:
-    """True when the point satisfies at least one literal."""
-    for v, val in d.lower_lits:
-        if point[v] >= val - tol:
-            return True
-    for v, val in d.upper_lits:
-        if point[v] <= val + tol:
-            return True
-    return False
 
 
 @dataclass

@@ -17,19 +17,25 @@ range, as SCIP's linear constraint handler does with `maxactdelta`
 (Achterberg 2007, ch. 7), and slices each deduction's reason from a
 tuple kept on the row (`Row.prepared`).
 
-Watch lists are search-local mutable state: they are (re)built when a
-constraint enters a Propagator and never shared between searches.  They
-survive backtracking unrepaired because undoing bound changes can only
-turn false literals non-false, which keeps watched invariants intact.
+Watches are search-local mutable state: a clause's two watch indices,
+and per variable the clauses watching a lower-bound literal on it and
+those watching an upper-bound literal on it, are built when the clause
+enters a Propagator and never shared between searches.
 
 The fixpoint driver evaluates only dirty constraints, in the manner of
-Chaff and MiniSat: those that read a variable whose bounds moved since
-the constraint's last evaluation.  Each propagator's result depends only
-on the bounds of its own variables (and, for clauses, on the watches,
-which a repeat evaluation over the same bounds leaves as they are), so
-re-evaluating a clean constraint would repeat deductions that are
-already applied or were already filtered.  Skipping it leaves the trail,
-and so every conflict, exactly as a full round-robin would.
+Chaff and MiniSat.  A row is dirtied when a variable it reads moves.  A
+clause is dirtied only when a move can change its verdict: a tightening
+that may falsify a watched literal, unless the other watch is true, and
+a loosening that may un-true a watched literal whose other watch is
+false (a one-literal clause is its own other watch, so it always wakes
+then).  A clause's verdict depends on the box alone: it fails when every
+literal is false, deduces the one non-false literal when that is open,
+and is quiet otherwise.  A clean clause has a true watch or two
+non-false ones, so each evaluation skipped would have been quiet; a
+clean row's variables moved since its last evaluation only by its own
+deductions, so evaluating it again would change nothing.  Skipping both
+leaves the trail, and so every conflict, exactly as a full round-robin
+would.
 """
 
 from __future__ import annotations
@@ -301,18 +307,15 @@ def clause_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
 
 
 class _Item:
-    __slots__ = ("cid", "row", "lits", "watch")
+    __slots__ = ("idx", "cid", "row", "lits", "watch")
 
-    def __init__(self, cid: int, row: Row | None = None,
+    def __init__(self, idx: int, cid: int, row: Row | None = None,
                  lits: tuple[tuple[int, Side, float], ...] | None = None):
+        self.idx = idx
         self.cid = cid
         self.row = row
         self.lits = lits
         self.watch = [0, min(1, len(lits) - 1)] if lits is not None else None
-
-    def variables(self) -> Sequence[int]:
-        return self.row.cols if self.lits is None else \
-            [v for v, _, _ in self.lits]
 
 
 class Propagator:
@@ -322,8 +325,11 @@ class Propagator:
     constraints must be registered under ids that do not collide.
 
     Between fixpoints the propagator remembers which constraints are
-    dirty: `occ[j]` lists the items that read variable j, and `snapshot`
-    holds the bounds at the end of the last fixpoint that ended quiet.
+    dirty and, in `snapshot`, the bounds at the end of the last
+    fixpoint, quiet or failed.
+    `occ[j]` lists the rows that read variable j; `watch_lower[j]` and
+    `watch_upper[j]` list the clauses watching a lower- or upper-bound
+    literal on j, and `_evaluate` moves a clause when its watches move.
     """
 
     def __init__(self, instance: Instance):
@@ -331,64 +337,117 @@ class Propagator:
         self.int_mask: list[bool] = instance.integer_mask.tolist()
         self.items: list[_Item] = []
         self.dirty: list[bool] = []
-        self.occ: list[list[int]] = [[] for _ in range(instance.num_vars)]
+        n = instance.num_vars
+        self.occ: list[list[int]] = [[] for _ in range(n)]
+        self.watch_lower: list[list[int]] = [[] for _ in range(n)]
+        self.watch_upper: list[list[int]] = [[] for _ in range(n)]
         self.snapshot: tuple[list[float], list[float]] | None = None
         for i, row in enumerate(instance.rows):
             self.add_constraint(i, row)
 
     def add_constraint(self, cid: int, con: Row | BoundDisjunction) -> None:
-        if isinstance(con, BoundDisjunction):
-            item = _Item(cid, lits=con.literals())
-        elif con.kind is RowKind.CLAUSE:
-            item = _Item(cid, lits=clause_literals(con))
-        else:
-            item = _Item(cid, row=con)
         idx = len(self.items)
+        if isinstance(con, BoundDisjunction):
+            item = _Item(idx, cid, lits=con.literals())
+        elif con.kind is RowKind.CLAUSE:
+            item = _Item(idx, cid, lits=clause_literals(con))
+        else:
+            item = _Item(idx, cid, row=con)
+            for j in con.cols:
+                self.occ[j].append(idx)
+        if item.lits is not None:
+            for lit in item.lits[:2]:       # the literals watched first
+                self._watchers(lit).append(idx)
         self.items.append(item)
         self.dirty.append(True)
-        for j in item.variables():
-            self.occ[j].append(idx)
+
+    def _watchers(self, lit: tuple[int, Side, float]) -> list[int]:
+        var, side, _ = lit
+        return (self.watch_lower if side is Side.LOWER
+                else self.watch_upper)[var]
 
     def _evaluate(self, item: _Item, box: BoundBox,
                   ) -> list[Deduction] | Deduction | RowInfeasible | None:
-        if item.lits is not None:
-            return propagate_watched(item.lits, box, item.watch)
+        lits = item.lits
+        if lits is not None:
+            watch = item.watch
+            w0, w1 = watch
+            res = propagate_watched(lits, box, watch)
+            if watch[0] != w0 or watch[1] != w1:
+                for old, new in ((w0, watch[0]), (w1, watch[1])):
+                    if old != new:
+                        self._watchers(lits[old]).remove(item.idx)
+                        self._watchers(lits[new]).append(item.idx)
+            return res
         row = item.row
         if row.kind is RowKind.KNAPSACK:
             return propagate_knapsack(row, box)
         return propagate_linear_row(row, box, self.int_mask)
 
+    def _wake(self, watchers: list[int], var: int, box: BoundBox,
+              tightened: bool, loosened: bool) -> None:
+        """Dirty the clauses among `watchers`, each watching a literal on
+        `var`, whose verdict the move of var may change: after a
+        tightening, those whose other watch is not true; after a
+        loosening, those whose other watch is false, and one-literal
+        clauses."""
+        dirty, items = self.dirty, self.items
+        for k in watchers:
+            if dirty[k]:
+                continue
+            item = items[k]
+            lits = item.lits
+            w0, w1 = item.watch
+            other = _lit_state(lits[w1] if lits[w0][0] == var else lits[w0],
+                               box)
+            if (tightened and other != _TRUE) or \
+                    (loosened and (other == _FALSE or w0 == w1)):
+                dirty[k] = True
+
     def _mark_moved(self, box: BoundBox) -> None:
-        """Dirty every item that reads a variable moved since the snapshot;
-        without a snapshot every item is dirty."""
-        dirty, occ = self.dirty, self.occ
+        """Dirty every row that reads a variable moved since the snapshot,
+        and every clause whose verdict such a move may change.  Before the
+        first fixpoint there is no snapshot, and every constraint is new."""
         if self.snapshot is None:
-            dirty[:] = [True] * len(dirty)
             return
         snap_lower, snap_upper = self.snapshot
-        self.snapshot = None
         if box.lower == snap_lower and box.upper == snap_upper:
             return
+        dirty, occ = self.dirty, self.occ
+        lows, ups = self.watch_lower, self.watch_upper
         for j, (lo, up, slo, sup) in enumerate(
                 zip(box.lower, box.upper, snap_lower, snap_upper)):
-            if lo != slo or up != sup:
-                for i in occ[j]:
-                    dirty[i] = True
+            if lo == slo and up == sup:
+                continue
+            for i in occ[j]:
+                dirty[i] = True
+            # a higher lower bound may falsify upper-bound literals, and a
+            # lower one un-true lower-bound literals; the same for upper
+            if lows[j] and (up < sup or lo < slo):
+                self._wake(lows[j], j, box, up < sup, lo < slo)
+            if ups[j] and (lo > slo or up > sup):
+                self._wake(ups[j], j, box, lo > slo, up > sup)
+
+    def _stop(self, box: BoundBox, outcome: Outcome,
+              applied: list[tuple[int, Side, float]]) -> PropagationResult:
+        # the next fixpoint diffs the box against this one
+        self.snapshot = (list(box.lower), list(box.upper))
+        return PropagationResult(outcome, applied)
 
     def to_fixpoint(self, box: BoundBox,
                     trail: Trail | None = None) -> PropagationResult:
         """Passes over the dirty constraints, in index order, until a pass
         applies nothing.
 
-        A constraint is dirty when it is new, when a variable it reads
-        moved since the last quiet fixpoint, after an INFEASIBLE return,
-        and after another constraint's deduction on one of its
-        variables.  A clean constraint's variables have not moved since
-        it was last evaluated, so evaluating it again would change
-        nothing: the result is the same trail as evaluating every
-        constraint in every pass.  Its own deductions do not dirty it,
-        because no propagator reads a bound it deduces: residual
-        activity deduces the side of a bound it does not read, a
+        A constraint is dirty when it is new, when it failed, and when a
+        bound moved since its last evaluation in a way that may change
+        its verdict (see the module docstring): by another constraint's
+        deduction, or, between fixpoints, by branching, rewinds or bounds
+        written past the trail.  A clean constraint's evaluation would
+        change nothing, so the result is the same trail as evaluating
+        every constraint in every pass.  Its own deductions do not dirty
+        a constraint, because no propagator reads a bound it deduces:
+        residual activity deduces the side of a bound it does not read, a
         clause's unit literal becomes true, and a knapsack fixes free
         items to zero while it reads only the items fixed to one.
 
@@ -400,6 +459,7 @@ class Propagator:
         assert trail.box is box
         self._mark_moved(box)
         items, dirty, occ = self.items, self.dirty, self.occ
+        watch_lower, watch_upper = self.watch_lower, self.watch_upper
         guard = 1000 * max(1, len(items))
         evals = 0
         applied: list[tuple[int, Side, float]] = []
@@ -424,24 +484,29 @@ class Propagator:
                     raise PropagationCycleError(
                         f"no fixpoint after {guard} constraint evaluations")
                 res = self._evaluate(item, box)
-                if res is None:
+                if not res:
                     continue
                 if isinstance(res, RowInfeasible):
                     trail.fail(item.cid, res.reason)
-                    return PropagationResult(Outcome.INFEASIBLE, applied)
+                    dirty[i] = True
+                    return self._stop(box, Outcome.INFEASIBLE, applied)
                 if isinstance(res, Deduction):
                     res = [res]
                 for d in res:
                     if cross_fail(item, d):
-                        return PropagationResult(Outcome.INFEASIBLE, applied)
+                        dirty[i] = True
+                        return self._stop(box, Outcome.INFEASIBLE, applied)
                     if trail.apply(d.var, d.side, d.value, item.cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True
                         for k in occ[d.var]:
                             if k != i:
                                 dirty[k] = True
+                        watchers = (watch_upper if d.side is Side.LOWER
+                                    else watch_lower)[d.var]
+                        if watchers:
+                            self._wake(watchers, d.var, box, True, False)
             if not changed:
                 break
-        self.snapshot = (list(box.lower), list(box.upper))
-        outcome = Outcome.REDUCED if applied else Outcome.FIXPOINT
-        return PropagationResult(outcome, applied)
+        return self._stop(box, Outcome.REDUCED if applied
+                          else Outcome.FIXPOINT, applied)

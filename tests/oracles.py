@@ -208,6 +208,17 @@ def random_lp(rng: np.random.Generator) -> Instance:
     return from_inequalities(c, rows, lower, upper, integer_set=())
 
 
+def check_disjunction(d: BoundDisjunction, point, tol: float = 1e-6) -> bool:
+    """True when the point satisfies at least one literal."""
+    for v, val in d.lower_lits:
+        if point[v] >= val - tol:
+            return True
+    for v, val in d.upper_lits:
+        if point[v] <= val + tol:
+            return True
+    return False
+
+
 # -- watching the searches ---------------------------------------------
 
 RECORDED_NAMES = ("rapidbnb.mipsearch.analyze_1uip",

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from rapidbnb import (BoundBox, BoundDisjunction, Instance, MipConfig,
-                      Propagator, RapidConfig, Row, from_inequalities,
-                      propagation, solve, to_knapsack)
+                      Propagator, RapidConfig, Row, cpsearch,
+                      from_inequalities, mipsearch, propagation, solve,
+                      to_knapsack)
 from rapidbnb.conflict import Trail
 from rapidbnb.model import FEAS_TOL, INT_TOL, RowKind, Side
 from rapidbnb.propagation import (Deduction, Outcome, PropagationResult,
@@ -364,6 +365,32 @@ def trail_record(trail: Trail):
     return changes, failure, list(trail.box.lower), list(trail.box.upper)
 
 
+class Lockstep:
+    """A `Propagator` and a `RoundRobin` taken through the same steps; each
+    step checks that their trails still agree."""
+
+    def __init__(self, inst: Instance):
+        self.runs = [(Propagator(inst), Trail(inst.root_box())),
+                     (RoundRobin(inst), Trail(inst.root_box()))]
+
+    @property
+    def trail(self) -> Trail:
+        return self.runs[0][1]
+
+    def each(self, step) -> None:
+        for prop, trail in self.runs:
+            step(prop, trail)
+        assert trail_record(self.runs[0][1]) == trail_record(self.runs[1][1])
+
+    def fixpoint(self) -> PropagationResult:
+        out = []
+        self.each(lambda prop, trail: out.append(
+            prop.to_fixpoint(trail.box, trail)))
+        assert out[0].outcome is out[1].outcome
+        assert out[0].deductions == out[1].deductions
+        return out[0]
+
+
 class TestDirtySetFixpoint:
     """Evaluating only constraints whose variables moved gives the same
     outcome, applied list and trail as evaluating every constraint."""
@@ -470,6 +497,98 @@ class TestDirtySetFixpoint:
                 deduced.add(RowKind.CLAUSE if item.lits is not None
                             else item.row.kind)
         assert deduced == {RowKind.CLAUSE, RowKind.KNAPSACK, RowKind.LINEAR}
+
+
+class TestWatchWakeups:
+    """Edge cases of waking clauses by their watches, and of the dirty set
+    kept across a failure, each against `RoundRobin`."""
+
+    def test_untrued_one_literal_disjunction_deduces_again(self):
+        inst = from_inequalities([0.0] * 3,
+                                 [((0, 1, 2), (1.0,) * 3, ">=", 1.0)],
+                                 [0] * 3, [1] * 3, integer_set=range(3))
+        run = Lockstep(inst)
+        run.fixpoint()
+        mark = run.trail.mark()
+        run.each(lambda prop, trail: trail.branch(0, Side.LOWER, 1.0, 1))
+        unit = BoundDisjunction(((0, 1.0),), ())
+        run.each(lambda prop, trail: prop.add_constraint(1, unit))
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        # the rewind un-trues the literal, which is its own other watch
+        run.each(lambda prop, trail: trail.rewind(mark))
+        assert run.fixpoint().deductions == [(0, Side.LOWER, 1.0)]
+
+    def test_untrued_watch_whose_other_watch_stays_false(self):
+        # x0 or x1: x0 true by a branch, x1 false by a bound written past
+        # the trail, as the probe writes its learned units; the rewind
+        # un-trues x0 and leaves it the clause's unit
+        inst = from_inequalities([0.0] * 2,
+                                 [((0, 1), (1.0, 1.0), ">=", 1.0)],
+                                 [0] * 2, [1] * 2, integer_set=range(2))
+        run = Lockstep(inst)
+        run.fixpoint()
+        mark = run.trail.mark()
+        run.each(lambda prop, trail: trail.branch(0, Side.LOWER, 1.0, 1))
+        run.each(lambda prop, trail: trail.box.tighten(1, Side.UPPER, 0.0))
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        run.each(lambda prop, trail: trail.rewind(mark))
+        assert run.fixpoint().deductions == [(0, Side.LOWER, 1.0)]
+        # x1's bound is off the trail, so the deduction has no antecedent
+        assert run.trail.changes[-1].antecedents == ()
+
+    def test_failed_clause_stays_dirty(self):
+        # x1 or x2 or x3 fails with its watches on x1 and x2, both false
+        # by bounds written past the trail, and x3 false through the
+        # branch x0 <= 0 and x3 <= x0; rewinding the branch frees x3, the
+        # clause's unit now, which it does not watch, so only the dirty
+        # flag the failure left brings the clause back
+        inst = from_inequalities([0.0] * 4,
+                                 [((0, 3), (-1.0, 1.0), "<=", 0.0),
+                                  ((1, 2, 3), (1.0,) * 3, ">=", 1.0)],
+                                 [0] * 4, [1] * 4, integer_set=range(4))
+        run = Lockstep(inst)
+        run.fixpoint()
+        mark = run.trail.mark()
+        for var in (1, 2):
+            run.each(lambda prop, trail: trail.box.tighten(
+                var, Side.UPPER, 0.0))
+        run.each(lambda prop, trail: trail.branch(0, Side.UPPER, 0.0, 1))
+        assert run.fixpoint().outcome is Outcome.INFEASIBLE
+        assert run.trail.failure.reason == 1
+        run.each(lambda prop, trail: trail.rewind(mark))
+        run.each(lambda prop, trail: trail.branch(0, Side.LOWER, 1.0, 1))
+        assert run.fixpoint().deductions == [(3, Side.LOWER, 1.0)]
+
+    def test_other_branch_after_a_failure(self):
+        # dive until a fixpoint fails, then rewind and take the other
+        # branch: the constraints left dirty by the failure, and the box
+        # it left behind, must give the reference trail
+        rng = np.random.default_rng(82)
+        failures = 0
+        for _ in range(40):
+            inst = mixed_instance(rng)
+            run = Lockstep(inst)
+            if run.fixpoint().outcome is Outcome.INFEASIBLE:
+                continue
+            for level in range(1, 20):
+                box = run.trail.box
+                free = [j for j in inst.integer_indices
+                        if box.upper[j] - box.lower[j] > 0.5]
+                if not free:
+                    break
+                var = int(rng.choice(free))
+                val = float(rng.integers(box.lower[var], box.upper[var]))
+                mark = run.trail.mark()
+                run.each(lambda prop, trail: trail.branch(
+                    var, Side.UPPER, val, level))
+                if run.fixpoint().outcome is Outcome.INFEASIBLE:
+                    failures += 1
+                    run.each(lambda prop, trail: trail.rewind(mark))
+                    run.each(lambda prop, trail: trail.branch(
+                        var, Side.LOWER, val + 1.0, level))
+                    run.fixpoint()
+                    break
+        assert failures >= 10
 
 
 def _reference_reads(row: Row, skip: int = -1):
@@ -744,3 +863,45 @@ def test_solves_match_the_reference_row_propagator(monkeypatch):
     assert run() == new
     # probes below the root ran, not only the root probe
     assert any(rl_calls > 1 for *_, rl_calls, _ in new)
+
+
+def test_clause_solves_match_the_round_robin_propagator(monkeypatch):
+    """Whole solves of clause models with local probes leave the same event
+    log, answer and counts when every constraint is evaluated in every
+    pass: waking clauses by their watches, and keeping the dirty set
+    across failures, change no search while they skip clause evaluations."""
+    rng = np.random.default_rng(83)
+    config = MipConfig(rapid_mode="local", seed=1)
+    insts = []
+    for k in range(4):
+        m = gen.clause_model(rng, f"clause{k}", 30)
+        insts.append(from_inequalities(m.c, m.rows, m.lower, m.upper,
+                                       range(len(m.c))))
+
+    def run():
+        return [(r.status, r.objective, r.nodes, r.stats.iter_lp,
+                 r.rl_calls, r.events)
+                for r in (solve(inst, config) for inst in insts)]
+
+    watched = []
+
+    def counted(*args):
+        watched.append(None)
+        return propagate_watched(*args)
+
+    monkeypatch.setattr(propagation, "propagate_watched", counted)
+    new = run()
+    reference = []
+
+    def round_robin(inst):
+        reference.append(RoundRobin(inst))
+        return reference[-1]
+
+    monkeypatch.setattr(cpsearch, "Propagator", round_robin)
+    monkeypatch.setattr(mipsearch, "Propagator", round_robin)
+    assert run() == new
+    # every row of a clause model is a clause, and so is every conflict
+    assert all(row.kind is RowKind.CLAUSE
+               for inst in insts for row in inst.rows)
+    assert len(watched) < sum(p.evals for p in reference)
+    assert any(status == "infeasible" for status, *_ in new)
