@@ -6,7 +6,7 @@ Building instances and moving them through MPS files
 
 import numpy as np
 
-from rapidbnb import classify, from_inequalities
+from rapidbnb import from_inequalities
 from rapidbnb.mps import parse_mps, write_mps
 
 # A tiny production-mix model: two integer activities, one continuous
@@ -25,7 +25,7 @@ inst = from_inequalities(
     names=["lathe", "mill", "store"],
     name="MIX")
 
-print("class:", classify(inst).name)
+print("integer columns:", int(inst.integer_mask.sum()), "of", inst.num_vars)
 print("rows in normal form:")
 for row in inst.rows:
     print("  ", row)
@@ -52,5 +52,7 @@ RHS
 ENDATA
 """
 scratch, _ = parse_mps(text)
-print("scratch instance:", scratch.num_vars, "binaries,",
-      classify(scratch).name)
+# INTORG columns without bounds default to [0, 1]
+print("scratch instance:", int(scratch.integer_mask.sum()), "integer of",
+      scratch.num_vars, "columns, bounds", scratch.lower.tolist(),
+      scratch.upper.tolist())

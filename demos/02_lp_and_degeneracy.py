@@ -15,7 +15,7 @@ from rapidbnb.lp import measure_degeneracy, solve_lp
 crisp = from_inequalities([-1.0, -2.0], [((0, 1), (1.0, 1.0), "<=", 1.0)],
                           [0.0, 0.0], [1.0, 1.0], [])
 res = solve_lp(crisp, crisp.root_box())
-info = measure_degeneracy(res, crisp.num_rows)
+info = measure_degeneracy(res, crisp.root_box())
 print("crisp corner:   value %g  degenerate share %.2f  face ratio %.2f"
       % (res.objective, info.degenerate_share, info.face_ratio))
 
@@ -26,7 +26,7 @@ print("crisp corner:   value %g  degenerate share %.2f  face ratio %.2f"
 flat = from_inequalities([0.0, 0.0], [((0, 1), (1.0, 1.0), "<=", 1.0)],
                          [0.0, 0.0], [1.0, 1.0], [])
 res = solve_lp(flat, flat.root_box())
-info = measure_degeneracy(res, flat.num_rows)
+info = measure_degeneracy(res, flat.root_box())
 print("flat objective: value %g  degenerate share %.2f  face ratio %.2f"
       % (res.objective, info.degenerate_share, info.face_ratio))
 

@@ -127,10 +127,6 @@ class BoundDisjunction:
     def size(self) -> int:
         return len(self.lower_lits) + len(self.upper_lits)
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.lower_lits) + \
-            tuple(v for v, _ in self.upper_lits)
-
     def literals(self) -> tuple[tuple[int, Side, float], ...]:
         lows = tuple((v, Side.LOWER, val) for v, val in self.lower_lits)
         ups = tuple((v, Side.UPPER, val) for v, val in self.upper_lits)
@@ -239,17 +235,3 @@ def to_knapsack(d: BoundDisjunction, lower: np.ndarray,
         rhs += upper[v]
     return Row(cols, coefs, rhs, name="conflict")
 
-
-def upgrade_singleton(d: BoundDisjunction, box: BoundBox) -> bool:
-    """Apply a one-literal disjunction as a plain bound tightening.
-
-    Raises EmptyBoxError when the bound crosses, which callers treat as
-    an infeasibility proof for the box's scope.
-    """
-    if d.size != 1:
-        raise ValueError("only single-literal disjunctions upgrade to bounds")
-    if d.lower_lits:
-        v, val = d.lower_lits[0]
-        return box.tighten(v, Side.LOWER, val)
-    v, val = d.upper_lits[0]
-    return box.tighten(v, Side.UPPER, val)

@@ -74,7 +74,6 @@ class LpResult:
     basis_status: np.ndarray | None = None   # length n + m, BasisStatus values
     reduced_costs: np.ndarray | None = None  # length n + m, zero on basics
     iterations: int = 0
-    fixed_mask: np.ndarray | None = None     # structural vars fixed at solve time
 
 
 @dataclass
@@ -410,20 +409,17 @@ class _Simplex:
         return xs, float(self.cost[:self.n] @ xs)
 
     def result(self, status: LpStatus, box: BoundBox) -> LpResult:
-        fixed = (np.array(box.upper) - np.array(box.lower)) <= INT_TOL
         basis_status = np.array(self.status, dtype=np.int8)
         if status is not LpStatus.OPTIMAL:
             return LpResult(status, iterations=self.iterations,
-                            basis_status=basis_status,
-                            fixed_mask=fixed)
+                            basis_status=basis_status)
         red = self.red
         red[self.basis] = 0.0  # exactly zero on the basis
         xs, objective = self.point(box)
         return LpResult(LpStatus.OPTIMAL, x=xs, objective=objective,
                         basis_status=basis_status,
                         reduced_costs=red,
-                        iterations=self.iterations,
-                        fixed_mask=fixed)
+                        iterations=self.iterations)
 
 
 def solve_lp(instance: Instance, box: BoundBox,
@@ -455,21 +451,24 @@ def solve_lp(instance: Instance, box: BoundBox,
     return LpResult(status, objective=objective, iterations=sx.iterations)
 
 
-def measure_degeneracy(result: LpResult, num_rows: int) -> DegeneracyInfo:
-    """Dual-degeneracy share and optimal-face size ratio.
+def measure_degeneracy(result: LpResult, box: BoundBox) -> DegeneracyInfo:
+    """Dual-degeneracy share and optimal-face size ratio of `result`, the
+    optimal LP over `box`.
 
-    Counts structural unfixed columns only: a fixed variable cannot move
-    off its bound, so its reduced cost says nothing about alternative
-    optima.  share = degenerate nonbasic / nonbasic; face_ratio =
-    (basic + degenerate nonbasic) / max(1, num_rows).  Both are NaN-free.
+    Counts structural columns that `box` leaves unfixed only: a fixed
+    variable cannot move off its bound, so its reduced cost says nothing
+    about alternative optima.  share = degenerate nonbasic / nonbasic;
+    face_ratio = (basic + degenerate nonbasic) / max(1, rows).  Both are
+    NaN-free.
     """
     if result.basis_status is None or result.reduced_costs is None:
         raise ValueError("degeneracy needs an optimal LP result")
-    n = len(result.fixed_mask) if result.fixed_mask is not None else 0
+    n = len(box.lower)
+    num_rows = len(result.basis_status) - n
     st = result.basis_status[:n]
     red = result.reduced_costs[:n]
-    unfixed = ~result.fixed_mask
-    nonbasic = (st != BasisStatus.BASIC) & unfixed
+    fixed = (np.array(box.upper) - np.array(box.lower)) <= INT_TOL
+    nonbasic = (st != BasisStatus.BASIC) & ~fixed
     degen = nonbasic & (np.abs(red) <= DEGEN_TOL)
     n_nonbasic = int(nonbasic.sum())
     n_degen = int(degen.sum())

@@ -1,7 +1,7 @@
 """LP-based branch and bound with conflict learning and the probe hook.
 
 Node selection is best bound with depth-first plunging.  Open nodes
-store no boxes: a node keeps its branching bounds and its own local
+store no boxes: a node keeps its branching bound and its own local
 constraints, and its state (box, trail and propagator) is built level
 by level, one propagation round each, which also gives conflict
 analysis correct decision levels for free.  The root's state is the
@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching import PC_FLOOR, BranchingStats, select_branching
-from .conflict import (BoundDisjunction, Trail, analyze_1uip, to_knapsack,
-                       upgrade_singleton)
+from .conflict import BoundDisjunction, Trail, analyze_1uip, to_knapsack
 from .cpsearch import CpOutcome, CpStatus
 from .lp import LpStatus, WarmStart, solve_lp, strong_branch
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
@@ -104,12 +103,10 @@ class Node:
     parent: "Node | None"
     depth: int
     lower_bound: float
-    # bound deltas against the parent: the branching bounds of this node
-    delta: tuple[tuple[int, Side, float], ...]
+    # the bound that branching added to the parent's box; None at the root
+    branch: tuple[int, Side, float] | None = None
     locals_own: list[tuple[int, BoundDisjunction]] = field(default_factory=list)
     basis: np.ndarray | None = None
-    branch_var: int = -1
-    branch_dir: int = -1
     branch_frac: float = 0.0
     parent_obj: float = math.nan
 
@@ -267,7 +264,7 @@ class _Solve:
         self.log(f"conflict node {node.id} size {d.size} scope global")
         if d.size == 1:
             try:
-                upgrade_singleton(d, self.global_box)
+                self.global_box.tighten(*d.literals()[0])
             except EmptyBoxError:
                 self.exhausted = True
             return
@@ -283,14 +280,12 @@ class _Solve:
         return True
 
     def _descend(self, node: Node, nd: Node, state: _NodeState) -> bool:
-        """Open level nd.depth on top of `state`: nd's branching bounds,
+        """Open level nd.depth on top of `state`: nd's branching bound,
         its own locals, one fixpoint.  False means `node` died there."""
-        trail = state.trail
-        for var, side, val in nd.delta:
-            try:
-                trail.branch(var, side, val, nd.depth)
-            except EmptyBoxError:
-                return False
+        try:
+            state.trail.branch(*nd.branch, nd.depth)
+        except EmptyBoxError:
+            return False
         for cid, d in nd.locals_own:
             state.prop.add_constraint(cid, d)
             state.local_ids.add(cid)
@@ -352,10 +347,12 @@ class _Solve:
 
         obj = float(lp.objective)
         node.lower_bound = max(node.lower_bound, obj)
-        if node.branch_var >= 0 and math.isfinite(node.parent_obj):
+        if node.branch is not None and math.isfinite(node.parent_obj):
+            var, side, _ = node.branch
             gain = max(obj - node.parent_obj, 0.0)
+            # direction 1 is the up child, the one given a lower bound
             stats.branching.update_pseudo_cost(
-                node.branch_var, node.branch_dir,
+                var, int(side is Side.LOWER),
                 gain / max(node.branch_frac, PC_FLOOR))
         if node.lower_bound >= stats.incumbent_value - GAP_TOL:
             self._leaf(node, "cutoff", kind="cutoff")
@@ -534,13 +531,13 @@ class _Solve:
         dist_up = max(v + 1.0 - xv, PC_FLOOR)
         down = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                     lower_bound=node.lower_bound,
-                    delta=((var, Side.UPPER, float(v)),), basis=basis,
-                    branch_var=var, branch_dir=0, branch_frac=dist_dn,
+                    branch=(var, Side.UPPER, float(v)), basis=basis,
+                    branch_frac=dist_dn,
                     parent_obj=obj)
         up = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                   lower_bound=node.lower_bound,
-                  delta=((var, Side.LOWER, float(v + 1)),), basis=basis,
-                  branch_var=var, branch_dir=1, branch_frac=dist_up,
+                  branch=(var, Side.LOWER, float(v + 1)), basis=basis,
+                  branch_frac=dist_up,
                   parent_obj=obj)
         self.log(f"branch node {node.id} depth {node.depth} var {var} "
                  f"point {v} frac {fmt_g(xv - v)} "
@@ -572,7 +569,7 @@ class _Solve:
         inst, stats = self.inst, self.stats
         # root propagation is globally valid: fold it into the global box,
         # and keep its state for the root node
-        root = Node(id=1, parent=None, depth=0, lower_bound=-INF, delta=())
+        root = Node(id=1, parent=None, depth=0, lower_bound=-INF)
         state = _NodeState(root, Trail(self.global_box.copy()),
                            self._propagator())
         res = state.prop.to_fixpoint(state.trail.box, state.trail)

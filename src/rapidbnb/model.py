@@ -51,13 +51,6 @@ class RowKind(enum.Enum):
     CLAUSE = "clause"
 
 
-class ProblemClass(enum.Enum):
-    LP = "LP"
-    IP = "IP"
-    BP = "BP"
-    MIP = "MIP"
-
-
 class Row:
     """One constraint `sum(coefs[k] * x[cols[k]]) <= rhs`.
 
@@ -259,25 +252,6 @@ def from_inequalities(objective: Sequence[float],
         if sense in (">=", "=="):
             rows.append(Row(cols, [-a for a in coefs], -rhs))
     return Instance(objective, rows, lower, upper, integer_set, names, name)
-
-
-def classify(instance: Instance) -> ProblemClass:
-    """Most specific problem class.
-
-    All-integer problems are IP, or BP when every domain is {0,1}; no
-    integers means LP; anything else is MIP.  The degenerate zero-variable
-    problem classifies as LP (no integrality present).
-    """
-    n = instance.num_vars
-    n_int = int(instance.integer_mask.sum())
-    if n_int == 0:
-        return ProblemClass.LP
-    if n_int == n:
-        if all(_is_binary(j, instance.lower, instance.upper, instance.integer_mask)
-               for j in range(n)):
-            return ProblemClass.BP
-        return ProblemClass.IP
-    return ProblemClass.MIP
 
 
 class BoundBox:

@@ -451,6 +451,15 @@ class Propagator:
         clause's unit literal becomes true, and a knapsack fixes free
         items to zero while it reads only the items fixed to one.
 
+        Failures come from the propagators alone: no deduction crosses
+        the opposite bound by more than FEAS_TOL, which is where
+        `BoundBox.tighten` would raise.  Residual activity returns
+        RowInfeasible for such a bound itself, a knapsack deduces x_j <= 0
+        only for items whose lower bound is 0, and a clause deduces only a
+        literal that is not false (INT_TOL == FEAS_TOL).  A row never
+        repeats a column, so applying one of its deductions cannot make a
+        later one cross.
+
         Raises PropagationCycleError past 1000 evaluations per constraint,
         which indicates a non-converging propagator rather than big input.
         """
@@ -463,15 +472,6 @@ class Propagator:
         guard = 1000 * max(1, len(items))
         evals = 0
         applied: list[tuple[int, Side, float]] = []
-
-        def cross_fail(item: _Item, d: Deduction) -> bool:
-            if d.side is Side.LOWER and d.value > box.upper[d.var] + FEAS_TOL:
-                trail.fail(item.cid, d.reason + ((d.var, Side.UPPER),))
-                return True
-            if d.side is Side.UPPER and d.value < box.lower[d.var] - FEAS_TOL:
-                trail.fail(item.cid, d.reason + ((d.var, Side.LOWER),))
-                return True
-            return False
 
         while True:
             changed = False
@@ -493,9 +493,6 @@ class Propagator:
                 if isinstance(res, Deduction):
                     res = [res]
                 for d in res:
-                    if cross_fail(item, d):
-                        dirty[i] = True
-                        return self._stop(box, Outcome.INFEASIBLE, applied)
                     if trail.apply(d.var, d.side, d.value, item.cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True

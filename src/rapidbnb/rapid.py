@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cpsearch import CpConfig, CpOutcome, cp_search, node_limit_from_iters
 from .lp import DegeneracyInfo, measure_degeneracy
-from .model import INF, Instance
+from .model import Instance
 
 CRITERION_NAMES = ("dualbound", "leaves", "degeneracy", "obj", "nsols", "sblps")
 # only box-shaped evidence exists before any branching has happened
@@ -33,14 +33,6 @@ class RapidConfig:
     max_transferred_conflicts: int = 10
 
 
-@dataclass
-class CriterionReport:
-    """Fired flags plus the quantity each threshold was compared against."""
-
-    fired: dict[str, bool]
-    measured: dict[str, float]
-
-
 def is_rl_depth(d: int, f: int, beta: float) -> bool:
     """True at depth 0 and at f, f*beta, f*beta^2, ...  Exact rational
     walk, so no floating log ever misclassifies a depth."""
@@ -58,52 +50,40 @@ def is_rl_depth(d: int, f: int, beta: float) -> bool:
     return t == target
 
 
-def _ratio(num: float, den: float) -> float:
-    if den > 0:
-        return num / den
-    return INF if num > 0 else 0.0
-
-
-def evaluate_criteria(stats, lp_degeneracy: DegeneracyInfo, *,
-                      instance: Instance, box) -> CriterionReport:
-    """Measure all six triggers against the search statistics, the LP
-    degeneracy and the node box.  All threshold comparisons are strict."""
-    fired: dict[str, bool] = {}
-    measured: dict[str, float] = {}
-
-    delta = 0.0 if stats.dual_bound == stats.root_dual_bound \
-        else abs(stats.dual_bound - stats.root_dual_bound)
-    measured["dualbound"] = delta
-    fired["dualbound"] = delta <= 1e-9
-
-    measured["leaves"] = _ratio(stats.leaves_infeasible, stats.leaves_cutoff)
-    fired["leaves"] = stats.leaves_infeasible > \
-        RATIO_THRESHOLD * stats.leaves_cutoff
-
-    measured["degeneracy"] = lp_degeneracy.degenerate_share
-    measured["face_ratio"] = lp_degeneracy.face_ratio
-    fired["degeneracy"] = (
-        lp_degeneracy.degenerate_share > DEGENERACY_SHARE_THRESHOLD
-        or lp_degeneracy.face_ratio > FACE_RATIO_THRESHOLD)
-
-    unfixed_support = sum(
-        1 for j in range(instance.num_vars)
-        if instance.c[j] != 0.0 and box.upper[j] - box.lower[j] > 1e-6)
-    measured["obj"] = float(unfixed_support)
-    fired["obj"] = unfixed_support <= OBJ_SUPPORT_SLACK
-
-    measured["nsols"] = float(stats.n_solutions)
-    fired["nsols"] = stats.n_solutions == 0
-
+def evaluate_criteria(stats, degeneracy: DegeneracyInfo | None, *,
+                      instance: Instance, box,
+                      enabled: frozenset[str]) -> list[str]:
+    """The names in `enabled` whose trigger fires, in CRITERION_NAMES
+    order, against the search statistics, the LP degeneracy and the node
+    box.  `degeneracy` is read only when "degeneracy" is enabled.  All
+    threshold comparisons are strict."""
+    fired: list[str] = []
+    # equal infinite bounds subtract to NaN, so equality is tested first
+    if "dualbound" in enabled and (
+            stats.dual_bound == stats.root_dual_bound
+            or abs(stats.dual_bound - stats.root_dual_bound) <= 1e-9):
+        fired.append("dualbound")
+    if "leaves" in enabled and \
+            stats.leaves_infeasible > RATIO_THRESHOLD * stats.leaves_cutoff:
+        fired.append("leaves")
+    if "degeneracy" in enabled and (
+            degeneracy.degenerate_share > DEGENERACY_SHARE_THRESHOLD
+            or degeneracy.face_ratio > FACE_RATIO_THRESHOLD):
+        fired.append("degeneracy")
+    if "obj" in enabled:
+        unfixed_support = sum(
+            1 for j in range(instance.num_vars)
+            if instance.c[j] != 0.0 and box.upper[j] - box.lower[j] > 1e-6)
+        if unfixed_support <= OBJ_SUPPORT_SLACK:
+            fired.append("obj")
+    if "nsols" in enabled and stats.n_solutions == 0:
+        fired.append("nsols")
     # strong-branching LPs solved: a candidate skipped for its known
     # pseudo-costs solves none and counts toward neither side
-    measured["sblps"] = _ratio(stats.sb_no_improvement,
-                               stats.sb_objective_changed)
-    evaluated = stats.sb_no_improvement + stats.sb_objective_changed
-    fired["sblps"] = evaluated >= 1 and stats.sb_no_improvement > \
-        RATIO_THRESHOLD * stats.sb_objective_changed
-
-    return CriterionReport(fired=fired, measured=measured)
+    if "sblps" in enabled and stats.sb_no_improvement > \
+            RATIO_THRESHOLD * stats.sb_objective_changed:
+        fired.append("sblps")
+    return fired
 
 
 def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
@@ -122,12 +102,13 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
         return None
     if not bool(instance.integer_mask.all()):
         return None      # the probe handles pure integer scopes only
-    degen = measure_degeneracy(lp_result, instance.num_rows)
-    report = evaluate_criteria(stats, degen, instance=instance, box=box)
     enabled = frozenset(config.criteria)
     if node.depth == 0:
         enabled &= ROOT_CRITERIA
-    fired = [n for n in CRITERION_NAMES if n in enabled and report.fired[n]]
+    degen = measure_degeneracy(lp_result, box) \
+        if "degeneracy" in enabled else None
+    fired = evaluate_criteria(stats, degen, instance=instance, box=box,
+                              enabled=enabled)
     for name in fired:
         stats.criterion_fires[name] += 1
     events.append(f"criteria node {node.id} depth {node.depth} "

@@ -316,7 +316,8 @@ class SearchRecorder:
                     tuple(_falsified_at(changes, *lit)
                           for lit in d.literals()),
                     max(changes[p].level for p in trail.failure.antecedents),
-                    {v: (box.lower[v], box.upper[v]) for v in d.variables()}))
+                    {v: (box.lower[v], box.upper[v])
+                     for v, _, _ in d.literals()}))
             return out
         return recorded
 

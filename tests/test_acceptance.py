@@ -23,7 +23,8 @@ from rapidbnb.model import INF, Instance
 from rapidbnb.mps import write_mps
 from rapidbnb.propagation import Outcome, Propagator
 from rapidbnb import rapid
-from rapidbnb.rapid import RapidConfig, evaluate_criteria, is_rl_depth
+from rapidbnb.rapid import (CRITERION_NAMES, RapidConfig, evaluate_criteria,
+                            is_rl_depth)
 
 SUITE_SIZE = 200
 SUITE_SEED = 20240817
@@ -260,29 +261,29 @@ def _fired(stats=None, share=0.0, face=1.0, **stat_kwargs):
     st = stats or SearchStats(**stat_kwargs)
     info = DegeneracyInfo(degenerate_share=share, face_ratio=face)
     inst = Instance(np.ones(2), [], np.zeros(2), np.ones(2), [0, 1])
-    return evaluate_criteria(st, info, instance=inst,
-                             box=inst.root_box()).fired
+    return evaluate_criteria(st, info, instance=inst, box=inst.root_box(),
+                             enabled=frozenset(CRITERION_NAMES))
 
 
 def test_criterion_06_trigger_boundaries():
     # degenerate share, strict
-    assert not _fired(share=0.80)["degeneracy"]
-    assert _fired(share=0.8001)["degeneracy"]
+    assert "degeneracy" not in _fired(share=0.80)
+    assert "degeneracy" in _fired(share=0.8001)
     # face ratio, strict
-    assert not _fired(face=2.0)["degeneracy"]
-    assert _fired(face=2.0001)["degeneracy"]
+    assert "degeneracy" not in _fired(face=2.0)
+    assert "degeneracy" in _fired(face=2.0001)
     # leaf ratio at exactly 10x and just above
-    assert not _fired(leaves_infeasible=20, leaves_cutoff=2)["leaves"]
-    assert _fired(leaves_infeasible=21, leaves_cutoff=2)["leaves"]
+    assert "leaves" not in _fired(leaves_infeasible=20, leaves_cutoff=2)
+    assert "leaves" in _fired(leaves_infeasible=21, leaves_cutoff=2)
     # leaf ratio with a zero denominator
-    assert not _fired(leaves_infeasible=0, leaves_cutoff=0)["leaves"]
-    assert _fired(leaves_infeasible=1, leaves_cutoff=0)["leaves"]
+    assert "leaves" not in _fired(leaves_infeasible=0, leaves_cutoff=0)
+    assert "leaves" in _fired(leaves_infeasible=1, leaves_cutoff=0)
     # dual bound stalled vs moved
-    assert _fired(dual_bound=2.0, root_dual_bound=2.0)["dualbound"]
-    assert not _fired(dual_bound=2.1, root_dual_bound=2.0)["dualbound"]
+    assert "dualbound" in _fired(dual_bound=2.0, root_dual_bound=2.0)
+    assert "dualbound" not in _fired(dual_bound=2.1, root_dual_bound=2.0)
     # solution count
-    assert _fired(n_solutions=0)["nsols"]
-    assert not _fired(n_solutions=1)["nsols"]
+    assert "nsols" in _fired(n_solutions=0)
+    assert "nsols" not in _fired(n_solutions=1)
     report(6, "nine boundary cases fire exactly per the strict comparisons")
 
 
@@ -339,7 +340,7 @@ def test_criterion_08_lp_oracle():
         res = solve_lp(flat, flat.root_box())
         if res.status.name != "OPTIMAL":
             continue
-        info = measure_degeneracy(res, flat.num_rows)
+        info = measure_degeneracy(res, flat.root_box())
         assert info.degenerate_share == 1.0
         n_flat += 1
     assert n_flat >= 10

@@ -10,7 +10,6 @@ from rapidbnb import (
     BoundBox,
     BoundDisjunction,
     CpConfig,
-    EmptyBoxError,
     Instance,
     MipConfig,
     RapidConfig,
@@ -19,7 +18,7 @@ from rapidbnb import (
     solve,
     to_knapsack,
 )
-from rapidbnb.conflict import Trail, upgrade_singleton
+from rapidbnb.conflict import Trail
 
 import oracles
 
@@ -90,29 +89,6 @@ class TestKnapsackConversion:
         cut = [tuple(x) for x in oracles.integer_grid(lower, upper)
                if row.activity(x) > row.rhs + 1e-9]
         assert cut == [(0.0, 3.0)]
-
-
-class TestSingletonUpgrade:
-    def test_lower_literal_tightens(self):
-        box = BoundBox(np.zeros(1), np.full(1, 4.0))
-        assert upgrade_singleton(BoundDisjunction(((0, 2.0),), ()), box)
-        assert box.lower[0] == 2.0
-
-    def test_upper_literal_tightens(self):
-        box = BoundBox(np.zeros(1), np.full(1, 4.0))
-        assert upgrade_singleton(BoundDisjunction((), ((0, 1.0),)), box)
-        assert box.upper[0] == 1.0
-
-    def test_crossing_raises(self):
-        box = BoundBox(np.full(1, 3.0), np.full(1, 4.0))
-        with pytest.raises(EmptyBoxError):
-            upgrade_singleton(BoundDisjunction((), ((0, 1.0),)), box)
-
-    def test_multi_literal_rejected(self):
-        box = BoundBox(np.zeros(2), np.ones(2))
-        two = BoundDisjunction(((0, 1.0), (1, 1.0)), ())
-        with pytest.raises(ValueError):
-            upgrade_singleton(two, box)
 
 
 class TestTrail:

@@ -61,7 +61,7 @@ class TestDegeneracy:
             res = solve_lp(zero, zero.root_box())
             if res.status is not LpStatus.OPTIMAL:
                 continue
-            info = measure_degeneracy(res, zero.num_rows)
+            info = measure_degeneracy(res, zero.root_box())
             assert info.degenerate_share == 1.0
 
     def test_nondegenerate_corner(self):
@@ -71,8 +71,26 @@ class TestDegeneracy:
         res = solve_lp(inst, inst.root_box())
         assert res.status is LpStatus.OPTIMAL
         assert res.objective == -3.0
-        info = measure_degeneracy(res, 0)
+        info = measure_degeneracy(res, inst.root_box())
         assert info.degenerate_share == 0.0
+
+    def test_columns_fixed_in_the_box_are_left_out(self):
+        # min x0 over [0,1]^3 with two slack rows: the slack basis is
+        # optimal, x0 prices at 1, and x1, x2 price at 0
+        inst = from_inequalities([1.0, 0.0, 0.0],
+                                 [((0, 1, 2), (1.0, 1.0, 1.0), "<=", 2.0),
+                                  ((0, 2), (1.0, -1.0), "<=", 1.0)],
+                                 [0, 0, 0], [1, 1, 1], integer_set=())
+        box = inst.root_box()
+        res = solve_lp(inst, box)
+        info = measure_degeneracy(res, box)
+        assert (info.degenerate_share, info.face_ratio) == (2 / 3, 1.0)
+        # x1 fixed: only x0 and x2 count, and x2 alone is degenerate
+        box.upper[1] = 0.0
+        res = solve_lp(inst, box)
+        assert res.status is LpStatus.OPTIMAL
+        info = measure_degeneracy(res, box)
+        assert (info.degenerate_share, info.face_ratio) == (0.5, 0.5)
 
 
 class TestMechanics:
@@ -164,7 +182,7 @@ class TestStrongBranch:
             assert (lean.status, lean.objective, lean.iterations) == \
                 (full.status, full.objective, full.iterations), f"case {k}"
             assert lean.x is None and lean.basis_status is None
-            assert lean.reduced_costs is None and lean.fixed_mask is None
+            assert lean.reduced_costs is None
             statuses.add(full.status)
         assert LpStatus.OPTIMAL in statuses and len(statuses) >= 2
 

@@ -1,4 +1,4 @@
-"""Normal form, classification, and bound box mechanics."""
+"""Normal form, row classification, and bound box mechanics."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from rapidbnb import (
     EmptyBoxError,
     Instance,
     ModelError,
-    ProblemClass,
     Side,
-    classify,
     from_inequalities,
 )
 from rapidbnb.model import Row, RowKind, classify_row, fmt_g
@@ -86,16 +84,6 @@ class TestClassification:
         assert row.kind is RowKind.KNAPSACK
         assert row.prepared == ((1, 3), (3, 3), (0, 2), (2, 2))
         assert all(type(w) is int for _, w in row.prepared)
-
-    def test_problem_classes(self):
-        bp = from_inequalities([1.0, 1.0], [], [0, 0], [1, 1], integer_set=(0, 1))
-        ip = from_inequalities([1.0, 1.0], [], [0, 0], [1, 3], integer_set=(0, 1))
-        lp = from_inequalities([1.0, 1.0], [], [0, 0], [1, 1], integer_set=())
-        mip = from_inequalities([1.0, 1.0], [], [0, 0], [1, 1], integer_set=(0,))
-        assert classify(bp) is ProblemClass.BP
-        assert classify(ip) is ProblemClass.IP
-        assert classify(lp) is ProblemClass.LP
-        assert classify(mip) is ProblemClass.MIP
 
 
 class TestFromInequalities:

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidbnb import (Instance, ProblemClass, Row, classify, parse_mps, solve,
-                      write_mps)
+from rapidbnb import Instance, Row, parse_mps, solve, write_mps
 from rapidbnb.mps import (
     MALFORMED_SECTION,
     NON_NUMERIC_FIELD,
@@ -41,7 +40,6 @@ class TestGoldenFiles:
             ((1, 2), (1.0, 1.0), 4.0),
             ((1, 2), (-1.0, -1.0), -4.0),
         ]
-        assert classify(inst) is ProblemClass.MIP
         assert diag.num_rows_read == 3
         assert diag.num_cols_read == 3
         assert diag.warnings == []
@@ -49,9 +47,9 @@ class TestGoldenFiles:
     def test_cover3_integer_default_bound(self):
         inst, _ = parse_mps(DATA / "cover3.mps")
         # INTORG columns without BOUNDS entries default to [0, 1]
+        assert list(inst.integer_mask) == [True, True, True]
         assert list(inst.lower) == [0.0, 0.0, 0.0]
         assert list(inst.upper) == [1.0, 1.0, 1.0]
-        assert classify(inst) is ProblemClass.BP
         res = solve(inst)
         assert res.status == "optimal"
         assert res.objective == 1.0

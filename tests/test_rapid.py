@@ -34,8 +34,7 @@ def coverage_instance(n=16, integer_set=None):
 
 
 def fresh_node(node_id=0, depth=0):
-    return Node(id=node_id, parent=None, depth=depth, lower_bound=0.0,
-                delta=())
+    return Node(id=node_id, parent=None, depth=depth, lower_bound=0.0)
 
 
 def disj(lower=(), upper=()):
@@ -59,12 +58,14 @@ class TestDepthSchedule:
             is_rl_depth(3, 5, 0.5)
 
 
-def report_for(stats, share=0.0, face=1.0, instance=None, box=None):
+def fired_for(stats, share=0.0, face=1.0, instance=None, box=None,
+              enabled=CRITERION_NAMES):
     if instance is None:
         instance = coverage_instance(n=3)
         box = instance.root_box()
     info = DegeneracyInfo(degenerate_share=share, face_ratio=face)
-    return evaluate_criteria(stats, info, instance=instance, box=box)
+    return evaluate_criteria(stats, info, instance=instance, box=box,
+                             enabled=frozenset(enabled))
 
 
 class TestTriggerBoundaries:
@@ -72,81 +73,81 @@ class TestTriggerBoundaries:
 
     def test_degenerate_share_edge(self):
         st = SearchStats()
-        assert not report_for(st, share=0.80).fired["degeneracy"]
-        assert report_for(st, share=0.8001).fired["degeneracy"]
+        assert "degeneracy" not in fired_for(st, share=0.80)
+        assert "degeneracy" in fired_for(st, share=0.8001)
 
     def test_face_ratio_edge(self):
         st = SearchStats()
-        assert not report_for(st, face=2.0).fired["degeneracy"]
-        assert report_for(st, face=2.0001).fired["degeneracy"]
+        assert "degeneracy" not in fired_for(st, face=2.0)
+        assert "degeneracy" in fired_for(st, face=2.0001)
 
     def test_degeneracy_is_a_disjunction_of_the_two(self):
         st = SearchStats()
-        assert report_for(st, share=0.85, face=1.0).fired["degeneracy"]
-        assert report_for(st, share=0.5, face=2.5).fired["degeneracy"]
-        assert not report_for(st, share=0.5, face=1.0).fired["degeneracy"]
+        assert "degeneracy" in fired_for(st, share=0.85, face=1.0)
+        assert "degeneracy" in fired_for(st, share=0.5, face=2.5)
+        assert "degeneracy" not in fired_for(st, share=0.5, face=1.0)
 
     def test_leaf_ratio_edge(self):
         st = SearchStats(leaves_infeasible=20, leaves_cutoff=2)
-        assert not report_for(st).fired["leaves"]
+        assert "leaves" not in fired_for(st)
         st.leaves_infeasible = 21
-        rep = report_for(st)
-        assert rep.fired["leaves"]
-        assert rep.measured["leaves"] == pytest.approx(10.5)
+        assert "leaves" in fired_for(st)
 
     def test_leaf_ratio_zero_denominator(self):
         quiet = SearchStats(leaves_infeasible=0, leaves_cutoff=0)
-        rep = report_for(quiet)
-        assert not rep.fired["leaves"] and rep.measured["leaves"] == 0.0
+        assert "leaves" not in fired_for(quiet)
         lone = SearchStats(leaves_infeasible=1, leaves_cutoff=0)
-        rep = report_for(lone)
-        assert rep.fired["leaves"] and rep.measured["leaves"] == INF
+        assert "leaves" in fired_for(lone)
 
     def test_leaf_example_values(self):
         st = SearchStats(leaves_infeasible=100, leaves_cutoff=5)
-        rep = report_for(st)
-        assert rep.fired["leaves"]
-        assert rep.measured["leaves"] == pytest.approx(20.0)
+        assert "leaves" in fired_for(st)
 
     def test_stalled_dual_bound(self):
         st = SearchStats(dual_bound=3.5, root_dual_bound=3.5)
-        rep = report_for(st)
-        assert rep.fired["dualbound"] and rep.measured["dualbound"] == 0.0
+        assert "dualbound" in fired_for(st)
         st.dual_bound = 3.6
-        assert not report_for(st).fired["dualbound"]
+        assert "dualbound" not in fired_for(st)
 
     def test_solution_count(self):
-        assert report_for(SearchStats(n_solutions=0)).fired["nsols"]
-        assert not report_for(SearchStats(n_solutions=1)).fired["nsols"]
+        assert "nsols" in fired_for(SearchStats(n_solutions=0))
+        assert "nsols" not in fired_for(SearchStats(n_solutions=1))
 
     def test_strong_branching_waste(self):
         st = SearchStats(sb_no_improvement=0, sb_objective_changed=0)
-        rep = report_for(st)
-        assert not rep.fired["sblps"] and rep.measured["sblps"] == 0.0
+        assert "sblps" not in fired_for(st)
         st.sb_no_improvement = 1
-        rep = report_for(st)
-        assert rep.fired["sblps"] and rep.measured["sblps"] == INF
+        assert "sblps" in fired_for(st)
         st.sb_no_improvement, st.sb_objective_changed = 20, 2
-        assert not report_for(st).fired["sblps"]
+        assert "sblps" not in fired_for(st)
         st.sb_no_improvement = 21
-        assert report_for(st).fired["sblps"]
+        assert "sblps" in fired_for(st)
 
     def test_objective_support(self):
         inst = coverage_instance(n=3)
         box = inst.root_box()
         st = SearchStats()
-        rep = report_for(st, instance=inst, box=box)
-        assert not rep.fired["obj"] and rep.measured["obj"] == 3.0
+        assert "obj" not in fired_for(st, instance=inst, box=box)
         box.tighten(0, Side.UPPER, 0.0)
         box.tighten(1, Side.LOWER, 1.0)
         box.tighten(2, Side.UPPER, 0.0)
-        rep = report_for(st, instance=inst, box=box)
-        assert rep.fired["obj"] and rep.measured["obj"] == 0.0
+        assert "obj" in fired_for(st, instance=inst, box=box)
 
-    def test_report_covers_all_names(self):
-        rep = report_for(SearchStats())
-        assert set(rep.fired) == set(CRITERION_NAMES)
-        assert set(rep.measured) == set(CRITERION_NAMES) | {"face_ratio"}
+    def test_enabled_names_come_back_in_order(self):
+        # every criterion fires on these statistics, with a fixed box
+        st = SearchStats(dual_bound=1.0, root_dual_bound=1.0,
+                         leaves_infeasible=1, n_solutions=0,
+                         sb_no_improvement=1)
+        inst = coverage_instance(n=3)
+        box = inst.root_box()
+        for j in range(3):
+            box.tighten(j, Side.UPPER, 0.0)
+        assert fired_for(st, share=1.0, instance=inst, box=box) == \
+            list(CRITERION_NAMES)
+        assert fired_for(st, share=1.0, instance=inst, box=box,
+                         enabled={"sblps", "obj", "dualbound"}) == \
+            ["dualbound", "obj", "sblps"]
+        assert fired_for(st, instance=inst, box=box, enabled=()) == []
 
 
 class TestScheduleGating:
@@ -191,6 +192,25 @@ class TestScheduleGating:
         assert outcome is not None
         assert events == ["criteria node 4 depth 5 fired leaves"]
         assert st.rl_calls == 1 and st.criterion_fires["leaves"] == 1
+
+    def test_degeneracy_is_measured_only_when_enabled(self, monkeypatch):
+        inst = coverage_instance(n=6)
+        expected = []
+        self.run_maybe(inst, fresh_node(0, depth=0),
+                       SearchStats(n_solutions=0), {"nsols"},
+                       events=expected)
+
+        def refuse(result, box):
+            raise AssertionError("degeneracy measured")
+
+        monkeypatch.setattr(rapid, "measure_degeneracy", refuse)
+        events = []
+        self.run_maybe(inst, fresh_node(0, depth=0),
+                       SearchStats(n_solutions=0), {"nsols"}, events=events)
+        assert events == expected == ["criteria node 0 depth 0 fired nsols"]
+        with pytest.raises(AssertionError, match="degeneracy measured"):
+            self.run_maybe(inst, fresh_node(0, depth=0), SearchStats(),
+                           {"nsols", "degeneracy"})
 
     def test_root_probe_on_zero_progress_solution_count(self):
         inst = coverage_instance(n=6)
