@@ -4,6 +4,9 @@ Building instances and moving them through MPS files
 
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from rapidbnb import from_inequalities
@@ -31,8 +34,10 @@ for row in inst.rows:
     print("  ", row)
 
 # Round trip through the interchange format.
-write_mps(inst, "/tmp/mix.mps")
-back, diags = parse_mps("/tmp/mix.mps")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "mix.mps"
+    write_mps(inst, path)
+    back, diags = parse_mps(path)
 print("reparsed", diags.num_cols_read, "columns,", diags.num_rows_read,
       "rows, warnings:", diags.warnings or "none")
 print("objective survived:", np.array_equal(back.c, inst.c))

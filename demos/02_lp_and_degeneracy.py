@@ -4,8 +4,6 @@ The LP relaxation and what dual degeneracy looks like
 
 """
 
-import numpy as np
-
 from rapidbnb import from_inequalities
 from rapidbnb.lp import measure_degeneracy, solve_lp
 

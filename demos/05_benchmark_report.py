@@ -19,21 +19,22 @@ from rapidbnb.mps import write_mps
 # the standard way solver runs are summarized.  Here: a throwaway suite
 # of twelve feasibility instances.
 rng = np.random.default_rng(2024)
-workdir = Path(tempfile.mkdtemp(prefix="bnbsuite-"))
 n, m = 18, 75
-for k in range(12):
-    rows = []
-    for _ in range(m):
-        vs = rng.choice(n, size=3, replace=False)
-        neg = rng.random(3) < 0.5
-        rows.append((tuple(int(v) for v in vs),
-                     tuple(-1.0 if s else 1.0 for s in neg),
-                     ">=", 1.0 - float(neg.sum())))
-    inst = from_inequalities(np.zeros(n), rows, [0.0] * n, [1.0] * n,
-                             range(n))
-    write_mps(inst, workdir / f"feas{k:02d}.mps")
+with tempfile.TemporaryDirectory(prefix="bnbsuite-") as tmp:
+    workdir = Path(tmp)
+    for k in range(12):
+        rows = []
+        for _ in range(m):
+            vs = rng.choice(n, size=3, replace=False)
+            neg = rng.random(3) < 0.5
+            rows.append((tuple(int(v) for v in vs),
+                         tuple(-1.0 if s else 1.0 for s in neg),
+                         ">=", 1.0 - float(neg.sum())))
+        inst = from_inequalities(np.zeros(n), rows, [0.0] * n, [1.0] * n,
+                                 range(n))
+        write_mps(inst, workdir / f"feas{k:02d}.mps")
 
-report = directional_report(workdir, seeds=(0,))
+    report = directional_report(workdir, seeds=(0,))
 
 print("suite of", report["instances"], "instances,", report["runs"], "runs")
 print("affected %d / unaffected %d (did the branching path change?)"

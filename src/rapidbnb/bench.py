@@ -54,13 +54,9 @@ def affected_split(baseline: Mapping[tuple[str, int], str],
     if baseline.keys() != treatment.keys():
         missing = sorted(baseline.keys() ^ treatment.keys())
         raise MissingPairError(f"unmatched (instance, seed) keys: {missing}")
-    affected, unaffected = [], []
-    for key in sorted(baseline):
-        if baseline[key] != treatment[key]:
-            affected.append(key)
-        else:
-            unaffected.append(key)
-    return affected, unaffected
+    keys = sorted(baseline)
+    return ([k for k in keys if baseline[k] != treatment[k]],
+            [k for k in keys if baseline[k] == treatment[k]])
 
 
 def directional_report(directory, seeds=(0,)) -> dict:

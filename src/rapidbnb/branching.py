@@ -12,7 +12,7 @@ table it was handed, so the host search sees them without a merge.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def select_branching(fractional: list[int], table: BranchingStats,
 
 
 def select_inference_branching(box: BoundBox, int_mask: np.ndarray,
-                               table: BranchingStats, pseudo: np.ndarray,
+                               table: BranchingStats, pseudo: Sequence[float],
                                rng: random.Random) -> tuple[int, int]:
     """Unfixed integer variable with the best inference record.
 

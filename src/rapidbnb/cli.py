@@ -129,10 +129,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args)
-    return 0
+    # the parser requires a command, and "solve" is the only one
+    return cmd_solve(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

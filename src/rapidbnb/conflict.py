@@ -1,8 +1,8 @@
 """The trail of bound changes and no-good learning.
 
 A search records every accepted bound change on one trail.  Deductions
-point back at the bound changes their propagator actually read, plus the
-constraint that fired; branching decisions have no antecedents.  When a
+keep the bounds their propagator read, plus the constraint that fired;
+analysis finds the changes behind them only where it resolves.  When a
 failure is recorded, resolving backwards from its antecedents until a
 single bound change of the deepest level remains yields the first unique
 implication point cut; negating the cut gives a bound disjunction that
@@ -32,14 +32,14 @@ BRANCH_REASON = -1
 CUTOFF_REASON = -2
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundChange:
     var: int
     side: Side
     value: float
     level: int
     reason: int                      # constraint id, BRANCH_REASON, or CUTOFF_REASON
-    antecedents: tuple[int, ...]     # trail positions this deduction read
+    reads: tuple[tuple[int, Side], ...]   # bounds this deduction read
     old_value: float                 # bound before the change, for undo
     shadowed: int | None             # previous trail position on (var, side)
 
@@ -55,8 +55,8 @@ class Trail:
     with the level and reason it was made at, plus the last failure.
 
     Propagators talk to this object: `apply` tightens the box and, when
-    the bound actually moved, records the deduction with the trail
-    positions of the bounds it read.
+    the bound actually moved, records the deduction with the bounds it
+    read; `antecedents` finds their trail positions when asked.
     """
 
     def __init__(self, box: BoundBox) -> None:
@@ -69,14 +69,17 @@ class Trail:
     def mark(self) -> int:
         return len(self.changes)
 
-    def resolve(self, bounds: Iterable[tuple[int, Side]]) -> tuple[int, ...]:
-        """Trail positions of the given bounds, in their order; start
-        values have none.  Conflict analysis reads them as a set."""
+    def antecedents(self, p: int) -> tuple[int, ...]:
+        """Per bound change `p` read, the position of the last change on it
+        below `p`: still what it was when `p` was applied (rewinds pop)."""
+        changes, last = self.changes, self._last
         out = []
-        for var, side in bounds:
-            pos = self._last.get((var, side))
-            if pos is not None:
-                out.append(pos)
+        for key in changes[p].reads:
+            q = last.get(key)
+            while q is not None and q >= p:
+                q = changes[q].shadowed
+            if q is not None:
+                out.append(q)
         return tuple(out)
 
     def branch(self, var: int, side: Side, value: float, level: int) -> bool:
@@ -85,22 +88,24 @@ class Trail:
         return self.apply(var, side, value, BRANCH_REASON, ())
 
     def apply(self, var: int, side: Side, value: float, reason: int,
-              reason_bounds: Iterable[tuple[int, Side]]) -> bool:
+              reason_bounds: tuple[tuple[int, Side], ...]) -> bool:
         old = self.box.get(var, side)
         if not self.box.tighten(var, side, value):
             return False
         key = (var, side)
         self.changes.append(BoundChange(
             var, side, float(value), self.level, reason,
-            self.resolve(reason_bounds), old, self._last.get(key)))
+            reason_bounds, old, self._last.get(key)))
         self._last[key] = len(self.changes) - 1
         return True
 
     def fail(self, reason: int, reason_bounds: Iterable[tuple[int, Side]]) -> None:
-        self.failure = Failure(reason, self.resolve(reason_bounds))
+        self.failure = Failure(reason, tuple(   # start values have no position
+            self._last[k] for k in reason_bounds if k in self._last))
 
     def rewind(self, mark: int) -> None:
         """Undo every change after `mark` in the box and forget the failure."""
+        box = self.box
         while len(self.changes) > mark:
             ch = self.changes.pop()
             key = (ch.var, ch.side)
@@ -108,7 +113,8 @@ class Trail:
                 del self._last[key]
             else:
                 self._last[key] = ch.shadowed
-            self.box.set_raw(ch.var, ch.side, ch.old_value)
+            (box.lower if ch.side is Side.LOWER else box.upper)[ch.var] = \
+                ch.old_value
         self.failure = None
 
 
@@ -146,12 +152,17 @@ class AnalysisOutcome:
 
 
 def analyze_1uip(trail: Trail, int_mask: np.ndarray,
-                 tainted_ids: frozenset[int] | set[int]) -> AnalysisOutcome:
+                 tainted_ids: frozenset[int] | set[int],
+                 cap: int | None = None) -> AnalysisOutcome:
     """First-UIP cut for the recorded failure.
 
     Resolution happens at the deepest level actually present among the
     failure's antecedents, so stale failures coming out of replayed
     trails analyze correctly too.
+
+    A `cap` ends it with no disjunction once the bounds below the deepest
+    level, which resolution keeps, are more than `cap`; any disjunction,
+    and `root_failure`, are those found without a cap.
     """
     fail = trail.failure
     if fail is None:
@@ -160,34 +171,40 @@ def analyze_1uip(trail: Trail, int_mask: np.ndarray,
     tainted = fail.reason == CUTOFF_REASON or fail.reason in tainted_ids
 
     # literals implied at level 0 hold everywhere in the scope
-    conflict = {p for p in fail.antecedents if changes[p].level > 0}
-    if not conflict:
+    deepest = max((changes[p].level for p in fail.antecedents), default=0)
+    if deepest == 0:
         return AnalysisOutcome(None, tainted, root_failure=True)
 
-    deepest = max(changes[p].level for p in conflict)
+    # conflict positions at the deepest level, the others, and their bounds
+    deep, kept, keys = set(), set(), set()
+    reached = fail.antecedents
     while True:
-        at_deepest = [p for p in conflict if changes[p].level == deepest]
-        if len(at_deepest) <= 1:
+        for q in reached:
+            ch = changes[q]
+            if ch.level == deepest:
+                deep.add(q)
+            elif ch.level > 0:
+                kept.add(q)
+                keys.add((ch.var, ch.side))
+        if cap is not None and len(keys) > cap:
+            return AnalysisOutcome(None, tainted)
+        if len(deep) <= 1:
             break
         # the branching is the oldest entry of its level, so a propagation
         # is always available while two entries remain
-        expandable = [q for q in at_deepest
-                      if changes[q].reason != BRANCH_REASON]
+        expandable = [q for q in deep if changes[q].reason != BRANCH_REASON]
         if not expandable:
             break
         p = max(expandable)
-        ch = changes[p]
-        conflict.discard(p)
-        if ch.reason == CUTOFF_REASON or ch.reason in tainted_ids:
-            tainted = True
-        for q in ch.antecedents:
-            if changes[q].level > 0:
-                conflict.add(q)
+        deep.discard(p)
+        reason = changes[p].reason
+        tainted = tainted or reason == CUTOFF_REASON or reason in tainted_ids
+        reached = trail.antecedents(p)
 
     # negate the cut; merge per (var, side) keeping the weakest literal
     lower: dict[int, float] = {}
     upper: dict[int, float] = {}
-    for p in conflict:
+    for p in kept | deep:
         ch = changes[p]
         if not int_mask[ch.var]:
             return AnalysisOutcome(None, tainted)

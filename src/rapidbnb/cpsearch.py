@@ -1,11 +1,12 @@
 """Propagation-only depth-first search over pure integer scopes.
 
 This is the fast companion search: no LP anywhere, just propagation to a
-fixpoint per node, bounding against the box optimum of the objective,
-conflict analysis on every pruned node, and inference-guided branching
-that dives toward the pseudo solution.  It returns whatever it learned:
-short conflicts, scope-valid bound tightenings and possibly a solution.
-Its inference counts go straight into the caller's branching table.
+fixpoint per node, bounding against the box optimum of the objective (the
+pseudo solution, kept as a float list), conflict analysis on every pruned
+node until the conflict outgrows the length cap, and inference-guided
+branching that dives toward the pseudo solution.  It returns what it
+learned: short conflicts, scope-valid bound tightenings and possibly a
+solution.  Its inference counts go straight into the caller's table.
 
 Conflicts whose proof leans on the objective cutoff hold only for
 improving solutions.  They still propagate inside this search (that is
@@ -66,11 +67,13 @@ def node_limit_from_iters(iter_lp: int) -> int:
 def pseudo_solution(box: BoundBox, c: np.ndarray) -> np.ndarray:
     """Box optimum of the objective: upper bound under negative cost,
     lower bound otherwise (zero cost rests at the lower bound)."""
-    return np.where(c < 0, box.upper, box.lower).astype(float)
+    return np.array(_box_optimum(box, (c < 0).tolist()))
 
 
-def _rows_satisfied(instance: Instance, x: np.ndarray) -> bool:
-    return all(row.activity(x) <= row.rhs + FEAS_TOL for row in instance.rows)
+def _box_optimum(box: BoundBox, negative: list[bool]) -> list[float]:
+    # `pseudo_solution` on the box's lists, given the signs of c < 0
+    return [u if neg else lo
+            for lo, u, neg in zip(box.lower, box.upper, negative)]
 
 
 def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
@@ -114,6 +117,8 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     # a cutoff leans on the objective's bounds, whose sides only c fixes
     cutoff_reasons = [(j, Side.LOWER if c[j] > 0 else Side.UPPER)
                       for j in range(n) if c[j] != 0.0]
+    negative = (c < 0).tolist()
+    rows = [(row.cols, row.coefs, row.rhs + FEAS_TOL) for row in instance.rows]
 
     def apply_global_fix() -> bool:
         for (v, s), val in global_fix.items():
@@ -126,7 +131,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     def handle_failure() -> bool:
         """Analyze the recorded failure; False stops the whole search."""
         nonlocal next_cid, scope_infeasible
-        out = analyze_1uip(trail, int_mask, tainted_ids)
+        out = analyze_1uip(trail, int_mask, tainted_ids, cap)
         if out.root_failure:
             # nothing (left) in the scope, or nothing improving if tainted
             if not out.tainted:
@@ -177,38 +182,39 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
                 stack.clear()
             continue
 
-        xbar = pseudo_solution(box, c)
+        xl = _box_optimum(box, negative)
+        xbar = np.array(xl)
         obj = float(c @ xbar)
         if obj >= cbar - FEAS_TOL:  # cannot improve here, ties included
             trail.fail(CUTOFF_REASON, cutoff_reasons)
             if not handle_failure():
                 stack.clear()
             continue
-        if _rows_satisfied(instance, xbar):
-            best = xbar.copy()
+        # Row.activity's terms and order on floats: the same sums
+        if all(sum([a * xl[j] for j, a in zip(cols, coefs)]) <= lim
+               for cols, coefs, lim in rows):
+            best = xbar
             cbar = obj
             continue
 
         try:
-            var, v = select_inference_branching(box, int_mask, table, xbar, rng)
+            var, v = select_inference_branching(box, int_mask, table, xl, rng)
         except AllFixedError:
             continue  # fixed point violates a row only within tolerance
         mark2 = trail.mark()
         down = (mark2, level + 1, (var, Side.UPPER, float(v)))
         up = (mark2, level + 1, (var, Side.LOWER, float(v + 1)))
-        if xbar[var] <= v:
+        if xl[var] <= v:
             stack.extend((up, down))   # dive into the half holding x-bar
         else:
             stack.extend((down, up))
 
     if stack:   # cut short by the node limit or the deadline
         status = CpStatus.NODE_LIMIT
-    elif scope_infeasible:
+    elif scope_infeasible or best is None:
         status = CpStatus.INFEASIBLE
-    elif best is not None:
-        status = CpStatus.OPTIMAL
     else:
-        status = CpStatus.INFEASIBLE
+        status = CpStatus.OPTIMAL
 
     final = scope_box.copy()
     if not scope_infeasible:
@@ -221,7 +227,6 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
                 final.tighten(v, s, val)
         except EmptyBoxError:
             # two individually valid facts that cross: the scope is empty
-            scope_infeasible = True
             if best is None:
                 status = CpStatus.INFEASIBLE
 

@@ -283,9 +283,6 @@ class _Simplex:
                     continue  # moving further out never blocks
                 else:
                     target = hi[i]
-                if not math.isfinite(target):
-                    continue
-                t = (target - xi) / rate
                 side = AT_LOWER if below else AT_UPPER
             else:  # value decreases
                 if above:
@@ -294,10 +291,10 @@ class _Simplex:
                     continue
                 else:
                     target = lo[i]
-                if not math.isfinite(target):
-                    continue
-                t = (target - xi) / rate
                 side = AT_UPPER if above else AT_LOWER
+            if not math.isfinite(target):
+                continue
+            t = (target - xi) / rate
             if t < 0.0:
                 t = 0.0
             if t < t_best - PIVOT_TOL or (t < t_best + PIVOT_TOL and

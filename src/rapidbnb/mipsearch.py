@@ -227,9 +227,7 @@ class _Solve:
         vals = [self.heap[0][0]] if self.heap else []
         if self.next_node is not None:
             vals.append(self.next_node.lower_bound)
-        if not vals:
-            return self.stats.incumbent_value
-        return min(vals)
+        return min(vals, default=self.stats.incumbent_value)
 
     def _leaf(self, node: Node, action: str, kind: str | None = None) -> None:
         if kind is not None:

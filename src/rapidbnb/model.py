@@ -96,11 +96,6 @@ class Row:
         return f"Row({terms} <= {self.rhs:g})"
 
 
-def _is_binary(j: int, lower: np.ndarray, upper: np.ndarray,
-               int_mask: np.ndarray) -> bool:
-    return bool(int_mask[j]) and lower[j] == 0.0 and upper[j] == 1.0
-
-
 def classify_row(row: Row, lower: np.ndarray, upper: np.ndarray,
                  int_mask: np.ndarray) -> RowKind:
     """Structural row classification against the global box.
@@ -113,7 +108,8 @@ def classify_row(row: Row, lower: np.ndarray, upper: np.ndarray,
     """
     if not row.cols:
         return RowKind.LINEAR
-    if not all(_is_binary(j, lower, upper, int_mask) for j in row.cols):
+    if not all(int_mask[j] and lower[j] == 0.0 and upper[j] == 1.0
+               for j in row.cols):
         return RowKind.LINEAR
     if all(abs(a) == 1.0 for a in row.coefs) and \
             row.rhs == sum(a > 0 for a in row.coefs) - 1:
@@ -307,13 +303,6 @@ class BoundBox:
                     return False
             self.upper[var] = value
         return True
-
-    def set_raw(self, var: int, side: Side, value: float) -> None:
-        """Unchecked write, for undo stacks only."""
-        if side is Side.LOWER:
-            self.lower[var] = value
-        else:
-            self.upper[var] = value
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"[{l:g},{u:g}]" for l, u in zip(self.lower, self.upper))

@@ -286,14 +286,33 @@ def _falsified_at(changes, var: int, side: Side, value: float) -> int | None:
     return None
 
 
+def check_cap_contract(capped, full, cap: int | None) -> None:
+    """A capped analysis returns the uncapped disjunction with the same
+    flags, or none when the uncapped one has none or is longer than
+    `cap`; `root_failure` never depends on the cap."""
+    if capped.root_failure != full.root_failure:
+        raise AssertionError(f"root_failure {capped.root_failure} capped, "
+                             f"{full.root_failure} uncapped")
+    d = capped.disjunction
+    if d is not None:
+        if d != full.disjunction or capped.tainted != full.tainted:
+            raise AssertionError(f"capped {d} tainted {capped.tainted}, "
+                                 f"uncapped {full.disjunction} "
+                                 f"tainted {full.tainted}")
+    elif full.disjunction is not None and full.disjunction.size <= cap:
+        raise AssertionError(f"cap {cap} dropped {full.disjunction}")
+
+
 class SearchRecorder:
     """Records every conflict analysis and probe run while active.
 
     A context manager: entering wraps the names in RECORDED_NAMES, which
     is where the searches look them up, and leaving puts the originals
-    back.  Leaving also fails loudly if a name in `require` was never
-    called, so that a function that moved or was renamed cannot leave a
-    check with nothing to check.
+    back.  An analysis run under a length cap is recorded as its uncapped
+    result, after `check_cap_contract` holds the two against each other.
+    Leaving also fails loudly if a name in `require` was never called, so
+    that a function that moved or was renamed cannot leave a check with
+    nothing to check.
     """
 
     def __init__(self, require: tuple[str, ...] = RECORDED_NAMES) -> None:
@@ -304,15 +323,19 @@ class SearchRecorder:
         self._saved: list[tuple[object, str, object]] = []
 
     def _analysis(self, name: str, fn):
-        def recorded(trail, *args, **kwargs):
-            out = fn(trail, *args, **kwargs)
+        def recorded(trail, int_mask, tainted_ids, cap=None):
+            out = fn(trail, int_mask, tainted_ids, cap)
             self.calls[name] += 1
-            d = out.disjunction
+            # the trail is intact here, so the uncapped analysis is what
+            # gets recorded, and the capped one must agree with it
+            full = out if cap is None else fn(trail, int_mask, tainted_ids)
+            check_cap_contract(out, full, cap)
+            d = full.disjunction
             if d is not None:
                 changes = trail.changes
                 box = trail.box
                 self.analyses.append(AnalysisRecord(
-                    d, out.tainted,
+                    d, full.tainted,
                     tuple(_falsified_at(changes, *lit)
                           for lit in d.literals()),
                     max(changes[p].level for p in trail.failure.antecedents),

@@ -19,7 +19,7 @@ from rapidbnb.conflict import BoundDisjunction, to_knapsack
 from rapidbnb.cpsearch import cp_search, CpConfig, node_limit_from_iters
 from rapidbnb.lp import DegeneracyInfo, measure_degeneracy, solve_lp
 from rapidbnb.mipsearch import MipConfig, SearchStats, SolveResult, _Solve
-from rapidbnb.model import INF, Instance
+from rapidbnb.model import Instance
 from rapidbnb.mps import write_mps
 from rapidbnb.propagation import Outcome, Propagator
 from rapidbnb import rapid

@@ -1,6 +1,7 @@
 """Trail, 1-UIP analysis output, and disjunction/knapsack conversion."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +15,21 @@ from rapidbnb import (
     MipConfig,
     RapidConfig,
     Side,
+    analyze_1uip,
     cp_search,
+    cpsearch,
+    from_inequalities,
     solve,
     to_knapsack,
 )
 from rapidbnb.conflict import Trail
+from rapidbnb.propagation import Outcome
 
 import oracles
+from test_propagation import Lockstep, mixed_instance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 N_EQUIVALENCE_CASES = 100
 MIN_AUDITED_CONFLICTS = 50
@@ -101,7 +110,7 @@ class TestTrail:
                            reason_bounds=((0, Side.UPPER),))
         assert box.upper[0] == 1.0
         assert box.lower[1] == 2.0
-        assert trail.changes[1].antecedents == (0,)
+        assert trail.antecedents(1) == (0,)
         trail.rewind(mark)
         assert box.upper[0] == 3.0
         assert box.lower[1] == 0.0
@@ -112,6 +121,127 @@ class TestTrail:
         before = trail.mark()
         assert not trail.branch(0, Side.UPPER, 3.0, level=1)  # not tighter
         assert trail.mark() == before
+
+
+class EagerTrail(Trail):
+    """A trail that also keeps what an eager one stored: per change, the
+    trail positions of its reads when it was applied."""
+
+    def __init__(self, box: BoundBox):
+        super().__init__(box)
+        self.eager: list[tuple[int, ...]] = []
+        self.checked = 0
+
+    def apply(self, var, side, value, reason, reason_bounds) -> bool:
+        last = self._last
+        at_apply = tuple(last[k] for k in reason_bounds if k in last)
+        if not super().apply(var, side, value, reason, reason_bounds):
+            return False
+        del self.eager[len(self.changes) - 1:]
+        self.eager.append(at_apply)
+        return True
+
+    def assert_lazy_is_eager(self) -> None:
+        on_trail = len(self.changes)
+        assert [self.antecedents(p) for p in range(on_trail)] == \
+            self.eager[:on_trail]
+        self.checked += on_trail
+
+
+def general_int_instance(rng) -> Instance:
+    m = gen.general_int_model(rng, "general_int", 8, 4)
+    return from_inequalities(m.c, m.rows, m.lower, m.upper, range(len(m.c)))
+
+
+class TestLazyAntecedents:
+    """`Trail.antecedents` resolves a change's reads when asked, and must
+    give the positions an eager trail resolved when the change was made."""
+
+    def test_random_dives_failures_and_rewinds(self):
+        rng = np.random.default_rng(57)
+        failures = rewinds = checked = 0
+        for case in range(40):
+            inst = mixed_instance(rng) if case % 2 else \
+                general_int_instance(rng)
+            run = Lockstep(inst)
+            run.runs = [(prop, EagerTrail(inst.root_box()))
+                        for prop, _ in run.runs]
+            marks: list[int] = []
+            for _ in range(40):
+                box = run.trail.box
+                free = [j for j in inst.integer_indices
+                        if box.upper[j] - box.lower[j] > 0.5]
+                op = rng.random()
+                if op < 0.4 and free and run.trail.failure is None:
+                    var = int(rng.choice(free))
+                    lo, up = int(box.lower[var]), int(box.upper[var])
+                    if rng.random() < 0.5:
+                        side, val = Side.UPPER, float(rng.integers(lo, up))
+                    else:
+                        side, val = Side.LOWER, float(rng.integers(lo + 1,
+                                                                   up + 1))
+                    marks.append(run.trail.mark())
+                    run.each(lambda prop, trail: trail.branch(
+                        var, side, val, len(marks)))
+                elif op < 0.6 or run.trail.failure is not None:
+                    mark = marks.pop() if marks else 0
+                    run.each(lambda prop, trail: trail.rewind(mark))
+                    rewinds += 1
+                else:
+                    if run.fixpoint().outcome is Outcome.INFEASIBLE:
+                        failures += 1
+                for _, trail in run.runs:
+                    trail.assert_lazy_is_eager()
+            checked += run.trail.checked
+        assert failures >= 20 and rewinds >= 100 and checked >= 5000
+
+    def test_probe_analyses_see_eager_antecedents(self, monkeypatch):
+        # the probe's own dives, checked at every conflict analysis
+        trails: list[EagerTrail] = []
+        analyses = []
+
+        def eager_trail(box):
+            trails.append(EagerTrail(box))
+            return trails[-1]
+
+        def checked(trail, *args):
+            trail.assert_lazy_is_eager()
+            analyses.append(trail)
+            return analyze_1uip(trail, *args)
+
+        monkeypatch.setattr(cpsearch, "Trail", eager_trail)
+        monkeypatch.setattr(cpsearch, "analyze_1uip", checked)
+        rng = np.random.default_rng(58)
+        for case in range(12):
+            inst = general_int_instance(rng) if case % 2 else \
+                oracles.random_sat_instance(rng)
+            cp_search(inst, inst.root_box(), CpConfig(node_limit=300))
+        assert len(analyses) >= 300
+        assert sum(t.checked for t in trails) >= 5000
+
+
+class TestCappedAnalysis:
+    def test_a_cut_that_fits_the_cap_exactly_is_kept(self):
+        # x0 <= 2 at level 1 reaches the cut through x2 >= 1, and the
+        # second decision of level 2, x0 <= 1, is the UIP on the same
+        # bound: the cut's one literal, so a cap of 1 must keep it.  No
+        # search makes two decisions at one level, and on the trails they
+        # build the UIP's bound is never one the cut already holds
+        box = BoundBox(np.zeros(3), np.full(3, 3.0))
+        trail = Trail(box)
+        trail.branch(0, Side.UPPER, 2.0, level=1)
+        trail.branch(1, Side.LOWER, 1.0, level=2)
+        trail.apply(2, Side.LOWER, 1.0, 0, ((0, Side.UPPER),))
+        trail.branch(0, Side.UPPER, 1.0, level=2)
+        trail.fail(1, ((2, Side.LOWER), (0, Side.UPPER)))
+        mask = np.ones(3, dtype=bool)
+        full = analyze_1uip(trail, mask, set())
+        assert full.disjunction == BoundDisjunction(((0, 2.0),), ())
+        assert analyze_1uip(trail, mask, set(), cap=1) == full
+        assert analyze_1uip(trail, mask, set(), cap=0).disjunction is None
+        for cap in (0, 1, 2):
+            oracles.check_cap_contract(
+                analyze_1uip(trail, mask, set(), cap=cap), full, cap)
 
 
 def harvest_analyses(n_instances=12, seed=50):

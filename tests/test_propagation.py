@@ -358,8 +358,8 @@ def random_disjunction(rng, inst: Instance) -> BoundDisjunction:
 
 
 def trail_record(trail: Trail):
-    changes = [(c.var, c.side, c.value, c.reason, c.antecedents)
-               for c in trail.changes]
+    changes = [(c.var, c.side, c.value, c.reason, trail.antecedents(p))
+               for p, c in enumerate(trail.changes)]
     failure = None if trail.failure is None else \
         (trail.failure.reason, trail.failure.antecedents)
     return changes, failure, list(trail.box.lower), list(trail.box.upper)
@@ -534,7 +534,7 @@ class TestWatchWakeups:
         run.each(lambda prop, trail: trail.rewind(mark))
         assert run.fixpoint().deductions == [(0, Side.LOWER, 1.0)]
         # x1's bound is off the trail, so the deduction has no antecedent
-        assert run.trail.changes[-1].antecedents == ()
+        assert run.trail.antecedents(run.trail.mark() - 1) == ()
 
     def test_failed_clause_stays_dirty(self):
         # x1 or x2 or x3 fails with its watches on x1 and x2, both false

@@ -1,7 +1,6 @@
 """Probe scheduling and transfer: depth walk, trigger thresholds, the
 probe run, and what the host search keeps from a finished probe."""
 
-import math
 import sys
 from collections import Counter
 from pathlib import Path
