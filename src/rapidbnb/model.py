@@ -58,10 +58,12 @@ class Row:
     propagator.  `prepared` holds what that propagator builds once per
     row: for knapsack rows, set by `Instance`, the (column, integer
     weight) pairs, heaviest first and in column order among ties; for
-    rows under residual activity, set on their first deduction or
-    failure, the (column, side) bound each term reads.  One slot serves
-    both: a seventh would move every Row into a larger allocation size
-    class, which lifted `clause-local` peak RSS by 0.75 MiB.
+    clause rows, set by the first propagator that adds the row, its
+    literals; for rows under residual activity, set on their first
+    deduction or failure, the (column, side) bound each term reads.  One
+    slot serves all three: a seventh would move every Row into a larger
+    allocation size class, which lifted `clause-local` peak RSS by
+    0.75 MiB.
     """
 
     __slots__ = ("cols", "coefs", "rhs", "name", "kind", "prepared")
@@ -86,7 +88,7 @@ class Row:
             raise ModelError(f"row {name or '<unnamed>'} has a NaN right-hand side")
         self.name = name
         self.kind = RowKind.LINEAR
-        self.prepared: tuple[tuple[int, int], ...] = ()
+        self.prepared: tuple = ()
 
     def activity(self, x: np.ndarray) -> float:
         return sum(a * x[j] for j, a in zip(self.cols, self.coefs))

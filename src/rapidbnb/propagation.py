@@ -98,14 +98,14 @@ _PAIRS: dict[tuple[int, Side], tuple[int, Side]] = {}
 
 def _reads(row: Row) -> tuple[tuple[int, Side], ...]:
     # the bounds residual activity reads, in column order: a failure's
-    # reason, and a deduction's less its own column.  Built on the row's
-    # first deduction or failure and kept in `row.prepared`, unless that
-    # holds a knapsack row's weights
-    if row.kind is RowKind.KNAPSACK or not row.prepared:
+    # reason, and a deduction's less its own column.  Built on a linear
+    # row's first deduction or failure and kept in `row.prepared`; the
+    # slot of a knapsack or clause row holds its weights or literals
+    if row.kind is not RowKind.LINEAR or not row.prepared:
         pairs = [(j, Side.LOWER if a > 0 else Side.UPPER)
                  for j, a in zip(row.cols, row.coefs)]
         reads = tuple([_PAIRS.setdefault(p, p) for p in pairs])
-        if row.kind is RowKind.KNAPSACK:
+        if row.kind is not RowKind.LINEAR:
             return reads
         row.prepared = reads
     return row.prepared
@@ -301,9 +301,15 @@ def propagate_watched(lits: Sequence[tuple[int, Side, float]], box: BoundBox,
 
 
 def clause_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
-    # a RowKind.CLAUSE row as literals: -1 gives x_j >= 1, +1 gives x_j <= 0
-    return tuple((j, Side.LOWER, 1.0) if a < 0 else (j, Side.UPPER, 0.0)
+    # a clause row as literals: -1 gives x_j >= 1, +1 gives x_j <= 0.
+    # Built once for a RowKind.CLAUSE row and kept in `row.prepared`
+    if row.kind is RowKind.CLAUSE and row.prepared:
+        return row.prepared
+    lits = tuple((j, Side.LOWER, 1.0) if a < 0 else (j, Side.UPPER, 0.0)
                  for j, a in zip(row.cols, row.coefs))
+    if row.kind is RowKind.CLAUSE:
+        row.prepared = lits
+    return lits
 
 
 class _Item:

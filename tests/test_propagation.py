@@ -239,6 +239,27 @@ class TestClauseRoutes:
             kinds.add(verdict(watched)[0] if verdict(watched)[1] else "quiet")
         assert kinds == {"infeasible", "deduced", "quiet"}
 
+    def test_clause_rows_build_their_literals_once(self):
+        # x0 - x1 + x2 <= 1: every propagator shares the literals kept in
+        # the row's prepared slot, and residual activity on the same row
+        # neither takes them for reads nor overwrites them
+        inst = from_inequalities([0.0] * 3, [((0, 1, 2), (1.0, -1.0, 1.0),
+                                              "<=", 1.0)],
+                                 [0] * 3, [1] * 3, integer_set=range(3))
+        row = inst.rows[0]
+        assert row.kind is RowKind.CLAUSE and row.prepared == ()
+        first, second = Propagator(inst), Propagator(inst)
+        lits = row.prepared
+        assert lits == ((0, Side.UPPER, 0.0), (1, Side.LOWER, 1.0),
+                        (2, Side.UPPER, 0.0))
+        assert first.items[0].lits is lits and second.items[0].lits is lits
+        assert clause_literals(row) is lits
+        box = BoundBox([1.0, 0.0, 0.0], [1.0, 0.0, 1.0])
+        res = propagate_linear_row(row, box, [True] * 3)
+        assert as_data(res) == as_data(
+            reference_linear_row(row, box, [True] * 3))
+        assert row.prepared is lits
+
 
 class RoundRobin:
     """Reference fixpoint: every constraint in every pass, until a whole
