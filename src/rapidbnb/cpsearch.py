@@ -118,6 +118,8 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     cutoff_reasons = [(j, Side.LOWER if c[j] > 0 else Side.UPPER)
                       for j in range(n) if c[j] != 0.0]
     negative = (c < 0).tolist()
+    # the pseudo solution's objective sums only the nonzero costs
+    cost_terms = [(j, a) for j, a in enumerate(c.tolist()) if a != 0.0]
     rows = [(row.cols, row.coefs, row.rhs + FEAS_TOL) for row in instance.rows]
 
     def apply_global_fix() -> bool:
@@ -183,8 +185,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
             continue
 
         xl = _box_optimum(box, negative)
-        xbar = np.array(xl)
-        obj = float(c @ xbar)
+        obj = sum([a * xl[j] for j, a in cost_terms])
         if obj >= cbar - FEAS_TOL:  # cannot improve here, ties included
             trail.fail(CUTOFF_REASON, cutoff_reasons)
             if not handle_failure():
@@ -193,7 +194,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         # Row.activity's terms and order on floats: the same sums
         if all(sum([a * xl[j] for j, a in zip(cols, coefs)]) <= lim
                for cols, coefs, lim in rows):
-            best = xbar
+            best = np.array(xl)
             cbar = obj
             continue
 
