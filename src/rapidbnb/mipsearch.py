@@ -5,7 +5,8 @@ store no boxes: a node keeps its branching bound and its own local
 constraints, and its state (box, trail and propagator) is built level
 by level, one propagation round each, which also gives conflict
 analysis correct decision levels for free.  The root's state is the
-one the global box was propagated with.  A node popped from the heap
+one the global box was propagated with, and its LP, when optimal, is the
+root LP solved over that box.  A node popped from the heap
 replays its path from the root.  A plunge child extends the state its
 parent left, with one more level on the same trail and propagator, and
 logs the same lines a replay would.  That holds only while nothing has
@@ -36,7 +37,7 @@ import numpy as np
 from .branching import PC_FLOOR, BranchingStats, select_branching
 from .conflict import BoundDisjunction, Trail, analyze_1uip, to_knapsack
 from .cpsearch import CpOutcome, CpStatus
-from .lp import LpStatus, WarmStart, solve_lp, strong_branch
+from .lp import LpResult, LpStatus, WarmStart, solve_lp, strong_branch
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
                     Instance, Side, fmt_g)
 from .propagation import Outcome, Propagator
@@ -192,6 +193,8 @@ class _Solve:
         # the state of next_node's parent, when the plunge can extend it,
         # or the root's own before the root is processed
         self.kept: _NodeState | None = None
+        # the optimal root LP, until the root node takes it
+        self.root_lp: LpResult | None = None
         self.plunge = 0
         self.nodes_processed = 0
         self.next_id = 1
@@ -315,6 +318,7 @@ class _Solve:
         inst, stats = self.inst, self.stats
         t_switch = time.perf_counter()
         kept, self.kept = self.kept, None
+        lp, self.root_lp = self.root_lp, None
         if kept is not None and kept.node is node:
             state = kept        # the root's, built by run()
         elif kept is not None and node.parent is kept.node:
@@ -327,8 +331,13 @@ class _Solve:
             return
         box, active_locals = state.trail.box, state.active_locals
 
-        lp = solve_lp(inst, box, warm_basis=node.basis, deadline=self.deadline)
-        stats.iter_lp += lp.iterations
+        # the root reuses the root LP unless the deadline has passed since;
+        # then this LP stops before its first pivot and the root stays
+        # open, like any node taken off the queue too late
+        if lp is None or time.monotonic() > self.deadline:
+            lp = solve_lp(inst, box, warm_basis=node.basis,
+                          deadline=self.deadline)
+            stats.iter_lp += lp.iterations
         if lp.status is LpStatus.UNBOUNDED:
             raise SolveError("LP relaxation is unbounded; finite bounds required")
         if lp.status is LpStatus.INFEASIBLE:
@@ -586,6 +595,9 @@ class _Solve:
         stats.dual_bound = root_dual
         root.lower_bound = root_dual
         root.basis = root_lp.basis_status
+        if root_lp.status is LpStatus.OPTIMAL:
+            # the root node's box is the one this LP was solved over
+            self.root_lp = root_lp
         self._push(root)
         self.kept = state
 

@@ -11,12 +11,14 @@ import pytest
 
 from rapidbnb import (
     ConfigError,
+    LpStatus,
     MipConfig,
     RapidConfig,
     SearchStats,
     Side,
     SolveError,
     from_inequalities,
+    mipsearch,
     solve,
 )
 from rapidbnb.branching import BranchingStats, select_branching
@@ -155,6 +157,38 @@ class TestLimits:
     def test_time_limit_must_be_positive(self):
         with pytest.raises(ConfigError):
             MipConfig(time_limit=0.0).validate()
+
+
+class TestRootLp:
+    """The root node takes the optimal root LP instead of solving it
+    again; a root LP stopped early is solved again at the root node."""
+
+    @staticmethod
+    def root_box_lps(monkeypatch, inst):
+        calls = []
+        real = mipsearch.solve_lp
+
+        def spy(instance, box, *args, **kwargs):
+            res = real(instance, box, *args, **kwargs)
+            calls.append(((tuple(box.lower), tuple(box.upper)), res.status))
+            return res
+
+        monkeypatch.setattr(mipsearch, "solve_lp", spy)
+        res = solve(inst, MipConfig(node_limit=1))
+        assert res.nodes == 1
+        root = calls[0][0]
+        return [status for box, status in calls if box == root]
+
+    def test_optimal_root_lp_is_solved_once(self, monkeypatch):
+        inst = cycle_cover(5)
+        assert self.root_box_lps(monkeypatch, inst) == [LpStatus.OPTIMAL]
+
+    def test_capped_root_lp_is_solved_again(self, monkeypatch):
+        monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                            lambda n, m: 1)
+        inst = cycle_cover(5)
+        assert self.root_box_lps(monkeypatch, inst) == \
+            [LpStatus.ITERATION_LIMIT] * 2
 
 
 class TestDeterminism:
