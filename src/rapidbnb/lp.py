@@ -1,12 +1,21 @@
-"""Bounded-variable primal simplex and LP-based probing helpers.
+"""Bounded-variable simplex and LP-based probing helpers.
 
-Dense two-phase implementation over columns [structural | slack] with
-Dantzig pricing, falling back to Bland's rule after a run of
-non-improving pivots so termination is guaranteed.
+Dense implementation over columns [structural | slack].  A start whose
+basis is dual feasible for the true cost, checked once on its first
+reduced costs, runs a bounded dual simplex (Koberstein 2005, PhD thesis,
+TU Paderborn): the basic value furthest outside its bounds leaves, and
+the ratio test over the movable nonbasic columns keeps every reduced
+cost's sign.  That covers warm node and strong-branching LPs, whose
+parent's optimal basis stays dual feasible after a bound change, and
+cold starts from a slack basis with nonnegative costs.  Any other start
+runs the two-phase primal simplex with Dantzig pricing.  Both fall back
+to Bland's rule after a run of non-improving pivots, so termination is
+guaranteed.
 
 The solver keeps `Binv`, the dense inverse of the basis matrix, for the
 whole LP: each iteration recomputes the basic values, the duals and the
-entering column's direction as three matrix-vector products with it,
+entering column's direction as three matrix-vector products with it
+(a dual pivot also takes its pivot row, one row of it times T),
 and a basis change updates it in O(m^2) by one rank-1 (eta) update that
 reuses the ratio test's direction; a bound flip leaves it as it is.  It
 is rebuilt from scratch (one O(m^3) inversion) at the start of a warm
@@ -22,7 +31,7 @@ The nonbasic values are built once per LP and kept: a pivot or bound
 flip rewrites only the entering, leaving or flipped column, so an
 iteration costs no pass over every column's bounds.
 
-The linear algebra stays in numpy, but pricing, the ratio test and the
+The linear algebra stays in numpy, but pricing, the ratio tests and the
 phase-1 bookkeeping are scalar loops over Python lists of plain ints and
 floats.  With a few dozen columns the per-call overhead of numpy
 dominates: vectorized pricing measured slower than these loops, and
@@ -346,8 +355,131 @@ class _Simplex:
                 g[i] = 1.0
         return np.array(g)
 
+    def _leaving(self, x: list[float]) -> tuple[int, int] | None:
+        """The basis position whose value lies furthest outside its
+        bounds, and the bound it leaves at, or None once every basic value
+        is within FEAS_TOL of its bounds.  Bland's rule takes the lowest
+        column index among the violated ones instead."""
+        lo, hi = self.lo, self.hi
+        best = None
+        best_viol = FEAS_TOL
+        best_col = self.N
+        for pos, i in enumerate(self.basis):
+            xi = x[i]
+            if xi < lo[i] - FEAS_TOL:
+                viol, side = lo[i] - xi, AT_LOWER
+            elif xi > hi[i] + FEAS_TOL:
+                viol, side = xi - hi[i], AT_UPPER
+            else:
+                continue
+            if self.bland:
+                if i < best_col:
+                    best_col = i
+                    best = (pos, side)
+            elif viol > best_viol:
+                best_viol = viol
+                best = (pos, side)
+        return best
+
+    def _dual_ratio_test(self, alpha: list[float], red: list[float],
+                         side: int) -> int | None:
+        """The entering column for a leaving row whose pivot row is
+        `alpha`, or None when no column can move its basic value towards
+        the bound it leaves at `side`: then the LP is infeasible.
+
+        Takes the smallest ratio |d_j| / |alpha_j| over the movable
+        nonbasic columns whose move pushes that value the right way, so
+        every reduced cost keeps its sign.  Ties go to the largest
+        |alpha_j|, then to the lowest index; Bland's rule takes the lowest
+        index among them.
+        """
+        status, lo = self.status, self.lo
+        # one unit up of column j moves the leaving value by -alpha_j, and
+        # the value must rise to a lower bound and fall to an upper one
+        sign = -1.0 if side == AT_LOWER else 1.0
+        best = None
+        best_t = math.inf
+        best_a = 0.0
+        for j in self.movable:
+            st = status[j]
+            if st == BASIC:
+                continue
+            a = alpha[j]
+            size = abs(a)
+            if size <= PIVOT_TOL:
+                continue
+            if st == AT_UPPER:          # can only fall
+                if a * sign > 0.0:
+                    continue
+                d = -red[j]
+            elif math.isfinite(lo[j]):  # at its lower bound, can only rise
+                if a * sign < 0.0:
+                    continue
+                d = red[j]
+            else:                       # free at zero: either way
+                d = abs(red[j])
+            t = max(d, 0.0) / size
+            if t < best_t - PIVOT_TOL or (t < best_t + PIVOT_TOL and
+                                          not self.bland and size > best_a):
+                best_t = t
+                best_a = size
+                best = j
+        return best
+
+    def _dual(self, x: np.ndarray, red: np.ndarray) -> LpStatus | None:
+        """Bounded dual simplex from a basis whose reduced costs `red`
+        (with its values `x`) are dual feasible.
+
+        Each pivot moves the furthest-out basic value to the bound it
+        breaks, and the dual objective c @ x never falls.  Once every
+        basic value is within its bounds the basis is optimal, unless
+        tolerances left a reduced cost of the wrong sign: then it returns
+        None, and primal phase 2 goes on from this basis.
+        """
+        prev = -math.inf
+        while True:
+            if self.iterations >= self.cap:
+                return LpStatus.ITERATION_LIMIT
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                return LpStatus.ITERATION_LIMIT
+            leave = self._leaving(x.tolist())
+            if leave is None:
+                if self._entering(red.tolist()) is not None:
+                    return None
+                self.x, self.red = x, red
+                return LpStatus.OPTIMAL
+            objective = float(self.cost @ x)
+            if objective < prev + PIVOT_TOL:
+                self.no_improve += 1
+                if self.no_improve >= self.bland_after:
+                    self.bland = True
+            else:
+                self.no_improve = 0
+            prev = objective
+            pos, side = leave
+            alpha = self.Binv[pos] @ self.T
+            q = self._dual_ratio_test(alpha.tolist(), red.tolist(), side)
+            if q is None:
+                return LpStatus.INFEASIBLE
+            self._pivot(q, pos, side, self.Binv @ self.T[:, q])
+            self.iterations += 1
+            x = self._recompute()
+            red = self._reduced_costs(self.cost)
+
     def run(self) -> LpStatus:
-        phase1 = True
+        """Dual simplex from a dual feasible start, checked once on its
+        first reduced costs; two-phase primal simplex from any other."""
+        x = self._recompute()
+        red = self._reduced_costs(self.cost)
+        if self._entering(red.tolist()) is None:
+            status = self._dual(x, red)
+            if status is not None:
+                return status
+            self.no_improve = 0
+            return self._primal(phase1=False)
+        return self._primal(phase1=True)
+
+    def _primal(self, phase1: bool) -> LpStatus:
         prev = math.inf
         while True:
             if self.iterations >= self.cap:

@@ -483,3 +483,173 @@ class TestSharedWarmStart:
             n_rounds += 1
             n_children += 2 * len(shared)
         assert n_rounds >= 10 and n_children >= 50
+
+
+@pytest.fixture
+def dual_phase(monkeypatch):
+    """Counts the dual phases the simplex runs and the pivots in them."""
+    seen = {"runs": 0, "pivots": 0}
+    original = _Simplex._dual
+
+    def counting(self, x, red):
+        seen["runs"] += 1
+        start = self.iterations
+        try:
+            return original(self, x, red)
+        finally:
+            seen["pivots"] += self.iterations - start
+
+    monkeypatch.setattr(_Simplex, "_dual", counting)
+    return seen
+
+
+def warm_children(inst, parent):
+    """The children of every structural after one bound change each, as
+    branching builds them: x_j <= ceil(x_j) - 1 and x_j >= floor(x_j) + 1."""
+    box = inst.root_box()
+    for j in range(inst.num_vars):
+        for down in (True, False):
+            child = box.copy()
+            if down:
+                child.upper[j] = math.ceil(parent.x[j]) - 1.0
+            else:
+                child.lower[j] = math.floor(parent.x[j]) + 1.0
+            if not child.is_empty():
+                yield child
+
+
+class TestDualPhase:
+    """The bounded dual simplex that reoptimizes from a dual feasible
+    basis, against HiGHS and the vertex oracle."""
+
+    def test_warm_children_agree(self, dual_phase):
+        pytest.importorskip("scipy")
+        highs = TestAgainstHighs.highs
+        rng = np.random.default_rng(95)
+        seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+        for k in range(60):
+            inst = oracles.random_lp(rng)
+            parent = solve_lp(inst, inst.root_box())
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            for child in warm_children(inst, parent):
+                runs = dual_phase["runs"]
+                res = solve_lp(inst, child, warm_basis=parent.basis_status)
+                # the parent's optimal basis is dual feasible in the child
+                assert dual_phase["runs"] == runs + 1, f"case {k}"
+                status, value = highs(inst, child)
+                vstatus, vvalue, _ = oracles.lp_vertex_optimum(
+                    inst, child.lower, child.upper)
+                assert res.status is status, f"case {k}"
+                assert (vstatus == "optimal") == (status is LpStatus.OPTIMAL)
+                if status is LpStatus.OPTIMAL:
+                    assert abs(res.objective - value) <= VALUE_TOL
+                    assert abs(res.objective - vvalue) <= VALUE_TOL
+                seen[res.status] += 1
+        assert seen[LpStatus.INFEASIBLE] >= 10
+        assert seen[LpStatus.OPTIMAL] >= 100
+        assert dual_phase["pivots"] >= 50
+
+    def test_dual_infeasible_start_takes_primal_phase_1(self, dual_phase,
+                                                        monkeypatch):
+        # negative costs on columns that start at their lower bounds: the
+        # slack basis is not dual feasible, so phase 1 of the primal runs
+        pytest.importorskip("scipy")
+        highs = TestAgainstHighs.highs
+        phases = []
+        original = _Simplex._primal
+
+        def recording(self, phase1):
+            phases.append(phase1)
+            return original(self, phase1)
+
+        monkeypatch.setattr(_Simplex, "_primal", recording)
+        rng = np.random.default_rng(96)
+        n_checked = 0
+        for k in range(40):
+            inst = oracles.random_lp(rng)
+            if not np.any(inst.c < 0):
+                continue
+            phases.clear()
+            res = solve_lp(inst, inst.root_box())
+            assert phases == [True], f"case {k}"
+            status, value = highs(inst, inst.root_box())
+            vstatus, vvalue, _ = oracles.lp_vertex_optimum(inst)
+            assert res.status is status, f"case {k}"
+            assert (vstatus == "optimal") == (status is LpStatus.OPTIMAL)
+            if status is LpStatus.OPTIMAL:
+                assert abs(res.objective - value) <= VALUE_TOL
+                assert abs(res.objective - vvalue) <= VALUE_TOL
+            n_checked += 1
+        assert dual_phase["runs"] == 0
+        assert n_checked >= 20
+
+    def test_limits_stop_a_warm_child_before_its_first_dual_pivot(
+            self, dual_phase, monkeypatch):
+        rng = np.random.default_rng(97)
+        stopped = {"deadline": 0, "cap": 0}
+        for k in range(60):
+            inst = oracles.random_lp(rng)
+            parent = solve_lp(inst, inst.root_box())
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            for child in warm_children(inst, parent):
+                free = solve_lp(inst, child, warm_basis=parent.basis_status)
+                if free.iterations == 0:
+                    continue    # no dual pivot to stop before
+                runs = dual_phase["runs"]
+                late = solve_lp(inst, child, warm_basis=parent.basis_status,
+                                deadline=time.monotonic() - 1.0)
+                monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                                    lambda n, m: 0)
+                capped = solve_lp(inst, child,
+                                  warm_basis=parent.basis_status)
+                monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                                    default_iteration_cap)
+                for why, res in (("deadline", late), ("cap", capped)):
+                    assert res.status is LpStatus.ITERATION_LIMIT, f"case {k}"
+                    assert res.iterations == 0
+                    stopped[why] += 1
+                assert dual_phase["runs"] == runs + 2
+        assert min(stopped.values()) >= 10
+
+    def test_bland_rule_ends_degenerate_clause_lps(self, dual_phase,
+                                                   monkeypatch):
+        # zero costs make every slack basis dual feasible and every dual
+        # pivot degenerate; Bland's rule from the first non-improving
+        # pivot must still end the phase, with the vertex oracle's verdict
+        original = _Simplex.__init__
+        bland_pivots = [0]
+
+        def eager(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self.bland_after = 1
+
+        monkeypatch.setattr(_Simplex, "__init__", eager)
+        original_pivot = _Simplex._pivot
+
+        def counting(self, *args):
+            bland_pivots[0] += self.bland
+            return original_pivot(self, *args)
+
+        monkeypatch.setattr(_Simplex, "_pivot", counting)
+        rng = np.random.default_rng(98)
+        seen = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+        for k in range(60):
+            inst = oracles.random_sat_instance(rng, n=4, m=8)
+            box = inst.root_box()
+            # fix a random subset of the variables, as a node's box does
+            for j in rng.choice(4, size=int(rng.integers(1, 4)),
+                                replace=False).tolist():
+                box.lower[j] = box.upper[j] = float(rng.integers(0, 2))
+            res = solve_lp(inst, box)
+            status, value, _ = oracles.lp_vertex_optimum(inst, box.lower,
+                                                         box.upper)
+            assert res.status is (LpStatus.OPTIMAL if status == "optimal"
+                                  else LpStatus.INFEASIBLE), f"case {k}"
+            if status == "optimal":
+                assert abs(res.objective - value) <= VALUE_TOL
+            seen[res.status] += 1
+        assert dual_phase["runs"] == 60
+        assert min(seen.values()) >= 10
+        assert bland_pivots[0] >= 15
