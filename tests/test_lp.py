@@ -487,9 +487,11 @@ class TestSharedWarmStart:
 
 @pytest.fixture
 def dual_phase(monkeypatch):
-    """Counts the dual phases the simplex runs and the pivots in them."""
-    seen = {"runs": 0, "pivots": 0}
+    """Counts the dual phases the simplex runs, the pivots in them and
+    the primal phases that run after one."""
+    seen = {"runs": 0, "pivots": 0, "handed_on": 0}
     original = _Simplex._dual
+    original_primal = _Simplex._primal
 
     def counting(self, x, red):
         seen["runs"] += 1
@@ -499,7 +501,12 @@ def dual_phase(monkeypatch):
         finally:
             seen["pivots"] += self.iterations - start
 
+    def primal(self, phase1):
+        seen["handed_on"] += not phase1
+        return original_primal(self, phase1)
+
     monkeypatch.setattr(_Simplex, "_dual", counting)
+    monkeypatch.setattr(_Simplex, "_primal", primal)
     return seen
 
 
@@ -549,6 +556,9 @@ class TestDualPhase:
         assert seen[LpStatus.INFEASIBLE] >= 10
         assert seen[LpStatus.OPTIMAL] >= 100
         assert dual_phase["pivots"] >= 50
+        # each ratio test kept the reduced costs' signs, so the dual phase
+        # proved every verdict itself
+        assert dual_phase["handed_on"] == 0
 
     def test_dual_infeasible_start_takes_primal_phase_1(self, dual_phase,
                                                         monkeypatch):
@@ -583,6 +593,41 @@ class TestDualPhase:
             n_checked += 1
         assert dual_phase["runs"] == 0
         assert n_checked >= 20
+
+    def test_dual_infeasible_end_goes_on_in_primal_phase_2(
+            self, dual_phase, monkeypatch):
+        # as if tolerances had passed a start as dual feasible: the first
+        # pricing of each LP finds nothing, so the dual phase runs from
+        # slack bases whose negative costs price out.  Its infeasibility
+        # proofs hold whatever the costs; a basis it makes primal
+        # feasible must go on to primal phase 2, not be called optimal
+        pytest.importorskip("scipy")
+        highs = TestAgainstHighs.highs
+        original = _Simplex._entering
+        blinded = set()
+
+        def blind_once(self, red):
+            if id(self) not in blinded:
+                blinded.add(id(self))
+                return None
+            return original(self, red)
+
+        monkeypatch.setattr(_Simplex, "_entering", blind_once)
+        rng = np.random.default_rng(99)
+        n_checked = 0
+        for k in range(40):
+            inst = oracles.random_lp(rng)
+            if not np.any(inst.c < 0):
+                continue
+            blinded.clear()
+            res = solve_lp(inst, inst.root_box())
+            status, value = highs(inst, inst.root_box())
+            assert res.status is status, f"case {k}"
+            if status is LpStatus.OPTIMAL:
+                assert abs(res.objective - value) <= VALUE_TOL, f"case {k}"
+            n_checked += 1
+        assert dual_phase["runs"] == n_checked >= 20
+        assert dual_phase["handed_on"] >= 20
 
     def test_limits_stop_a_warm_child_before_its_first_dual_pivot(
             self, dual_phase, monkeypatch):
