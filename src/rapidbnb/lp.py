@@ -430,8 +430,8 @@ class _Simplex:
         """Bounded dual simplex from a basis whose reduced costs `red`
         (with its values `x`) are dual feasible.
 
-        Each pivot moves the furthest-out basic value to the bound it
-        breaks, and the dual objective c @ x never falls.  Once every
+        Each pivot moves a basic value that breaks a bound (`_leaving`)
+        to that bound, and the dual objective c @ x never falls.  Once every
         basic value is within its bounds the basis is optimal, unless
         tolerances left a reduced cost of the wrong sign: then it returns
         None, and primal phase 2 goes on from this basis.
