@@ -1,15 +1,21 @@
 """Bounded-variable simplex and LP-based probing helpers.
 
-Dense implementation over columns [structural | slack].  A start whose
-basis is dual feasible for the true cost, checked once on its first
-reduced costs, runs a bounded dual simplex (Koberstein 2005, PhD thesis,
-TU Paderborn): the basic value furthest outside its bounds leaves, and
-the ratio test over the movable nonbasic columns keeps every reduced
-cost's sign.  That covers warm node and strong-branching LPs, whose
-parent's optimal basis stays dual feasible after a bound change, and
-cold starts from a slack basis with nonnegative costs.  Any other start
-runs the two-phase primal simplex with Dantzig pricing.  Both fall back
-to Bland's rule after a run of non-improving pivots, so termination is
+Dense implementation over columns [structural | slack].  Every LP, cold
+or warm, runs a bounded dual simplex (Koberstein 2005, PhD thesis, TU
+Paderborn) from a start made dual feasible in one step: each nonbasic
+column that prices out moves to the bound its reduced cost points at
+where that bound is finite (a bound flip), and otherwise has its reduced
+cost taken off its cost (a cost shift).  A warm node or strong-branching
+LP, whose parent's optimal basis stays dual feasible after a bound
+change, needs neither; a cold slack basis needs flips for its
+negative-cost columns.  In the dual phase the basic value furthest
+outside its bounds leaves, and the ratio test over the movable nonbasic
+columns keeps every reduced cost's sign.  Its infeasibility proofs hold
+whatever the cost.  A basis it makes primal feasible under a shifted
+cost, or with a reduced cost that tolerances left of the wrong sign,
+goes on in primal phase 2 with Dantzig pricing under the true cost,
+which is also where an unbounded LP is found.  Both phases fall back to
+Bland's rule after a run of non-improving pivots, so termination is
 guaranteed.
 
 The solver keeps `Binv`, the dense inverse of the basis matrix, for the
@@ -32,8 +38,8 @@ flip rewrites only the entering, leaving or flipped column, so an
 iteration costs no pass over every column's bounds.
 
 The linear algebra stays in numpy, but pricing, the ratio tests and the
-phase-1 bookkeeping are scalar loops over Python lists of plain ints and
-floats.  With a few dozen columns the per-call overhead of numpy
+start's flips and shifts are scalar loops over Python lists of plain ints
+and floats.  With a few dozen columns the per-call overhead of numpy
 dominates: vectorized pricing measured slower than these loops, and
 comparing an `np.int8` entry with an `IntEnum` member costs about fifty
 times a plain int comparison.
@@ -158,12 +164,14 @@ class _Simplex:
         self.basis: list[int] = []
         self.Binv: np.ndarray        # inverse of T[:, basis]
         self.updates = 0             # rank-1 updates since the last inversion
-        # nonbasic values, zero on the basis; built by the first _recompute
-        self.xn: np.ndarray | None = None
         # value vector and reduced costs of the last iteration at the optimum
         self.x: np.ndarray | None = None
         self.red: np.ndarray | None = None
         self._install_start(warm_basis)
+        # nonbasic values, zero on the basis
+        status, start = self.status, self._nb_start_value
+        self.xn = np.array([0.0 if status[j] == BASIC else start(j)
+                            for j in range(self.N)])
 
     # ---- setup -----------------------------------------------------
 
@@ -202,10 +210,6 @@ class _Simplex:
 
     def _recompute(self) -> np.ndarray:
         """Full value vector consistent with the current basis."""
-        if self.xn is None:
-            status, start = self.status, self._nb_start_value
-            self.xn = np.array([0.0 if status[j] == BASIC else start(j)
-                                for j in range(self.N)])
         x = self.xn.copy()
         if not self.m:
             return x
@@ -266,8 +270,7 @@ class _Simplex:
         return best
 
     def _ratio_test(self, w: list[float], j: int, sgn: int,
-                    x: list[float], phase1: bool,
-                    ) -> tuple[float, int | None, int]:
+                    x: list[float]) -> tuple[float, int | None, int]:
         """Largest step t for entering column j, whose direction is w,
         moving with sign sgn.
 
@@ -282,28 +285,13 @@ class _Simplex:
             rate = -sgn * w[pos]
             if abs(rate) <= PIVOT_TOL:
                 continue
-            xi = x[i]
-            below = phase1 and xi < lo[i] - FEAS_TOL
-            above = phase1 and xi > hi[i] + FEAS_TOL
             if rate > 0:  # value increases
-                if below:
-                    target = lo[i]
-                elif above:
-                    continue  # moving further out never blocks
-                else:
-                    target = hi[i]
-                side = AT_LOWER if below else AT_UPPER
-            else:  # value decreases
-                if above:
-                    target = hi[i]
-                elif below:
-                    continue
-                else:
-                    target = lo[i]
-                side = AT_UPPER if above else AT_LOWER
+                target, side = hi[i], AT_UPPER
+            else:
+                target, side = lo[i], AT_LOWER
             if not math.isfinite(target):
                 continue
-            t = (target - xi) / rate
+            t = (target - x[i]) / rate
             if t < 0.0:
                 t = 0.0
             if t < t_best - PIVOT_TOL or (t < t_best + PIVOT_TOL and
@@ -333,27 +321,6 @@ class _Simplex:
         xn[i] = self._nb_start_value(i)
 
     # ---- phases ------------------------------------------------------
-
-    def _violation(self, x: list[float]) -> float:
-        lo, hi = self.lo, self.hi
-        v = 0.0
-        for i in self.basis:
-            xi = x[i]
-            if xi < lo[i]:
-                v += lo[i] - xi
-            elif xi > hi[i]:
-                v += xi - hi[i]
-        return v
-
-    def _phase1_cost(self, x: list[float]) -> np.ndarray:
-        lo, hi = self.lo, self.hi
-        g = [0.0] * self.N
-        for i in self.basis:
-            if x[i] < lo[i] - FEAS_TOL:
-                g[i] = -1.0
-            elif x[i] > hi[i] + FEAS_TOL:
-                g[i] = 1.0
-        return np.array(g)
 
     def _leaving(self, x: list[float]) -> tuple[int, int] | None:
         """The basis position whose value lies furthest outside its
@@ -426,15 +393,46 @@ class _Simplex:
                 best = j
         return best
 
-    def _dual(self, x: np.ndarray, red: np.ndarray) -> LpStatus | None:
-        """Bounded dual simplex from a basis whose reduced costs `red`
-        (with its values `x`) are dual feasible.
+    def _dual_start(self, red: np.ndarray) -> np.ndarray:
+        """Make the start dual feasible for its reduced costs `red`, and
+        return the cost the dual phase runs under.
+
+        Each movable nonbasic column that prices out moves to the bound
+        its reduced cost points at, where that bound is finite (a bound
+        flip).  Where it is not, the column's reduced cost is taken off a
+        copy of the cost and `red` reads zero there (a cost shift); the
+        duals stay as they are, since only a nonbasic cost changes.
+        """
+        status, lo, hi, xn = self.status, self.lo, self.hi, self.xn
+        cost = self.cost
+        red_l = red.tolist()
+        for j in self.movable:
+            d = red_l[j]
+            if status[j] == BASIC or abs(d) <= PIVOT_TOL:
+                continue
+            side, bound = (AT_UPPER, hi[j]) if d < 0.0 else (AT_LOWER, lo[j])
+            if not math.isfinite(bound):
+                if cost is self.cost:
+                    cost = cost.copy()
+                cost[j] -= d
+                red[j] = 0.0
+            elif status[j] != side:
+                status[j] = side
+                xn[j] = bound
+        return cost
+
+    def _dual(self, x: np.ndarray, red: np.ndarray,
+              cost: np.ndarray) -> LpStatus | None:
+        """Bounded dual simplex under `cost` from a basis whose reduced
+        costs `red` (with its values `x`) are dual feasible.
 
         Each pivot moves a basic value that breaks a bound (`_leaving`)
-        to that bound, and the dual objective c @ x never falls.  Once every
-        basic value is within its bounds the basis is optimal, unless
-        tolerances left a reduced cost of the wrong sign: then it returns
-        None, and primal phase 2 goes on from this basis.
+        to that bound, and the dual objective cost @ x never falls.  Once
+        every basic value is within its bounds the basis is optimal,
+        unless `cost` is shifted or tolerances left a reduced cost of the
+        wrong sign: then it returns None, and primal phase 2 goes on from
+        this basis under the true cost.  An infeasibility proof holds
+        whatever the cost.
         """
         prev = -math.inf
         while True:
@@ -444,11 +442,12 @@ class _Simplex:
                 return LpStatus.ITERATION_LIMIT
             leave = self._leaving(x.tolist())
             if leave is None:
-                if self._entering(red.tolist()) is not None:
+                if cost is not self.cost or \
+                        self._entering(red.tolist()) is not None:
                     return None
                 self.x, self.red = x, red
                 return LpStatus.OPTIMAL
-            objective = float(self.cost @ x)
+            objective = float(cost @ x)
             if objective < prev + PIVOT_TOL:
                 self.no_improve += 1
                 if self.no_improve >= self.bland_after:
@@ -464,22 +463,21 @@ class _Simplex:
             self._pivot(q, pos, side, self.Binv @ self.T[:, q])
             self.iterations += 1
             x = self._recompute()
-            red = self._reduced_costs(self.cost)
+            red = self._reduced_costs(cost)
 
     def run(self) -> LpStatus:
-        """Dual simplex from a dual feasible start, checked once on its
-        first reduced costs; two-phase primal simplex from any other."""
-        x = self._recompute()
+        """Dual simplex from the start `_dual_start` makes dual feasible,
+        then primal phase 2 where the dual phase hands on."""
         red = self._reduced_costs(self.cost)
-        if self._entering(red.tolist()) is None:
-            status = self._dual(x, red)
-            if status is not None:
-                return status
-            self.no_improve = 0
-            return self._primal(phase1=False)
-        return self._primal(phase1=True)
+        cost = self._dual_start(red)
+        status = self._dual(self._recompute(), red, cost)
+        if status is not None:
+            return status
+        self.no_improve = 0
+        return self._primal()
 
-    def _primal(self, phase1: bool) -> LpStatus:
+    def _primal(self) -> LpStatus:
+        """Primal simplex under the true cost from a primal feasible basis."""
         prev = math.inf
         while True:
             if self.iterations >= self.cap:
@@ -487,21 +485,7 @@ class _Simplex:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return LpStatus.ITERATION_LIMIT
             x = self._recompute()
-            xl = x.tolist()
-            if phase1:
-                viol = self._violation(xl)
-                if viol <= FEAS_TOL:
-                    # the basis is unchanged, so x still holds
-                    phase1 = False
-                    prev = math.inf
-                    self.no_improve = 0
-            if phase1:
-                cost = self._phase1_cost(xl)
-                objective = viol
-            else:
-                cost = self.cost
-                objective = float(cost @ x)
-
+            objective = float(self.cost @ x)
             if objective > prev - PIVOT_TOL:
                 self.no_improve += 1
                 if self.no_improve >= self.bland_after:
@@ -510,20 +494,16 @@ class _Simplex:
                 self.no_improve = 0
             prev = objective
 
-            red = self._reduced_costs(cost)
+            red = self._reduced_costs(self.cost)
             choice = self._entering(red.tolist())
             if choice is None:
-                if phase1:
-                    return LpStatus.INFEASIBLE
                 self.x, self.red = x, red
                 return LpStatus.OPTIMAL
             j, sgn = choice
             w = self.Binv @ self.T[:, j]
             t, leave_pos, leave_side = self._ratio_test(w.tolist(), j, sgn,
-                                                        xl, phase1)
+                                                        x.tolist())
             if not math.isfinite(t):
-                if phase1:
-                    raise ArithmeticError("phase-1 ray; numerical trouble")
                 return LpStatus.UNBOUNDED
             self._pivot(j, leave_pos, leave_side, w)
             self.iterations += 1
@@ -618,7 +598,7 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
     that a strong-branching round shares across its candidates (by
     default, one for these two children).  Returns (down objective, up
     objective, simplex iterations); None stands for an infeasible child
-    or one stopped at `deadline`.
+    or one stopped at `deadline` or by the iteration cap.
     """
     assert parent.x is not None and parent.objective is not None
     if warm is None:

@@ -565,7 +565,13 @@ class _Solve:
         unfixed = [j for j in self.inst.integer_indices
                    if box.upper[j] - box.lower[j] > 0.5]
         if not unfixed:
-            raise SolveError("simplex iteration cap on a fully fixed node")
+            if len(self.inst.integer_indices) < self.inst.num_vars:
+                raise SolveError("simplex iteration cap on a node with "
+                                 "every integer fixed")
+            # every column is an integer fixed in the box: its one point
+            # decides the node
+            self._finish_integral(node, box, np.array(box.lower))
+            return
         var = unfixed[0]
         mid = float(math.floor((box.lower[var] + box.upper[var]) / 2.0))
         self._branch(node, box, None, math.nan, mid, var, capped=True)

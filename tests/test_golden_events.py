@@ -41,13 +41,13 @@ PINNED = {
         (1, 15, "16a9e98395394571550811142b905c4f"
          "5416a2ead55f0a4df16241df5338927d"),
     ("knapsack", "off"):
-        (116, 265, "b8304806e6c0be5a8539776a6f63c787"
+        (116, 263, "b8304806e6c0be5a8539776a6f63c787"
          "2afc4f5f201c69372e7d9068059c6c8a"),
     ("knapsack", "root"):
-        (116, 265, "0a762ac1116e9d98e63fd14517811cc2"
+        (116, 263, "0a762ac1116e9d98e63fd14517811cc2"
          "a75c00723038993aa416d6fe4adafac9"),
     ("knapsack", "local"):
-        (99, 241, "2ed7844c4cbcc1ccd713dfe8a7158b54"
+        (99, 239, "2ed7844c4cbcc1ccd713dfe8a7158b54"
          "eb9ca0aa4a8c31e0849951b41bac59d5"),
     ("cover", "off"):
         (6, 151, "db200cb29270794ccbaf9417311f6a07"
@@ -59,31 +59,31 @@ PINNED = {
         (2, 84, "5530b198dfacb0736fd694f0292de112"
          "9cc9f70cd758c74b9314b82a208c355c"),
     ("general_int0", "off"):
-        (56, 106, "d4438ded6b20917f238c0b239f5c4973"
+        (56, 99, "d4438ded6b20917f238c0b239f5c4973"
          "dfcc607bbef47c9797a37f36de5df6fd"),
     ("general_int0", "root"):
-        (56, 106, "103847109d44646bdba1fe1ec51eeec6"
+        (56, 99, "103847109d44646bdba1fe1ec51eeec6"
          "2c0fb61fd6ff17960e8c14fc82d826f4"),
     ("general_int0", "local"):
-        (49, 93, "40aa84b1cef8b8fdcae8a4759e978c48"
+        (49, 86, "40aa84b1cef8b8fdcae8a4759e978c48"
          "b8ce7b5fca1bcadf99cca51b22e4c4ec"),
     ("general_int1", "off"):
-        (22, 58, "7b18766a3a2968097af14b521e306bcb"
+        (22, 51, "7b18766a3a2968097af14b521e306bcb"
          "0cd982d8f9358dea73832528bd0c4cee"),
     ("general_int1", "root"):
-        (22, 58, "5a9224b2f55be82d4c4982e13b03778c"
+        (22, 51, "5a9224b2f55be82d4c4982e13b03778c"
          "f21842e0e0d1b9dc7a21f2e61d454495"),
     ("general_int1", "local"):
-        (35, 68, "8e290a8c65182fb554386c2e15584585"
+        (35, 61, "8e290a8c65182fb554386c2e15584585"
          "3de48a40b7549b3c62a6a69d08525654"),
     ("general_int2", "off"):
-        (22, 50, "caef2d4181c00ca2ed09cf618b100688"
+        (22, 41, "caef2d4181c00ca2ed09cf618b100688"
          "9ca18c523d6151faf508832ebb38f62e"),
     ("general_int2", "root"):
-        (22, 50, "54552ee793f42fac4fe49b2bc9b51eb7"
+        (22, 41, "54552ee793f42fac4fe49b2bc9b51eb7"
          "adee1f0850b8218fb6a2f5aeecd92901"),
     ("general_int2", "local"):
-        (17, 47, "c5ceefd856757f978b40f97a5e4b3a82"
+        (17, 38, "c5ceefd856757f978b40f97a5e4b3a82"
          "6cb4c52e14e1cc730ea447447320896b"),
 }
 

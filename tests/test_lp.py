@@ -221,6 +221,51 @@ def wide_lp(rng: np.random.Generator, n: int, m: int):
     return from_inequalities(c, rows, lower, upper, integer_set=())
 
 
+def open_lp(rng: np.random.Generator, boxed: bool):
+    """A seeded LP with 3-8 structurals and 2-5 rows.
+
+    Unless `boxed`, some structurals are free or miss one bound, the first
+    always, and each such column's cost points at a bound it lacks: a
+    slack basis becomes dual feasible only by cost shifts.  Half the LPs
+    get a row capping each missing bound; the others are often unbounded.
+    Right-hand sides sit around the activity of a point inside the box, a
+    few of them below it, so some of the LPs are infeasible.
+    """
+    n = int(rng.integers(3, 9))
+    m = int(rng.integers(2, 6))
+    lower = rng.integers(-3, 1, size=n).astype(float)
+    upper = lower + rng.integers(1, 5, size=n)
+    c = rng.integers(-4, 5, size=n).astype(float)
+    if not boxed:
+        # 0 boxed, 1 no upper bound, 2 no lower bound, 3 free
+        kind = rng.integers(0, 4, size=n)
+        kind[0] = rng.integers(1, 4)
+        upper[(kind == 1) | (kind == 3)] = np.inf
+        lower[(kind == 2) | (kind == 3)] = -np.inf
+        size = rng.integers(1, 5, size=n).astype(float)
+        c = np.where(kind == 1, -size, c)
+        c = np.where(kind == 2, size, c)
+        c = np.where(kind == 3, size * rng.choice([-1.0, 1.0], size=n), c)
+    point = np.where(np.isfinite(lower), lower, upper - 1.0)
+    point = np.where(np.isfinite(point), point, 0.0) + rng.random(n)
+    rows = []
+    for _ in range(m):
+        width = int(rng.integers(1, n + 1))
+        cols = tuple(sorted(rng.choice(n, size=width, replace=False).tolist()))
+        coefs = rng.integers(-4, 5, size=width)
+        coefs[coefs == 0] = 1
+        act = float(sum(a * point[j] for j, a in zip(cols, coefs)))
+        rhs = math.floor(act) + float(rng.integers(-2, 5))
+        rows.append((cols, tuple(float(a) for a in coefs), "<=", rhs))
+    if rng.random() < 0.5:
+        for j in range(n):
+            if not math.isfinite(upper[j]):
+                rows.append(((j,), (1.0,), "<=", 9.0))
+            if not math.isfinite(lower[j]):
+                rows.append(((j,), (-1.0,), "<=", 9.0))
+    return from_inequalities(c, rows, lower, upper, integer_set=())
+
+
 class TestAgainstHighs:
     """Differential check against scipy's HiGHS, cold and warm started."""
 
@@ -231,9 +276,11 @@ class TestAgainstHighs:
         bounds = [(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
                   for lo, hi in zip(box.lower, box.upper)]
         res = linprog(inst.c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-        assert res.status in (0, 2), res.message
-        return (LpStatus.OPTIMAL, res.fun) if res.status == 0 else \
-            (LpStatus.INFEASIBLE, None)
+        assert res.status in (0, 2, 3), res.message
+        if res.status == 0:
+            return LpStatus.OPTIMAL, res.fun
+        return (LpStatus.INFEASIBLE if res.status == 2
+                else LpStatus.UNBOUNDED), None
 
     def check(self, inst, box, warm=None):
         res = solve_lp(inst, box, warm_basis=warm)
@@ -422,6 +469,11 @@ class TestKeptNonbasicValues:
                 child.upper[j] = math.floor(parent.x[j] - 0.5)
                 if not child.is_empty():
                     check(inst, child, warm=warm)
+        # bound flips in a pivot come from primal phase 2, which runs
+        # after a cost shift
+        for _ in range(150):
+            inst = open_lp(rng, boxed=False)
+            check(inst, inst.root_box())
         assert seen["pivots"] >= 500
         assert seen["flips"] >= 10
         assert seen["free"] >= 10
@@ -487,23 +539,25 @@ class TestSharedWarmStart:
 
 @pytest.fixture
 def dual_phase(monkeypatch):
-    """Counts the dual phases the simplex runs, the pivots in them and
-    the primal phases that run after one."""
-    seen = {"runs": 0, "pivots": 0, "handed_on": 0}
+    """Counts the dual phases the simplex runs, the pivots in them, those
+    that run under a shifted cost and the primal phases that run after
+    one."""
+    seen = {"runs": 0, "pivots": 0, "shifted": 0, "handed_on": 0}
     original = _Simplex._dual
     original_primal = _Simplex._primal
 
-    def counting(self, x, red):
+    def counting(self, x, red, cost):
         seen["runs"] += 1
+        seen["shifted"] += cost is not self.cost
         start = self.iterations
         try:
-            return original(self, x, red)
+            return original(self, x, red, cost)
         finally:
             seen["pivots"] += self.iterations - start
 
-    def primal(self, phase1):
-        seen["handed_on"] += not phase1
-        return original_primal(self, phase1)
+    def primal(self):
+        seen["handed_on"] += 1
+        return original_primal(self)
 
     monkeypatch.setattr(_Simplex, "_dual", counting)
     monkeypatch.setattr(_Simplex, "_primal", primal)
@@ -560,29 +614,37 @@ class TestDualPhase:
         # proved every verdict itself
         assert dual_phase["handed_on"] == 0
 
-    def test_dual_infeasible_start_takes_primal_phase_1(self, dual_phase,
-                                                        monkeypatch):
-        # negative costs on columns that start at their lower bounds: the
-        # slack basis is not dual feasible, so phase 1 of the primal runs
+    def test_dual_infeasible_start_flips_into_the_dual_phase(
+            self, dual_phase, monkeypatch):
+        # negative costs on boxed columns that start at their lower bounds:
+        # the slack basis is dual feasible once each of those columns has
+        # flipped to its upper bound, and the dual phase proves every
+        # verdict itself
         pytest.importorskip("scipy")
         highs = TestAgainstHighs.highs
-        phases = []
-        original = _Simplex._primal
+        flips = []
+        original = _Simplex._dual_start
 
-        def recording(self, phase1):
-            phases.append(phase1)
-            return original(self, phase1)
+        def recording(self, red):
+            before = list(self.status)
+            cost = original(self, red)
+            assert cost is self.cost    # every column is boxed: no shift
+            flips.append([j for j, st in enumerate(self.status)
+                          if st != before[j]])
+            return cost
 
-        monkeypatch.setattr(_Simplex, "_primal", recording)
+        monkeypatch.setattr(_Simplex, "_dual_start", recording)
         rng = np.random.default_rng(96)
         n_checked = 0
         for k in range(40):
             inst = oracles.random_lp(rng)
             if not np.any(inst.c < 0):
                 continue
-            phases.clear()
+            flips.clear()
+            runs = dual_phase["runs"]
             res = solve_lp(inst, inst.root_box())
-            assert phases == [True], f"case {k}"
+            assert flips == [np.flatnonzero(inst.c < 0).tolist()], f"case {k}"
+            assert dual_phase["runs"] == runs + 1, f"case {k}"
             status, value = highs(inst, inst.root_box())
             vstatus, vvalue, _ = oracles.lp_vertex_optimum(inst)
             assert res.status is status, f"case {k}"
@@ -591,35 +653,27 @@ class TestDualPhase:
                 assert abs(res.objective - value) <= VALUE_TOL
                 assert abs(res.objective - vvalue) <= VALUE_TOL
             n_checked += 1
-        assert dual_phase["runs"] == 0
+        assert dual_phase["handed_on"] == dual_phase["shifted"] == 0
         assert n_checked >= 20
 
     def test_dual_infeasible_end_goes_on_in_primal_phase_2(
             self, dual_phase, monkeypatch):
-        # as if tolerances had passed a start as dual feasible: the first
-        # pricing of each LP finds nothing, so the dual phase runs from
-        # slack bases whose negative costs price out.  Its infeasibility
-        # proofs hold whatever the costs; a basis it makes primal
-        # feasible must go on to primal phase 2, not be called optimal
+        # as if tolerances had passed a start as dual feasible: the step
+        # that makes it dual feasible does nothing, so the dual phase runs
+        # from slack bases whose negative costs price out.  Its
+        # infeasibility proofs hold whatever the costs; a basis it makes
+        # primal feasible must go on to primal phase 2, not be called
+        # optimal
         pytest.importorskip("scipy")
         highs = TestAgainstHighs.highs
-        original = _Simplex._entering
-        blinded = set()
-
-        def blind_once(self, red):
-            if id(self) not in blinded:
-                blinded.add(id(self))
-                return None
-            return original(self, red)
-
-        monkeypatch.setattr(_Simplex, "_entering", blind_once)
+        monkeypatch.setattr(_Simplex, "_dual_start",
+                            lambda self, red: self.cost)
         rng = np.random.default_rng(99)
         n_checked = 0
         for k in range(40):
             inst = oracles.random_lp(rng)
             if not np.any(inst.c < 0):
                 continue
-            blinded.clear()
             res = solve_lp(inst, inst.root_box())
             status, value = highs(inst, inst.root_box())
             assert res.status is status, f"case {k}"
@@ -628,6 +682,38 @@ class TestDualPhase:
             n_checked += 1
         assert dual_phase["runs"] == n_checked >= 20
         assert dual_phase["handed_on"] >= 20
+
+    def test_cost_shifts_end_in_primal_phase_2(self, dual_phase):
+        # a cold start's reduced costs are the costs, so every column whose
+        # cost points at a bound it lacks is shifted: the dual phase runs
+        # under the shifted cost, and an LP it does not prove infeasible
+        # ends in primal phase 2 under the true cost.  Boxed LPs only flip
+        # and never reach primal phase 2
+        pytest.importorskip("scipy")
+        highs = TestAgainstHighs.highs
+        rng = np.random.default_rng(100)
+        seen = {(status, boxed): 0 for status in LpStatus for boxed in
+                (False, True)}
+        for k in range(200):
+            boxed = k % 4 == 0
+            inst = open_lp(rng, boxed)
+            before = dict(dual_phase)
+            res = solve_lp(inst, inst.root_box())
+            status, value = highs(inst, inst.root_box())
+            assert res.status is status, f"case {k}"
+            if status is LpStatus.OPTIMAL:
+                assert abs(res.objective - value) <= VALUE_TOL, f"case {k}"
+            assert dual_phase["runs"] == before["runs"] + 1
+            shifted = dual_phase["shifted"] - before["shifted"]
+            primal = dual_phase["handed_on"] - before["handed_on"]
+            assert shifted == (not boxed), f"case {k}"
+            assert primal == (not boxed and
+                              status is not LpStatus.INFEASIBLE), f"case {k}"
+            seen[res.status, boxed] += 1
+        for status in (LpStatus.OPTIMAL, LpStatus.UNBOUNDED,
+                       LpStatus.INFEASIBLE):
+            assert seen[status, False] >= 10
+        assert seen[LpStatus.OPTIMAL, True] >= 10
 
     def test_limits_stop_a_warm_child_before_its_first_dual_pivot(
             self, dual_phase, monkeypatch):

@@ -58,24 +58,28 @@ class TestVerdicts:
         assert n_opt >= 20 and n_inf >= 20
 
     def test_capped_node_lps_still_solve_exactly(self, monkeypatch):
-        # one simplex iteration per LP: capped nodes carry no point and
-        # split their first unfixed integer at its midpoint
-        monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
-                            lambda n, m: 1)
+        # at most one simplex iteration per LP: capped nodes carry no point
+        # and split their first unfixed integer at its midpoint, and a
+        # capped node with every integer fixed is decided by its one point.
+        # A cap of 1 lets most LPs finish; a cap of 0 stops every one of
+        # them, the root's included
         rng = np.random.default_rng(23)
         capped = 0
         for k in range(40):
             inst = oracles.random_instance(rng)
             status, value, _ = oracles.enumerate_optimum(inst)
-            for mode in ("off", "local"):
-                res = solve(inst, MipConfig(rapid_mode=mode, seed=k))
-                where = f"case {k} ({mode})"
-                assert res.status == status, where
-                if status == "optimal":
-                    assert abs(res.objective - value) <= 1e-9, where
-                capped += sum(line.split()[5] == "branched-capped"
-                              for line in res.events
-                              if line.startswith("node "))
+            for cap in (1, 0):
+                monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
+                                    lambda n, m: cap)
+                for mode in ("off", "local"):
+                    res = solve(inst, MipConfig(rapid_mode=mode, seed=k))
+                    where = f"case {k} ({mode}, cap {cap})"
+                    assert res.status == status, where
+                    if status == "optimal":
+                        assert abs(res.objective - value) <= 1e-9, where
+                    capped += sum(line.split()[5] == "branched-capped"
+                                  for line in res.events
+                                  if line.startswith("node "))
         assert capped >= 40
 
     def test_unbounded_raises(self):
