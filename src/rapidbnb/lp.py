@@ -29,9 +29,6 @@ LP, after every REFACTOR_INTERVAL updates and whenever the recomputed
 point misses `T x = b` by more than RESIDUAL_TOL relative to the size of
 b, so rounding errors of the updates cannot pile up.  Both rules depend
 only on pivot counts and values, so the solve stays deterministic.
-LPs that start from one basis share its inversion through a `WarmStart`:
-strong branching inverts the node's basis once per round, and each LP
-starts from a copy of that inverse.
 
 The nonbasic values are built once per LP and kept: a pivot or bound
 flip rewrites only the entering, leaving or flipped column, so an
@@ -50,7 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
@@ -69,16 +66,10 @@ class LpStatus(Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
-class BasisStatus(IntEnum):
-    BASIC = 0
-    AT_LOWER = 1
-    AT_UPPER = 2
-
-
-# plain ints for the simplex loops
-BASIC = int(BasisStatus.BASIC)
-AT_LOWER = int(BasisStatus.AT_LOWER)
-AT_UPPER = int(BasisStatus.AT_UPPER)
+# basis status codes, plain ints for the simplex loops
+BASIC = 0
+AT_LOWER = 1
+AT_UPPER = 2
 
 
 @dataclass
@@ -86,7 +77,7 @@ class LpResult:
     status: LpStatus
     x: np.ndarray | None = None
     objective: float | None = None
-    basis_status: np.ndarray | None = None   # length n + m, BasisStatus values
+    basis_status: np.ndarray | None = None   # length n + m, BASIC/AT_LOWER/AT_UPPER
     reduced_costs: np.ndarray | None = None  # length n + m, zero on basics
     iterations: int = 0
 
@@ -101,44 +92,9 @@ def default_iteration_cap(n: int, m: int) -> int:
     return 10 * (n + m) + 1000
 
 
-class WarmStart:
-    """A basis status vector that LPs over one instance start from.
-
-    Its basis is inverted once, by the first LP that installs it, and
-    every LP gets its own copy of the inverse, because the simplex
-    updates its inverse in place.  A basis of the wrong length, with the
-    wrong number of basic columns or singular gives no inverse: those
-    LPs start from the slack basis.
-    """
-
-    def __init__(self, status: np.ndarray):
-        self.status = status
-        self.basis: list[int] = []   # the basic columns, once inverted
-        self._inverse: np.ndarray | None = None
-        self._tried = False
-
-    def inverse(self, T: np.ndarray) -> np.ndarray | None:
-        """A copy of the inverse of the basic columns of T, or None."""
-        if not self._tried:
-            self._tried = True
-            m, N = T.shape
-            if self.status.shape == (N,):
-                cand = [j for j, st in enumerate(self.status.tolist())
-                        if st == BASIC]
-                if len(cand) == m:
-                    try:
-                        # the inversion doubles as the singularity check
-                        self._inverse = np.linalg.inv(T[:, cand])
-                    except np.linalg.LinAlgError:
-                        pass
-                    else:
-                        self.basis = cand
-        return None if self._inverse is None else self._inverse.copy()
-
-
 class _Simplex:
     def __init__(self, instance: Instance, box: BoundBox,
-                 warm_basis: np.ndarray | WarmStart | None, cap: int,
+                 warm_basis: np.ndarray | None, cap: int,
                  deadline: float | None):
         A, b = instance.dense()
         self.n = instance.num_vars
@@ -188,16 +144,22 @@ class _Simplex:
             return hi
         return 0.0
 
-    def _install_start(self, warm: np.ndarray | WarmStart | None) -> None:
-        if warm is not None:
-            if not isinstance(warm, WarmStart):
-                warm = WarmStart(warm)
-            Binv = warm.inverse(self.T)
-            if Binv is not None:
-                self.Binv = Binv
-                self.basis = list(warm.basis)
-                self.status = warm.status.tolist()
-                return
+    def _install_start(self, warm: np.ndarray | None) -> None:
+        """Start from the basis status vector `warm`; one of the wrong
+        length, with the wrong number of basic columns or singular gives
+        way to the slack basis."""
+        if warm is not None and warm.shape == (self.N,):
+            status = warm.tolist()
+            basis = [j for j, st in enumerate(status) if st == BASIC]
+            if len(basis) == self.m:
+                try:
+                    # the inversion doubles as the singularity check
+                    self.Binv = np.linalg.inv(self.T[:, basis])
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    self.basis, self.status = basis, status
+                    return
         self.Binv = np.eye(self.m)
         self.basis = list(range(self.n, self.N))
         self.status = [AT_LOWER] * self.n + [BASIC] * self.m
@@ -510,13 +472,6 @@ class _Simplex:
 
     # ---- extraction ----------------------------------------------------
 
-    def point(self, box: BoundBox) -> tuple[np.ndarray, float]:
-        """The optimum's structural values clipped into `box`, and their
-        objective."""
-        xs = self.x[:self.n].copy()
-        np.clip(xs, box.lower, box.upper, out=xs)
-        return xs, float(self.cost[:self.n] @ xs)
-
     def result(self, status: LpStatus, box: BoundBox) -> LpResult:
         basis_status = np.array(self.status, dtype=np.int8)
         if status is not LpStatus.OPTIMAL:
@@ -524,25 +479,25 @@ class _Simplex:
                             basis_status=basis_status)
         red = self.red
         red[self.basis] = 0.0  # exactly zero on the basis
-        xs, objective = self.point(box)
-        return LpResult(LpStatus.OPTIMAL, x=xs, objective=objective,
+        xs = self.x[:self.n].copy()
+        np.clip(xs, box.lower, box.upper, out=xs)
+        return LpResult(LpStatus.OPTIMAL, x=xs,
+                        objective=float(self.cost[:self.n] @ xs),
                         basis_status=basis_status,
                         reduced_costs=red,
                         iterations=self.iterations)
 
 
 def solve_lp(instance: Instance, box: BoundBox,
-             warm_basis: np.ndarray | WarmStart | None = None,
-             deadline: float | None = None,
-             objective_only: bool = False) -> LpResult:
+             warm_basis: np.ndarray | None = None,
+             deadline: float | None = None) -> LpResult:
     """Solve the LP relaxation over `box`.
 
     Deterministic for identical inputs.  `warm_basis` takes a previous
-    result's basis_status, or a `WarmStart` of it that several LPs share;
-    an unusable one is silently ignored.  Once `time.monotonic()` passes
-    `deadline`, the solve stops before its next pivot with ITERATION_LIMIT.
-    With `objective_only` the result holds the status, the objective and
-    the iterations alone.
+    result's basis_status; an unusable one is silently ignored, and a warm
+    solve whose linear algebra breaks down is solved again cold.  Once
+    `time.monotonic()` passes `deadline`, the solve stops before its next
+    pivot with ITERATION_LIMIT.
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
@@ -552,12 +507,9 @@ def solve_lp(instance: Instance, box: BoundBox,
         status = sx.run()
     except np.linalg.LinAlgError:
         if warm_basis is not None:
-            return solve_lp(instance, box, None, deadline, objective_only)
+            return solve_lp(instance, box, None, deadline)
         raise
-    if not objective_only:
-        return sx.result(status, box)
-    objective = sx.point(box)[1] if status is LpStatus.OPTIMAL else None
-    return LpResult(status, objective=objective, iterations=sx.iterations)
+    return sx.result(status, box)
 
 
 def measure_degeneracy(result: LpResult, box: BoundBox) -> DegeneracyInfo:
@@ -577,11 +529,11 @@ def measure_degeneracy(result: LpResult, box: BoundBox) -> DegeneracyInfo:
     st = result.basis_status[:n]
     red = result.reduced_costs[:n]
     fixed = (np.array(box.upper) - np.array(box.lower)) <= INT_TOL
-    nonbasic = (st != BasisStatus.BASIC) & ~fixed
+    nonbasic = (st != BASIC) & ~fixed
     degen = nonbasic & (np.abs(red) <= DEGEN_TOL)
     n_nonbasic = int(nonbasic.sum())
     n_degen = int(degen.sum())
-    n_basic = int((st == BasisStatus.BASIC).sum())
+    n_basic = int((st == BASIC).sum())
     # no nonbasic columns left: vacuously every one of them is degenerate
     share = 1.0 if n_nonbasic == 0 else n_degen / n_nonbasic
     ratio = (n_basic + n_degen) / max(1, num_rows)
@@ -590,19 +542,15 @@ def measure_degeneracy(result: LpResult, box: BoundBox) -> DegeneracyInfo:
 
 def strong_branch(instance: Instance, box: BoundBox, var: int,
                   parent: LpResult, deadline: float | None = None,
-                  warm: WarmStart | None = None,
                   ) -> tuple[float | None, float | None, int]:
     """Probe both children of branching on `var` at the parent LP value.
 
-    Both children start from `warm`, a `WarmStart` of the parent's basis
-    that a strong-branching round shares across its candidates (by
-    default, one for these two children).  Returns (down objective, up
-    objective, simplex iterations); None stands for an infeasible child
-    or one stopped at `deadline` or by the iteration cap.
+    Each child is an ordinary LP warm-started from the parent's basis, the
+    same solve a node LP makes.  Returns (down objective, up objective,
+    simplex iterations); None stands for an infeasible child or one
+    stopped at `deadline` or by the iteration cap.
     """
     assert parent.x is not None and parent.objective is not None
-    if warm is None:
-        warm = WarmStart(parent.basis_status)
     frac = float(parent.x[var])
     iters = 0
     objs: list[float | None] = []
@@ -615,8 +563,8 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
         if child.is_empty():
             objs.append(None)
             continue
-        res = solve_lp(instance, child, warm_basis=warm, deadline=deadline,
-                       objective_only=True)
+        res = solve_lp(instance, child, warm_basis=parent.basis_status,
+                       deadline=deadline)
         iters += res.iterations
         objs.append(res.objective)
     return objs[0], objs[1], iters

@@ -37,7 +37,7 @@ import numpy as np
 from .branching import PC_FLOOR, BranchingStats, select_branching
 from .conflict import BoundDisjunction, Trail, analyze_1uip, to_knapsack
 from .cpsearch import CpOutcome, CpStatus
-from .lp import LpResult, LpStatus, WarmStart, solve_lp, strong_branch
+from .lp import LpResult, LpStatus, solve_lp, strong_branch
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
                     Instance, Side, fmt_g)
 from .propagation import Outcome, Propagator
@@ -505,14 +505,11 @@ class _Solve:
         stats, table = self.stats, self.stats.branching
         heavy = stats.conflict_heavy
         ranked = sorted(fractional, key=lambda j: (-table.score(j, heavy), j))
-        # every candidate's children start from the node's basis: invert
-        # it once for the round
-        warm = WarmStart(lp.basis_status)
         for j in ranked[:SB_CANDIDATES]:
             if (j, 0) in table.pc_count and (j, 1) in table.pc_count:
                 continue
             dn, up, iters = strong_branch(self.inst, box, j, lp,
-                                          deadline=self.deadline, warm=warm)
+                                          deadline=self.deadline)
             stats.iter_lp += iters
             for child in (dn, up):
                 # an infeasible child or an unmoved objective is no gain

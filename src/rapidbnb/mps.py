@@ -102,7 +102,6 @@ def parse_mps(source: str | bytes | os.PathLike,
     col_index: dict[str, int] = {}
     obj_coefs: dict[int, float] = {}
     integer_cols: set[int] = set()
-    bounds_touched: set[int] = set()
     explicit: dict[int, list[tuple[str, float, int]]] = {}
     in_integer_block = False
     ended = False
@@ -233,7 +232,6 @@ def parse_mps(source: str | bytes | os.PathLike,
                 raise MpsParseError(MALFORMED_SECTION, line_no,
                                     f"bound type {btype} needs a value")
             val = _num(toks[3], line_no) if needs_value else 0.0
-            bounds_touched.add(j)
             explicit.setdefault(j, []).append((btype, val, line_no))
             if btype in ("BV", "LI", "UI"):
                 integer_cols.add(j)
@@ -248,7 +246,7 @@ def parse_mps(source: str | bytes | os.PathLike,
     lower = [0.0] * n
     upper = [INF] * n
     for j in range(n):
-        if j in integer_cols and j not in bounds_touched:
+        if j in integer_cols and j not in explicit:
             upper[j] = 1.0
     for j, entries in explicit.items():
         for btype, val, line_no in entries:

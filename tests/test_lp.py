@@ -9,8 +9,7 @@ import pytest
 
 from rapidbnb import LpStatus, from_inequalities, measure_degeneracy, solve_lp
 from rapidbnb.lp import (AT_LOWER, AT_UPPER, BASIC, REFACTOR_INTERVAL,
-                         WarmStart, _Simplex, default_iteration_cap,
-                         strong_branch)
+                         _Simplex, default_iteration_cap, strong_branch)
 
 import oracles
 
@@ -167,24 +166,6 @@ class TestStrongBranch:
         j = int(np.argmax(np.abs(parent.x - np.round(parent.x))))
         assert strong_branch(inst, box, j, parent,
                              deadline=time.monotonic() - 1.0) == (None, None, 0)
-
-    def test_objective_only_builds_nothing_else(self, monkeypatch):
-        rng = np.random.default_rng(80)
-        statuses = set()
-        for k in range(40):
-            inst = oracles.random_lp(rng)
-            # odd cases stop at a cap of one iteration
-            monkeypatch.setattr("rapidbnb.lp.default_iteration_cap",
-                                (lambda n, m: 1) if k % 2
-                                else default_iteration_cap)
-            full = solve_lp(inst, inst.root_box())
-            lean = solve_lp(inst, inst.root_box(), objective_only=True)
-            assert (lean.status, lean.objective, lean.iterations) == \
-                (full.status, full.objective, full.iterations), f"case {k}"
-            assert lean.x is None and lean.basis_status is None
-            assert lean.reduced_costs is None
-            statuses.add(full.status)
-        assert LpStatus.OPTIMAL in statuses and len(statuses) >= 2
 
 
 def wide_lp(rng: np.random.Generator, n: int, m: int):
@@ -349,7 +330,8 @@ def refactors(monkeypatch):
 
 class TestKeptInverse:
     """The basis inverse kept across pivots: periodic and residual-driven
-    refactorization, and the singular warm start."""
+    refactorization, the singular warm start, and the cold retry of a warm
+    solve that breaks down."""
 
     def test_long_lps_refactorize_and_agree(self, refactors):
         # cold from the slack basis, warm from the optimum of the opposite
@@ -420,6 +402,60 @@ class TestKeptInverse:
                                                    cold.iterations)
         assert abs(res.objective - (-2.5)) <= VALUE_TOL
 
+    def test_breakdown_of_a_warm_solve_retries_cold(self, monkeypatch):
+        inst = from_inequalities([-1.0, -2.0, -1.0],
+                                 [((0, 1, 2), (2.0, 3.0, 1.0), "<=", 7.0),
+                                  ((0, 1), (1.0, -1.0), "<=", 1.0)],
+                                 [0, 0, 0], [3, 3, 3], integer_set=())
+        box = inst.root_box()
+        parent = solve_lp(inst, box)
+        assert parent.status is LpStatus.OPTIMAL
+        slack = list(range(inst.num_vars, inst.num_vars + inst.num_rows))
+        original = _Simplex.run
+        starts = []
+
+        def breaking(self):
+            # the first run of each solve breaks down after its start
+            starts.append(list(self.basis))
+            if len(starts) == 1:
+                raise np.linalg.LinAlgError("breakdown")
+            return original(self)
+
+        # x1 >= 2 stays feasible, x1 >= 3 does not
+        for lower, status in ((2.0, LpStatus.OPTIMAL),
+                              (3.0, LpStatus.INFEASIBLE)):
+            child = box.copy()
+            child.lower[1] = lower
+            warm = solve_lp(inst, child, warm_basis=parent.basis_status)
+            cold = solve_lp(inst, child)
+            assert cold.status is status
+            with monkeypatch.context() as patch:
+                patch.setattr(_Simplex, "run", breaking)
+                starts.clear()
+                res = solve_lp(inst, child, warm_basis=parent.basis_status)
+            assert starts[0] != slack and starts[1:] == [slack]
+            assert (res.status, res.objective, res.iterations) == \
+                (cold.status, cold.objective, cold.iterations)
+            if status is LpStatus.OPTIMAL:
+                # the answer is the cold solve's, not the warm one's
+                assert warm.iterations < cold.iterations
+
+        def broken(self):
+            starts.append(list(self.basis))
+            raise np.linalg.LinAlgError("breakdown")
+
+        # a cold solve has nothing to fall back to: the error propagates
+        # to the caller, where the command line exits with code 1
+        monkeypatch.setattr(_Simplex, "run", broken)
+        starts.clear()
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lp(inst, box)
+        assert starts == [slack]
+        starts.clear()
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lp(inst, box, warm_basis=parent.basis_status)
+        assert starts[0] != slack and starts[1:] == [slack]
+
 
 class TestKeptNonbasicValues:
     """The nonbasic value vector is built once per LP and patched at each
@@ -480,20 +516,11 @@ class TestKeptNonbasicValues:
         assert n_odd_warm >= 10
 
 
-class TestSharedWarmStart:
-    """Strong branching inverts the parent basis once and starts every
-    child LP from a copy of that inverse."""
+class TestStrongBranchChildren:
+    """Strong branching solves each child as an ordinary LP warm-started
+    from the parent's basis."""
 
-    def test_same_answers_as_independent_inversions(self, monkeypatch,
-                                                    refactors):
-        inversions = [0]
-        inv = np.linalg.inv
-
-        def counting(a):
-            inversions[0] += 1
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counting)
+    def test_same_answers_as_independent_child_solves(self):
         rng = np.random.default_rng(88)
         n_rounds = n_children = 0
         for _ in range(25):
@@ -524,16 +551,11 @@ class TestSharedWarmStart:
                     if res.status is LpStatus.OPTIMAL:
                         out[k] = res.objective
                 independent.append((out[0], out[1], iters))
-            warm = WarmStart(parent.basis_status)
-            inversions[0] = refactors[0] = 0
-            shared = [strong_branch(inst, box, j, parent, warm=warm)
+            probed = [strong_branch(inst, box, j, parent)
                       for j in frac[:5]]
-            assert shared == independent
-            # one inversion of the parent basis; the rest are the child
-            # LPs' own refactorizations
-            assert inversions[0] - refactors[0] == 1
+            assert probed == independent
             n_rounds += 1
-            n_children += 2 * len(shared)
+            n_children += 2 * len(probed)
         assert n_rounds >= 10 and n_children >= 50
 
 

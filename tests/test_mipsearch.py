@@ -22,8 +22,10 @@ from rapidbnb import (
     solve,
 )
 from rapidbnb.branching import BranchingStats, select_branching
+from rapidbnb.conflict import BoundDisjunction, Trail
 from rapidbnb.lp import strong_branch
-from rapidbnb.mipsearch import SB_CANDIDATES, _Solve, record_leaf
+from rapidbnb.mipsearch import (SB_CANDIDATES, Node, _NodeState, _Solve,
+                                record_leaf)
 from rapidbnb.rapid import CRITERION_NAMES
 
 import oracles
@@ -351,6 +353,53 @@ class TestBranchingMachinery:
         assert any(calls < slots for _, slots, calls in rounds)
         assert res.stats.sb_no_improvement + res.stats.sb_objective_changed \
             == 2 * sum(calls for _, _, calls in rounds)
+
+
+class TestConflictScope:
+    """A propagation conflict in the tree is learned globally only when
+    its derivation used no node-local constraint."""
+
+    # x0 + x2 >= 1 and x1 + x2 <= 1 over binaries, and the node-local
+    # disjunction x0 >= 1 or x1 >= 1 under id 99
+    inst = from_inequalities([0.0, 0.0, 0.0],
+                             [((0, 2), (1.0, 1.0), ">=", 1.0),
+                              ((1, 2), (1.0, 1.0), "<=", 1.0)],
+                             [0, 0, 0], [1, 1, 1], integer_set=range(3))
+    local = BoundDisjunction(((0, 1.0), (1, 1.0)), ())
+
+    def fail_below_x0_down(self, local_ids: set[int]) -> _Solve:
+        """A solver whose level-1 branching x0 <= 0 failed the fixpoint
+        with the disjunction active and `local_ids` marked local."""
+        solver = _Solve(self.inst, MipConfig())
+        root = Node(id=1, parent=None, depth=0, lower_bound=0.0)
+        node = Node(id=2, parent=root, depth=1, lower_bound=0.0,
+                    branch=(0, Side.UPPER, 0.0))
+        state = _NodeState(node, Trail(solver.global_box.copy()),
+                           solver._propagator(), local_ids=local_ids)
+        state.prop.add_constraint(99, self.local)
+        assert solver._fixpoint(node, state)
+        state.trail.branch(*node.branch, node.depth)
+        assert not solver._fixpoint(node, state)
+        return solver
+
+    def test_tainted_conflict_is_discarded(self):
+        # (0, 0, 1) is feasible, so the unit x0 >= 1 the analysis returns
+        # is valid only where the disjunction is
+        assert self.inst.check_point(np.array([0.0, 0.0, 1.0]))
+        solver = self.fail_below_x0_down({99})
+        assert solver.events == ["conflict node 2 size 1 scope discarded"]
+        assert solver.global_box.lower == [0.0, 0.0, 0.0]
+        assert solver.global_box.upper == [1.0, 1.0, 1.0]
+        assert solver.global_constraints == []
+        assert solver.stats.branching.activity == {}
+        assert not solver.exhausted
+
+    def test_untainted_conflict_tightens_the_global_box(self):
+        solver = self.fail_below_x0_down(set())
+        assert solver.events == ["conflict node 2 size 1 scope global"]
+        assert solver.global_box.lower == [1.0, 0.0, 0.0]
+        assert solver.global_constraints == []
+        assert solver.stats.branching.vsids(0) == 1.0
 
 
 class TestResultShape:

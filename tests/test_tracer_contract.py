@@ -77,18 +77,28 @@ def test_probe_event_lines_match_the_traced_counts():
 
 def test_strong_branching_lps_match_the_solver(monkeypatch):
     # `lp.sb_lps` counts the `rapidbnb.lp.solve_lp` calls made inside
-    # `strong_branch`; a second wrapper, installed below the tracer's,
-    # counts the child LPs strong branching asks for itself
+    # `strong_branch`; second wrappers, installed below the tracer's,
+    # count the calls made while `mipsearch.strong_branch` is on the stack
     m = gen.knapsack_model(np.random.default_rng(5), "knapsack", 14, 3)
     inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(14))
     solve_lp = rapidbnb.lp.solve_lp
-    child_lps = 0
+    strong_branch = rapidbnb.mipsearch.strong_branch
+    depth = child_lps = 0
+
+    def branching(*args, **kwargs):
+        nonlocal depth
+        depth += 1
+        try:
+            return strong_branch(*args, **kwargs)
+        finally:
+            depth -= 1
 
     def counted(*args, **kwargs):
         nonlocal child_lps
-        child_lps += kwargs.get("objective_only", False) is True
+        child_lps += depth > 0
         return solve_lp(*args, **kwargs)
 
+    monkeypatch.setattr(rapidbnb.mipsearch, "strong_branch", branching)
     monkeypatch.setattr(rapidbnb.lp, "solve_lp", counted)
     tracer = Tracer(rapidbnb)
     with tracer.installed():
