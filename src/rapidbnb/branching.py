@@ -4,9 +4,12 @@ One `BranchingStats` table holds everything hybrid branching
 (Achterberg & Berthold, 2009) scores a candidate by: pseudo-cost sums
 and counts per (variable, direction), the number of deductions that
 branching on a variable triggered, and conflict activity (VSIDS) per
-bound side.  The tree search scores with all three; the CP probe
+bound side.  It owns the tree's rules for them too: `observe` turns an
+LP objective change into a pseudo-cost, and `ranked` orders candidates
+for strong branching and for the branching choice.  The CP probe
 branches on the inference counts alone and adds its own counts to the
-table it was handed, so the host search sees them without a merge.
+table it was handed; nothing else records any, so under
+`rapid_mode="off"` the tree's inference term is 0 for every candidate.
 """
 
 from __future__ import annotations
@@ -16,17 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import INF, BoundBox, Side
+from .model import BoundBox, Side
 
 PC_FLOOR = 1e-6
-# (pseudo-cost, inference, conflict) weights; the second set takes over
-# when the search is conflict heavy (see SearchStats.conflict_heavy)
-WEIGHTS_DEFAULT = (1.0, 0.1, 0.1)
-WEIGHTS_CONFLICT_HEAVY = (0.1, 0.5, 1.0)
-
-
-class AllFixedError(Exception):
-    """Branching was asked for but every integer variable is fixed."""
+# (pseudo-cost, inference, conflict) weights of the hybrid score
+W_PC, W_INF, W_VSIDS = 1.0, 0.1, 0.1
 
 
 class BranchingStats:
@@ -39,8 +36,13 @@ class BranchingStats:
         self.activity: dict[tuple[int, Side], float] = {}
         self.conflicts_seen = 0
 
-    def update_pseudo_cost(self, var: int, direction: int, gain: float) -> None:
+    def observe(self, var: int, direction: int, change: float,
+                distance: float) -> None:
+        """Record that moving `var` by `distance` in `direction` (0 down,
+        1 up) changed the LP objective by `change`: a fall counts as no
+        gain, and a distance below PC_FLOOR as PC_FLOOR."""
         key = (var, direction)
+        gain = max(change, 0.0) / max(distance, PC_FLOOR)
         self.pc_sum[key] = self.pc_sum.get(key, 0.0) + gain
         self.pc_count[key] = self.pc_count.get(key, 0) + 1
 
@@ -69,32 +71,25 @@ class BranchingStats:
             for key in self.activity:
                 self.activity[key] *= 0.95
 
-    def score(self, var: int, conflict_heavy: bool) -> float:
-        """Hybrid score: weighted pseudo-cost product, inferences, activity."""
-        w_pc, w_inf, w_vsids = WEIGHTS_CONFLICT_HEAVY if conflict_heavy \
-            else WEIGHTS_DEFAULT
+    def score(self, var: int) -> float:
+        """Hybrid score: weighted pseudo-cost product, inferences (the
+        probe's only, see the module note), activity."""
         product = max(self.pseudo_cost(var, 0), PC_FLOOR) * \
             max(self.pseudo_cost(var, 1), PC_FLOOR)
-        return (w_pc * product
-                + w_inf * self.inference(var)
-                + w_vsids * self.vsids(var))
+        return (W_PC * product
+                + W_INF * self.inference(var)
+                + W_VSIDS * self.vsids(var))
 
-
-def select_branching(fractional: list[int], table: BranchingStats,
-                     conflict_heavy: bool) -> int:
-    """Best hybrid score among `fractional`; ties keep the first."""
-    best, best_score = fractional[0], -INF
-    for j in fractional:
-        s = table.score(j, conflict_heavy)
-        if s > best_score:
-            best, best_score = j, s
-    return best
+    def ranked(self, candidates: Iterable[int]) -> list[int]:
+        """`candidates` by falling score, ties to the lowest index."""
+        return sorted(candidates, key=lambda j: (-self.score(j), j))
 
 
 def select_inference_branching(box: BoundBox, int_mask: np.ndarray,
                                table: BranchingStats, pseudo: Sequence[float],
-                               rng: random.Random) -> tuple[int, int]:
-    """Unfixed integer variable with the best inference record.
+                               rng: random.Random) -> tuple[int, int] | None:
+    """Unfixed integer variable with the best inference record, or None
+    when every integer variable is fixed.
 
     Ties fall to the rng so repeated probes explore differently under
     different seeds but identically under the same seed.  The returned
@@ -104,7 +99,7 @@ def select_inference_branching(box: BoundBox, int_mask: np.ndarray,
     cands = [j for j in range(len(pseudo))
              if int_mask[j] and box.upper[j] - box.lower[j] > 0.5]
     if not cands:
-        raise AllFixedError
+        return None
     best = max(table.inference(j) for j in cands)
     ties = [j for j in cands if table.inference(j) == best]
     var = ties[0] if len(ties) == 1 else rng.choice(ties)

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--freq-f", type=int, default=5, metavar="F",
                    help="first probe depth below the root (default: 5)")
     s.add_argument("--freq-beta", type=float, default=4.0, metavar="B",
-                   help="depth schedule base, must be > 1 (default: 4)")
+                   help="depth schedule base, finite and > 1 (default: 4)")
     s.add_argument("--max-conflicts", type=int, default=10, metavar="K",
                    help="probe conflicts transferred per call (default: 10)")
     s.add_argument("--seed", type=int, default=0)

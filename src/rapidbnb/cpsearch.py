@@ -24,8 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .branching import (AllFixedError, BranchingStats,
-                        select_inference_branching)
+from .branching import BranchingStats, select_inference_branching
 from .conflict import CUTOFF_REASON, BoundDisjunction, Trail, analyze_1uip
 from .model import FEAS_TOL, BoundBox, EmptyBoxError, Instance, Side
 from .propagation import Outcome, Propagator
@@ -198,10 +197,10 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
             cbar = obj
             continue
 
-        try:
-            var, v = select_inference_branching(box, int_mask, table, xl, rng)
-        except AllFixedError:
+        choice = select_inference_branching(box, int_mask, table, xl, rng)
+        if choice is None:
             continue  # fixed point violates a row only within tolerance
+        var, v = choice
         mark2 = trail.mark()
         down = (mark2, level + 1, (var, Side.UPPER, float(v)))
         up = (mark2, level + 1, (var, Side.LOWER, float(v + 1)))

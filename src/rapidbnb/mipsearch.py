@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import PC_FLOOR, BranchingStats, select_branching
+from .branching import BranchingStats
 from .conflict import BoundDisjunction, Trail, analyze_1uip, to_knapsack
 from .cpsearch import CpOutcome, CpStatus
 from .lp import LpResult, LpStatus, solve_lp, strong_branch
@@ -46,9 +46,6 @@ from .rapid import CRITERION_NAMES, RapidConfig, maybe_run
 PLUNGE_CAP = 10
 SB_DEPTH_CAP = 4
 SB_CANDIDATES = 5
-# branching turns conflict heavy when infeasible leaves outnumber cutoff
-# leaves more than this many times
-LEAF_RATIO_SHIFT = 10.0
 
 
 class ConfigError(ValueError):
@@ -77,11 +74,6 @@ class SearchStats:
     criterion_fires: dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in CRITERION_NAMES})
 
-    @property
-    def conflict_heavy(self) -> bool:
-        return self.leaves_infeasible > \
-            LEAF_RATIO_SHIFT * max(1, self.leaves_cutoff)
-
 
 def record_leaf(kind: str, stats: SearchStats,
                 point: np.ndarray | None = None,
@@ -108,7 +100,8 @@ class Node:
     branch: tuple[int, Side, float] | None = None
     locals_own: list[tuple[int, BoundDisjunction]] = field(default_factory=list)
     basis: np.ndarray | None = None
-    branch_frac: float = 0.0
+    # how far branching moved the parent's LP value of the branched variable
+    branch_distance: float = 0.0
     parent_obj: float = math.nan
 
     def path(self) -> list["Node"]:
@@ -154,8 +147,8 @@ class MipConfig:
         r = self.rapid
         if r.f < 1:
             raise ConfigError("frequency offset f must be >= 1")
-        if not r.beta > 1:
-            raise ConfigError("frequency base beta must be > 1")
+        if not (r.beta > 1 and math.isfinite(r.beta)):
+            raise ConfigError("frequency base beta must be finite and > 1")
         if r.max_transferred_conflicts < 0:
             raise ConfigError("max transferred conflicts must be >= 0")
         bad = set(r.criteria) - set(CRITERION_NAMES)
@@ -356,11 +349,10 @@ class _Solve:
         node.lower_bound = max(node.lower_bound, obj)
         if node.branch is not None and math.isfinite(node.parent_obj):
             var, side, _ = node.branch
-            gain = max(obj - node.parent_obj, 0.0)
             # direction 1 is the up child, the one given a lower bound
-            stats.branching.update_pseudo_cost(
-                var, int(side is Side.LOWER),
-                gain / max(node.branch_frac, PC_FLOOR))
+            stats.branching.observe(var, int(side is Side.LOWER),
+                                    obj - node.parent_obj,
+                                    node.branch_distance)
         if node.lower_bound >= stats.incumbent_value - GAP_TOL:
             self._leaf(node, "cutoff", kind="cutoff")
             return
@@ -394,8 +386,7 @@ class _Solve:
 
         if node.depth <= SB_DEPTH_CAP:
             self._strong_branch_round(node, box, lp, obj, x, fractional)
-        var = select_branching(fractional, stats.branching,
-                               stats.conflict_heavy)
+        var = stats.branching.ranked(fractional)[0]
         self._branch(node, box, lp.basis_status, obj, float(x[var]), var)
         if self.next_node is not None and state is not None:
             self.kept = state
@@ -503,9 +494,7 @@ class _Solve:
         skipped, not replaced: it solves no LP and adds nothing to the
         `sb_*` counters or `iter_lp` (reliability branching, threshold 1)."""
         stats, table = self.stats, self.stats.branching
-        heavy = stats.conflict_heavy
-        ranked = sorted(fractional, key=lambda j: (-table.score(j, heavy), j))
-        for j in ranked[:SB_CANDIDATES]:
+        for j in table.ranked(fractional)[:SB_CANDIDATES]:
             if (j, 0) in table.pc_count and (j, 1) in table.pc_count:
                 continue
             dn, up, iters = strong_branch(self.inst, box, j, lp,
@@ -519,11 +508,9 @@ class _Solve:
                     stats.sb_objective_changed += 1
             f_dn = x[j] - math.floor(x[j])
             if dn is not None and (j, 0) not in table.pc_count:
-                table.update_pseudo_cost(j, 0, max(dn - obj, 0.0)
-                                         / max(f_dn, PC_FLOOR))
+                table.observe(j, 0, dn - obj, f_dn)
             if up is not None and (j, 1) not in table.pc_count:
-                table.update_pseudo_cost(j, 1, max(up - obj, 0.0)
-                                         / max(1.0 - f_dn, PC_FLOOR))
+                table.observe(j, 1, up - obj, 1.0 - f_dn)
 
     def _branch(self, node: Node, box: BoundBox, basis, obj: float,
                 xv: float, var: int, capped: bool = False) -> None:
@@ -531,18 +518,14 @@ class _Solve:
         x >= v + 1 in the other, v = floor(xv) inside the box."""
         v = int(math.floor(xv))
         v = int(min(max(v, box.lower[var]), box.upper[var] - 1))
-        dist_dn = max(xv - v, PC_FLOOR)
-        dist_up = max(v + 1.0 - xv, PC_FLOOR)
         down = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                     lower_bound=node.lower_bound,
                     branch=(var, Side.UPPER, float(v)), basis=basis,
-                    branch_frac=dist_dn,
-                    parent_obj=obj)
+                    branch_distance=xv - v, parent_obj=obj)
         up = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                   lower_bound=node.lower_bound,
                   branch=(var, Side.LOWER, float(v + 1)), basis=basis,
-                  branch_frac=dist_up,
-                  parent_obj=obj)
+                  branch_distance=v + 1.0 - xv, parent_obj=obj)
         self.log(f"branch node {node.id} depth {node.depth} var {var} "
                  f"point {v} frac {fmt_g(xv - v)} "
                  f"down {down.id} up {up.id}")

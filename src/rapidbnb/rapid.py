@@ -8,6 +8,7 @@ probe adds its inference counts to the host's branching table itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,19 +36,23 @@ class RapidConfig:
 
 def is_rl_depth(d: int, f: int, beta: float) -> bool:
     """True at depth 0 and at f, f*beta, f*beta^2, ...  Exact rational
-    walk, so no floating log ever misclassifies a depth."""
-    if beta <= 1:
-        raise ValueError("beta must be > 1")
+    walk, so no floating log ever misclassifies a depth.  It stops at
+    the first t that is not an integer: for beta = p/q in lowest terms,
+    t's denominator q^k / gcd(f, q^k) never shrinks, so no later t is a
+    depth either (and the fractions would grow without bound)."""
+    if not 1 < beta < math.inf:
+        raise ValueError("beta must be finite and > 1")
     if d == 0:
         return True
     if d < f:
         return False
     t = Fraction(f)
     step = Fraction(beta)
-    target = Fraction(d)
-    while t < target:
+    while t < d:
         t *= step
-    return t == target
+        if t.denominator != 1:
+            return False
+    return t == d
 
 
 def evaluate_criteria(stats, degeneracy: DegeneracyInfo | None, *,

@@ -1,6 +1,7 @@
 """Front-end behaviour: exit codes, output shapes, side-channel files."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,9 @@ from rapidbnb import cli
 from rapidbnb.cli import main
 from rapidbnb.propagation import PropagationCycleError
 from rapidbnb.rapid import CRITERION_NAMES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +99,16 @@ class TestExitCodes:
         code, _, err = run(["solve", str(DATA / "cover3.mps"),
                             "--freq-beta", "1.0"], capsys)
         assert code == 3 and err.startswith("config error:")
+
+    def test_infinite_depth_base_is_a_config_failure(self, tmp_path, capsys):
+        # this knapsack's tree reaches depth f = 5, where an unchecked
+        # infinite base breaks the depth walk in the middle of the solve
+        p = tmp_path / "knapsack.mps"
+        p.write_text(gen.write_mps(
+            gen.knapsack_model(np.random.default_rng(0), "k", 12, 3)))
+        code, out, err = run(["solve", str(p), "--rapid", "local",
+                              "--freq-beta", "inf"], capsys)
+        assert code == 3 and out == "" and err.startswith("config error:")
 
     def test_unknown_criterion_is_a_config_failure(self, capsys):
         code, _, err = run(["solve", str(DATA / "cover3.mps"),

@@ -1,6 +1,7 @@
 """Branch-and-bound driver: verdicts, limits, branching machinery, events."""
 
 import json
+import random
 import sys
 import time
 from collections import Counter
@@ -21,11 +22,13 @@ from rapidbnb import (
     mipsearch,
     solve,
 )
-from rapidbnb.branching import BranchingStats, select_branching
+from rapidbnb.branching import (PC_FLOOR, BranchingStats,
+                                select_inference_branching)
 from rapidbnb.conflict import BoundDisjunction, Trail
 from rapidbnb.lp import strong_branch
 from rapidbnb.mipsearch import (SB_CANDIDATES, Node, _NodeState, _Solve,
                                 record_leaf)
+from rapidbnb.model import BoundBox
 from rapidbnb.rapid import CRITERION_NAMES
 
 import oracles
@@ -92,6 +95,8 @@ class TestVerdicts:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MipConfig(rapid=RapidConfig(beta=1.0)).validate()
+        with pytest.raises(ConfigError):
+            MipConfig(rapid=RapidConfig(beta=float("inf"))).validate()
         with pytest.raises(ConfigError):
             MipConfig(rapid=RapidConfig(f=0)).validate()
         with pytest.raises(ConfigError):
@@ -258,25 +263,26 @@ class TestBranchingMachinery:
         assert table.activity[(0, Side.LOWER)] == 95.0  # (99+1) * 0.95
         assert table.vsids(0) == 95.0
 
-    def test_weight_shift_flips_selection(self):
-        # pseudo-cost favourite vs conflict favourite under both regimes
-        stats = SearchStats()
-        table = stats.branching
-        table.update_pseudo_cost(1, 0, 5.0)
-        table.update_pseudo_cost(1, 1, 5.0)
+    def test_pseudo_cost_product_outweighs_activity(self):
+        table = BranchingStats()
+        table.observe(1, 0, 5.0, 1.0)
+        table.observe(1, 1, 5.0, 1.0)
         table.bump(((0, Side.LOWER, 0.0),) * 3)
         table.bump(((0, Side.UPPER, 0.0),) * 2)
-        stats.leaves_infeasible = 0
-        stats.leaves_cutoff = 0
-        assert not stats.conflict_heavy
-        assert select_branching([0, 1], table, stats.conflict_heavy) == 1
-        assert table.score(1, False) == pytest.approx(25.0)   # beats 0.5
-        stats.leaves_infeasible = 21                  # 21 > 10 * max(1, 2)
-        stats.leaves_cutoff = 2
-        assert stats.conflict_heavy
-        assert select_branching([0, 1], table, stats.conflict_heavy) == 0
-        assert table.score(0, True) == pytest.approx(5.0)     # beats 2.5
-        assert table.score(1, True) == pytest.approx(2.5)
+        assert table.ranked([0, 1]) == [1, 0]
+        assert table.score(1) == pytest.approx(25.0)
+        assert table.score(0) == pytest.approx(1e-12 + 0.5)
+
+    def test_observe_counts_a_fall_as_no_gain_and_floors_the_distance(self):
+        table = BranchingStats()
+        table.observe(2, 0, -3.0, 0.5)
+        assert table.pc_count[(2, 0)] == 1
+        assert table.pseudo_cost(2, 0) == 0.0
+        table.observe(2, 1, 2e-9, 1e-12)
+        assert table.pseudo_cost(2, 1) == pytest.approx(2e-9 / PC_FLOOR)
+        table.observe(2, 1, 1.0, 0.0)
+        assert table.pseudo_cost(2, 1) == \
+            pytest.approx((2e-9 + 1.0) / PC_FLOOR / 2)
 
     def test_inference_counts_enter_the_score(self):
         table = BranchingStats()
@@ -284,11 +290,22 @@ class TestBranchingMachinery:
         table.add_inferences(3, 0)
         table.add_inferences(3, 2)
         assert table.inference(3) == 6 and table.inference(5) == 0
-        assert select_branching([5, 3], table, False) == 3
-        assert table.score(3, False) == pytest.approx(1e-12 + 0.6)
+        assert table.ranked([5, 3]) == [3, 5]
+        assert table.score(3) == pytest.approx(1e-12 + 0.6)
 
     def test_ties_pick_lowest_index(self):
-        assert select_branching([4, 2, 7], BranchingStats(), False) == 4
+        assert BranchingStats().ranked([4, 2, 7]) == [2, 4, 7]
+
+    def test_all_fixed_box_gives_no_inference_branching(self):
+        box = BoundBox(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+        mask = np.array([True, True, True])
+        assert select_inference_branching(
+            box, mask, BranchingStats(), [0.0, 1.0, 2.0],
+            random.Random(0)) is None
+        box.upper[2] = 3.0
+        assert select_inference_branching(
+            box, mask, BranchingStats(), [0.0, 1.0, 2.0],
+            random.Random(0)) == (2, 2)
 
     def test_record_leaf(self):
         stats = SearchStats()

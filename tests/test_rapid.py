@@ -2,7 +2,9 @@
 probe run, and what the host search keeps from a finished probe."""
 
 import sys
+import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +52,35 @@ class TestDepthSchedule:
         hits = {d for d in range(21) if is_rl_depth(d, 4, 1.5)}
         assert hits == {0, 4, 6, 9}
 
+    def test_agrees_with_the_unstopped_walk(self):
+        def walk(d, f, beta):
+            if d == 0:
+                return True
+            t = Fraction(f)
+            while t < d:
+                t *= Fraction(beta)
+            return t == d
+
+        for beta in (1.1, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 4.5, 7.0):
+            for f in range(1, 17):
+                for d in range(121):
+                    assert is_rl_depth(d, f, beta) == walk(d, f, beta), \
+                        (d, f, beta)
+
+    def test_ratio_near_one_answers_at_once(self):
+        # the unstopped walk takes seconds here, its fractions growing
+        # with every one of its ~14,000 steps
+        t0 = time.perf_counter()
+        assert not is_rl_depth(20, 5, 1.0001)
+        assert time.perf_counter() - t0 < 0.01
+
     def test_ratio_must_exceed_one(self):
         with pytest.raises(ValueError):
             is_rl_depth(3, 5, 1.0)
         with pytest.raises(ValueError):
             is_rl_depth(3, 5, 0.5)
+        with pytest.raises(ValueError):
+            is_rl_depth(3, 5, float("inf"))
 
 
 def fired_for(stats, share=0.0, face=1.0, instance=None, box=None,
