@@ -24,11 +24,18 @@ entering column's direction as three matrix-vector products with it
 (a dual pivot also takes its pivot row, one row of it times T),
 and a basis change updates it in O(m^2) by one rank-1 (eta) update that
 reuses the ratio test's direction; a bound flip leaves it as it is.  It
-is rebuilt from scratch (one O(m^3) inversion) at the start of a warm
-LP, after every REFACTOR_INTERVAL updates and whenever the recomputed
-point misses `T x = b` by more than RESIDUAL_TOL relative to the size of
-b, so rounding errors of the updates cannot pile up.  Both rules depend
-only on pivot counts and values, so the solve stays deterministic.
+is rebuilt from scratch (one O(m^3) inversion) after every
+REFACTOR_INTERVAL updates and whenever the recomputed point misses
+`T x = b` by more than RESIDUAL_TOL relative to the size of b, so
+rounding errors of the updates cannot pile up.  Both rules depend only
+on pivot counts and values, so the solve stays deterministic.
+
+The LPs of one solve share an `LpWorkspace`, which builds T, b, the
+padded cost and the residual limit once.  It keeps the inverse of the
+last warm basis it inverted, so an LP starting from the same basis
+columns (a node's strong-branching children, then its plunge child)
+takes a copy of it instead of one O(m^3) inversion of its own; the copy
+is bit for bit what that inversion gives.
 
 The nonbasic values are built once per LP and kept: a pivot or bound
 flip rewrites only the entering, leaving or flipped column, so an
@@ -92,19 +99,40 @@ def default_iteration_cap(n: int, m: int) -> int:
     return 10 * (n + m) + 1000
 
 
-class _Simplex:
-    def __init__(self, instance: Instance, box: BoundBox,
-                 warm_basis: np.ndarray | None, cap: int,
-                 deadline: float | None):
+class LpWorkspace:
+    """What the LPs of one instance share: T = [A | I], b, the padded cost
+    and the residual limit, all read-only, and the inverse of the last
+    warm basis inverted, with that basis's column list."""
+
+    def __init__(self, instance: Instance):
         A, b = instance.dense()
-        self.n = instance.num_vars
-        self.m = instance.num_rows
-        self.N = self.n + self.m
-        self.T = np.hstack([A, np.eye(self.m)]) if self.m else np.zeros((0, self.N))
+        m = instance.num_rows
+        self.T = np.hstack([A, np.eye(m)])
         self.b = b
+        self.cost = np.concatenate([instance.c, np.zeros(m)])
         self.residual_limit = RESIDUAL_TOL * (
             1.0 + float(np.abs(b).max(initial=0.0)))
-        self.cost = np.concatenate([instance.c, np.zeros(self.m)])
+        self.T.flags.writeable = self.cost.flags.writeable = False
+        self.basis: list[int] | None = None
+        self.Binv: np.ndarray | None = None
+
+    def inverse(self, basis: list[int]) -> np.ndarray:
+        """A copy of the inverse of T[:, basis], which the LP may update in
+        place; raises LinAlgError, and keeps nothing, when it is singular."""
+        if basis != self.basis:
+            self.Binv = np.linalg.inv(self.T[:, basis])
+            self.basis = basis.copy()
+        return self.Binv.copy()
+
+
+class _Simplex:
+    def __init__(self, ws: LpWorkspace, box: BoundBox,
+                 warm_basis: np.ndarray | None, cap: int,
+                 deadline: float | None):
+        self.m, self.N = ws.T.shape
+        self.n = self.N - self.m
+        self.T, self.b, self.cost = ws.T, ws.b, ws.cost
+        self.residual_limit = ws.residual_limit
         self.lo: list[float] = box.lower + [0.0] * self.m
         self.hi: list[float] = box.upper + [math.inf] * self.m
         # fixed columns never move
@@ -123,7 +151,7 @@ class _Simplex:
         # value vector and reduced costs of the last iteration at the optimum
         self.x: np.ndarray | None = None
         self.red: np.ndarray | None = None
-        self._install_start(warm_basis)
+        self._install_start(ws, warm_basis)
         # nonbasic values, zero on the basis
         status, start = self.status, self._nb_start_value
         self.xn = np.array([0.0 if status[j] == BASIC else start(j)
@@ -144,7 +172,8 @@ class _Simplex:
             return hi
         return 0.0
 
-    def _install_start(self, warm: np.ndarray | None) -> None:
+    def _install_start(self, ws: LpWorkspace,
+                       warm: np.ndarray | None) -> None:
         """Start from the basis status vector `warm`; one of the wrong
         length, with the wrong number of basic columns or singular gives
         way to the slack basis."""
@@ -154,7 +183,7 @@ class _Simplex:
             if len(basis) == self.m:
                 try:
                     # the inversion doubles as the singularity check
-                    self.Binv = np.linalg.inv(self.T[:, basis])
+                    self.Binv = ws.inverse(basis)
                 except np.linalg.LinAlgError:
                     pass
                 else:
@@ -490,24 +519,30 @@ class _Simplex:
 
 def solve_lp(instance: Instance, box: BoundBox,
              warm_basis: np.ndarray | None = None,
-             deadline: float | None = None) -> LpResult:
+             deadline: float | None = None, *,
+             workspace: LpWorkspace | None = None) -> LpResult:
     """Solve the LP relaxation over `box`.
 
     Deterministic for identical inputs.  `warm_basis` takes a previous
     result's basis_status; an unusable one is silently ignored, and a warm
     solve whose linear algebra breaks down is solved again cold.  Once
     `time.monotonic()` passes `deadline`, the solve stops before its next
-    pivot with ITERATION_LIMIT.
+    pivot with ITERATION_LIMIT.  `workspace`, built for `instance`, shares
+    T and warm inverses among the LPs of one solve; without it the LP
+    builds its own, with the same answer.
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
+    if workspace is None:
+        workspace = LpWorkspace(instance)
     cap = default_iteration_cap(instance.num_vars, instance.num_rows)
     try:
-        sx = _Simplex(instance, box, warm_basis, cap, deadline)
+        sx = _Simplex(workspace, box, warm_basis, cap, deadline)
         status = sx.run()
     except np.linalg.LinAlgError:
         if warm_basis is not None:
-            return solve_lp(instance, box, None, deadline)
+            return solve_lp(instance, box, None, deadline,
+                            workspace=workspace)
         raise
     return sx.result(status, box)
 
@@ -541,14 +576,15 @@ def measure_degeneracy(result: LpResult, box: BoundBox) -> DegeneracyInfo:
 
 
 def strong_branch(instance: Instance, box: BoundBox, var: int,
-                  parent: LpResult, deadline: float | None = None,
+                  parent: LpResult, deadline: float | None = None, *,
+                  workspace: LpWorkspace | None = None,
                   ) -> tuple[float | None, float | None, int]:
     """Probe both children of branching on `var` at the parent LP value.
 
     Each child is an ordinary LP warm-started from the parent's basis, the
-    same solve a node LP makes.  Returns (down objective, up objective,
-    simplex iterations); None stands for an infeasible child or one
-    stopped at `deadline` or by the iteration cap.
+    same solve a node LP makes, in the same `workspace`.  Returns (down
+    objective, up objective, simplex iterations); None stands for an
+    infeasible child or one stopped at `deadline` or by the iteration cap.
     """
     assert parent.x is not None and parent.objective is not None
     frac = float(parent.x[var])
@@ -564,7 +600,7 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
             objs.append(None)
             continue
         res = solve_lp(instance, child, warm_basis=parent.basis_status,
-                       deadline=deadline)
+                       deadline=deadline, workspace=workspace)
         iters += res.iterations
         objs.append(res.objective)
     return objs[0], objs[1], iters

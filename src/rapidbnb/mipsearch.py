@@ -37,7 +37,7 @@ import numpy as np
 from .branching import BranchingStats
 from .conflict import BoundDisjunction, Trail, analyze_1uip, to_knapsack
 from .cpsearch import CpOutcome, CpStatus
-from .lp import LpResult, LpStatus, solve_lp, strong_branch
+from .lp import LpResult, LpStatus, LpWorkspace, solve_lp, strong_branch
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
                     Instance, Side, fmt_g)
 from .propagation import Outcome, Propagator
@@ -188,6 +188,8 @@ class _Solve:
         self.kept: _NodeState | None = None
         # the optimal root LP, until the root node takes it
         self.root_lp: LpResult | None = None
+        # what every LP of this solve shares
+        self.lp_workspace = LpWorkspace(instance)
         self.plunge = 0
         self.nodes_processed = 0
         self.next_id = 1
@@ -329,7 +331,7 @@ class _Solve:
         # open, like any node taken off the queue too late
         if lp is None or time.monotonic() > self.deadline:
             lp = solve_lp(inst, box, warm_basis=node.basis,
-                          deadline=self.deadline)
+                          deadline=self.deadline, workspace=self.lp_workspace)
             stats.iter_lp += lp.iterations
         if lp.status is LpStatus.UNBOUNDED:
             raise SolveError("LP relaxation is unbounded; finite bounds required")
@@ -498,7 +500,8 @@ class _Solve:
             if (j, 0) in table.pc_count and (j, 1) in table.pc_count:
                 continue
             dn, up, iters = strong_branch(self.inst, box, j, lp,
-                                          deadline=self.deadline)
+                                          deadline=self.deadline,
+                                          workspace=self.lp_workspace)
             stats.iter_lp += iters
             for child in (dn, up):
                 # an infeasible child or an unmoved objective is no gain
@@ -569,7 +572,8 @@ class _Solve:
         if res.outcome is Outcome.INFEASIBLE:
             return self._finish("infeasible")
         self.global_box = state.trail.box.copy()
-        root_lp = solve_lp(inst, self.global_box, deadline=self.deadline)
+        root_lp = solve_lp(inst, self.global_box, deadline=self.deadline,
+                           workspace=self.lp_workspace)
         stats.iter_lp += root_lp.iterations
         if root_lp.status is LpStatus.INFEASIBLE:
             return self._finish("infeasible")

@@ -9,7 +9,8 @@ import pytest
 
 from rapidbnb import LpStatus, from_inequalities, measure_degeneracy, solve_lp
 from rapidbnb.lp import (AT_LOWER, AT_UPPER, BASIC, REFACTOR_INTERVAL,
-                         _Simplex, default_iteration_cap, strong_branch)
+                         LpWorkspace, _Simplex, default_iteration_cap,
+                         strong_branch)
 
 import oracles
 
@@ -392,9 +393,17 @@ class TestKeptInverse:
         warm = np.full(inst.num_vars + inst.num_rows, AT_LOWER, dtype=np.int8)
         warm[list(basic)] = BASIC
         box = inst.root_box()
-        sx = _Simplex(inst, box, warm, cap=100, deadline=None)
+        # a workspace that keeps the inverse of a regular warm basis
+        ws = LpWorkspace(inst)
+        solve_lp(inst, box, warm_basis=solve_lp(inst, box).basis_status,
+                 workspace=ws)
+        kept_basis, kept = ws.basis, ws.Binv.copy()
+        assert kept_basis is not None
+        sx = _Simplex(ws, box, warm, cap=100, deadline=None)
         assert sx.basis == [3, 4]
         assert np.array_equal(sx.Binv, np.eye(2))
+        # the singular basis keeps nothing: the workspace holds what it held
+        assert ws.basis == kept_basis and np.array_equal(ws.Binv, kept)
         cold = solve_lp(inst, box)
         res = solve_lp(inst, box, warm_basis=warm)
         assert res.status is LpStatus.OPTIMAL
@@ -421,40 +430,50 @@ class TestKeptInverse:
                 raise np.linalg.LinAlgError("breakdown")
             return original(self)
 
-        # x1 >= 2 stays feasible, x1 >= 3 does not
-        for lower, status in ((2.0, LpStatus.OPTIMAL),
-                              (3.0, LpStatus.INFEASIBLE)):
-            child = box.copy()
-            child.lower[1] = lower
-            warm = solve_lp(inst, child, warm_basis=parent.basis_status)
-            cold = solve_lp(inst, child)
-            assert cold.status is status
-            with monkeypatch.context() as patch:
-                patch.setattr(_Simplex, "run", breaking)
-                starts.clear()
-                res = solve_lp(inst, child, warm_basis=parent.basis_status)
-            assert starts[0] != slack and starts[1:] == [slack]
-            assert (res.status, res.objective, res.iterations) == \
-                (cold.status, cold.objective, cold.iterations)
-            if status is LpStatus.OPTIMAL:
-                # the answer is the cold solve's, not the warm one's
-                assert warm.iterations < cold.iterations
-
         def broken(self):
             starts.append(list(self.basis))
             raise np.linalg.LinAlgError("breakdown")
 
-        # a cold solve has nothing to fall back to: the error propagates
-        # to the caller, where the command line exits with code 1
-        monkeypatch.setattr(_Simplex, "run", broken)
-        starts.clear()
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_lp(inst, box)
-        assert starts == [slack]
-        starts.clear()
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_lp(inst, box, warm_basis=parent.basis_status)
-        assert starts[0] != slack and starts[1:] == [slack]
+        # each solve alone, then all through one workspace, where the
+        # second child's warm start takes the inverse the first one kept
+        for ws in (None, LpWorkspace(inst)):
+            # x1 >= 2 stays feasible, x1 >= 3 does not
+            for lower, status in ((2.0, LpStatus.OPTIMAL),
+                                  (3.0, LpStatus.INFEASIBLE)):
+                child = box.copy()
+                child.lower[1] = lower
+                warm = solve_lp(inst, child, warm_basis=parent.basis_status)
+                cold = solve_lp(inst, child)
+                assert cold.status is status
+                with monkeypatch.context() as patch:
+                    patch.setattr(_Simplex, "run", breaking)
+                    starts.clear()
+                    res = solve_lp(inst, child,
+                                   warm_basis=parent.basis_status,
+                                   workspace=ws)
+                assert starts[0] != slack and starts[1:] == [slack]
+                assert (res.status, res.objective, res.iterations) == \
+                    (cold.status, cold.objective, cold.iterations)
+                if status is LpStatus.OPTIMAL:
+                    # the answer is the cold solve's, not the warm one's
+                    assert warm.iterations < cold.iterations
+            if ws is not None:
+                assert ws.basis == starts[0]
+
+            # a cold solve has nothing to fall back to: the error
+            # propagates to the caller, where the command line exits with
+            # code 1
+            with monkeypatch.context() as patch:
+                patch.setattr(_Simplex, "run", broken)
+                starts.clear()
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve_lp(inst, box, workspace=ws)
+                assert starts == [slack]
+                starts.clear()
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve_lp(inst, box, warm_basis=parent.basis_status,
+                             workspace=ws)
+                assert starts[0] != slack and starts[1:] == [slack]
 
 
 class TestKeptNonbasicValues:
@@ -557,6 +576,90 @@ class TestStrongBranchChildren:
             n_rounds += 1
             n_children += 2 * len(probed)
         assert n_rounds >= 10 and n_children >= 50
+
+
+class TestLpWorkspace:
+    """The LPs of one instance share a workspace: [A | I], the padded
+    cost and the inverse of the last warm basis inverted.  Each must give
+    the answer it gives alone, bit for bit."""
+
+    @staticmethod
+    def assert_same(shared, alone):
+        assert (shared.status, shared.objective, shared.iterations) == \
+            (alone.status, alone.objective, alone.iterations)
+        for field in ("x", "reduced_costs", "basis_status"):
+            a, b = getattr(shared, field), getattr(alone, field)
+            assert (a is None and b is None) or np.array_equal(a, b), field
+
+    def test_shared_solves_equal_independent_ones(self, monkeypatch):
+        original = LpWorkspace.inverse
+        seen = {"hits": 0, "misses": 0, "kept_checked": 0}
+        shared = []
+
+        def counting(self, basis):
+            if self in shared:
+                seen["hits" if basis == self.basis else "misses"] += 1
+            return original(self, basis)
+
+        monkeypatch.setattr(LpWorkspace, "inverse", counting)
+        rng = np.random.default_rng(96)
+        for k in range(60):
+            if k % 2:
+                inst = oracles.random_lp(rng)
+            else:
+                n = int(rng.integers(8, 25))
+                inst = wide_lp(rng, n, int(rng.integers(n // 3, n)))
+            ws = LpWorkspace(inst)
+            shared[:] = [ws]
+
+            def solve(box, warm=None):
+                res = solve_lp(inst, box, warm_basis=warm, workspace=ws)
+                self.assert_same(res, solve_lp(inst, box, warm_basis=warm))
+                if warm is not None and res.iterations and ws.basis:
+                    # the LP's pivots left the kept inverse as it was
+                    assert np.array_equal(
+                        ws.Binv, np.linalg.inv(ws.T[:, ws.basis]))
+                    seen["kept_checked"] += 1
+                return res
+
+            box = inst.root_box()
+            parent = solve(box)
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            n = inst.num_vars
+            frac = [j for j in range(n)
+                    if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
+            # the children of up to three columns, all from the parent's
+            # basis: its first inversion, then hits
+            children = []
+            for j in (frac or rng.choice(n, size=1).tolist())[:3]:
+                for down in (True, False):
+                    child = box.copy()
+                    if down:
+                        child.upper[j] = math.floor(parent.x[j] - 1e-6)
+                    else:
+                        child.lower[j] = math.ceil(parent.x[j] + 1e-6)
+                    if not child.is_empty():
+                        children.append(
+                            (child, solve(child, parent.basis_status)))
+            # two grandchildren from each optimal child's basis: a miss,
+            # then a hit; then a child from the parent's basis again
+            for child, res in children:
+                if res.status is not LpStatus.OPTIMAL:
+                    continue
+                j = int(rng.integers(n))
+                for down in (True, False):
+                    grand = child.copy()
+                    if down:
+                        grand.upper[j] = math.floor(res.x[j] - 0.5)
+                    else:
+                        grand.lower[j] = math.ceil(res.x[j] + 0.5)
+                    if not grand.is_empty():
+                        solve(grand, res.basis_status)
+            if children:
+                solve(children[0][0], parent.basis_status)
+        assert seen["hits"] >= 100 and seen["misses"] >= 100
+        assert seen["kept_checked"] >= 100
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rapidbnb.lp
 from rapidbnb import (
     ConfigError,
     LpStatus,
@@ -25,7 +26,7 @@ from rapidbnb import (
 from rapidbnb.branching import (PC_FLOOR, BranchingStats,
                                 select_inference_branching)
 from rapidbnb.conflict import BoundDisjunction, Trail
-from rapidbnb.lp import strong_branch
+from rapidbnb.lp import BASIC, strong_branch
 from rapidbnb.mipsearch import (SB_CANDIDATES, Node, _NodeState, _Solve,
                                 record_leaf)
 from rapidbnb.model import BoundBox
@@ -370,6 +371,49 @@ class TestBranchingMachinery:
         assert any(calls < slots for _, slots, calls in rounds)
         assert res.stats.sb_no_improvement + res.stats.sb_objective_changed \
             == 2 * sum(calls for _, _, calls in rounds)
+
+    def test_strong_branching_inverts_the_node_basis_once(self, monkeypatch):
+        # every child LP of a round starts from the node's basis, and the
+        # solve's LPs share one workspace: the first child inverts that
+        # basis, the others take the kept inverse
+        rounds = []   # per round: [node basis matrix, its inversions, LPs]
+        active = [False]
+        original_round = _Solve._strong_branch_round
+        inv, solve_lp = np.linalg.inv, rapidbnb.lp.solve_lp
+
+        def round_(self, node, box, lp, obj, x, fractional):
+            A, _ = self.inst.dense()
+            T = np.hstack([A, np.eye(self.inst.num_rows)])
+            rounds.append([T[:, lp.basis_status == BASIC], 0, 0])
+            active[0] = True
+            try:
+                original_round(self, node, box, lp, obj, x, fractional)
+            finally:
+                active[0] = False
+
+        def inverting(a):
+            if active[0] and np.array_equal(a, rounds[-1][0]):
+                rounds[-1][1] += 1
+            return inv(a)
+
+        def child(*args, **kwargs):
+            rounds[-1][2] += active[0]
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(_Solve, "_strong_branch_round", round_)
+        monkeypatch.setattr(np.linalg, "inv", inverting)
+        monkeypatch.setattr(rapidbnb.lp, "solve_lp", child)
+        rng = np.random.default_rng(2)
+        gen.clause_model(rng, "clause", 20)   # the golden knapsack's draw
+        m = gen.knapsack_model(rng, "knapsack", 14, 3)
+        inst = from_inequalities(m.c, m.rows, m.lower, m.upper,
+                                 range(len(m.c)))
+        res = solve(inst, MipConfig(rapid_mode="off", seed=1))
+        assert res.status == "optimal"
+        assert all(inversions <= 1 for _, inversions, _ in rounds)
+        assert sum(lps for _, _, lps in rounds) >= 20
+        assert any(inversions == 1 and lps >= 4
+                   for _, inversions, lps in rounds)
 
 
 class TestConflictScope:
