@@ -121,7 +121,7 @@ class LpWorkspace:
         place; raises LinAlgError, and keeps nothing, when it is singular."""
         if basis != self.basis:
             self.Binv = np.linalg.inv(self.T[:, basis])
-            self.basis = basis.copy()
+            self.basis = basis.copy()    # the LP pivots its own list
         return self.Binv.copy()
 
 
