@@ -23,11 +23,13 @@ whole LP: each iteration recomputes the basic values, the duals and the
 entering column's direction as three matrix-vector products with it
 (a dual pivot also takes its pivot row, one row of it times T),
 and a basis change updates it in O(m^2) by one rank-1 (eta) update that
-reuses the ratio test's direction; a bound flip leaves it as it is.  It
-is rebuilt from scratch (one O(m^3) inversion) after every
-REFACTOR_INTERVAL updates and whenever the recomputed point misses
-`T x = b` by more than RESIDUAL_TOL relative to the size of b, so
-rounding errors of the updates cannot pile up.  Both rules depend only
+reuses the ratio test's direction, written as the broadcast product
+`w[:, None] * row`: the products `np.outer` forms, without its call
+overhead.  A bound flip leaves it as it is.  It is rebuilt from scratch
+(one O(m^3) inversion) after every REFACTOR_INTERVAL updates and
+whenever the recomputed point misses `T x = b` by more than
+RESIDUAL_TOL relative to the size of b, so rounding errors of the
+updates cannot pile up.  Both rules depend only
 on pivot counts and values, so the solve stays deterministic.
 
 The LPs of one solve share an `LpWorkspace`, which builds T, b, the
@@ -43,8 +45,11 @@ iteration costs no pass over every column's bounds.
 
 The linear algebra stays in numpy, but pricing, the ratio tests and the
 start's flips and shifts are scalar loops over Python lists of plain ints
-and floats.  With a few dozen columns the per-call overhead of numpy
-dominates: vectorized pricing measured slower than these loops, and
+and floats.  The basis is kept both ways: a list for the loops and an
+`np.intp` array, patched at each pivot, for numpy's fancy indexing,
+which would otherwise convert the list on every call.  With a few dozen
+columns the per-call overhead of numpy dominates: vectorized pricing
+measured slower than these loops, and
 comparing an `np.int8` entry with an `IntEnum` member costs about fifty
 times a plain int comparison.
 """
@@ -146,16 +151,23 @@ class _Simplex:
         self.bland_after = 3 * self.N
         self.status: list[int] = []
         self.basis: list[int] = []
+        self.basis_idx: np.ndarray     # `basis` as an index array
         self.Binv: np.ndarray        # inverse of T[:, basis]
         self.updates = 0             # rank-1 updates since the last inversion
         # value vector and reduced costs of the last iteration at the optimum
         self.x: np.ndarray | None = None
         self.red: np.ndarray | None = None
         self._install_start(ws, warm_basis)
-        # nonbasic values, zero on the basis
-        status, start = self.status, self._nb_start_value
-        self.xn = np.array([0.0 if status[j] == BASIC else start(j)
-                            for j in range(self.N)])
+        self.basis_idx = np.array(self.basis, dtype=np.intp)
+        # nonbasic values, zero on the basis; a column whose status bound
+        # is infinite takes `_nb_start_value`'s
+        lo, hi, start = self.lo, self.hi, self._nb_start_value
+        xn = [0.0] * self.N
+        for j, st in enumerate(self.status):
+            if st != BASIC:
+                v = hi[j] if st == AT_UPPER else lo[j]
+                xn[j] = v if math.isfinite(v) else start(j)
+        self.xn = np.array(xn)
 
     # ---- setup -----------------------------------------------------
 
@@ -196,7 +208,7 @@ class _Simplex:
     # ---- core linear algebra ----------------------------------------
 
     def _refactor(self) -> None:
-        self.Binv = np.linalg.inv(self.T[:, self.basis])
+        self.Binv = np.linalg.inv(self.T[:, self.basis_idx])
         self.updates = 0
 
     def _recompute(self) -> np.ndarray:
@@ -207,16 +219,18 @@ class _Simplex:
         if self.updates >= REFACTOR_INTERVAL:
             self._refactor()
         rhs = self.b - self.T @ x
-        x[self.basis] = self.Binv @ rhs
-        if float(np.abs(self.b - self.T @ x).max()) > self.residual_limit:
+        basis = self.basis_idx
+        x[basis] = self.Binv @ rhs
+        if float(np.maximum.reduce(np.abs(self.b - self.T @ x))) > \
+                self.residual_limit:
             self._refactor()
-            x[self.basis] = self.Binv @ rhs
+            x[basis] = self.Binv @ rhs
         return x
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         if not self.m:
             return cost.copy()
-        y = cost[self.basis] @ self.Binv
+        y = cost[self.basis_idx] @ self.Binv
         return cost - y @ self.T
 
     def _update(self, pos: int, w: np.ndarray) -> None:
@@ -224,7 +238,7 @@ class _Simplex:
         direction Binv @ T[:, j] is w."""
         Binv = self.Binv
         row = Binv[pos] / w[pos]
-        Binv -= np.outer(w, row)
+        Binv -= w[:, None] * row
         Binv[pos] = row
         self.updates += 1
 
@@ -306,6 +320,7 @@ class _Simplex:
         self._update(leave_pos, w)
         i = self.basis[leave_pos]
         self.basis[leave_pos] = j
+        self.basis_idx[leave_pos] = j
         self.status[j] = BASIC
         xn[j] = 0.0
         self.status[i] = leave_side
@@ -507,7 +522,7 @@ class _Simplex:
             return LpResult(status, iterations=self.iterations,
                             basis_status=basis_status)
         red = self.red
-        red[self.basis] = 0.0  # exactly zero on the basis
+        red[self.basis_idx] = 0.0  # exactly zero on the basis
         xs = self.x[:self.n].copy()
         np.clip(xs, box.lower, box.upper, out=xs)
         return LpResult(LpStatus.OPTIMAL, x=xs,

@@ -6,13 +6,18 @@ constraints, and its state (box, trail and propagator) is built level
 by level, one propagation round each, which also gives conflict
 analysis correct decision levels for free.  The root's state is the
 one the global box was propagated with, and its LP, when optimal, is the
-root LP solved over that box.  A node popped from the heap
-replays its path from the root.  A plunge child extends the state its
-parent left, with one more level on the same trail and propagator, and
-logs the same lines a replay would.  That holds only while nothing has
-changed the parent's state since its own fixpoint: a probe's transfer
-tightens the box off the trail and adds locals, so the children of a
-probed node replay from the root.
+root LP solved over that box.  The solve keeps the state of the last
+node it processed and switches it to the next node along the tree path,
+as SCIP does (Achterberg 2007): the trail is rewound to the deepest
+level on the next node's path that the state completed, and the levels
+below are opened again, with the log lines a build from the root would
+write.  The switched state is the one such a build gives, down to the
+propagator's constraint order (rows, globals, path locals), because the
+kept state is dropped whenever that could fail: a propagator cannot drop
+a constraint, so a node-local constraint attached below that level
+forces a fresh build from the root; a probe's transfer tightens the box
+off the trail and adds locals; and the globals change only on a root
+transfer or a failed fixpoint, which kills its node.
 
 The probe hook has two halves: `rapid.maybe_run` decides whether to
 probe a node and runs the probe, and `_Solve._transfer` applies what it
@@ -69,6 +74,8 @@ class SearchStats:
     sb_objective_changed: int = 0
     branching: BranchingStats = field(default_factory=BranchingStats)
     iter_lp: int = 0
+    # seconds spent switching the kept node state to each next node (the
+    # rewind and the descent, or the build from the root)
     switching_time: float = 0.0
     rl_calls: int = 0
     criterion_fires: dict[str, int] = field(
@@ -118,15 +125,38 @@ class Node:
 @dataclass
 class _NodeState:
     """What processing a node built: its box and trail, the propagator
-    with every constraint active at it, and the ids and entries of the
-    node-local ones among them."""
+    with every constraint active at it, the ids and entries of the
+    node-local ones among them, and per level it completed, that level's
+    node, the trail mark after its fixpoint and how many locals were
+    active then."""
 
-    node: Node
     trail: Trail
     prop: Propagator
     local_ids: set[int] = field(default_factory=set)
     active_locals: list[tuple[int, BoundDisjunction]] = field(
         default_factory=list)
+    levels: list[tuple[Node, int, int]] = field(default_factory=list)
+
+    def complete(self, nd: Node) -> None:
+        self.levels.append((nd, self.trail.mark(), len(self.active_locals)))
+
+    def ancestor_depth(self, node: Node) -> int:
+        """Depth of the deepest level completed here on `node`'s path,
+        `node` included; the root level is on every path."""
+        levels = self.levels
+        while node.depth >= len(levels) or levels[node.depth][0] is not node:
+            node = node.parent
+        return node.depth
+
+    def rewind(self, depth: int) -> bool:
+        """Back to the end of level `depth`'s fixpoint; False, changing
+        nothing, when a local was attached below that level."""
+        _, mark, n_locals = self.levels[depth]
+        if n_locals < len(self.active_locals):
+            return False
+        self.trail.rewind(mark)
+        del self.levels[depth + 1:]
+        return True
 
 
 @dataclass
@@ -182,9 +212,10 @@ class _Solve:
         self.global_constraints: list[tuple[int, BoundDisjunction]] = []
         self.next_cid = instance.num_rows
         self.heap: list[tuple[float, int, Node]] = []
+        self.root = Node(id=1, parent=None, depth=0, lower_bound=-INF)
         self.next_node: Node | None = None
-        # the state of next_node's parent, when the plunge can extend it,
-        # or the root's own before the root is processed
+        # the state of the last node processed, or of the root fixpoint
+        # before the root is processed; None when none can be switched
         self.kept: _NodeState | None = None
         # the optimal root LP, until the root node takes it
         self.root_lp: LpResult | None = None
@@ -236,8 +267,9 @@ class _Solve:
                  f"bound {fmt_g(node.lower_bound)} dual {fmt_g(dual)}")
 
     def _fractional(self, x: np.ndarray) -> list[int]:
+        xs = x.tolist()
         return [j for j in self.inst.integer_indices
-                if abs(x[j] - round(x[j])) > INT_TOL]
+                if abs(xs[j] - round(xs[j])) > INT_TOL]
 
     # -- conflict handling -------------------------------------------
 
@@ -287,43 +319,51 @@ class _Solve:
             state.local_ids.add(cid)
             state.active_locals.append((cid, d))
             self.log(f"lattach {cid} node {node.id}")
-        return self._fixpoint(node, state)
+        if not self._fixpoint(node, state):
+            return False
+        state.complete(nd)
+        return True
 
-    def _replay(self, node: Node) -> _NodeState | None:
-        """Rebuild node state from the root; None means the node died on
-        the way."""
-        state = _NodeState(node, Trail(self.global_box.copy()),
-                           self._propagator())
+    def _root_state(self, node: Node) -> _NodeState | None:
+        """A fresh state at the root level over the global box and
+        constraints; None means `node` died there."""
+        state = _NodeState(Trail(self.global_box.copy()), self._propagator())
         if not self._fixpoint(node, state):
             return None
-        for nd in node.path():
-            if not self._descend(node, nd, state):
-                return None
+        state.complete(self.root)
         return state
 
-    def _extend(self, node: Node, state: _NodeState) -> _NodeState | None:
-        """The replay of a plunge child on top of its parent's state: the
-        same trail and log lines, without the levels above."""
-        for cid, _ in state.active_locals:
-            self.log(f"lattach {cid} node {node.id}")
-        state.node = node
-        return state if self._descend(node, node, state) else None
+    def _switch(self, node: Node) -> _NodeState | None:
+        """Node's state: the kept one rewound to the deepest level it
+        completed on node's path, or, when there is none or a local was
+        attached below that level, a fresh one from the root; then the
+        levels below, one `_descend` each.  None means the node died on
+        the way."""
+        state, self.kept = self.kept, None
+        if state is not None and state.rewind(state.ancestor_depth(node)):
+            # the log lines a build from the root writes for these
+            for cid, _ in state.active_locals:
+                self.log(f"lattach {cid} node {node.id}")
+        else:
+            state = self._root_state(node)
+            if state is None:
+                return None
+        for nd in node.path()[len(state.levels) - 1:]:
+            if not self._descend(node, nd, state):
+                return None
+        assert len(state.levels) == node.depth + 1, "one level per depth"
+        return state
 
     def _process(self, node: Node) -> None:
         inst, stats = self.inst, self.stats
         t_switch = time.perf_counter()
-        kept, self.kept = self.kept, None
         lp, self.root_lp = self.root_lp, None
-        if kept is not None and kept.node is node:
-            state = kept        # the root's, built by run()
-        elif kept is not None and node.parent is kept.node:
-            state = self._extend(node, kept)
-        else:
-            state = self._replay(node)
+        state = self._switch(node)
         stats.switching_time += time.perf_counter() - t_switch
         if state is None:
             self._leaf(node, "infeasible", kind="infeasible")
             return
+        self.kept = state
         box, active_locals = state.trail.box, state.active_locals
 
         # the root reuses the root LP unless the deadline has passed since;
@@ -358,7 +398,7 @@ class _Solve:
         if node.lower_bound >= stats.incumbent_value - GAP_TOL:
             self._leaf(node, "cutoff", kind="cutoff")
             return
-        x = np.clip(lp.x, box.lower, box.upper)
+        x = lp.x        # already clipped to this box
         fractional = self._fractional(x)
         if not fractional:
             self._finish_integral(node, box, x)
@@ -373,8 +413,8 @@ class _Solve:
                 events=self.events, deadline=self.deadline)
             if outcome is not None:
                 # the transfer changes the box off the trail and adds
-                # locals: a child must replay from the root
-                state = None
+                # locals: the next node builds its state from the root
+                self.kept = None
                 if self._transfer(node, box, outcome):
                     return
                 if node.lower_bound >= stats.incumbent_value - GAP_TOL:
@@ -390,8 +430,6 @@ class _Solve:
             self._strong_branch_round(node, box, lp, obj, x, fractional)
         var = stats.branching.ranked(fractional)[0]
         self._branch(node, box, lp.basis_status, obj, float(x[var]), var)
-        if self.next_node is not None and state is not None:
-            self.kept = state
 
     def _transfer(self, node: Node, box: BoundBox,
                   outcome: CpOutcome) -> bool:
@@ -565,12 +603,12 @@ class _Solve:
         inst, stats = self.inst, self.stats
         # root propagation is globally valid: fold it into the global box,
         # and keep its state for the root node
-        root = Node(id=1, parent=None, depth=0, lower_bound=-INF)
-        state = _NodeState(root, Trail(self.global_box.copy()),
-                           self._propagator())
+        root = self.root
+        state = _NodeState(Trail(self.global_box.copy()), self._propagator())
         res = state.prop.to_fixpoint(state.trail.box, state.trail)
         if res.outcome is Outcome.INFEASIBLE:
             return self._finish("infeasible")
+        state.complete(root)
         self.global_box = state.trail.box.copy()
         root_lp = solve_lp(inst, self.global_box, deadline=self.deadline,
                            workspace=self.lp_workspace)

@@ -535,6 +535,72 @@ class TestKeptNonbasicValues:
         assert n_odd_warm >= 10
 
 
+class TestBasisIndexArray:
+    """The basis is kept twice, as a list for the scalar loops and as an
+    index array for numpy; after every pivot and inversion they agree."""
+
+    def test_matches_the_basis_list(self, monkeypatch):
+        seen = {"pivots": 0, "periodic": 0, "residual": 0, "warm": 0}
+        original_pivot, original_refactor = _Simplex._pivot, _Simplex._refactor
+
+        def agrees(sx):
+            assert sx.basis_idx.dtype == np.intp
+            assert sx.basis_idx.tolist() == sx.basis
+
+        def pivot(self, j, leave_pos, leave_side, w):
+            original_pivot(self, j, leave_pos, leave_side, w)
+            agrees(self)
+            seen["pivots"] += 1
+
+        def refactor(self):
+            periodic = self.updates >= REFACTOR_INTERVAL
+            original_refactor(self)
+            agrees(self)
+            seen["periodic" if periodic else "residual"] += 1
+
+        monkeypatch.setattr(_Simplex, "_pivot", pivot)
+        monkeypatch.setattr(_Simplex, "_refactor", refactor)
+
+        def parent_and_children(inst, rng):
+            box = inst.root_box()
+            parent = solve_lp(inst, box)
+            if parent.status is not LpStatus.OPTIMAL:
+                return
+            for j in rng.choice(inst.num_vars, size=min(2, inst.num_vars),
+                                replace=False).tolist():
+                child = box.copy()
+                child.upper[j] = math.floor(parent.x[j] - 0.5)
+                if not child.is_empty():
+                    solve_lp(inst, child, warm_basis=parent.basis_status)
+                    seen["warm"] += 1
+
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            parent_and_children(oracles.random_lp(rng), rng)
+        for _ in range(10):
+            n = int(rng.integers(10, 31))
+            parent_and_children(wide_lp(rng, n, int(rng.integers(n // 3, n))),
+                                rng)
+        # past REFACTOR_INTERVAL: cold, then warm from the opposite optimum
+        inst = wide_lp(np.random.default_rng(90), 60, 40)
+        far = solve_lp(negated(inst), inst.root_box())
+        for warm in (None, far.basis_status):
+            assert solve_lp(inst, inst.root_box(), warm_basis=warm) \
+                .iterations > REFACTOR_INTERVAL
+        # a corrupted rank-1 update forces the residual-driven inversion
+        original_update = _Simplex._update
+
+        def corrupting(self, pos, w):
+            original_update(self, pos, w)
+            self.Binv += 1e-3
+
+        monkeypatch.setattr(_Simplex, "_update", corrupting)
+        for _ in range(3):
+            parent_and_children(wide_lp(rng, 20, 12), rng)
+        assert seen["pivots"] >= 300 and seen["warm"] >= 30
+        assert seen["periodic"] >= 2 and seen["residual"] >= 5
+
+
 class TestStrongBranchChildren:
     """Strong branching solves each child as an ordinary LP warm-started
     from the parent's basis."""

@@ -435,7 +435,7 @@ class TestConflictScope:
         root = Node(id=1, parent=None, depth=0, lower_bound=0.0)
         node = Node(id=2, parent=root, depth=1, lower_bound=0.0,
                     branch=(0, Side.UPPER, 0.0))
-        state = _NodeState(node, Trail(solver.global_box.copy()),
+        state = _NodeState(Trail(solver.global_box.copy()),
                            solver._propagator(), local_ids=local_ids)
         state.prop.add_constraint(99, self.local)
         assert solver._fixpoint(node, state)
@@ -484,7 +484,7 @@ class TestResultShape:
 
 class _ReplayEveryNode(_Solve):
     """Drops the kept state before every node, so that each node, the
-    root included, replays its path from the root."""
+    root included, builds its state from the root."""
 
     def _process(self, node):
         self.kept = None
@@ -492,10 +492,13 @@ class _ReplayEveryNode(_Solve):
 
 
 class _CountedSolve(_Solve):
-    """Counts how nodes get their state: plunge children that extend
-    their parent's, those that die doing so, those whose inherited
-    locals are logged again, plunges below the root whose parent's probe
-    left no state to extend, and the propagators the search builds."""
+    """Counts how nodes get their state: switches of the kept state,
+    those that start from the root's level, those whose kept locals are
+    logged again, those whose node dies in the descent, fresh builds
+    forced by a local below the common ancestor, plunges below the root
+    whose parent's probe left no state, and the propagators the search
+    builds.  Checks that every state's propagator holds its constraints
+    in the order a fresh one would: rows, globals, path locals."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -505,14 +508,30 @@ class _CountedSolve(_Solve):
         self.counts["propagators"] += 1
         return super()._propagator()
 
-    def _extend(self, node, state):
-        inherited = bool(state.active_locals)
-        out = super()._extend(node, state)
-        self.counts["extended"] += 1
-        self.counts["extended with locals"] += inherited
-        self.counts["died extending"] += out is None
-        self.counts["died extending with locals"] += out is None and inherited
-        return out
+    def _switch(self, node):
+        kept = self.kept
+        switched = False
+        if kept is not None:
+            depth = kept.ancestor_depth(node)
+            with_locals = bool(kept.levels[depth][2])
+            switched = kept.levels[depth][2] == len(kept.active_locals)
+            self.counts["fresh for a local"] += not switched
+        state = super()._switch(node)
+        if switched:
+            self.counts["switched"] += 1
+            self.counts["switched from the root"] += depth == 0 < node.depth
+            self.counts["switched with locals"] += with_locals
+            self.counts["died switching"] += state is None
+            self.counts["died switching with locals"] += \
+                state is None and with_locals
+        else:
+            self.counts["fresh"] += 1
+        if state is not None:
+            assert [item.cid for item in state.prop.items] == \
+                list(range(self.inst.num_rows)) + \
+                [cid for cid, _ in self.global_constraints] + \
+                [cid for cid, _ in state.active_locals]
+        return state
 
     def _process(self, node):
         super()._process(node)
@@ -549,8 +568,9 @@ def plunge_cases():
 
 
 class TestPlungeState:
-    """A plunge child extends its parent's trail and propagator; the
-    search must be the one a replay from the root at every node gives."""
+    """A node switches the kept state of the node before it: rewound to
+    their common ancestor, then descended; the search must be the one a
+    build from the root at every node gives."""
 
     def test_matches_a_replay_from_the_root(self):
         totals = Counter()
@@ -566,14 +586,16 @@ class TestPlungeState:
                     kept.stats.iter_lp) == (full.status, full.objective,
                                             full.nodes, full.stats.iter_lp)
             counts = solver.counts
-            # one propagator for the root fixpoint, which the root node
-            # keeps, and one per other node that replays; a plunge child
-            # builds none
-            assert counts["propagators"] == \
-                kept.nodes - counts["extended"], where
+            # every node either switches the kept state or builds a fresh
+            # one; one propagator for the root fixpoint, which the root
+            # node switches to, and one per fresh build
+            assert counts["switched"] + counts["fresh"] == kept.nodes, where
+            assert counts["propagators"] == 1 + counts["fresh"], where
             totals.update(counts)
-        assert totals["extended"] >= 100
-        assert totals["died extending"] >= 3
-        assert totals["extended with locals"] >= 5
-        assert totals["died extending with locals"] >= 1
+        assert totals["switched"] >= 100
+        assert totals["switched from the root"] >= 1
+        assert totals["died switching"] >= 3
+        assert totals["switched with locals"] >= 5
+        assert totals["died switching with locals"] >= 1
+        assert totals["fresh for a local"] >= 1
         assert totals["probed plunges"] >= 5
