@@ -9,15 +9,15 @@ one the global box was propagated with, and its LP, when optimal, is the
 root LP solved over that box.  The solve keeps the state of the last
 node it processed and switches it to the next node along the tree path,
 as SCIP does (Achterberg 2007): the trail is rewound to the deepest
-level on the next node's path that the state completed, and the levels
-below are opened again, with the log lines a build from the root would
-write.  The switched state is the one such a build gives, down to the
-propagator's constraint order (rows, globals, path locals), because the
-kept state is dropped whenever that could fail: a propagator cannot drop
-a constraint, so a node-local constraint attached below that level
-forces a fresh build from the root; a probe's transfer tightens the box
-off the trail and adds locals; and the globals change only on a root
-transfer or a failed fixpoint, which kills its node.
+level on the next node's path that the state completed, the locals
+attached below it are detached, and the levels below are opened again,
+with the log lines a build from the root would write.  A probe below the
+root writes its bound tightenings on the trail and adds locals to its
+level, which the next switch opens again.  Only a change of the globals
+(a conflict or a bound the root's probe keeps, a conflict learned
+globally) drops the kept state, so a switched state is the one a build
+from the root gives, down to the constraint order: rows, globals, path
+locals.
 
 The probe hook has two halves: `rapid.maybe_run` decides whether to
 probe a node and runs the probe, and `_Solve._transfer` applies what it
@@ -75,7 +75,8 @@ class SearchStats:
     branching: BranchingStats = field(default_factory=BranchingStats)
     iter_lp: int = 0
     # seconds spent switching the kept node state to each next node (the
-    # rewind and the descent, or the build from the root)
+    # rewind, detach and descent, or after a change of the globals the
+    # build from the root)
     switching_time: float = 0.0
     rl_calls: int = 0
     criterion_fires: dict[str, int] = field(
@@ -125,20 +126,17 @@ class Node:
 @dataclass
 class _NodeState:
     """What processing a node built: its box and trail, the propagator
-    with every constraint active at it, the ids and entries of the
-    node-local ones among them, and per level it completed, that level's
-    node, the trail mark after its fixpoint and how many locals were
-    active then."""
+    with every constraint active at it, and per level it completed, that
+    level's node, the trail mark after its fixpoint and how many
+    constraints the propagator held then.  Which of those are node-local
+    the path says: each node's `locals_own`."""
 
     trail: Trail
     prop: Propagator
-    local_ids: set[int] = field(default_factory=set)
-    active_locals: list[tuple[int, BoundDisjunction]] = field(
-        default_factory=list)
     levels: list[tuple[Node, int, int]] = field(default_factory=list)
 
     def complete(self, nd: Node) -> None:
-        self.levels.append((nd, self.trail.mark(), len(self.active_locals)))
+        self.levels.append((nd, self.trail.mark(), len(self.prop.items)))
 
     def ancestor_depth(self, node: Node) -> int:
         """Depth of the deepest level completed here on `node`'s path,
@@ -148,15 +146,13 @@ class _NodeState:
             node = node.parent
         return node.depth
 
-    def rewind(self, depth: int) -> bool:
-        """Back to the end of level `depth`'s fixpoint; False, changing
-        nothing, when a local was attached below that level."""
-        _, mark, n_locals = self.levels[depth]
-        if n_locals < len(self.active_locals):
-            return False
+    def rewind(self, depth: int) -> None:
+        """Back to the end of level `depth`'s fixpoint: the trail to its
+        mark, the propagator to the constraints it held then."""
+        _, mark, n_items = self.levels[depth]
         self.trail.rewind(mark)
+        self.prop.truncate(n_items)
         del self.levels[depth + 1:]
-        return True
 
 
 @dataclass
@@ -273,8 +269,8 @@ class _Solve:
 
     # -- conflict handling -------------------------------------------
 
-    def _on_propagation_conflict(self, node: Node, trail: Trail,
-                                 local_ids: set[int]) -> None:
+    def _on_propagation_conflict(self, node: Node, trail: Trail) -> None:
+        local_ids = {cid for nd in node.path() for cid, _ in nd.locals_own}
         out = analyze_1uip(trail, self.inst.integer_mask, local_ids)
         if out.root_failure:
             # the proof used nothing below the root: globally infeasible
@@ -290,6 +286,7 @@ class _Solve:
             return
         self.stats.branching.bump(d.literals())
         self.log(f"conflict node {node.id} size {d.size} scope global")
+        self.kept = None        # the globals change
         if d.size == 1:
             try:
                 self.global_box.tighten(*d.literals()[0])
@@ -303,7 +300,7 @@ class _Solve:
     def _fixpoint(self, node: Node, state: _NodeState) -> bool:
         res = state.prop.to_fixpoint(state.trail.box, state.trail)
         if res.outcome is Outcome.INFEASIBLE:
-            self._on_propagation_conflict(node, state.trail, state.local_ids)
+            self._on_propagation_conflict(node, state.trail)
             return False
         return True
 
@@ -316,8 +313,6 @@ class _Solve:
             return False
         for cid, d in nd.locals_own:
             state.prop.add_constraint(cid, d)
-            state.local_ids.add(cid)
-            state.active_locals.append((cid, d))
             self.log(f"lattach {cid} node {node.id}")
         if not self._fixpoint(node, state):
             return False
@@ -326,29 +321,31 @@ class _Solve:
 
     def _root_state(self, node: Node) -> _NodeState | None:
         """A fresh state at the root level over the global box and
-        constraints; None means `node` died there."""
+        constraints, kept; None means `node` died there."""
         state = _NodeState(Trail(self.global_box.copy()), self._propagator())
         if not self._fixpoint(node, state):
             return None
         state.complete(self.root)
+        self.kept = state
         return state
 
     def _switch(self, node: Node) -> _NodeState | None:
         """Node's state: the kept one rewound to the deepest level it
-        completed on node's path, or, when there is none or a local was
-        attached below that level, a fresh one from the root; then the
-        levels below, one `_descend` each.  None means the node died on
-        the way."""
-        state, self.kept = self.kept, None
-        if state is not None and state.rewind(state.ancestor_depth(node)):
-            # the log lines a build from the root writes for these
-            for cid, _ in state.active_locals:
-                self.log(f"lattach {cid} node {node.id}")
-        else:
-            state = self._root_state(node)
-            if state is None:
-                return None
-        for nd in node.path()[len(state.levels) - 1:]:
+        completed on node's path, or a fresh one from the root when the
+        globals changed; then the levels below, one `_descend` each.
+        None means the node died on the way, which keeps the state
+        unless the conflict it died of was learned globally."""
+        state, path = self.kept, node.path()
+        if state is not None:
+            depth = state.ancestor_depth(node)
+            state.rewind(depth)
+            # the log lines a build from the root writes for the locals kept
+            for nd in path[:depth]:
+                for cid, _ in nd.locals_own:
+                    self.log(f"lattach {cid} node {node.id}")
+        elif (state := self._root_state(node)) is None:
+            return None
+        for nd in path[len(state.levels) - 1:]:
             if not self._descend(node, nd, state):
                 return None
         assert len(state.levels) == node.depth + 1, "one level per depth"
@@ -363,8 +360,7 @@ class _Solve:
         if state is None:
             self._leaf(node, "infeasible", kind="infeasible")
             return
-        self.kept = state
-        box, active_locals = state.trail.box, state.active_locals
+        box = state.trail.box
 
         # the root reuses the root LP unless the deadline has passed since;
         # then this LP stops before its first pivot and the root stays
@@ -406,16 +402,17 @@ class _Solve:
 
         if self.cfg.rapid_mode != "off" and \
                 (node.depth == 0 or self.cfg.rapid_mode == "local"):
-            extras = tuple(self.global_constraints) + tuple(active_locals)
+            extras = tuple(self.global_constraints) + tuple(
+                loc for nd in node.path() for loc in nd.locals_own)
             outcome = maybe_run(
                 node, stats, inst, self.cfg.rapid, seed=self.cfg.seed,
                 lp_result=lp, box=box, extra_constraints=extras,
                 events=self.events, deadline=self.deadline)
             if outcome is not None:
-                # the transfer changes the box off the trail and adds
-                # locals: the next node builds its state from the root
-                self.kept = None
-                if self._transfer(node, box, outcome):
+                if node.depth > 0:
+                    # the transfer adds locals: reopen this level next
+                    del state.levels[node.depth:]
+                if self._transfer(node, state.trail, outcome):
                     return
                 if node.lower_bound >= stats.incumbent_value - GAP_TOL:
                     self._leaf(node, "cutoff", kind="cutoff")
@@ -431,18 +428,18 @@ class _Solve:
         var = stats.branching.ranked(fractional)[0]
         self._branch(node, box, lp.basis_status, obj, float(x[var]), var)
 
-    def _transfer(self, node: Node, box: BoundBox,
+    def _transfer(self, node: Node, trail: Trail,
                   outcome: CpOutcome) -> bool:
-        """Keep what the probe found at `node` in `box`, its scope.
+        """Keep what the probe found at `node` in `trail.box`, its scope.
 
         Conflicts go global at the root and node-local below it; bound
-        tightenings of a probe stopped by its budget mutate the box (below
-        the root also as one-literal local constraints, so descendants
-        re-derive them during replay); a solution is installed only after
+        tightenings of a probe stopped by its budget go into the global box
+        at the root, and below it onto the trail, as one-literal locals
+        that descendants derive again; a solution is installed only after
         verification against the original instance.  True means the probe
         settled the node, whose leaf is already logged.
         """
-        inst, stats = self.inst, self.stats
+        inst, stats, box = self.inst, self.stats, trail.box
         at_root = node.depth == 0
 
         # linear first, then shorter; `box` is still the scope box the
@@ -472,10 +469,12 @@ class _Solve:
                        if outcome.box.upper[j] < box.upper[j] - FEAS_TOL]
             try:
                 for j, side, value in deltas:
-                    box.tighten(j, side, value)
                     if at_root:
+                        box.tighten(j, side, value)
                         self.global_box.tighten(j, side, value)
                     else:
+                        # the reason is the cid the local gets below
+                        trail.apply(j, side, value, self.next_cid, ())
                         lit = ((j, value),)
                         d1 = BoundDisjunction(lower_lits=lit, upper_lits=()) \
                             if side is Side.LOWER else \
@@ -484,6 +483,8 @@ class _Solve:
                     n_bounds += 1
             except EmptyBoxError:
                 emptied = True
+        if at_root and (kept or n_bounds):
+            self.kept = None        # the globals change
 
         installed = False
         if outcome.solution is not None:
@@ -604,11 +605,9 @@ class _Solve:
         # root propagation is globally valid: fold it into the global box,
         # and keep its state for the root node
         root = self.root
-        state = _NodeState(Trail(self.global_box.copy()), self._propagator())
-        res = state.prop.to_fixpoint(state.trail.box, state.trail)
-        if res.outcome is Outcome.INFEASIBLE:
+        state = self._root_state(root)
+        if state is None:
             return self._finish("infeasible")
-        state.complete(root)
         self.global_box = state.trail.box.copy()
         root_lp = solve_lp(inst, self.global_box, deadline=self.deadline,
                            workspace=self.lp_workspace)
@@ -627,7 +626,6 @@ class _Solve:
             # the root node's box is the one this LP was solved over
             self.root_lp = root_lp
         self._push(root)
-        self.kept = state
 
         limit = INF if self.cfg.node_limit is None else self.cfg.node_limit
         status: str | None = None

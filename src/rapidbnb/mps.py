@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Sequence
 
-from .model import INF, Instance, from_inequalities
+from .model import INF, Instance, ModelError, from_inequalities
 
 MALFORMED_SECTION = "MALFORMED_SECTION"
 UNKNOWN_ROW_REFERENCE = "UNKNOWN_ROW_REFERENCE"
@@ -317,21 +317,32 @@ def _fmt(v: float) -> str:
     return repr(v)
 
 
+def _check_names(kind: str, names: Sequence[str]) -> None:
+    # empty, holding whitespace, read as a comment, or repeated
+    if len(set(names)) < len(names):
+        raise ModelError(f"a {kind} name is repeated")
+    for name in names:
+        if not name or name[0] == "*" or any(ch.isspace() for ch in name):
+            raise ModelError(f"{kind} name {name!r} cannot be written to MPS")
+
+
 def write_mps(instance: Instance, target: str | os.PathLike | IO[str]) -> None:
     """Write the normal form as free-format MPS.
 
     Every variable gets explicit bound lines and at least one COLUMNS
     entry, so parsing the output reproduces the instance structurally:
     same rows in order, same bounds, same integer set, same objective.
+    Raises ModelError for a name that would not parse back as itself.
     """
+    row_names = [row.name or f"r{i}" for i, row in enumerate(instance.rows)]
+    _check_names("variable", instance.var_names)
+    _check_names("row", row_names)
+    if "OBJ" in row_names:
+        raise ModelError("row name 'OBJ' is the objective's")
     lines: list[str] = [f"NAME {instance.name or 'instance'}"]
     lines.append("ROWS")
     lines.append(" N OBJ")
-    row_names = []
-    for i, row in enumerate(instance.rows):
-        rname = row.name or f"r{i}"
-        row_names.append(rname)
-        lines.append(f" L {rname}")
+    lines.extend(f" L {rname}" for rname in row_names)
 
     by_col: dict[int, list[tuple[str, float]]] = {j: [] for j in range(instance.num_vars)}
     for rname, row in zip(row_names, instance.rows):

@@ -329,6 +329,7 @@ class Propagator:
 
     Instance rows keep their row index as constraint id; learned
     constraints must be registered under ids that do not collide.
+    `truncate` detaches those added last, as a rewind past their level.
 
     Between fixpoints the propagator remembers which constraints are
     dirty and, in `snapshot`, the bounds at the end of the last
@@ -366,6 +367,20 @@ class Propagator:
                 self._watchers(lit).append(idx)
         self.items.append(item)
         self.dirty.append(True)
+
+    def truncate(self, size: int) -> None:
+        """Detach every constraint after the first `size`, with its dirty
+        flag and its watch and occurrence entries: the inverse of
+        `add_constraint`."""
+        for item in self.items[size:]:
+            if item.lits is not None:
+                for w in set(item.watch):
+                    self._watchers(item.lits[w]).remove(item.idx)
+            else:
+                for j in item.row.cols:
+                    self.occ[j].remove(item.idx)
+        del self.items[size:]
+        del self.dirty[size:]
 
     def _watchers(self, lit: tuple[int, Side, float]) -> list[int]:
         var, side, _ = lit

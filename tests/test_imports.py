@@ -1,7 +1,7 @@
 """Package structure: the modules of `rapidbnb` import each other without
 cycles, at module level and inside functions alike, `import rapidbnb`
-leaves the benchmark helpers unloaded, and no file imports a name it
-never uses."""
+leaves the benchmark helpers unloaded, no file imports a name it never
+uses, and no private definition of the package goes unread."""
 
 import ast
 import os
@@ -81,3 +81,44 @@ def test_no_unused_imports():
              for p in sorted((ROOT / d).rglob("*.py"))]
     assert len(files) >= 30
     assert [hit for p in files for hit in unused_imports(p)] == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """`_`-prefixed functions, classes and methods at any depth, and
+    module constants, by name, with the line of their definition; dunder
+    names excluded."""
+    defs = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defs.setdefault(node.name, node.lineno)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for t in targets:
+            if isinstance(t, ast.Name):
+                defs.setdefault(t.id, node.lineno)
+    return {name: line for name, line in defs.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_unreferenced_private_definitions():
+    # code that nothing uses gets deleted: a private name must be read,
+    # as a name or an attribute, somewhere under src/
+    files = sorted((ROOT / "src").rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    private = [(f"{p.relative_to(ROOT)}:{line}", name)
+               for p, tree in trees.items() if p.is_relative_to(PACKAGE)
+               for name, line in private_definitions(tree).items()]
+    assert len(private) >= 40
+    assert [f"{where} {name}" for where, name in private
+            if name not in read] == []

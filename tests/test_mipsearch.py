@@ -430,13 +430,15 @@ class TestConflictScope:
 
     def fail_below_x0_down(self, local_ids: set[int]) -> _Solve:
         """A solver whose level-1 branching x0 <= 0 failed the fixpoint
-        with the disjunction active and `local_ids` marked local."""
+        with the disjunction active, owned by the node as a local under
+        each of `local_ids`."""
         solver = _Solve(self.inst, MipConfig())
         root = Node(id=1, parent=None, depth=0, lower_bound=0.0)
         node = Node(id=2, parent=root, depth=1, lower_bound=0.0,
-                    branch=(0, Side.UPPER, 0.0))
+                    branch=(0, Side.UPPER, 0.0),
+                    locals_own=[(cid, self.local) for cid in local_ids])
         state = _NodeState(Trail(solver.global_box.copy()),
-                           solver._propagator(), local_ids=local_ids)
+                           solver._propagator())
         state.prop.add_constraint(99, self.local)
         assert solver._fixpoint(node, state)
         state.trail.branch(*node.branch, node.depth)
@@ -494,15 +496,22 @@ class _ReplayEveryNode(_Solve):
 class _CountedSolve(_Solve):
     """Counts how nodes get their state: switches of the kept state,
     those that start from the root's level, those whose kept locals are
-    logged again, those whose node dies in the descent, fresh builds
-    forced by a local below the common ancestor, plunges below the root
-    whose parent's probe left no state, and the propagators the search
-    builds.  Checks that every state's propagator holds its constraints
-    in the order a fresh one would: rows, globals, path locals."""
+    logged again, those that detach locals, those whose node dies in the
+    descent, those that follow a probe below the root or a death, fresh
+    builds from the root, and the propagators the search builds.  Checks
+    that every state's propagator holds its constraints in the order a
+    fresh one would (rows, globals, path locals), and that a fresh build
+    follows a change of the globals."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.counts = Counter()
+        self.previous = "started"   # what happened at the last node
+        self.globals_kept = None
+
+    def globals(self):
+        return (tuple(cid for cid, _ in self.global_constraints),
+                tuple(self.global_box.lower), tuple(self.global_box.upper))
 
     def _propagator(self):
         self.counts["propagators"] += 1
@@ -510,33 +519,39 @@ class _CountedSolve(_Solve):
 
     def _switch(self, node):
         kept = self.kept
-        switched = False
         if kept is not None:
             depth = kept.ancestor_depth(node)
-            with_locals = bool(kept.levels[depth][2])
-            switched = kept.levels[depth][2] == len(kept.active_locals)
-            self.counts["fresh for a local"] += not switched
+            with_locals = any(nd.locals_own for nd in node.path()[:depth])
+            detaching = len(kept.prop.items) > kept.levels[depth][2]
+        else:
+            # the globals the dropped state was built with are gone
+            assert self.globals() != self.globals_kept
         state = super()._switch(node)
-        if switched:
+        if kept is not None:
             self.counts["switched"] += 1
             self.counts["switched from the root"] += depth == 0 < node.depth
             self.counts["switched with locals"] += with_locals
+            self.counts["switched detaching locals"] += detaching
+            self.counts[f"switched after {self.previous}"] += 1
             self.counts["died switching"] += state is None
             self.counts["died switching with locals"] += \
                 state is None and with_locals
         else:
             self.counts["fresh"] += 1
+            self.counts[f"fresh after {self.previous}"] += 1
+        if self.kept is not None:
+            self.globals_kept = self.globals()
         if state is not None:
             assert [item.cid for item in state.prop.items] == \
                 list(range(self.inst.num_rows)) + \
                 [cid for cid, _ in self.global_constraints] + \
-                [cid for cid, _ in state.active_locals]
+                [cid for nd in node.path() for cid, _ in nd.locals_own]
+        self.previous = "died" if state is None else "switched"
         return state
 
-    def _process(self, node):
-        super()._process(node)
-        self.counts["probed plunges"] += node.depth > 0 and \
-            self.next_node is not None and self.kept is None
+    def _transfer(self, node, trail, outcome):
+        self.previous = "probed" if node.depth > 0 else "probed at the root"
+        return super()._transfer(node, trail, outcome)
 
 
 ALL_CRITERIA = frozenset(CRITERION_NAMES)
@@ -546,6 +561,8 @@ PLUNGE_MODES = {
     "local": MipConfig(rapid_mode="local", seed=1,
                        rapid=RapidConfig(criteria=ALL_CRITERIA)),
 }
+ROOT_ALL_CRITERIA = MipConfig(rapid_mode="root", seed=1,
+                              rapid=RapidConfig(criteria=ALL_CRITERIA))
 # probes at depths 1, 2, 4, 8, ...: many probed parents below the root
 DENSE_PROBES = MipConfig(rapid_mode="local", seed=1,
                          rapid=RapidConfig(criteria=ALL_CRITERIA, f=1,
@@ -564,7 +581,10 @@ def plunge_cases():
              for mode, config in PLUNGE_MODES.items()]
     # children die while extending a trail that carries probe locals
     dense = gen.general_int_model(np.random.default_rng(45), "dense", 10, 6)
-    return cases + [(dense, "dense", DENSE_PROBES)]
+    # the root probe keeps a global conflict and a global bound
+    rooted = gen.general_int_model(np.random.default_rng(65), "rooted", 10, 6)
+    return cases + [(dense, "dense", DENSE_PROBES),
+                    (rooted, "root", ROOT_ALL_CRITERIA)]
 
 
 class TestPlungeState:
@@ -597,5 +617,8 @@ class TestPlungeState:
         assert totals["died switching"] >= 3
         assert totals["switched with locals"] >= 5
         assert totals["died switching with locals"] >= 1
-        assert totals["fresh for a local"] >= 1
-        assert totals["probed plunges"] >= 5
+        assert totals["switched detaching locals"] >= 5
+        assert totals["switched after probed"] >= 5
+        assert totals["switched after died"] >= 3
+        assert totals["fresh after died"] >= 3
+        assert totals["fresh after probed at the root"] >= 1

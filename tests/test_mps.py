@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidbnb import Instance, Row, parse_mps, solve, write_mps
+from rapidbnb import Instance, ModelError, Row, parse_mps, solve, write_mps
 from rapidbnb.mps import (
     MALFORMED_SECTION,
     NON_NUMERIC_FIELD,
@@ -223,6 +223,41 @@ class TestRoundTrip:
         # column order
         assert [(sorted(zip(r.cols, r.coefs)), r.rhs) for r in back.rows] \
             == [(sorted(zip(r.cols, r.coefs)), r.rhs) for r in inst.rows]
+
+    @pytest.mark.parametrize("var_names, row_names", [
+        (("x", "x"), ("a",)),       # read back as one column
+        (("x", ""), ("a",)),        # no token at all
+        (("x y", "z"), ("a",)),     # two tokens: the file does not parse
+        (("*x", "y"), ("a",)),      # its lines read as comments
+        (("x", "y"), ("OBJ",)),     # its terms added to the objective
+        (("x", "y"), ("a\tb",)),
+        (("x", "y"), ("a", "a")),
+        (("x", "y"), ("r1", "")),   # the unnamed row 1 is written as r1
+    ])
+    def test_names_that_would_not_parse_back_are_refused(self, var_names,
+                                                         row_names):
+        # min x + y over x + y >= 1: the optimum is 1
+        rows = [Row((0, 1), (-1.0, -1.0), -1.0, name=n) for n in row_names]
+        inst = Instance([1.0, 1.0], rows, [0, 0], [1, 1], range(2),
+                        names=var_names)
+        assert solve(inst).objective == pytest.approx(1.0)
+        buf = io.StringIO()
+        with pytest.raises(ModelError):
+            write_mps(inst, buf)
+        assert buf.getvalue() == ""
+
+    def test_named_rows_and_columns_round_trip(self):
+        rows = [Row((0, 1), (-1.0, -1.0), -1.0, name="cover"),
+                Row((0,), (1.0,), 1.0)]
+        inst = Instance([1.0, 1.0], rows, [0, 0], [1, 1], range(2),
+                        names=("x_0", "OBJx"))
+        buf = io.StringIO()
+        write_mps(inst, buf)
+        back, diag = parse_mps(buf.getvalue())
+        assert diag.warnings == []
+        assert back.var_names == ("x_0", "OBJx")
+        assert back.num_rows == 2
+        assert solve(back).objective == pytest.approx(1.0)
 
     def test_write_to_path(self, tmp_path):
         inst, _ = parse_mps(DATA / "cover3.mps")

@@ -3,6 +3,7 @@ and the dirty-set fixpoint against a full round-robin."""
 
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,9 @@ class RoundRobin:
             self.items.append((cid, con, None, None))
             return
         self.items.append((cid, None, lits, [0, min(1, len(lits) - 1)]))
+
+    def truncate(self, size):
+        del self.items[size:]
 
     def evaluate(self, row, lits, watch, box):
         self.evals += 1
@@ -610,6 +614,83 @@ class TestWatchWakeups:
                     run.fixpoint()
                     break
         assert failures >= 10
+
+
+def watch_entries(prop: Propagator):
+    """The watch and occurrence entries `prop` holds, and those its live
+    constraints call for: one per watched literal of a clause, one per
+    column of a row."""
+    held, wanted = Counter(), Counter()
+    for side, lists in ((Side.LOWER, prop.watch_lower),
+                        (Side.UPPER, prop.watch_upper)):
+        for var, idxs in enumerate(lists):
+            held.update((var, side, k) for k in idxs)
+    for var, idxs in enumerate(prop.occ):
+        held.update((var, None, k) for k in idxs)
+    for item in prop.items:
+        if item.lits is not None:
+            wanted.update((item.lits[w][0], item.lits[w][1], item.idx)
+                          for w in set(item.watch))
+        else:
+            wanted.update((j, None, item.idx) for j in item.row.cols)
+    return held, wanted
+
+
+class TestTruncate:
+    """Detaching the constraints added last, as a tree search does when it
+    rewinds past the levels that attached them, against `RoundRobin`."""
+
+    def test_levels_with_detached_disjunctions(self):
+        # open levels (a branching, new disjunctions, a fixpoint), and go
+        # back to a completed level: rewind its trail mark and truncate
+        # to its constraint count, after a quiet level or a failed one
+        rng = np.random.default_rng(84)
+        detached = failures = quiet_after = 0
+        for case in range(40):
+            inst = mixed_instance(rng)
+            run = Lockstep(inst)
+            if run.fixpoint().outcome is Outcome.INFEASIBLE:
+                continue
+            prop = run.runs[0][0]
+            levels = [(run.trail.mark(), len(prop.items))]
+            next_cid = inst.num_rows
+            failed = False
+            for step in range(40):
+                box = run.trail.box
+                free = [j for j in inst.integer_indices
+                        if box.upper[j] - box.lower[j] > 0.5]
+                if not failed and free and rng.random() < 0.6:
+                    var = int(rng.choice(free))
+                    val = float(rng.integers(box.lower[var], box.upper[var]))
+                    side = Side.UPPER if rng.random() < 0.5 else Side.LOWER
+                    val += side is Side.LOWER
+                    depth = len(levels)
+                    run.each(lambda prop, trail: trail.branch(
+                        var, side, val, depth))
+                    for _ in range(int(rng.integers(0, 4))):
+                        d = random_disjunction(rng, inst)
+                        run.each(lambda prop, trail: prop.add_constraint(
+                            next_cid, d))
+                        next_cid += 1
+                    failed = run.fixpoint().outcome is Outcome.INFEASIBLE
+                    failures += failed
+                    if not failed:
+                        levels.append((run.trail.mark(), len(prop.items)))
+                    continue
+                depth = int(rng.integers(0, len(levels)))
+                mark, size = levels[depth]
+                detached += len(prop.items) > size
+                run.each(lambda prop, trail: (trail.rewind(mark),
+                                              prop.truncate(size)))
+                del levels[depth + 1:]
+                failed = False
+                held, wanted = watch_entries(prop)
+                assert held == wanted, f"case {case} step {step}"
+                if rng.random() < 0.3:
+                    # the level's fixpoint holds again
+                    assert run.fixpoint().outcome is Outcome.FIXPOINT
+                    quiet_after += 1
+        assert detached >= 200 and failures >= 100 and quiet_after >= 150
 
 
 def _reference_reads(row: Row, skip: int = -1):

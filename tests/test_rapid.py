@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from rapidbnb.branching import BranchingStats
-from rapidbnb.conflict import BoundDisjunction, to_knapsack
+from rapidbnb.conflict import BoundDisjunction, Trail, to_knapsack
 from rapidbnb.cpsearch import CpConfig, CpOutcome, CpStatus, cp_search
 from rapidbnb import rapid
 from rapidbnb.lp import DegeneracyInfo, solve_lp
@@ -245,7 +245,7 @@ class TestScheduleGating:
                                       events=solve.events)
         assert outcome is not None and outcome.status is CpStatus.OPTIMAL
         # a finished probe at the root settles the whole instance
-        assert solve._transfer(node, box, outcome)
+        assert solve._transfer(node, Trail(box), outcome)
         assert solve.stats.incumbent_value == pytest.approx(1.0)
 
     def test_mixed_integer_scope_never_probes(self):
@@ -349,7 +349,8 @@ class TestTransferRules:
 
     def run_transfer(self, outcome, node=None):
         node = node or fresh_node(0, depth=0)
-        return self.solve._transfer(node, self.box, outcome), node
+        self.trail = Trail(self.box)
+        return self.solve._transfer(node, self.trail, outcome), node
 
     def lconstr_lines(self):
         """(form, size) of every `lconstr` line, in order."""
@@ -436,6 +437,10 @@ class TestTransferRules:
         assert self.solve.global_constraints == []
         assert self.box.upper[2] == 0.0
         assert self.solve.global_box.upper[2] == 1.0
+        # on the trail, so a rewind past the probed level undoes it
+        [change] = self.trail.changes
+        assert (change.var, change.side, change.value, change.reason) == \
+            (2, Side.UPPER, 0.0, node.locals_own[0][0])
 
     def test_contradictory_deltas_empty_the_scope(self):
         crossed = self.box.copy()
