@@ -26,7 +26,8 @@ inst = from_inequalities(
     upper=[6.0, 6.0, 12.0],
     integer_set=[0, 1],
     names=["lathe", "mill", "store"],
-    name="MIX")
+    name="MIX",
+    row_names=["hours", "material", "balance"])
 
 print("integer columns:", int(inst.integer_mask.sum()), "of", inst.num_vars)
 print("rows in normal form:")
@@ -41,6 +42,11 @@ with tempfile.TemporaryDirectory() as tmp:
 print("reparsed", diags.num_cols_read, "columns,", diags.num_rows_read,
       "rows, warnings:", diags.warnings or "none")
 print("objective survived:", np.array_equal(back.c, inst.c))
+# Each constraint's name rides on its first row.  The second half of the
+# balance equality has none, so the writer calls it r3 after its index,
+# and that is the name it reads back with.
+print("row names:", [row.name for row in inst.rows], "->",
+      [row.name for row in back.rows])
 
 # The parser also takes raw text, which is handy for quick experiments.
 text = """NAME SCRATCH

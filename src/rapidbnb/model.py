@@ -74,10 +74,12 @@ class Row:
             raise ModelError("row column/coefficient length mismatch")
         if len(set(cols)) != len(cols):
             raise ModelError(f"row {name or '<unnamed>'} repeats a column")
+        cols, coefs = tuple(map(int, cols)), tuple(map(float, coefs))
         # zero terms carry no information and would break propagation
-        kept = [(int(j), float(a)) for j, a in zip(cols, coefs) if a != 0.0]
-        self.cols = tuple(j for j, _ in kept)
-        self.coefs = tuple(a for _, a in kept)
+        if 0.0 in coefs:
+            kept = [(j, a) for j, a in zip(cols, coefs) if a != 0.0]
+            cols, coefs = tuple(j for j, _ in kept), tuple(a for _, a in kept)
+        self.cols, self.coefs = cols, coefs
         # a finite sum means finite terms; only an overflow needs the full test
         if not math.isfinite(sum(self.coefs)) and \
                 not all(math.isfinite(a) for a in self.coefs):
@@ -113,8 +115,8 @@ def classify_row(row: Row, lower: np.ndarray, upper: np.ndarray,
     if not all(int_mask[j] and lower[j] == 0.0 and upper[j] == 1.0
                for j in row.cols):
         return RowKind.LINEAR
-    if all(abs(a) == 1.0 for a in row.coefs) and \
-            row.rhs == sum(a > 0 for a in row.coefs) - 1:
+    if {1.0, -1.0}.issuperset(row.coefs) and \
+            row.rhs == row.coefs.count(1.0) - 1:
         return RowKind.CLAUSE
     if all(a > 0 and abs(a - round(a)) <= INT_TOL for a in row.coefs):
         return RowKind.KNAPSACK
@@ -156,24 +158,29 @@ class Instance:
             raise ModelError("variable name count mismatch")
         self.var_names = tuple(names)
 
+        # checked, rounded and classified on lists: numpy scalar reads
+        # cost more (BoundBox)
+        lower, upper = self.lower.tolist(), self.upper.tolist()
+        is_int = self.integer_mask.tolist()
         for j in range(n):
-            if self.integer_mask[j]:
-                if not (math.isfinite(self.lower[j]) and math.isfinite(self.upper[j])):
+            if is_int[j]:
+                if not (math.isfinite(lower[j]) and math.isfinite(upper[j])):
                     raise ModelError(
                         f"integer variable {self.var_names[j]} needs finite bounds")
-                self.lower[j] = math.ceil(self.lower[j] - INT_TOL)
-                self.upper[j] = math.floor(self.upper[j] + INT_TOL)
-            if self.lower[j] > self.upper[j] + FEAS_TOL:
+                lower[j] = float(math.ceil(lower[j] - INT_TOL))
+                upper[j] = float(math.floor(upper[j] + INT_TOL))
+            if lower[j] > upper[j] + FEAS_TOL:
                 raise ModelError(
                     f"variable {self.var_names[j]} has empty domain "
-                    f"[{self.lower[j]:g}, {self.upper[j]:g}]")
+                    f"[{lower[j]:g}, {upper[j]:g}]")
+        self.lower[:], self.upper[:] = lower, upper
 
         self.rows = tuple(rows)
         for row in self.rows:
-            for j in row.cols:
-                if not 0 <= j < n:
-                    raise ModelError(f"row {row.name!r} references column {j}")
-            row.kind = classify_row(row, self.lower, self.upper, self.integer_mask)
+            if row.cols and not 0 <= min(row.cols) <= max(row.cols) < n:
+                j = next(j for j in row.cols if not 0 <= j < n)
+                raise ModelError(f"row {row.name!r} references column {j}")
+            row.kind = classify_row(row, lower, upper, is_int)
             if row.kind is RowKind.KNAPSACK:
                 pairs = [(j, int(round(a))) for j, a in zip(row.cols, row.coefs)]
                 row.prepared = tuple(sorted(pairs, key=lambda p: -p[1]))
@@ -235,20 +242,29 @@ def from_inequalities(objective: Sequence[float],
                       lower: Sequence[float], upper: Sequence[float],
                       integer_set: Iterable[int],
                       names: Sequence[str] | None = None,
-                      name: str = "") -> Instance:
+                      name: str = "",
+                      row_names: Sequence[str] | None = None) -> Instance:
     """Build an Instance from rows with explicit senses.
 
     `>=` rows are negated into `<=` form; `==` rows become two opposing
     `<=` rows.  Row order is preserved, with equality halves adjacent.
+    `row_names`, one per constraint, names each constraint's first row;
+    the second half of an equality stays unnamed.
     """
+    constraints = list(constraints)
+    if row_names is None:
+        row_names = [""] * len(constraints)
+    elif len(row_names) != len(constraints):
+        raise ModelError("row name count mismatch")
     rows: list[Row] = []
-    for cols, coefs, sense, rhs in constraints:
+    for (cols, coefs, sense, rhs), rname in zip(constraints, row_names):
         if sense not in _SENSES:
             raise ModelError(f"unknown row sense {sense!r}")
         if sense in ("<=", "=="):
-            rows.append(Row(cols, coefs, rhs))
+            rows.append(Row(cols, coefs, rhs, rname))
+            rname = ""
         if sense in (">=", "=="):
-            rows.append(Row(cols, [-a for a in coefs], -rhs))
+            rows.append(Row(cols, [-a for a in coefs], -rhs, rname))
     return Instance(objective, rows, lower, upper, integer_set, names, name)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -22,6 +23,7 @@ MALFORMED_SECTION = "MALFORMED_SECTION"
 UNKNOWN_ROW_REFERENCE = "UNKNOWN_ROW_REFERENCE"
 NON_NUMERIC_FIELD = "NON_NUMERIC_FIELD"
 
+_SENSES = {"L": "<=", "G": ">=", "E": "=="}
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES",
              "BOUNDS", "ENDATA"}
 _BOUND_TYPES = {"UP", "LO", "FX", "FR", "MI", "PL", "BV", "LI", "UI"}
@@ -97,7 +99,6 @@ def parse_mps(source: str | bytes | os.PathLike,
     objective_row: str | None = None
     maximize = False
     rows: dict[str, _RowDecl] = {}
-    row_order: list[str] = []
     col_order: list[str] = []
     col_index: dict[str, int] = {}
     obj_coefs: dict[int, float] = {}
@@ -106,18 +107,12 @@ def parse_mps(source: str | bytes | os.PathLike,
     in_integer_block = False
     ended = False
 
-    def col_id(tok: str) -> int:
-        if tok not in col_index:
-            col_index[tok] = len(col_order)
-            col_order.append(tok)
-        return col_index[tok]
-
+    line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        is_header = not raw[0].isspace()
         toks = raw.split()
-        if is_header:
+        if not toks or toks[0][0] == "*":
+            continue
+        if not raw[0].isspace():
             head = toks[0].upper()
             if head not in _SECTIONS:
                 raise MpsParseError(MALFORMED_SECTION, line_no,
@@ -135,12 +130,71 @@ def parse_mps(source: str | bytes | os.PathLike,
                 ended = True
             continue
 
-        if section is None or section in ("NAME", "ENDATA"):
-            raise MpsParseError(MALFORMED_SECTION, line_no,
-                                f"data line outside a section: {raw.strip()!r}")
-
-        if section == "OBJSENSE":
-            maximize = toks[0].upper().startswith("MAX")
+        # data lines, the most frequent sections first
+        if section == "COLUMNS":
+            if len(toks) % 2 == 0 or len(toks) < 3 or toks[1] == "'MARKER'":
+                # a marker line, or one whose fields do not pair up
+                if len(toks) < 3 or toks[1] != "'MARKER'":
+                    raise MpsParseError(MALFORMED_SECTION, line_no,
+                                        "COLUMNS lines pair row names with values")
+                marker = toks[2].strip("'").upper()
+                if marker not in ("INTORG", "INTEND"):
+                    raise MpsParseError(MALFORMED_SECTION, line_no,
+                                        f"unknown marker {toks[2]!r}")
+                in_integer_block = marker == "INTORG"
+                continue
+            it = iter(toks)
+            cname = next(it)
+            j = col_index.get(cname)
+            if j is None:
+                j = col_index[cname] = len(col_order)
+                col_order.append(cname)
+            if in_integer_block:
+                integer_cols.add(j)
+            for rname, vtok in zip(it, it):
+                try:
+                    val = float(vtok)
+                    if val - val:           # NaN or infinite
+                        raise ValueError
+                except ValueError:
+                    _num(vtok, line_no, finite=True)    # raises
+                if rname == objective_row:
+                    obj_coefs[j] = obj_coefs.get(j, 0.0) + val
+                    continue
+                decl = rows.get(rname)
+                if decl is None:
+                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
+                                        f"column entry for unknown row {rname!r}")
+                coefs = decl.coefs
+                if j in coefs:
+                    diag.warn(line_no, f"duplicate entry ({cname}, {rname}) summed")
+                    coefs[j] += val
+                else:
+                    coefs[j] = val
+        elif section == "RHS" or section == "RANGES":
+            if len(toks) < 3 or len(toks) % 2 == 0:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"{section} lines pair row names with values")
+            it = iter(toks)
+            next(it)
+            for rname, vtok in zip(it, it):
+                try:
+                    val = float(vtok)
+                    if val != val:
+                        raise ValueError
+                except ValueError:
+                    _num(vtok, line_no)     # raises
+                if rname == objective_row and section == "RHS":
+                    diag.warn(line_no, "objective-row RHS (constant term) ignored")
+                    continue
+                decl = rows.get(rname)
+                if decl is None:
+                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
+                                        f"{section} entry for unknown row {rname!r}")
+                if section == "RHS":
+                    decl.rhs = val
+                else:
+                    decl.range_val = val
         elif section == "ROWS":
             if len(toks) != 2:
                 raise MpsParseError(MALFORMED_SECTION, line_no,
@@ -158,62 +212,8 @@ def parse_mps(source: str | bytes | os.PathLike,
             if rname in rows:
                 raise MpsParseError(MALFORMED_SECTION, line_no,
                                     f"duplicate row name {rname!r}")
-            rows[rname] = _RowDecl(rname, sense)
-            row_order.append(rname)
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1] == "'MARKER'":
-                marker = toks[2].strip("'").upper()
-                if marker == "INTORG":
-                    in_integer_block = True
-                elif marker == "INTEND":
-                    in_integer_block = False
-                else:
-                    raise MpsParseError(MALFORMED_SECTION, line_no,
-                                        f"unknown marker {toks[2]!r}")
-                continue
-            if len(toks) < 3 or len(toks) % 2 == 0:
-                raise MpsParseError(MALFORMED_SECTION, line_no,
-                                    "COLUMNS lines pair row names with values")
-            j = col_id(toks[0])
-            if in_integer_block:
-                integer_cols.add(j)
-            for rname, vtok in zip(toks[1::2], toks[2::2]):
-                val = _num(vtok, line_no, finite=True)
-                if rname == objective_row:
-                    obj_coefs[j] = obj_coefs.get(j, 0.0) + val
-                    continue
-                decl = rows.get(rname)
-                if decl is None:
-                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
-                                        f"column entry for unknown row {rname!r}")
-                if j in decl.coefs:
-                    diag.warn(line_no, f"duplicate entry ({toks[0]}, {rname}) summed")
-                decl.coefs[j] = decl.coefs.get(j, 0.0) + val
-        elif section == "RHS":
-            if len(toks) < 3 or len(toks) % 2 == 0:
-                raise MpsParseError(MALFORMED_SECTION, line_no,
-                                    "RHS lines pair row names with values")
-            for rname, vtok in zip(toks[1::2], toks[2::2]):
-                val = _num(vtok, line_no)
-                if rname == objective_row:
-                    diag.warn(line_no, "objective-row RHS (constant term) ignored")
-                    continue
-                decl = rows.get(rname)
-                if decl is None:
-                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
-                                        f"RHS entry for unknown row {rname!r}")
-                decl.rhs = val
-        elif section == "RANGES":
-            if len(toks) < 3 or len(toks) % 2 == 0:
-                raise MpsParseError(MALFORMED_SECTION, line_no,
-                                    "RANGES lines pair row names with values")
-            for rname, vtok in zip(toks[1::2], toks[2::2]):
-                val = _num(vtok, line_no)
-                decl = rows.get(rname)
-                if decl is None:
-                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
-                                        f"RANGES entry for unknown row {rname!r}")
-                decl.range_val = val
+            # interned: models read with the same row names share them
+            rows[rname] = _RowDecl(sys.intern(rname), sense)
         elif section == "BOUNDS":
             if len(toks) < 3:
                 raise MpsParseError(MALFORMED_SECTION, line_no,
@@ -235,19 +235,22 @@ def parse_mps(source: str | bytes | os.PathLike,
             explicit.setdefault(j, []).append((btype, val, line_no))
             if btype in ("BV", "LI", "UI"):
                 integer_cols.add(j)
+        elif section == "OBJSENSE":
+            maximize = toks[0].upper().startswith("MAX")
+        else:
+            raise MpsParseError(MALFORMED_SECTION, line_no,
+                                f"data line outside a section: {raw.strip()!r}")
 
     if not ended:
-        raise MpsParseError(MALFORMED_SECTION, len(text.splitlines()) or 1,
+        raise MpsParseError(MALFORMED_SECTION, line_no or 1,
                             "missing ENDATA")
     if objective_row is None:
         diag.warn(0, "no free (N) row; objective defaults to zero")
 
     n = len(col_order)
     lower = [0.0] * n
-    upper = [INF] * n
-    for j in range(n):
-        if j in integer_cols and j not in explicit:
-            upper[j] = 1.0
+    upper = [1.0 if j in integer_cols and j not in explicit else INF
+             for j in range(n)]
     for j, entries in explicit.items():
         for btype, val, line_no in entries:
             if btype == "UP":
@@ -257,7 +260,7 @@ def parse_mps(source: str | bytes | os.PathLike,
                     diag.warn(line_no,
                               f"negative UP bound on {col_order[j]} with default "
                               "lower bound 0 kept as-is")
-            elif btype == "LO":
+            elif btype in ("LO", "LI"):
                 lower[j] = val
             elif btype == "FX":
                 lower[j] = upper[j] = val
@@ -269,26 +272,23 @@ def parse_mps(source: str | bytes | os.PathLike,
                 upper[j] = INF
             elif btype == "BV":
                 lower[j], upper[j] = 0.0, 1.0
-            elif btype == "LI":
-                lower[j] = val
             elif btype == "UI":
                 upper[j] = val
 
     sign = -1.0 if maximize else 1.0
-    objective = [0.0] * n
-    for j, v in obj_coefs.items():
-        objective[j] = sign * v
+    objective = [sign * obj_coefs[j] if j in obj_coefs else 0.0
+                 for j in range(n)]
     if maximize:
         diag.warn(0, "OBJSENSE MAX negated into minimization")
 
     constraints: list[tuple[list[int], list[float], str, float]] = []
-    for rname in row_order:
-        decl = rows[rname]
+    row_names: list[str] = []
+    for decl in rows.values():
         cols = sorted(decl.coefs)
         coefs = [decl.coefs[j] for j in cols]
-        sense = {"L": "<=", "G": ">=", "E": "=="}[decl.sense]
+        row_names.append(decl.name)
         if decl.range_val is None:
-            constraints.append((cols, coefs, sense, decl.rhs))
+            constraints.append((cols, coefs, _SENSES[decl.sense], decl.rhs))
             continue
         r = decl.range_val
         # RANGES turns one row into a two-sided constraint, emitted as
@@ -302,12 +302,13 @@ def parse_mps(source: str | bytes | os.PathLike,
             lo, hi = (decl.rhs, decl.rhs + r) if r >= 0 else (decl.rhs + r, decl.rhs)
         constraints.append((cols, coefs, "<=", hi))
         constraints.append((cols, [-a for a in coefs], "<=", -lo))
+        row_names.append("")    # the second half of a ranged row
 
-    diag.num_rows_read = len(row_order)
+    diag.num_rows_read = len(rows)
     diag.num_cols_read = n
     instance = from_inequalities(objective, constraints, lower, upper,
                                  sorted(integer_cols), names=col_order,
-                                 name=diag.name)
+                                 name=diag.name, row_names=row_names)
     return instance, diag
 
 

@@ -6,16 +6,21 @@ seeded instance generator sized so enumeration stays instant.  Expected
 values frozen into tests come from these functions, never from the code
 under test.  `SearchRecorder` watches the searches from outside and
 keeps what tests check the solver's conflicts and probe claims against.
+`reference_parse_mps` is the MPS reader in its plain form, frozen.
 """
 
 import importlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rapidbnb import (BoundDisjunction, CpOutcome, CpStatus, Instance, Side,
                       from_inequalities)
+from rapidbnb.mps import (INF, MALFORMED_SECTION, NON_NUMERIC_FIELD,
+                          UNKNOWN_ROW_REFERENCE, MpsParseError,
+                          ParseDiagnostics)
 
 FEAS_TOL = 1e-6
 
@@ -371,3 +376,261 @@ class SearchRecorder:
         if exc_type is None:
             silent = [n for n in self.require if not self.calls[n]]
             assert not silent, f"never called while recording: {silent}"
+
+
+# -- the MPS reader, frozen -------------------------------------------------
+
+_SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES",
+             "BOUNDS", "ENDATA"}
+_BOUND_TYPES = {"UP", "LO", "FX", "FR", "MI", "PL", "BV", "LI", "UI"}
+
+
+class _RefRowDecl:
+    __slots__ = ("name", "sense", "coefs", "rhs", "range_val")
+
+    def __init__(self, name: str, sense: str):
+        self.name = name
+        self.sense = sense
+        self.coefs: dict[int, float] = {}
+        self.rhs = 0.0
+        self.range_val: float | None = None
+
+
+def _num(tok: str, line_no: int, finite: bool = False) -> float:
+    """A numeric field; NaN never parses, and `finite` also rules out
+    the infinities that RHS and bound values may take."""
+    try:
+        val = float(tok)
+    except ValueError:
+        val = math.nan
+    # val - val is 0.0 for every finite val, NaN for NaN and the infinities
+    if val - val != 0.0 and (finite or val != val):
+        kind = "a finite number" if finite else "a number"
+        raise MpsParseError(NON_NUMERIC_FIELD, line_no,
+                            f"expected {kind}, got {tok!r}")
+    return val
+
+
+def reference_parse_mps(text: str, name: str = ""):
+    """The MPS reader in its plain form, frozen as the reference for
+    `rapidbnb.parse_mps`: every line scanned on its own, every value
+    through `_num`, and rows handed to `from_inequalities` without their
+    names.  Tests compare the solver's reader against it field by
+    field."""
+    diag = ParseDiagnostics(name=name)
+    section = None
+    objective_row: str | None = None
+    maximize = False
+    rows: dict[str, _RefRowDecl] = {}
+    row_order: list[str] = []
+    col_order: list[str] = []
+    col_index: dict[str, int] = {}
+    obj_coefs: dict[int, float] = {}
+    integer_cols: set[int] = set()
+    explicit: dict[int, list[tuple[str, float, int]]] = {}
+    in_integer_block = False
+    ended = False
+
+    def col_id(tok: str) -> int:
+        if tok not in col_index:
+            col_index[tok] = len(col_order)
+            col_order.append(tok)
+        return col_index[tok]
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.lstrip().startswith("*"):
+            continue
+        is_header = not raw[0].isspace()
+        toks = raw.split()
+        if is_header:
+            head = toks[0].upper()
+            if head not in _SECTIONS:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"unknown section {toks[0]!r}")
+            if ended:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    "content after ENDATA")
+            section = head
+            if head == "NAME":
+                diag.name = name or (toks[1] if len(toks) > 1 else "")
+            elif head == "OBJSENSE" and len(toks) > 1:
+                maximize = toks[1].upper().startswith("MAX")
+                section = None
+            elif head == "ENDATA":
+                ended = True
+            continue
+
+        if section is None or section in ("NAME", "ENDATA"):
+            raise MpsParseError(MALFORMED_SECTION, line_no,
+                                f"data line outside a section: {raw.strip()!r}")
+
+        if section == "OBJSENSE":
+            maximize = toks[0].upper().startswith("MAX")
+        elif section == "ROWS":
+            if len(toks) != 2:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    "ROWS lines need a sense and a name")
+            sense, rname = toks[0].upper(), toks[1]
+            if sense not in ("N", "L", "G", "E"):
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"unknown row sense {toks[0]!r}")
+            if sense == "N":
+                if objective_row is None:
+                    objective_row = rname
+                else:
+                    diag.warn(line_no, f"extra free row {rname!r} ignored")
+                continue
+            if rname in rows:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"duplicate row name {rname!r}")
+            rows[rname] = _RefRowDecl(rname, sense)
+            row_order.append(rname)
+        elif section == "COLUMNS":
+            if len(toks) >= 3 and toks[1] == "'MARKER'":
+                marker = toks[2].strip("'").upper()
+                if marker == "INTORG":
+                    in_integer_block = True
+                elif marker == "INTEND":
+                    in_integer_block = False
+                else:
+                    raise MpsParseError(MALFORMED_SECTION, line_no,
+                                        f"unknown marker {toks[2]!r}")
+                continue
+            if len(toks) < 3 or len(toks) % 2 == 0:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    "COLUMNS lines pair row names with values")
+            j = col_id(toks[0])
+            if in_integer_block:
+                integer_cols.add(j)
+            for rname, vtok in zip(toks[1::2], toks[2::2]):
+                val = _num(vtok, line_no, finite=True)
+                if rname == objective_row:
+                    obj_coefs[j] = obj_coefs.get(j, 0.0) + val
+                    continue
+                decl = rows.get(rname)
+                if decl is None:
+                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
+                                        f"column entry for unknown row {rname!r}")
+                if j in decl.coefs:
+                    diag.warn(line_no, f"duplicate entry ({toks[0]}, {rname}) summed")
+                decl.coefs[j] = decl.coefs.get(j, 0.0) + val
+        elif section == "RHS":
+            if len(toks) < 3 or len(toks) % 2 == 0:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    "RHS lines pair row names with values")
+            for rname, vtok in zip(toks[1::2], toks[2::2]):
+                val = _num(vtok, line_no)
+                if rname == objective_row:
+                    diag.warn(line_no, "objective-row RHS (constant term) ignored")
+                    continue
+                decl = rows.get(rname)
+                if decl is None:
+                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
+                                        f"RHS entry for unknown row {rname!r}")
+                decl.rhs = val
+        elif section == "RANGES":
+            if len(toks) < 3 or len(toks) % 2 == 0:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    "RANGES lines pair row names with values")
+            for rname, vtok in zip(toks[1::2], toks[2::2]):
+                val = _num(vtok, line_no)
+                decl = rows.get(rname)
+                if decl is None:
+                    raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
+                                        f"RANGES entry for unknown row {rname!r}")
+                decl.range_val = val
+        elif section == "BOUNDS":
+            if len(toks) < 3:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    "BOUNDS lines need a type, a set name and a column")
+            btype = toks[0].upper()
+            if btype not in _BOUND_TYPES:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"unknown bound type {toks[0]!r}")
+            cname = toks[2]
+            if cname not in col_index:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"bound on unknown column {cname!r}")
+            j = col_index[cname]
+            needs_value = btype in ("UP", "LO", "FX", "LI", "UI")
+            if needs_value and len(toks) < 4:
+                raise MpsParseError(MALFORMED_SECTION, line_no,
+                                    f"bound type {btype} needs a value")
+            val = _num(toks[3], line_no) if needs_value else 0.0
+            explicit.setdefault(j, []).append((btype, val, line_no))
+            if btype in ("BV", "LI", "UI"):
+                integer_cols.add(j)
+
+    if not ended:
+        raise MpsParseError(MALFORMED_SECTION, len(text.splitlines()) or 1,
+                            "missing ENDATA")
+    if objective_row is None:
+        diag.warn(0, "no free (N) row; objective defaults to zero")
+
+    n = len(col_order)
+    lower = [0.0] * n
+    upper = [INF] * n
+    for j in range(n):
+        if j in integer_cols and j not in explicit:
+            upper[j] = 1.0
+    for j, entries in explicit.items():
+        for btype, val, line_no in entries:
+            if btype == "UP":
+                upper[j] = val
+                if val < 0 and not any(e[0] in ("LO", "MI", "FX", "FR")
+                                       for e in entries):
+                    diag.warn(line_no,
+                              f"negative UP bound on {col_order[j]} with default "
+                              "lower bound 0 kept as-is")
+            elif btype == "LO":
+                lower[j] = val
+            elif btype == "FX":
+                lower[j] = upper[j] = val
+            elif btype == "FR":
+                lower[j], upper[j] = -INF, INF
+            elif btype == "MI":
+                lower[j] = -INF
+            elif btype == "PL":
+                upper[j] = INF
+            elif btype == "BV":
+                lower[j], upper[j] = 0.0, 1.0
+            elif btype == "LI":
+                lower[j] = val
+            elif btype == "UI":
+                upper[j] = val
+
+    sign = -1.0 if maximize else 1.0
+    objective = [0.0] * n
+    for j, v in obj_coefs.items():
+        objective[j] = sign * v
+    if maximize:
+        diag.warn(0, "OBJSENSE MAX negated into minimization")
+
+    constraints: list[tuple[list[int], list[float], str, float]] = []
+    for rname in row_order:
+        decl = rows[rname]
+        cols = sorted(decl.coefs)
+        coefs = [decl.coefs[j] for j in cols]
+        sense = {"L": "<=", "G": ">=", "E": "=="}[decl.sense]
+        if decl.range_val is None:
+            constraints.append((cols, coefs, sense, decl.rhs))
+            continue
+        r = decl.range_val
+        # RANGES turns one row into a two-sided constraint, emitted as
+        # a <= pair: L rows get [rhs-|r|, rhs], G rows [rhs, rhs+|r|],
+        # E rows extend toward the sign of r.
+        if decl.sense == "L":
+            lo, hi = decl.rhs - abs(r), decl.rhs
+        elif decl.sense == "G":
+            lo, hi = decl.rhs, decl.rhs + abs(r)
+        else:
+            lo, hi = (decl.rhs, decl.rhs + r) if r >= 0 else (decl.rhs + r, decl.rhs)
+        constraints.append((cols, coefs, "<=", hi))
+        constraints.append((cols, [-a for a in coefs], "<=", -lo))
+
+    diag.num_rows_read = len(row_order)
+    diag.num_cols_read = n
+    instance = from_inequalities(objective, constraints, lower, upper,
+                                 sorted(integer_cols), names=col_order,
+                                 name=diag.name)
+    return instance, diag

@@ -23,13 +23,23 @@ def small_instance():
 
 class TestRow:
     def test_zero_coefficients_dropped(self):
-        row = Row((0, 1, 2), (1.0, 0.0, -2.0), 3.0)
-        assert row.cols == (0, 2)
-        assert row.coefs == (1.0, -2.0)
+        for zero in (0.0, -0.0, 0, np.float32(-0.0)):
+            row = Row((0, 1, 2), (1.0, zero, -2.0), 3.0)
+            assert row.cols == (0, 2)
+            assert row.coefs == (1.0, -2.0)
+            assert Row((4,), (zero,), 1.0).cols == ()
+
+    def test_numpy_inputs_become_python_numbers(self):
+        row = Row(np.array([3, 1], dtype=np.int64),
+                  np.array([0.5, -2.0], dtype=np.float32), np.float32(4.0))
+        assert row.cols == (3, 1) and row.coefs == (0.5, -2.0)
+        assert [type(v) for v in row.cols + row.coefs + (row.rhs,)] == \
+            [int, int, float, float, float]
 
     def test_duplicate_column_rejected(self):
-        with pytest.raises(ModelError):
-            Row((0, 0), (1.0, 2.0), 1.0)
+        for cols in ((0, 0), np.array([2, 2]), (1, 1.0)):
+            with pytest.raises(ModelError, match="repeats a column"):
+                Row(cols, (1.0, 2.0), 1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelError):
@@ -39,10 +49,15 @@ class TestRow:
         ((1.0, float("nan")), 1.0),
         ((1.0, float("inf")), 1.0),
         ((1.0, 2.0), float("nan")),
+        (np.array([-np.inf, 1.0], dtype=np.float32), 1.0),
+        ((1.0, 2.0), np.float32("nan")),
     ])
     def test_nan_rejected(self, coefs, rhs):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="non-finite|NaN"):
             Row((0, 1), coefs, rhs)
+
+    def test_finite_terms_with_an_infinite_sum_allowed(self):
+        assert Row((0, 1), (1e308, 1e308), 1.0).coefs == (1e308, 1e308)
 
     def test_infinite_rhs_allowed(self):
         assert Row((0, 1), (1.0, 2.0), float("inf")).rhs == float("inf")
@@ -86,6 +101,26 @@ class TestClassification:
         assert all(type(w) is int for _, w in row.prepared)
 
 
+    def test_lists_and_arrays_give_the_same_kind(self):
+        # Instance classifies on list copies of its bounds and mask
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            lower = rng.integers(-1, 2, n).astype(float)
+            upper = lower + rng.integers(0, 2, n)
+            mask = rng.random(n) < 0.8
+            cols = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
+            coefs = rng.choice([-2.0, -1.0, 1.0, 1.0, 2.0, 2.5], len(cols))
+            rhs = float(rng.integers(-2, 4))
+            row = Row(cols, coefs, rhs)
+            kind = classify_row(row, lower, upper, mask)
+            assert classify_row(row, lower.tolist(), upper.tolist(),
+                                mask.tolist()) is kind
+            kinds.add(kind)
+        assert kinds == set(RowKind)
+
+
 class TestFromInequalities:
     def test_ge_negated(self):
         inst = from_inequalities([0.0], [((0,), (2.0,), ">=", 3.0)],
@@ -99,6 +134,17 @@ class TestFromInequalities:
         assert inst.num_rows == 2
         assert inst.rows[0].rhs == 2.0
         assert inst.rows[1].rhs == -2.0
+
+    def test_row_names_name_each_first_row(self):
+        inst = from_inequalities(
+            [0.0, 0.0], [((0,), (1.0,), "<=", 2.0), ((1,), (1.0,), ">=", 1.0),
+                         ((0, 1), (1.0, 1.0), "==", 2.0)],
+            [0, 0], [5, 5], integer_set=(0, 1), row_names=["a", "b", "c"])
+        assert [r.name for r in inst.rows] == ["a", "b", "c", ""]
+        assert inst.rows[1].coefs == (-1.0,)
+        with pytest.raises(ModelError, match="row name count"):
+            from_inequalities([0.0], [((0,), (1.0,), "<=", 2.0)],
+                              [0], [5], integer_set=(0,), row_names=[])
 
     def test_unknown_sense(self):
         with pytest.raises(ModelError):
@@ -125,6 +171,16 @@ class TestInstance:
     def test_nan_rejected(self, objective, lower, upper):
         with pytest.raises(ModelError):
             Instance(objective, [], lower, upper, [])
+
+    def test_first_column_out_of_range_named(self):
+        rows = [Row((0, 1), (1.0, 1.0), 1.0, name="ok"),
+                Row((1, 7, -1, 9), (1.0, 1.0, 1.0, 1.0), 1.0, name="far")]
+        with pytest.raises(ModelError) as err:
+            Instance([0.0, 0.0], rows, [0, 0], [1, 1], [])
+        assert str(err.value) == "row 'far' references column 7"
+        with pytest.raises(ModelError, match="references column -1"):
+            Instance([0.0, 0.0], [Row((-1,), (1.0,), 1.0)], [0, 0], [1, 1],
+                     [])
 
     def test_infinite_continuous_bounds_allowed(self):
         inst = Instance([1.0], [], [-float("inf")], [float("inf")], [])

@@ -3,10 +3,11 @@
 import io
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rapidbnb import Instance, ModelError, Row, parse_mps, solve, write_mps
@@ -256,8 +257,29 @@ class TestRoundTrip:
         back, diag = parse_mps(buf.getvalue())
         assert diag.warnings == []
         assert back.var_names == ("x_0", "OBJx")
-        assert back.num_rows == 2
+        assert [r.name for r in back.rows] == ["cover", "r1"]
         assert solve(back).objective == pytest.approx(1.0)
+
+    def test_equality_and_ranged_rows_write_again(self):
+        # an E row and a ranged row each read as two rows; the second
+        # is unnamed and written as r{i}, which must not clash
+        text = GOOD_MIN.replace(" L R1", " E BAL\n L R1").replace(
+            " x OBJ 1 R1 1", " x OBJ 1 R1 1 BAL 2").replace(
+            "ENDATA", "RANGES\n RNG R1 3\nENDATA")
+        inst, _ = parse_mps(text)
+        assert [r.name for r in inst.rows] == ["BAL", "", "R1", ""]
+        for _ in range(2):
+            buf = io.StringIO()
+            write_mps(inst, buf)
+            inst, diag = parse_mps(buf.getvalue())
+            assert diag.warnings == []
+            assert [r.name for r in inst.rows] == ["BAL", "r1", "R1", "r3"]
+            assert [(r.cols, r.coefs, r.rhs) for r in inst.rows] == [
+                ((0,), (2.0,), 0.0), ((0,), (-2.0,), 0.0),
+                ((0,), (1.0,), 4.0), ((0,), (-1.0,), -1.0)]
+        clash = text.replace("BAL", "r1")
+        with pytest.raises(ModelError, match="repeated"):
+            write_mps(parse_mps(clash)[0], io.StringIO())
 
     def test_write_to_path(self, tmp_path):
         inst, _ = parse_mps(DATA / "cover3.mps")
@@ -266,3 +288,171 @@ class TestRoundTrip:
         again, _ = parse_mps(out)
         assert again.num_rows == inst.num_rows
 
+
+
+# -- the reader against its frozen reference ---------------------------------
+
+VALUES = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "0.5", "-2.5", "1e3", "-1E-2",
+                     ".25", "+3", "1e308", "-1e308", "-1e-7"]),
+    st.floats(-100, 100, allow_nan=False).map(repr),
+)
+# right-hand sides, ranges and bounds may also be infinite
+WIDE_VALUES = st.one_of(VALUES, st.sampled_from(["inf", "-Infinity", "1e999"]))
+BOUND_TYPES = ["UP", "LO", "FX", "FR", "MI", "PL", "BV", "LI", "UI"]
+
+
+def pair_lines(draw, head, pairs):
+    """Data lines `head name value [name value]`, one or two pairs each."""
+    lines = []
+    while pairs:
+        k = draw(st.integers(1, 2))
+        lines.append([head] + [tok for pair in pairs[:k] for tok in pair])
+        pairs = pairs[k:]
+    return lines
+
+
+@st.composite
+def mps_texts(draw):
+    """MPS texts beyond what `write_mps` emits: L, G and E rows, one and
+    two pairs per line, duplicate entries, MARKER blocks, an objective-row
+    RHS, RANGES of both signs, every bound type, OBJSENSE as a section or
+    inline, comments and blank lines.  RANGES may name the objective,
+    which is an error."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    rnames = [f"R{i}" for i in range(m)]
+    ints = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    body = [["NAME"] + draw(st.sampled_from([[], ["model"]]))]
+    objsense = draw(st.sampled_from([None, "section", "inline"]))
+    word = draw(st.sampled_from(["MAX", "MIN", "maximize"]))
+    body += [["OBJSENSE"], [" ", word]] if objsense == "section" else \
+        [["OBJSENSE", word]] if objsense == "inline" else []
+    decls = [[" ", draw(st.sampled_from("LGElge")), r] for r in rnames]
+    free = draw(st.sampled_from([[], ["OBJ"], ["OBJ"], ["OBJ", "FREE"]]))
+    for rname in free if m else ["OBJ"]:
+        decls.insert(draw(st.integers(0, len(decls))), [" ", "N", rname])
+    body += [["ROWS"]] + decls + [["COLUMNS"]]
+    targets = st.sampled_from(rnames + ["OBJ"] if free or not m else rnames)
+    for j, is_int in enumerate(ints):
+        pairs = draw(st.lists(st.tuples(targets, VALUES), min_size=1,
+                              max_size=4))
+        if is_int != (j > 0 and ints[j - 1]):
+            marker = "'INTORG'" if is_int else "'INTEND'"
+            body.append([" ", f"M{j}", "'MARKER'", marker])
+        body += pair_lines(draw, f" x{j}", pairs)
+    if ints[-1]:
+        body.append([" ", "MEND", "'MARKER'", "'intend'"])
+    body.append(["RHS"])
+    body += pair_lines(draw, " rhs", draw(st.lists(
+        st.tuples(targets, WIDE_VALUES), max_size=m + 1)))
+    if m and draw(st.booleans()):
+        body.append(["RANGES"])
+        body += pair_lines(draw, " rng", draw(st.lists(
+            st.tuples(targets, WIDE_VALUES), max_size=m)))
+    if draw(st.booleans()):
+        body.append(["BOUNDS"])
+        for _ in range(draw(st.integers(0, 2 * n))):
+            btype = draw(st.sampled_from(BOUND_TYPES))
+            # a negative UP that leaves the default lower bound 0 in range
+            values = st.just("-1e-7") | WIDE_VALUES if btype == "UP" \
+                else WIDE_VALUES
+            value = [] if btype in ("FR", "MI", "PL", "BV") else [draw(values)]
+            body.append([" ", btype, "bnd", f"x{draw(st.integers(0, n - 1))}"]
+                        + value)
+    body.append(["ENDATA"])
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))),
+                    [draw(st.sampled_from(["", "   ", "* note", "  *x 1"]))])
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    return [sep.join(toks) if toks[0] != " " else " " + sep.join(toks[1:])
+            for toks in body]
+
+
+@st.composite
+def malformed_mps_texts(draw):
+    """A generated text with one line or token changed, added or removed."""
+    lines = draw(mps_texts())
+    i = draw(st.integers(0, len(lines) - 1))
+    toks = lines[i].split()
+    how = draw(st.sampled_from(["value", "value", "replace", "drop", "add",
+                                "insert", "delete"]))
+    if how == "value" and len(toks) > 2:
+        toks[-1] = draw(st.sampled_from(["abc", "nan", "inf", "-inf", "1e999",
+                                         "--1"]))
+        lines[i] = " " + " ".join(toks)
+    elif how in ("replace", "drop", "add") and toks:
+        k = draw(st.integers(0, len(toks) - 1))
+        bad = draw(st.sampled_from(["abc", "nan", "NaN", "inf", "-inf", "R9",
+                                    "XX", "'MARKER'", "FOO", "*", "N", "E"]))
+        if how == "replace":
+            toks[k] = bad
+        elif how == "drop":
+            del toks[k]
+        else:
+            toks.insert(k + 1, bad)
+        lead = " " if lines[i][:1].isspace() else ""
+        lines[i] = lead + " ".join(toks)
+    elif how == "insert":
+        lines.insert(i, draw(st.sampled_from([
+            "FOO", " x0 R9 1", " LO bnd x9 1", " UP bnd x0", " Q R0",
+            "BOUNDS", "ROWS", "ENDATA", " M9 'MARKER' 'BOGUS'", " E R0",
+            " x0 R0 1 R1", " rhs OBJ 4"])))
+    else:
+        del lines[i]
+    return lines
+
+
+def named_by_rule(text):
+    """The row names of a parsed text: each declared row names its first
+    row, and the second row of an E row or a ranged row is unnamed."""
+    section, decls, ranged = None, [], set()
+    for raw in text.splitlines():
+        toks = raw.split()
+        if not toks or toks[0][0] == "*":
+            continue
+        if not raw[0].isspace():
+            section = toks[0].upper()
+        elif section == "ROWS" and toks[0].upper() != "N":
+            decls.append((toks[1], toks[0].upper()))
+        elif section == "RANGES":
+            ranged.update(toks[1::2])
+    names = []
+    for rname, sense in decls:
+        names += [rname, ""] if sense == "E" or rname in ranged else [rname]
+    return names
+
+
+def read_all(parse, text):
+    """Everything a reader gives for a text, repr-exact, and the row
+    names apart; a ModelError's message without the row it names."""
+    try:
+        inst, diag = parse(text)
+    except MpsParseError as exc:
+        return ("MpsParseError", exc.code, exc.line_no, str(exc)), None
+    except ModelError as exc:
+        return ("ModelError", re.sub(r"^row \S+ ", "row ", str(exc))), None
+    fields = {k: (v.dtype.str, v.flags.writeable, v.tolist())
+              if isinstance(v, np.ndarray) else v
+              for k, v in vars(inst).items() if k != "rows"}
+    rows = [(r.cols, r.coefs, r.rhs, r.kind, r.prepared) for r in inst.rows]
+    return ("ok", repr(fields), repr(rows), repr(diag)), \
+        [r.name for r in inst.rows]
+
+
+class TestAgainstReference:
+    @given(st.one_of(mps_texts(), malformed_mps_texts()))
+    @example([
+        "NAME", "OBJSENSE MAX", "ROWS", " N OBJ", " E E1", " G G1", " L L1",
+        "COLUMNS", " x0 OBJ 2 E1 1", " x0 G1 1 L1 1", " x1 E1 1 L1 -0",
+        "RHS", " rhs E1 3 OBJ 1", " rhs G1 1 L1 4", "RANGES",
+        " rng E1 -2 G1 2", " rng L1 -1.5", "BOUNDS", " UP bnd x0 -1e-7",
+        " MI bnd x1", " UP bnd x1 9", "ENDATA"])
+    @settings(max_examples=250, deadline=None)
+    def test_same_instance_diagnostics_and_errors(self, lines):
+        text = "\n".join(lines) + "\n"
+        want, _ = read_all(oracles.reference_parse_mps, text)
+        got, names = read_all(parse_mps, text)
+        assert got == want
+        if names is not None:
+            assert names == named_by_rule(text)
