@@ -59,7 +59,9 @@ class CpOutcome:
 
 def node_limit_from_iters(iter_lp: int) -> int:
     """Probe budget coupled to the LP iterations done so far: node LPs
-    and the strong-branching LPs that were solved."""
+    and the strong-branching LPs that were solved.  A node LP handed its
+    strong-branching child's result still adds that result's iterations,
+    so the budget is the one solving it again would give."""
     return min(5000, max(500, int(iter_lp)))
 
 

@@ -37,7 +37,11 @@ padded cost and the residual limit once.  It keeps the inverse of the
 last warm basis it inverted, so an LP starting from the same basis
 columns (a node's strong-branching children, then its plunge child)
 takes a copy of it instead of one O(m^3) inversion of its own; the copy
-is bit for bit what that inversion gives.
+is bit for bit what that inversion gives.  It also holds the finished
+child LPs of the current strong-branching round: the tree takes the two
+of the variable it branches on into its child nodes, and a child node
+whose box and warm start equal its strong-branching child's exactly is
+handed that result by `solve_lp` instead of solving the LP again.
 
 The nonbasic values are built once per LP and kept: a pivot or bound
 flip rewrites only the entering, leaving or flipped column, so an
@@ -104,10 +108,39 @@ def default_iteration_cap(n: int, m: int) -> int:
     return 10 * (n + m) + 1000
 
 
+def _bounds(box: BoundBox) -> bytes:
+    """The box's lower then upper bounds as float64 bytes: equal exactly
+    when the boxes are, -0.0 and 0.0 apart."""
+    return np.array(box.lower + box.upper).tobytes()
+
+
+@dataclass
+class KeptLp:
+    """A finished LP result with the box and warm start it came from."""
+    result: LpResult
+    bounds: bytes               # `_bounds` of its box
+    start: np.ndarray | None    # its warm basis
+
+    def answers(self, box: BoundBox, warm_basis: np.ndarray | None) -> bool:
+        """True when `box` and `warm_basis` are exactly its own."""
+        start = self.start
+        same_start = warm_basis is start or (
+            warm_basis is not None and start is not None
+            and np.array_equal(warm_basis, start))
+        return same_start and _bounds(box) == self.bounds
+
+
 class LpWorkspace:
     """What the LPs of one instance share: T = [A | I], b, the padded cost
     and the residual limit, all read-only, and the inverse of the last
-    warm basis inverted, with that basis's column list."""
+    warm basis inverted, with that basis's column list.
+
+    `sb_children` holds the current strong-branching round: per variable,
+    its (down, up) child LPs that the simplex finished, None for a child
+    that was empty or stopped by the deadline or the iteration cap.
+    `take_children` hands the branched variable's pair to the tree and
+    drops the rest, so a round keeps at most two results, each until its
+    child node is processed."""
 
     def __init__(self, instance: Instance):
         A, b = instance.dense()
@@ -120,6 +153,7 @@ class LpWorkspace:
         self.T.flags.writeable = self.cost.flags.writeable = False
         self.basis: list[int] | None = None
         self.Binv: np.ndarray | None = None
+        self.sb_children: dict[int, tuple[KeptLp | None, KeptLp | None]] = {}
 
     def inverse(self, basis: list[int]) -> np.ndarray:
         """A copy of the inverse of T[:, basis], which the LP may update in
@@ -128,6 +162,14 @@ class LpWorkspace:
             self.Binv = np.linalg.inv(self.T[:, basis])
             self.basis = basis.copy()    # the LP pivots its own list
         return self.Binv.copy()
+
+    def take_children(self, var: int) -> tuple[KeptLp | None, KeptLp | None]:
+        """The (down, up) children kept from strong branching on `var` in
+        the current round, or Nones; every other child of the round is
+        dropped."""
+        children = self.sb_children.pop(var, (None, None))
+        self.sb_children.clear()
+        return children
 
 
 class _Simplex:
@@ -535,7 +577,8 @@ class _Simplex:
 def solve_lp(instance: Instance, box: BoundBox,
              warm_basis: np.ndarray | None = None,
              deadline: float | None = None, *,
-             workspace: LpWorkspace | None = None) -> LpResult:
+             workspace: LpWorkspace | None = None,
+             known: KeptLp | None = None) -> LpResult:
     """Solve the LP relaxation over `box`.
 
     Deterministic for identical inputs.  `warm_basis` takes a previous
@@ -544,10 +587,16 @@ def solve_lp(instance: Instance, box: BoundBox,
     `time.monotonic()` passes `deadline`, the solve stops before its next
     pivot with ITERATION_LIMIT.  `workspace`, built for `instance`, shares
     T and warm inverses among the LPs of one solve; without it the LP
-    builds its own, with the same answer.
+    builds its own, with the same answer.  `known`, an LP of `instance`
+    kept from earlier, is returned as it is, the very object, when its
+    box and warm start equal `box` and `warm_basis` exactly and
+    `deadline` has not passed: the result this call would compute.
     """
     if box.is_empty():
         return LpResult(LpStatus.INFEASIBLE)
+    if known is not None and known.answers(box, warm_basis) and (
+            deadline is None or time.monotonic() <= deadline):
+        return known.result
     if workspace is None:
         workspace = LpWorkspace(instance)
     cap = default_iteration_cap(instance.num_vars, instance.num_rows)
@@ -597,25 +646,32 @@ def strong_branch(instance: Instance, box: BoundBox, var: int,
     """Probe both children of branching on `var` at the parent LP value.
 
     Each child is an ordinary LP warm-started from the parent's basis, the
-    same solve a node LP makes, in the same `workspace`.  Returns (down
+    same solve a node LP makes, in the same `workspace`, which keeps the
+    children the simplex finished in `sb_children[var]`.  Returns (down
     objective, up objective, simplex iterations); None stands for an
     infeasible child or one stopped at `deadline` or by the iteration cap.
     """
     assert parent.x is not None and parent.objective is not None
     frac = float(parent.x[var])
     iters = 0
-    objs: list[float | None] = []
-    for child_hi in (True, False):
+    objs: list[float | None] = [None, None]
+    kept: list[KeptLp | None] = [None, None]
+    for k in (0, 1):
         child = box.copy()
-        if child_hi:
+        if k == 0:
             child.upper[var] = float(math.floor(frac + INT_TOL))
         else:
             child.lower[var] = float(math.ceil(frac - INT_TOL))
         if child.is_empty():
-            objs.append(None)
             continue
         res = solve_lp(instance, child, warm_basis=parent.basis_status,
                        deadline=deadline, workspace=workspace)
         iters += res.iterations
-        objs.append(res.objective)
+        objs[k] = res.objective
+        # only a finished result, never one the deadline or the cap stopped
+        if workspace is not None and \
+                res.status is not LpStatus.ITERATION_LIMIT:
+            kept[k] = KeptLp(res, _bounds(child), parent.basis_status)
+    if workspace is not None:
+        workspace.sb_children[var] = (kept[0], kept[1])
     return objs[0], objs[1], iters

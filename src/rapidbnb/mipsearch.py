@@ -19,6 +19,11 @@ globally) drops the kept state, so a switched state is the one a build
 from the root gives, down to the constraint order: rows, globals, path
 locals.
 
+A node's strong-branching LPs for the variable it branches on go with
+its two children, each until that child is processed: a child whose box
+after its fixpoint and warm start are still exactly those of its
+strong-branching LP gets that result from its own `solve_lp` call.
+
 The probe hook has two halves: `rapid.maybe_run` decides whether to
 probe a node and runs the probe, and `_Solve._transfer` applies what it
 found (conflicts, bound tightenings, a solution, or the settled node)
@@ -42,7 +47,8 @@ import numpy as np
 from .branching import BranchingStats
 from .conflict import BoundDisjunction, Trail, analyze_1uip, to_knapsack
 from .cpsearch import CpOutcome, CpStatus
-from .lp import LpResult, LpStatus, LpWorkspace, solve_lp, strong_branch
+from .lp import (KeptLp, LpResult, LpStatus, LpWorkspace, solve_lp,
+                 strong_branch)
 from .model import (FEAS_TOL, GAP_TOL, INF, INT_TOL, BoundBox, EmptyBoxError,
                     Instance, Side, fmt_g)
 from .propagation import Outcome, Propagator
@@ -73,6 +79,8 @@ class SearchStats:
     sb_no_improvement: int = 0
     sb_objective_changed: int = 0
     branching: BranchingStats = field(default_factory=BranchingStats)
+    # every node and strong-branching LP's iterations, a node LP handed
+    # its strong-branching child's result included
     iter_lp: int = 0
     # seconds spent switching the kept node state to each next node (the
     # rewind, detach and descent, or after a change of the globals the
@@ -111,6 +119,8 @@ class Node:
     # how far branching moved the parent's LP value of the branched variable
     branch_distance: float = 0.0
     parent_obj: float = math.nan
+    # the parent's strong-branching LP of this child, until it is processed
+    sb_lp: KeptLp | None = None
 
     def path(self) -> list["Node"]:
         """Ancestors from depth 1 down to this node, root excluded."""
@@ -355,6 +365,7 @@ class _Solve:
         inst, stats = self.inst, self.stats
         t_switch = time.perf_counter()
         lp, self.root_lp = self.root_lp, None
+        sb_lp, node.sb_lp = node.sb_lp, None
         state = self._switch(node)
         stats.switching_time += time.perf_counter() - t_switch
         if state is None:
@@ -367,7 +378,8 @@ class _Solve:
         # open, like any node taken off the queue too late
         if lp is None or time.monotonic() > self.deadline:
             lp = solve_lp(inst, box, warm_basis=node.basis,
-                          deadline=self.deadline, workspace=self.lp_workspace)
+                          deadline=self.deadline, workspace=self.lp_workspace,
+                          known=sb_lp)
             stats.iter_lp += lp.iterations
         if lp.status is LpStatus.UNBOUNDED:
             raise SolveError("LP relaxation is unbounded; finite bounds required")
@@ -426,7 +438,8 @@ class _Solve:
         if node.depth <= SB_DEPTH_CAP:
             self._strong_branch_round(node, box, lp, obj, x, fractional)
         var = stats.branching.ranked(fractional)[0]
-        self._branch(node, box, lp.basis_status, obj, float(x[var]), var)
+        self._branch(node, box, lp.basis_status, obj, float(x[var]), var,
+                     sb_lps=self.lp_workspace.take_children(var))
 
     def _transfer(self, node: Node, trail: Trail,
                   outcome: CpOutcome) -> bool:
@@ -555,19 +568,25 @@ class _Solve:
                 table.observe(j, 1, up - obj, 1.0 - f_dn)
 
     def _branch(self, node: Node, box: BoundBox, basis, obj: float,
-                xv: float, var: int, capped: bool = False) -> None:
+                xv: float, var: int, capped: bool = False,
+                sb_lps: tuple[KeptLp | None, KeptLp | None] = (None, None),
+                ) -> None:
         """Split `var` at its value `xv`: x <= v in one child and
-        x >= v + 1 in the other, v = floor(xv) inside the box."""
+        x >= v + 1 in the other, v = floor(xv) inside the box.  `sb_lps`
+        holds the (down, up) strong-branching LPs of `var`, which the
+        children's own LPs return when their boxes are still equal."""
         v = int(math.floor(xv))
         v = int(min(max(v, box.lower[var]), box.upper[var] - 1))
         down = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                     lower_bound=node.lower_bound,
                     branch=(var, Side.UPPER, float(v)), basis=basis,
-                    branch_distance=xv - v, parent_obj=obj)
+                    branch_distance=xv - v, parent_obj=obj,
+                    sb_lp=sb_lps[0])
         up = Node(id=self._new_id(), parent=node, depth=node.depth + 1,
                   lower_bound=node.lower_bound,
                   branch=(var, Side.LOWER, float(v + 1)), basis=basis,
-                  branch_distance=v + 1.0 - xv, parent_obj=obj)
+                  branch_distance=v + 1.0 - xv, parent_obj=obj,
+                  sb_lp=sb_lps[1])
         self.log(f"branch node {node.id} depth {node.depth} var {var} "
                  f"point {v} frac {fmt_g(xv - v)} "
                  f"down {down.id} up {up.id}")

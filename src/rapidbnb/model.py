@@ -72,9 +72,14 @@ class Row:
                  name: str = ""):
         if len(cols) != len(coefs):
             raise ModelError("row column/coefficient length mismatch")
-        if len(set(cols)) != len(cols):
+        icols = tuple(map(int, cols))
+        # int() truncates: an index that it changed is not one
+        if icols != tuple(cols):
+            raise ModelError(
+                f"row {name or '<unnamed>'} has a non-integer column index")
+        if len(set(icols)) != len(icols):
             raise ModelError(f"row {name or '<unnamed>'} repeats a column")
-        cols, coefs = tuple(map(int, cols)), tuple(map(float, coefs))
+        cols, coefs = icols, tuple(map(float, coefs))
         # zero terms carry no information and would break propagation
         if 0.0 in coefs:
             kept = [(j, a) for j, a in zip(cols, coefs) if a != 0.0]

@@ -203,17 +203,18 @@ def parse_mps(source: str | bytes | os.PathLike,
             if sense not in ("N", "L", "G", "E"):
                 raise MpsParseError(MALFORMED_SECTION, line_no,
                                     f"unknown row sense {toks[0]!r}")
-            if sense == "N":
-                if objective_row is None:
-                    objective_row = rname
-                else:
-                    diag.warn(line_no, f"extra free row {rname!r} ignored")
+            if sense == "N" and objective_row is not None:
+                diag.warn(line_no, f"extra free row {rname!r} ignored")
                 continue
-            if rname in rows:
+            # the objective and the constraints share one name space
+            if rname in rows or rname == objective_row:
                 raise MpsParseError(MALFORMED_SECTION, line_no,
                                     f"duplicate row name {rname!r}")
-            # interned: models read with the same row names share them
-            rows[rname] = _RowDecl(sys.intern(rname), sense)
+            if sense == "N":
+                objective_row = rname
+            else:
+                # interned: models read with the same row names share them
+                rows[rname] = _RowDecl(sys.intern(rname), sense)
         elif section == "BOUNDS":
             if len(toks) < 3:
                 raise MpsParseError(MALFORMED_SECTION, line_no,

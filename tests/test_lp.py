@@ -644,6 +644,89 @@ class TestStrongBranchChildren:
         assert n_rounds >= 10 and n_children >= 50
 
 
+class TestKeptChildren:
+    """The workspace keeps the finished child LPs of a strong-branching
+    round, hands the branched variable's two to the tree and drops the
+    rest; `solve_lp` returns a kept result only for its exact box and
+    start, before the deadline."""
+
+    @staticmethod
+    def round_(seed):
+        """A wide LP, its optimal parent, two fractional columns and the
+        workspace of a round that strong-branched both."""
+        rng = np.random.default_rng(seed)
+        while True:
+            n = int(rng.integers(10, 25))
+            inst = wide_lp(rng, n, int(rng.integers(n // 3, n)))
+            box = inst.root_box()
+            parent = solve_lp(inst, box)
+            if parent.status is not LpStatus.OPTIMAL:
+                continue
+            frac = [j for j in range(n)
+                    if abs(parent.x[j] - round(parent.x[j])) > 1e-6]
+            if len(frac) < 2:
+                continue
+            ws = LpWorkspace(inst)
+            for j in frac[:2]:
+                strong_branch(inst, box, j, parent, workspace=ws)
+            return inst, box, parent, frac[:2], ws
+
+    @staticmethod
+    def children(box, parent, j):
+        down, up = box.copy(), box.copy()
+        down.upper[j] = float(math.floor(parent.x[j]))
+        up.lower[j] = float(math.ceil(parent.x[j]))
+        return down, up
+
+    def test_the_branched_variables_children_and_nothing_else(self):
+        n_kept = 0
+        for seed in range(10):
+            inst, box, parent, (a, b), ws = self.round_(seed)
+            assert set(ws.sb_children) == {a, b}
+            kept = ws.take_children(a)
+            assert ws.sb_children == {} and ws.take_children(b) == (None, None)
+            for k, child in zip(kept, self.children(box, parent, a)):
+                if k is None:
+                    continue
+                n_kept += 1
+                assert k.start is parent.basis_status
+                fresh = solve_lp(inst, child, warm_basis=parent.basis_status)
+                TestLpWorkspace.assert_same(k.result, fresh)
+                assert solve_lp(inst, child, warm_basis=parent.basis_status,
+                                known=k) is k.result
+        assert n_kept >= 15
+
+    def test_exact_box_and_start_only(self):
+        inst, box, parent, (a, _), ws = self.round_(3)
+        kept, _ = ws.take_children(a)
+        child, other = self.children(box, parent, a)
+        assert solve_lp(inst, child, warm_basis=parent.basis_status,
+                        known=kept) is kept.result
+        # another start, though the box is the same: solved afresh
+        cold = solve_lp(inst, child, known=kept)
+        assert cold is not kept.result
+        TestLpWorkspace.assert_same(cold, solve_lp(inst, child))
+        # another box by one bound, or by the sign of a zero
+        assert solve_lp(inst, other, warm_basis=parent.basis_status,
+                        known=kept) is not kept.result
+        zero = next(j for j in range(inst.num_vars) if child.lower[j] == 0.0)
+        child.lower[zero] = -0.0
+        assert not kept.answers(child, parent.basis_status)
+
+    def test_no_kept_result_across_a_deadline(self):
+        inst, box, parent, (a, _), ws = self.round_(5)
+        kept, _ = ws.take_children(a)
+        child, _ = self.children(box, parent, a)
+        late = solve_lp(inst, child, warm_basis=parent.basis_status,
+                        deadline=time.monotonic() - 1.0, known=kept)
+        assert late.status is LpStatus.ITERATION_LIMIT
+        assert late is not kept.result
+        # children a deadline stopped are not kept at all
+        strong_branch(inst, box, a, parent, deadline=time.monotonic() - 1.0,
+                      workspace=ws)
+        assert ws.take_children(a) == (None, None)
+
+
 class TestLpWorkspace:
     """The LPs of one instance share a workspace: [A | I], the padded
     cost and the inverse of the last warm basis inverted.  Each must give

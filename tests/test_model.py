@@ -41,6 +41,13 @@ class TestRow:
             with pytest.raises(ModelError, match="repeats a column"):
                 Row(cols, (1.0, 2.0), 1.0)
 
+    def test_fractional_column_rejected_not_truncated(self):
+        # truncated, these would be the repeats (1, 1)
+        for cols in ((1, 1.5), np.array([1.2, 1.7])):
+            with pytest.raises(ModelError, match="non-integer column"):
+                Row(cols, (1.0, 2.0), 1.0)
+        assert Row(np.array([2.0, 0.0]), (1.0, 2.0), 1.0).cols == (2, 0)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelError):
             Row((0, 1), (1.0,), 1.0)

@@ -147,6 +147,20 @@ class TestParseErrors:
             parse_mps(text)
         assert err.value.code == MALFORMED_SECTION
 
+    @pytest.mark.parametrize("rows,line_no", [
+        (" N OBJ\n L OBJ", 4),      # the constraint after the objective
+        (" L OBJ\n N OBJ", 4),      # and before it
+        (" N OBJ\n G R1\n E OBJ", 5),
+    ])
+    def test_constraint_named_like_the_objective(self, rows, line_no):
+        # read as one row, it would be `min x` with the empty row 0 <= 0
+        text = (f"NAME\nROWS\n{rows}\nCOLUMNS\n x OBJ 1\nRHS\n"
+                " RHS OBJ -1\nENDATA\n")
+        with pytest.raises(MpsParseError, match="duplicate row") as err:
+            parse_mps(text)
+        assert (err.value.code, err.value.line_no) == \
+            (MALFORMED_SECTION, line_no)
+
     def test_ranges_unknown_row(self):
         text = GOOD_MIN.replace("ENDATA", "RANGES\n RNG R9 2\nENDATA")
         with pytest.raises(MpsParseError) as err:

@@ -78,12 +78,17 @@ def test_probe_event_lines_match_the_traced_counts():
 def test_strong_branching_lps_match_the_solver(monkeypatch):
     # `lp.sb_lps` counts the `rapidbnb.lp.solve_lp` calls made inside
     # `strong_branch`; second wrappers, installed below the tracer's,
-    # count the calls made while `mipsearch.strong_branch` is on the stack
+    # count the calls made while `mipsearch.strong_branch` is on the stack,
+    # and the node LPs that return a strong-branching child's result: a
+    # node LP taken from strong branching must still be a `solve_lp` call
+    # the tracer sees, its iterations counted once as a node LP's
     m = gen.knapsack_model(np.random.default_rng(5), "knapsack", 14, 3)
     inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(14))
     solve_lp = rapidbnb.lp.solve_lp
+    node_lp = rapidbnb.mipsearch.solve_lp
     strong_branch = rapidbnb.mipsearch.strong_branch
-    depth = child_lps = 0
+    depth = child_lps = reused = 0
+    children = {}
 
     def branching(*args, **kwargs):
         nonlocal depth
@@ -96,10 +101,20 @@ def test_strong_branching_lps_match_the_solver(monkeypatch):
     def counted(*args, **kwargs):
         nonlocal child_lps
         child_lps += depth > 0
-        return solve_lp(*args, **kwargs)
+        res = solve_lp(*args, **kwargs)
+        if depth > 0:
+            children[id(res)] = res
+        return res
+
+    def node(*args, **kwargs):
+        nonlocal reused
+        res = node_lp(*args, **kwargs)
+        reused += children.get(id(res)) is res
+        return res
 
     monkeypatch.setattr(rapidbnb.mipsearch, "strong_branch", branching)
     monkeypatch.setattr(rapidbnb.lp, "solve_lp", counted)
+    monkeypatch.setattr(rapidbnb.mipsearch, "solve_lp", node)
     tracer = Tracer(rapidbnb)
     with tracer.installed():
         res = tracer.solve(inst, MipConfig(rapid_mode="off"))
@@ -108,6 +123,8 @@ def test_strong_branching_lps_match_the_solver(monkeypatch):
     assert res.stats.sb_no_improvement + res.stats.sb_objective_changed > 0
     assert counts["lp.sb_lps"] > 0
     assert counts["lp.sb_lps"] == child_lps
+    assert reused > 0
+    assert counts["lp.node_iters"] + counts["lp.sb_iters"] == res.stats.iter_lp
 
 
 def test_end_to_end_cpu_geomean_uses_the_shared_helper():
