@@ -99,6 +99,7 @@ def parse_mps(source: str | bytes | os.PathLike,
     objective_row: str | None = None
     maximize = False
     rows: dict[str, _RowDecl] = {}
+    free_rows: set[str] = set()     # N rows after the objective, ignored
     col_order: list[str] = []
     col_index: dict[str, int] = {}
     obj_coefs: dict[int, float] = {}
@@ -163,6 +164,8 @@ def parse_mps(source: str | bytes | os.PathLike,
                     continue
                 decl = rows.get(rname)
                 if decl is None:
+                    if rname in free_rows:
+                        continue
                     raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
                                         f"column entry for unknown row {rname!r}")
                 coefs = decl.coefs
@@ -189,6 +192,8 @@ def parse_mps(source: str | bytes | os.PathLike,
                     continue
                 decl = rows.get(rname)
                 if decl is None:
+                    if rname in free_rows:
+                        continue
                     raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
                                         f"{section} entry for unknown row {rname!r}")
                 if section == "RHS":
@@ -205,6 +210,7 @@ def parse_mps(source: str | bytes | os.PathLike,
                                     f"unknown row sense {toks[0]!r}")
             if sense == "N" and objective_row is not None:
                 diag.warn(line_no, f"extra free row {rname!r} ignored")
+                free_rows.add(rname)
                 continue
             # the objective and the constraints share one name space
             if rname in rows or rname == objective_row:

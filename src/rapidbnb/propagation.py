@@ -23,19 +23,33 @@ those watching an upper-bound literal on it, are built when the clause
 enters a Propagator and never shared between searches.
 
 The fixpoint driver evaluates only dirty constraints, in the manner of
-Chaff and MiniSat.  A row is dirtied when a variable it reads moves.  A
-clause is dirtied only when a move can change its verdict: a tightening
-that may falsify a watched literal, unless the other watch is true, and
-a loosening that may un-true a watched literal whose other watch is
-false (a one-literal clause is its own other watch, so it always wakes
-then).  A clause's verdict depends on the box alone: it fails when every
-literal is false, deduces the one non-false literal when that is open,
-and is quiet otherwise.  A clean clause has a true watch or two
-non-false ones, so each evaluation skipped would have been quiet; a
-clean row's variables moved since its last evaluation only by its own
-deductions, so evaluating it again would change nothing.  Skipping both
-leaves the trail, and so every conflict, exactly as a full round-robin
-would.
+Chaff and MiniSat.  A row is dirtied when a bound its minimum activity
+reads tightens (SCIP's linear handler reacts to the same events): a
+tighter opposite bound only makes each candidate bound harder to beat,
+or for a knapsack leaves an item out that the walk would have found
+fitting.  A clause is dirtied only when a tightening may falsify a
+watched literal, unless the other watch is true.  A clause's verdict
+depends on the box alone: it fails when every literal is false, deduces
+the one non-false literal when that is open, and is quiet otherwise.  A
+clean clause has a true watch or two non-false ones, so each evaluation
+skipped would have been quiet; since a clean row's last evaluation, its
+read bounds have not moved and its other bounds have only tightened,
+its own deductions among them, so evaluating it again would change
+nothing.  Skipping both leaves the trail, and so every conflict,
+exactly as a full round-robin would.
+
+A rewind returns the driver to the fixpoint it left, the way a
+watched-literal solver backtracks without touching a watch.  Each quiet
+fixpoint leaves a record of the trail mark it ended at, with every
+constraint clean, and the next fixpoint diffs the box against the
+deepest record whose mark is still on the trail, instead of against
+the deeper state the rewind undid; since the record the bounds have
+only tightened, so the diff wakes what deductions would have.  A clause
+whose watches moved below that record moved them onto literals that
+were non-false on a box inside the record's, so they are non-false on
+the record's box too.  That holds only while every box since the
+record lay inside it, so a box outside it (a bound loosened past the
+trail) drops every record and dirties every constraint.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .conflict import BoundDisjunction, Trail
+from .conflict import BoundChange, BoundDisjunction, Trail
 from .model import FEAS_TOL, INT_TOL, BoundBox, Instance, Row, RowKind, Side
 
 
@@ -312,6 +326,26 @@ def clause_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
     return lits
 
 
+def _tightened(box: BoundBox, snap: tuple[list[float], list[float]],
+               ) -> tuple[list[int], list[int]] | None:
+    # the columns whose lower bound rose and whose upper bound fell since
+    # the snapshot, or None when a bound loosened: the box is not inside
+    # the snapshot's.  A side that equals it as a whole costs one comparison
+    lower, upper = box.lower, box.upper
+    snap_lower, snap_upper = snap
+    rose = [] if lower == snap_lower else \
+        [j for j, v in enumerate(lower) if v != snap_lower[j]]
+    fell = [] if upper == snap_upper else \
+        [j for j, v in enumerate(upper) if v != snap_upper[j]]
+    for j in rose:
+        if lower[j] < snap_lower[j]:
+            return None
+    for j in fell:
+        if upper[j] > snap_upper[j]:
+            return None
+    return rose, fell
+
+
 class _Item:
     __slots__ = ("idx", "cid", "row", "lits", "watch")
 
@@ -331,24 +365,29 @@ class Propagator:
     constraints must be registered under ids that do not collide.
     `truncate` detaches those added last, as a rewind past their level.
 
-    Between fixpoints the propagator remembers which constraints are
-    dirty and, in `snapshot`, the bounds at the end of the last
-    fixpoint, quiet or failed.
-    `occ[j]` lists the rows that read variable j; `watch_lower[j]` and
-    `watch_upper[j]` list the clauses watching a lower- or upper-bound
-    literal on j, and `_evaluate` moves a clause when its watches move.
+    Between fixpoints `records` keeps, per quiet fixpoint still on the
+    trail, `(mark, change, snapshot, size)`: the trail's length and last
+    change (None at mark 0) at its end, its bounds and its number of
+    constraints; marks rise and boxes shrink up the list.
+    `occ[side][j]` lists the rows whose minimum activity reads that
+    bound of variable j: the lower one under a positive coefficient
+    (every knapsack weight), the upper one under a negative one.
+    `watch_lower[j]` and `watch_upper[j]` list the clauses watching a
+    lower- or upper-bound literal on j, and `_evaluate` moves a clause
+    when its watches move.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.int_mask: list[bool] = instance.integer_mask.tolist()
         self.items: list[_Item] = []
-        self.dirty: list[bool] = []
         n = instance.num_vars
-        self.occ: list[list[int]] = [[] for _ in range(n)]
+        self.occ: tuple[list[list[int]], list[list[int]]] = (
+            [[] for _ in range(n)], [[] for _ in range(n)])
         self.watch_lower: list[list[int]] = [[] for _ in range(n)]
         self.watch_upper: list[list[int]] = [[] for _ in range(n)]
-        self.snapshot: tuple[list[float], list[float]] | None = None
+        self.records: list[tuple[int, BoundChange | None,
+                                 tuple[list[float], list[float]], int]] = []
         for i, row in enumerate(instance.rows):
             self.add_constraint(i, row)
 
@@ -360,27 +399,34 @@ class Propagator:
             item = _Item(idx, cid, lits=clause_literals(con))
         else:
             item = _Item(idx, cid, row=con)
-            for j in con.cols:
-                self.occ[j].append(idx)
+            for occ in self._occurrences(con):
+                occ.append(idx)
         if item.lits is not None:
             for lit in item.lits[:2]:       # the literals watched first
                 self._watchers(lit).append(idx)
         self.items.append(item)
-        self.dirty.append(True)
 
     def truncate(self, size: int) -> None:
-        """Detach every constraint after the first `size`, with its dirty
-        flag and its watch and occurrence entries: the inverse of
-        `add_constraint`."""
+        """Detach every constraint after the first `size`, with its watch
+        and occurrence entries: the inverse of `add_constraint`.
+        Fixpoint records that held more go too."""
         for item in self.items[size:]:
             if item.lits is not None:
                 for w in set(item.watch):
                     self._watchers(item.lits[w]).remove(item.idx)
             else:
-                for j in item.row.cols:
-                    self.occ[j].remove(item.idx)
+                for occ in self._occurrences(item.row):
+                    occ.remove(item.idx)
         del self.items[size:]
-        del self.dirty[size:]
+        records = self.records
+        while records and records[-1][3] > size:
+            records.pop()
+
+    def _occurrences(self, row: Row) -> list[list[int]]:
+        # per term, the occurrence list of the bound its minimum activity reads
+        lows, ups = self.occ
+        return [lows[j] if a > 0 else ups[j]
+                for j, a in zip(row.cols, row.coefs)]
 
     def _watchers(self, lit: tuple[int, Side, float]) -> list[int]:
         var, side, _ = lit
@@ -405,14 +451,12 @@ class Propagator:
             return propagate_knapsack(row, box)
         return propagate_linear_row(row, box, self.int_mask)
 
-    def _wake(self, watchers: list[int], var: int, box: BoundBox,
-              tightened: bool, loosened: bool) -> None:
+    def _wake(self, dirty: list[bool], watchers: list[int], var: int,
+              box: BoundBox) -> None:
         """Dirty the clauses among `watchers`, each watching a literal on
-        `var`, whose verdict the move of var may change: after a
-        tightening, those whose other watch is not true; after a
-        loosening, those whose other watch is false, and one-literal
-        clauses."""
-        dirty, items = self.dirty, self.items
+        `var` that a tightening of var may falsify, whose other watch is
+        not true."""
+        items = self.items
         for k in watchers:
             if dirty[k]:
                 continue
@@ -421,38 +465,61 @@ class Propagator:
             w0, w1 = item.watch
             other = _lit_state(lits[w1] if lits[w0][0] == var else lits[w0],
                                box)
-            if (tightened and other != _TRUE) or \
-                    (loosened and (other == _FALSE or w0 == w1)):
+            if other != _TRUE:
                 dirty[k] = True
 
-    def _mark_moved(self, box: BoundBox) -> None:
-        """Dirty every row that reads a variable moved since the snapshot,
-        and every clause whose verdict such a move may change.  Before the
-        first fixpoint there is no snapshot, and every constraint is new."""
-        if self.snapshot is None:
-            return
-        snap_lower, snap_upper = self.snapshot
-        if box.lower == snap_lower and box.upper == snap_upper:
-            return
-        dirty, occ = self.dirty, self.occ
-        lows, ups = self.watch_lower, self.watch_upper
-        for j, (lo, up, slo, sup) in enumerate(
-                zip(box.lower, box.upper, snap_lower, snap_upper)):
-            if lo == slo and up == sup:
+    def _mark_moved(self, box: BoundBox, trail: Trail) -> list[bool]:
+        """The dirty flags a fixpoint starts from: the constraints the top
+        record still on the trail held clean unless a bound they read
+        tightened since, and later ones dirty.  With no record, or a box
+        outside it (a bound loosened past the trail), every constraint
+        is dirty."""
+        records, changes = self.records, trail.changes
+        while records:
+            mark, change, snap, size = records[-1]
+            if mark > len(changes) or \
+                    (changes[mark - 1] if mark else None) is not change:
+                records.pop()
                 continue
-            for i in occ[j]:
-                dirty[i] = True
-            # a higher lower bound may falsify upper-bound literals, and a
-            # lower one un-true lower-bound literals; the same for upper
-            if lows[j] and (up < sup or lo < slo):
-                self._wake(lows[j], j, box, up < sup, lo < slo)
-            if ups[j] and (lo > slo or up > sup):
-                self._wake(ups[j], j, box, lo > slo, up > sup)
+            moved = _tightened(box, snap)
+            if moved is None:
+                break
+            dirty = [False] * size + [True] * (len(self.items) - size)
+            self._dirty_moved(dirty, box, *moved)
+            return dirty
+        records.clear()
+        return [True] * len(self.items)
 
-    def _stop(self, box: BoundBox, outcome: Outcome,
+    def _dirty_moved(self, dirty: list[bool], box: BoundBox,
+                     rose: list[int], fell: list[int]) -> None:
+        # a risen lower bound dirties the rows that read it and may
+        # falsify upper-bound literals; the same for a fallen upper bound
+        occ_lower, occ_upper = self.occ
+        lows, ups = self.watch_lower, self.watch_upper
+        for j in rose:
+            for i in occ_lower[j]:
+                dirty[i] = True
+            if ups[j]:
+                self._wake(dirty, ups[j], j, box)
+        for j in fell:
+            for i in occ_upper[j]:
+                dirty[i] = True
+            if lows[j]:
+                self._wake(dirty, lows[j], j, box)
+
+    def _stop(self, box: BoundBox, trail: Trail, outcome: Outcome,
               applied: list[tuple[int, Side, float]]) -> PropagationResult:
-        # the next fixpoint diffs the box against this one
-        self.snapshot = (list(box.lower), list(box.upper))
+        # a quiet fixpoint leaves a record: a new one on top when the
+        # trail grew since the top one, else in its place
+        if outcome is not Outcome.INFEASIBLE:
+            changes, records = trail.changes, self.records
+            mark = len(changes)
+            record = (mark, changes[-1] if mark else None,
+                      (list(box.lower), list(box.upper)), len(self.items))
+            if records and records[-1][0] == mark:
+                records[-1] = record
+            else:
+                records.append(record)
         return PropagationResult(outcome, applied)
 
     def to_fixpoint(self, box: BoundBox,
@@ -460,11 +527,17 @@ class Propagator:
         """Passes over the dirty constraints, in index order, until a pass
         applies nothing.
 
-        A constraint is dirty when it is new, when it failed, and when a
-        bound moved since its last evaluation in a way that may change
-        its verdict (see the module docstring): by another constraint's
-        deduction, or, between fixpoints, by branching, rewinds or bounds
-        written past the trail.  A clean constraint's evaluation would
+        A fixpoint starts from the last quiet one still on the trail
+        while the box lies inside it, and otherwise with every constraint
+        dirty (`_mark_moved`).  A constraint is dirty when it was added
+        since, and when a bound moved since its last evaluation in a way
+        that may change its verdict (see the module docstring): by
+        another constraint's deduction, or, since that fixpoint, by
+        branching or bounds written past the trail.  Without `trail` the
+        call runs on a fresh one: it drops every record above mark 0 and
+        replaces that one, so the next call on another trail diffs
+        against this call's fixpoint, or dirties every constraint if its
+        box is not inside it.  A clean constraint's evaluation would
         change nothing, so the result is the same trail as evaluating
         every constraint in every pass.  Its own deductions do not dirty
         a constraint, because no propagator reads a bound it deduces:
@@ -487,8 +560,8 @@ class Propagator:
         if trail is None:
             trail = Trail(box)
         assert trail.box is box
-        self._mark_moved(box)
-        items, dirty, occ = self.items, self.dirty, self.occ
+        dirty = self._mark_moved(box, trail)
+        items, occ = self.items, self.occ
         watch_lower, watch_upper = self.watch_lower, self.watch_upper
         guard = 1000 * max(1, len(items))
         evals = 0
@@ -509,22 +582,21 @@ class Propagator:
                     continue
                 if isinstance(res, RowInfeasible):
                     trail.fail(item.cid, res.reason)
-                    dirty[i] = True
-                    return self._stop(box, Outcome.INFEASIBLE, applied)
+                    return self._stop(box, trail, Outcome.INFEASIBLE, applied)
                 if isinstance(res, Deduction):
                     res = [res]
                 for d in res:
                     if trail.apply(d.var, d.side, d.value, item.cid, d.reason):
                         applied.append((d.var, d.side, d.value))
                         changed = True
-                        for k in occ[d.var]:
+                        for k in occ[d.side][d.var]:
                             if k != i:
                                 dirty[k] = True
                         watchers = (watch_upper if d.side is Side.LOWER
                                     else watch_lower)[d.var]
                         if watchers:
-                            self._wake(watchers, d.var, box, True, False)
+                            self._wake(dirty, watchers, d.var, box)
             if not changed:
                 break
-        return self._stop(box, Outcome.REDUCED if applied
+        return self._stop(box, trail, Outcome.REDUCED if applied
                           else Outcome.FIXPOINT, applied)

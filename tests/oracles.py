@@ -422,6 +422,7 @@ def reference_parse_mps(text: str, name: str = ""):
     objective_row: str | None = None
     maximize = False
     rows: dict[str, _RefRowDecl] = {}
+    free_rows: set[str] = set()
     row_order: list[str] = []
     col_order: list[str] = []
     col_index: dict[str, int] = {}
@@ -479,6 +480,7 @@ def reference_parse_mps(text: str, name: str = ""):
                     objective_row = rname
                 else:
                     diag.warn(line_no, f"extra free row {rname!r} ignored")
+                    free_rows.add(rname)
                 continue
             if rname in rows:
                 raise MpsParseError(MALFORMED_SECTION, line_no,
@@ -509,6 +511,8 @@ def reference_parse_mps(text: str, name: str = ""):
                     continue
                 decl = rows.get(rname)
                 if decl is None:
+                    if rname in free_rows:      # entries of an ignored N row
+                        continue
                     raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
                                         f"column entry for unknown row {rname!r}")
                 if j in decl.coefs:
@@ -525,6 +529,8 @@ def reference_parse_mps(text: str, name: str = ""):
                     continue
                 decl = rows.get(rname)
                 if decl is None:
+                    if rname in free_rows:      # entries of an ignored N row
+                        continue
                     raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
                                         f"RHS entry for unknown row {rname!r}")
                 decl.rhs = val
@@ -536,6 +542,8 @@ def reference_parse_mps(text: str, name: str = ""):
                 val = _num(vtok, line_no)
                 decl = rows.get(rname)
                 if decl is None:
+                    if rname in free_rows:      # entries of an ignored N row
+                        continue
                     raise MpsParseError(UNKNOWN_ROW_REFERENCE, line_no,
                                         f"RANGES entry for unknown row {rname!r}")
                 decl.range_val = val

@@ -96,6 +96,43 @@ class TestDiagnostics:
         assert any("objective defaults to zero" in w for w in diag.warnings)
 
 
+FREE_ROW = """\
+NAME T
+ROWS
+ N OBJ
+ N FREE
+ L R1
+COLUMNS
+ x OBJ 1 FREE 2
+ x R1 1
+RHS
+ RHS R1 4 FREE 3
+RANGES
+ RNG FREE 1
+ENDATA
+"""
+
+
+class TestExtraFreeRows:
+    def test_entries_of_an_extra_free_row_are_skipped(self):
+        inst, diag = parse_mps(FREE_ROW)
+        assert list(inst.c) == [1.0]
+        assert [(r.cols, r.coefs, r.rhs) for r in inst.rows] == \
+            [((0,), (1.0,), 4.0)]
+        assert diag.warnings == ["line 4: extra free row 'FREE' ignored"]
+
+    @pytest.mark.parametrize("old,new,line_no", [
+        (" x R1 1", " x R1 1 R9 1", 8),
+        (" RHS R1 4 FREE 3", " RHS R1 4 R9 3", 10),
+        (" RNG FREE 1", " RNG R9 1", 12),
+    ])
+    def test_a_truly_unknown_row_still_raises(self, old, new, line_no):
+        with pytest.raises(MpsParseError) as err:
+            parse_mps(FREE_ROW.replace(old, new))
+        assert (err.value.code, err.value.line_no) == \
+            (UNKNOWN_ROW_REFERENCE, line_no)
+
+
 class TestParseErrors:
     def test_missing_endata(self):
         with pytest.raises(MpsParseError) as err:
@@ -332,8 +369,9 @@ def mps_texts(draw):
     """MPS texts beyond what `write_mps` emits: L, G and E rows, one and
     two pairs per line, duplicate entries, MARKER blocks, an objective-row
     RHS, RANGES of both signs, every bound type, OBJSENSE as a section or
-    inline, comments and blank lines.  RANGES may name the objective,
-    which is an error."""
+    inline, comments and blank lines.  Entries may name a second free
+    row, which is ignored.  RANGES may name the objective, which is an
+    error."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
     rnames = [f"R{i}" for i in range(m)]
     ints = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -344,10 +382,11 @@ def mps_texts(draw):
         [["OBJSENSE", word]] if objsense == "inline" else []
     decls = [[" ", draw(st.sampled_from("LGElge")), r] for r in rnames]
     free = draw(st.sampled_from([[], ["OBJ"], ["OBJ"], ["OBJ", "FREE"]]))
-    for rname in free if m else ["OBJ"]:
+    free = free if m else ["OBJ"]
+    for rname in free:
         decls.insert(draw(st.integers(0, len(decls))), [" ", "N", rname])
     body += [["ROWS"]] + decls + [["COLUMNS"]]
-    targets = st.sampled_from(rnames + ["OBJ"] if free or not m else rnames)
+    targets = st.sampled_from(rnames + free)
     for j, is_int in enumerate(ints):
         pairs = draw(st.lists(st.tuples(targets, VALUES), min_size=1,
                               max_size=4))

@@ -295,7 +295,9 @@ class RoundRobin:
             return propagate_knapsack(row, box)
         return propagate_linear_row(row, box, self.int_mask)
 
-    def to_fixpoint(self, box, trail):
+    def to_fixpoint(self, box, trail=None):
+        if trail is None:
+            trail = Trail(box)
         applied = []
         while True:
             changed = False
@@ -565,8 +567,9 @@ class TestWatchWakeups:
         # x1 or x2 or x3 fails with its watches on x1 and x2, both false
         # by bounds written past the trail, and x3 false through the
         # branch x0 <= 0 and x3 <= x0; rewinding the branch frees x3, the
-        # clause's unit now, which it does not watch, so only the dirty
-        # flag the failure left brings the clause back
+        # clause's unit now, which it does not watch.  The failure leaves
+        # no record, so the next fixpoint diffs against the root's, where
+        # the fallen upper bounds of x1 and x2 bring the clause back
         inst = from_inequalities([0.0] * 4,
                                  [((0, 3), (-1.0, 1.0), "<=", 0.0),
                                   ((1, 2, 3), (1.0,) * 3, ">=", 1.0)],
@@ -618,21 +621,25 @@ class TestWatchWakeups:
 
 def watch_entries(prop: Propagator):
     """The watch and occurrence entries `prop` holds, and those its live
-    constraints call for: one per watched literal of a clause, one per
-    column of a row."""
+    constraints call for: one per watched literal of a clause, and one
+    per column of a row, on the side its minimum activity reads (lower
+    under a positive coefficient, upper under a negative one)."""
     held, wanted = Counter(), Counter()
     for side, lists in ((Side.LOWER, prop.watch_lower),
                         (Side.UPPER, prop.watch_upper)):
         for var, idxs in enumerate(lists):
-            held.update((var, side, k) for k in idxs)
-    for var, idxs in enumerate(prop.occ):
-        held.update((var, None, k) for k in idxs)
+            held.update(("watch", var, side, k) for k in idxs)
+    for side in Side:
+        for var, idxs in enumerate(prop.occ[side]):
+            held.update(("occ", var, side, k) for k in idxs)
     for item in prop.items:
         if item.lits is not None:
-            wanted.update((item.lits[w][0], item.lits[w][1], item.idx)
-                          for w in set(item.watch))
+            wanted.update(("watch", item.lits[w][0], item.lits[w][1],
+                           item.idx) for w in set(item.watch))
         else:
-            wanted.update((j, None, item.idx) for j in item.row.cols)
+            wanted.update(("occ", j, Side.LOWER if a > 0 else Side.UPPER,
+                           item.idx)
+                          for j, a in zip(item.row.cols, item.row.coefs))
     return held, wanted
 
 
@@ -691,6 +698,236 @@ class TestTruncate:
                     assert run.fixpoint().outcome is Outcome.FIXPOINT
                     quiet_after += 1
         assert detached >= 200 and failures >= 100 and quiet_after >= 150
+
+
+def write_bound(box: BoundBox, var: int, side: Side, value: float) -> None:
+    """A bound written past the trail, looser or tighter."""
+    (box.lower if side is Side.LOWER else box.upper)[var] = value
+
+
+class TestFixpointRecords:
+    """A fixpoint diffs the box against the quiet fixpoint recorded at the
+    trail's mark, and a tightening wakes only the rows that read the
+    tightened bound: fewer evaluations, the reference trail."""
+
+    @staticmethod
+    def five_rows(monkeypatch):
+        # general integers in 0..6 under rows no box here makes deduce;
+        # rows 0 and 1 read x0's lower bound, row 2 its upper one, row 3
+        # x1's lower and row 4 x1's upper.  Returns the instance and the
+        # list the indices of evaluated rows go to
+        inst = from_inequalities(
+            [0.0] * 4,
+            [((0, 2), (1.0, 2.0), "<=", 30.0),
+             ((0, 3), (2.0, -1.0), "<=", 30.0),
+             ((0, 3), (-1.0, 1.0), "<=", 30.0),
+             ((1, 2), (1.0, -3.0), "<=", 30.0),
+             ((1, 3), (-1.0, -1.0), "<=", 30.0)],
+            [0] * 4, [6] * 4, integer_set=range(4))
+        evaluated = []
+
+        def counted(row, box, int_mask):
+            evaluated.append(next(i for i, r in enumerate(inst.rows)
+                                  if r is row))
+            return propagate_linear_row(row, box, int_mask)
+
+        monkeypatch.setattr(propagation, "propagate_linear_row", counted)
+        return inst, evaluated
+
+    def test_rewind_wakes_only_rows_on_the_branched_side(self, monkeypatch):
+        inst, evaluated = self.five_rows(monkeypatch)
+        prop, trail = Propagator(inst), Trail(inst.root_box())
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        mark = trail.mark()
+        trail.branch(1, Side.LOWER, 2.0, 1)
+        del evaluated[:]
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        assert evaluated == [3]
+        # the rewind returns to the first fixpoint: x1's loosening wakes
+        # nothing, and x0's new lower bound wakes the rows that read it
+        trail.rewind(mark)
+        trail.branch(0, Side.LOWER, 3.0, 1)
+        del evaluated[:]
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        assert evaluated == [0, 1]
+
+    def test_loosening_past_the_trail_wakes_every_row(self, monkeypatch):
+        # x1's upper bound written back up past the trail after a branch
+        # lowered it: the box lies outside every record, so each row is
+        # evaluated once, and the fixpoint that follows is a record again
+        inst, evaluated = self.five_rows(monkeypatch)
+        prop, trail = Propagator(inst), Trail(inst.root_box())
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        trail.branch(1, Side.UPPER, 2.0, 1)
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        write_bound(trail.box, 1, Side.UPPER, 6.0)
+        del evaluated[:]
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        assert evaluated == [0, 1, 2, 3, 4]
+        del evaluated[:]
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        assert evaluated == []
+
+    def test_rewind_wakes_no_clause(self, monkeypatch):
+        # x0 >= 1 or x1 >= 1 with x1 fixed to 0: the root fixpoint deduces
+        # x0 >= 1, so the clause watches a true literal and a false one;
+        # a branch raises x0 further, and the rewind lowers x0 back to the
+        # first fixpoint's bound, where the clause was already quiet
+        inst = Instance([0.0, 0.0], [], [0, 0], [6, 0], [0, 1])
+        prop, trail = Propagator(inst), Trail(inst.root_box())
+        prop.add_constraint(0, BoundDisjunction(((0, 1.0), (1, 1.0)), ()))
+        assert prop.to_fixpoint(trail.box, trail).deductions == \
+            [(0, Side.LOWER, 1.0)]
+        mark = trail.mark()
+        trail.branch(0, Side.LOWER, 3.0, 1)
+        prop.to_fixpoint(trail.box, trail)
+        watched = []
+
+        def counted(*args):
+            watched.append(None)
+            return propagate_watched(*args)
+
+        monkeypatch.setattr(propagation, "propagate_watched", counted)
+        trail.rewind(mark)
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        assert watched == []
+
+    def test_loosen_fixpoint_retighten(self):
+        # x0 or x1 or x2: x2 <= 0 written past the trail before the root
+        # fixpoint, then loosened; a branch x0 <= 0 moves the clause's
+        # watch onto x2, and x2 <= 0 is written again before the rewind.
+        # The box is the root fixpoint's again, yet the clause now
+        # watches a false literal, so x0 <= 0 must still wake it
+        inst = from_inequalities([0.0] * 3,
+                                 [((0, 1, 2), (1.0,) * 3, ">=", 1.0)],
+                                 [0] * 3, [1] * 3, integer_set=range(3))
+        run = Lockstep(inst)
+        run.each(lambda prop, trail: write_bound(trail.box, 2, Side.UPPER,
+                                                 0.0))
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        mark = run.trail.mark()
+        run.each(lambda prop, trail: write_bound(trail.box, 2, Side.UPPER,
+                                                 1.0))
+        run.each(lambda prop, trail: trail.branch(0, Side.UPPER, 0.0, 1))
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        run.each(lambda prop, trail: write_bound(trail.box, 2, Side.UPPER,
+                                                 0.0))
+        run.each(lambda prop, trail: trail.rewind(mark))
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        run.each(lambda prop, trail: trail.branch(0, Side.UPPER, 0.0, 1))
+        assert run.fixpoint().deductions == [(1, Side.LOWER, 1.0)]
+
+    def test_truncate_below_a_record(self):
+        # a disjunction added at the root and a fixpoint at the same mark
+        # leave a record that holds it; once it is truncated, the
+        # disjunction x0 >= 1 added in its place must not count as clean
+        inst = Instance([0.0, 0.0], [], [0, 0], [1, 1], [0, 1])
+        run = Lockstep(inst)
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        run.each(lambda prop, trail: prop.add_constraint(
+            0, BoundDisjunction(((0, 1.0), (1, 1.0)), ())))
+        assert run.fixpoint().outcome is Outcome.FIXPOINT
+        run.each(lambda prop, trail: prop.truncate(0))
+        run.each(lambda prop, trail: prop.add_constraint(
+            1, BoundDisjunction(((0, 1.0),), ())))
+        assert run.fixpoint().deductions == [(0, Side.LOWER, 1.0)]
+
+    def test_writes_past_the_trail_against_round_robin(self):
+        # levels as a tree search keeps them (a branching, new
+        # disjunctions, a fixpoint), with bounds written past the trail
+        # that tighten or loosen, a loosening undone after a fixpoint,
+        # fixpoints without a trail, and rewinds that truncate to any
+        # completed level
+        rng = np.random.default_rng(85)
+        ops, outcomes = Counter(), set()
+        for case in range(60):
+            inst = mixed_instance(rng)
+            run = Lockstep(inst)
+            prop = run.runs[0][0]
+            root = inst.root_box()
+            if run.fixpoint().outcome is Outcome.INFEASIBLE:
+                continue
+            levels = [(run.trail.mark(), len(prop.items))]
+            next_cid = inst.num_rows
+            for step in range(50):
+                box = run.trail.box
+                if any(lo > up for lo, up in zip(box.lower, box.upper)):
+                    break   # loosenings and rewinds crossed a pair of bounds
+                ints = inst.integer_indices
+                free = [j for j in ints if box.upper[j] - box.lower[j] > 0.5]
+                moved = [j for j in ints if box.lower[j] > root.lower[j] or
+                         box.upper[j] < root.upper[j]]
+                op = rng.random()
+                if op < 0.3 and free:
+                    ops["branch"] += 1
+                    var = int(rng.choice(free))
+                    val = float(rng.integers(box.lower[var], box.upper[var]))
+                    side = Side.UPPER if rng.random() < 0.5 else Side.LOWER
+                    val += side is Side.LOWER
+                    depth = len(levels)
+                    run.each(lambda prop, trail: trail.branch(
+                        var, side, val, depth))
+                    for _ in range(int(rng.integers(0, 3))):
+                        d = random_disjunction(rng, inst)
+                        run.each(lambda prop, trail: prop.add_constraint(
+                            next_cid, d))
+                        next_cid += 1
+                    res = run.fixpoint()
+                    outcomes.add(res.outcome)
+                    if res.outcome is not Outcome.INFEASIBLE:
+                        levels.append((run.trail.mark(), len(prop.items)))
+                elif op < 0.4 and free:
+                    ops["tighten"] += 1
+                    var = int(rng.choice(free))
+                    if rng.random() < 0.5:
+                        side, val = Side.LOWER, box.lower[var] + 1.0
+                    else:
+                        side, val = Side.UPPER, box.upper[var] - 1.0
+                    run.each(lambda prop, trail: write_bound(
+                        trail.box, var, side, val))
+                elif op < 0.6 and moved:
+                    var = int(rng.choice(moved))
+                    if box.lower[var] > root.lower[var]:
+                        side, val = Side.LOWER, float(rng.integers(
+                            root.lower[var], box.lower[var]))
+                    else:
+                        side, val = Side.UPPER, float(rng.integers(
+                            box.upper[var], root.upper[var]) + 1)
+                    old = box.get(var, side)
+                    run.each(lambda prop, trail: write_bound(
+                        trail.box, var, side, val))
+                    if op < 0.5:
+                        ops["loosen"] += 1
+                        continue
+                    ops["loosen, fixpoint, retighten"] += 1
+                    outcomes.add(run.fixpoint().outcome)
+                    if box.get(var, side) == val and (
+                            old <= box.upper[var] if side is Side.LOWER
+                            else old >= box.lower[var]):
+                        run.each(lambda prop, trail: write_bound(
+                            trail.box, var, side, old))
+                elif op < 0.7:
+                    ops["no trail"] += 1
+                    out = []
+                    run.each(lambda prop, trail: out.append(
+                        prop.to_fixpoint(trail.box)))
+                    assert out[0].outcome is out[1].outcome
+                    assert out[0].deductions == out[1].deductions
+                elif op < 0.85:
+                    depth = int(rng.integers(0, len(levels)))
+                    mark, size = levels[depth]
+                    ops["truncate"] += len(prop.items) > size
+                    ops["rewind"] += 1
+                    run.each(lambda prop, trail: (trail.rewind(mark),
+                                                  prop.truncate(size)))
+                    del levels[depth + 1:]
+                else:
+                    ops["fixpoint"] += 1
+                    outcomes.add(run.fixpoint().outcome)
+                held, wanted = watch_entries(prop)
+                assert held == wanted, f"case {case} step {step}"
+        assert outcomes == set(Outcome)
+        assert min(ops.values()) >= 100, ops
 
 
 def _reference_reads(row: Row, skip: int = -1):
