@@ -7,6 +7,7 @@ Bound propagation and the learning probe search
 import numpy as np
 
 from rapidbnb import from_inequalities, to_knapsack
+from rapidbnb.conflict import Trail
 from rapidbnb.cpsearch import CpConfig, cp_search
 from rapidbnb.propagation import Propagator
 
@@ -37,7 +38,11 @@ for _ in range(m):
 clauses = from_inequalities(np.zeros(n), rows, [0.0] * n, [1.0] * n,
                             range(n))
 
-out = cp_search(clauses, clauses.root_box(), CpConfig(node_limit=500, seed=0))
+# The probe searches on a trail and a propagator it is handed (inside the
+# solver, those of the node it probes) and leaves them as it found them;
+# here both are throwaway ones over the instance's own box and rows.
+out = cp_search(clauses, Trail(clauses.root_box()), Propagator(clauses),
+                CpConfig(node_limit=500, seed=0))
 print("\nprobe over %d clauses on %d binaries:" % (m, n))
 print("   status   ", out.status.value)
 print("   nodes    ", out.nodes)

@@ -10,7 +10,7 @@ every feasible point of the searched problem satisfies.
 
 Two bookkeeping details matter for soundness:
 
-* Level-0 bound changes hold unconditionally in the searched scope,
+* Bound changes up to the scope's own level hold throughout the scope,
   so their literals are dropped from cuts (standard strengthening).
 * Each inference step used by the proof names a constraint id.  If any
   of those ids is conditionally valid (an objective-cutoff pseudo-reason
@@ -153,12 +153,12 @@ class AnalysisOutcome:
 
 def analyze_1uip(trail: Trail, int_mask: np.ndarray,
                  tainted_ids: frozenset[int] | set[int],
-                 cap: int | None = None) -> AnalysisOutcome:
+                 cap: int | None = None, base: int = 0) -> AnalysisOutcome:
     """First-UIP cut for the recorded failure.
 
     Resolution happens at the deepest level actually present among the
     failure's antecedents, so stale failures coming out of replayed
-    trails analyze correctly too.
+    trails analyze correctly too.  Levels up to `base` count as level 0.
 
     A `cap` ends it with no disjunction once the bounds below the deepest
     level, which resolution keeps, are more than `cap`; any disjunction,
@@ -170,9 +170,9 @@ def analyze_1uip(trail: Trail, int_mask: np.ndarray,
     changes = trail.changes
     tainted = fail.reason == CUTOFF_REASON or fail.reason in tainted_ids
 
-    # literals implied at level 0 hold everywhere in the scope
+    # literals implied up to level `base` hold everywhere in the scope
     deepest = max((changes[p].level for p in fail.antecedents), default=0)
-    if deepest == 0:
+    if deepest <= base:
         return AnalysisOutcome(None, tainted, root_failure=True)
 
     # conflict positions at the deepest level, the others, and their bounds
@@ -183,7 +183,7 @@ def analyze_1uip(trail: Trail, int_mask: np.ndarray,
             ch = changes[q]
             if ch.level == deepest:
                 deep.add(q)
-            elif ch.level > 0:
+            elif ch.level > base:
                 kept.add(q)
                 keys.add((ch.var, ch.side))
         if cap is not None and len(keys) > cap:

@@ -7,6 +7,8 @@ node until the conflict outgrows the length cap, and inference-guided
 branching that dives toward the pseudo solution.  It returns what it
 learned: short conflicts, scope-valid bound tightenings and possibly a
 solution.  Its inference counts go straight into the caller's table.
+It searches on the trail and propagator of the node it probes, in
+levels above the node's, and leaves both as it found them.
 
 Conflicts whose proof leans on the objective cutoff hold only for
 improving solutions.  They still propagate inside this search (that is
@@ -77,16 +79,17 @@ def _box_optimum(box: BoundBox, negative: list[bool]) -> list[float]:
             for lo, u, neg in zip(box.lower, box.upper, negative)]
 
 
-def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
-              extra_constraints: tuple[tuple[int, BoundDisjunction], ...] = (),
+def cp_search(instance: Instance, trail: Trail, prop: Propagator,
+              config: CpConfig,
               branching: BranchingStats | None = None) -> CpOutcome:
-    """Run the probe on `instance` restricted to `scope_box`.
+    """Run the probe on `instance` restricted to `trail.box`, its scope,
+    on `trail` and on `prop`, which holds only constraints valid there.
 
-    `extra_constraints` are (id, constraint) pairs already known valid
-    for the scope (for example the caller's globally learned ones).  The
-    probe branches on the inference counts in `branching` and adds its
-    own to them.  Two runs with equal inputs, seeds and tables produce
-    identical outcomes.
+    Levels up to `trail.level` are the scope's; the probe opens its own
+    above them, adds its conflicts under ids above every id in `prop`,
+    and leaves trail, box and `prop` as it found them.  It branches on
+    the inference counts in `branching` and adds its own to them.  Two
+    runs with equal inputs, seeds and tables give identical outcomes.
     """
     n = instance.num_vars
     int_mask = instance.integer_mask
@@ -94,13 +97,9 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         raise ValueError("the probe search handles pure integer scopes only")
     c = instance.c
 
-    box = scope_box.copy()
-    trail = Trail(box)
-    prop = Propagator(instance)
-    next_cid = instance.num_rows
-    for cid, con in extra_constraints:
-        prop.add_constraint(cid, con)
-        next_cid = max(next_cid, cid + 1)
+    box, scope = trail.box, trail.box.copy()
+    base, entry, size = trail.level, trail.mark(), len(prop.items)
+    next_cid = max((item.cid for item in prop.items), default=-1) + 1
 
     rng = random.Random(config.seed)
     table = branching if branching is not None else BranchingStats()
@@ -114,7 +113,7 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     nodes = 0
     # stack entries: (trail mark of the parent, level, branch or None)
     # branch = (var, side, bound value)
-    stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+    stack: list[tuple[int, int, tuple | None]] = [(entry, base, None)]
     # a cutoff leans on the objective's bounds, whose sides only c fixes
     cutoff_reasons = [(j, Side.LOWER if c[j] > 0 else Side.UPPER)
                       for j in range(n) if c[j] != 0.0]
@@ -131,36 +130,36 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
                 return False
         return True
 
-    def handle_failure() -> bool:
-        """Analyze the recorded failure; False stops the whole search."""
+    def handle_failure() -> None:
+        """Analyze the recorded failure; an empty scope ends the search."""
         nonlocal next_cid, scope_infeasible
-        out = analyze_1uip(trail, int_mask, tainted_ids, cap)
+        out = analyze_1uip(trail, int_mask, tainted_ids, cap, base)
         if out.root_failure:
             # nothing (left) in the scope, or nothing improving if tainted
-            if not out.tainted:
-                scope_infeasible = True
-            return False
+            scope_infeasible = not out.tainted
+            stack.clear()
+            return
         d = out.disjunction
         if d is None or d.size > cap:
-            return True
+            return
         cid = next_cid
         next_cid += 1
         prop.add_constraint(cid, d)
         if out.tainted:
             tainted_ids.add(cid)
-            return True
+            return
         conflicts.append(d)
         if d.size == 1:
             (v, s, val), = d.literals()
-            if (s is Side.LOWER and val > scope_box.upper[v] + FEAS_TOL) or \
-               (s is Side.UPPER and val < scope_box.lower[v] - FEAS_TOL):
+            if (s is Side.LOWER and val > scope.upper[v] + FEAS_TOL) or \
+               (s is Side.UPPER and val < scope.lower[v] - FEAS_TOL):
                 scope_infeasible = True
-                return False
+                stack.clear()
+                return
             key = (v, s)
             cur = global_fix.get(key)
             if cur is None or (val > cur if s is Side.LOWER else val < cur):
                 global_fix[key] = val
-        return True
 
     while stack and nodes < config.node_limit:
         if config.deadline is not None and time.monotonic() > config.deadline:
@@ -181,16 +180,14 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
         if branch is not None:
             table.add_inferences(var, len(res.deductions))
         if res.outcome is Outcome.INFEASIBLE:
-            if not handle_failure():
-                stack.clear()
+            handle_failure()
             continue
 
         xl = _box_optimum(box, negative)
         obj = sum([a * xl[j] for j, a in cost_terms])
         if obj >= cbar - FEAS_TOL:  # cannot improve here, ties included
             trail.fail(CUTOFF_REASON, cutoff_reasons)
-            if not handle_failure():
-                stack.clear()
+            handle_failure()
             continue
         # Row.activity's terms and order on floats: the same sums
         if all(sum([a * xl[j] for j, a in zip(cols, coefs)]) <= lim
@@ -218,19 +215,25 @@ def cp_search(instance: Instance, scope_box: BoundBox, config: CpConfig,
     else:
         status = CpStatus.OPTIMAL
 
-    final = scope_box.copy()
+    # what the scope's own fixpoint deduced; then back to the entry state,
+    # the learned units written past the trail included
+    facts = [ch for ch in trail.changes[entry:] if ch.level == base]
+    trail.rewind(entry)
+    trail.level = base
+    for v, s in global_fix:
+        (box.lower if s is Side.LOWER else box.upper)[v] = scope.get(v, s)
+    prop.truncate(size)
+
     if not scope_infeasible:
         try:
-            for ch in trail.changes:
-                if ch.level != 0:
-                    break
-                final.tighten(ch.var, ch.side, ch.value)
+            for ch in facts:
+                scope.tighten(ch.var, ch.side, ch.value)
             for (v, s), val in global_fix.items():
-                final.tighten(v, s, val)
+                scope.tighten(v, s, val)
         except EmptyBoxError:
             # two individually valid facts that cross: the scope is empty
             if best is None:
                 status = CpStatus.INFEASIBLE
 
-    return CpOutcome(status=status, conflicts=conflicts, box=final,
+    return CpOutcome(status=status, conflicts=conflicts, box=scope,
                      solution=best, nodes=nodes)

@@ -25,9 +25,9 @@ after its fixpoint and warm start are still exactly those of its
 strong-branching LP gets that result from its own `solve_lp` call.
 
 The probe hook has two halves: `rapid.maybe_run` decides whether to
-probe a node and runs the probe, and `_Solve._transfer` applies what it
-found (conflicts, bound tightenings, a solution, or the settled node)
-to the solve's own state.
+probe a node and runs the probe on the node's own trail and propagator,
+and `_Solve._transfer` applies what it found (conflicts, bound
+tightenings, a solution, or the settled node) to the solve's state.
 
 Learned scopes: conflicts derived from purely global reasoning are kept
 globally; anything whose derivation touched a node-local constraint is
@@ -414,11 +414,9 @@ class _Solve:
 
         if self.cfg.rapid_mode != "off" and \
                 (node.depth == 0 or self.cfg.rapid_mode == "local"):
-            extras = tuple(self.global_constraints) + tuple(
-                loc for nd in node.path() for loc in nd.locals_own)
             outcome = maybe_run(
                 node, stats, inst, self.cfg.rapid, seed=self.cfg.seed,
-                lp_result=lp, box=box, extra_constraints=extras,
+                lp_result=lp, trail=state.trail, prop=state.prop,
                 events=self.events, deadline=self.deadline)
             if outcome is not None:
                 if node.depth > 0:

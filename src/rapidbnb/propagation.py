@@ -17,10 +17,10 @@ range, as SCIP's linear constraint handler does with `maxactdelta`
 (Achterberg 2007, ch. 7), and slices each deduction's reason from a
 tuple kept on the row (`Row.prepared`).
 
-Watches are search-local mutable state: a clause's two watch indices,
-and per variable the clauses watching a lower-bound literal on it and
-those watching an upper-bound literal on it, are built when the clause
-enters a Propagator and never shared between searches.
+Watches are mutable state of one Propagator, which a probe shares with
+its node: a clause's two watch indices, and per variable the clauses
+watching a lower- and an upper-bound literal on it, built when the
+clause enters it and left where a search moved them (see below).
 
 The fixpoint driver evaluates only dirty constraints, in the manner of
 Chaff and MiniSat.  A row is dirtied when a bound its minimum activity

@@ -92,10 +92,10 @@ def evaluate_criteria(stats, degeneracy: DegeneracyInfo | None, *,
 
 
 def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
-              seed: int, lp_result, box, extra_constraints,
+              seed: int, lp_result, trail, prop,
               events: list[str], deadline=None) -> CpOutcome | None:
-    """Run the probe on `box` when the depth schedule and a criterion both
-    say so, and return its outcome; None when nothing ran.
+    """Run the probe on the node's `trail` and `prop` when the depth
+    schedule and a criterion both say so: its outcome, or None if not.
 
     Only the `criteria` line, the call and fire counts and the branching
     table change here: the caller decides what to keep of the outcome.
@@ -110,9 +110,9 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
     enabled = frozenset(config.criteria)
     if node.depth == 0:
         enabled &= ROOT_CRITERIA
-    degen = measure_degeneracy(lp_result, box) \
+    degen = measure_degeneracy(lp_result, trail.box) \
         if "degeneracy" in enabled else None
-    fired = evaluate_criteria(stats, degen, instance=instance, box=box,
+    fired = evaluate_criteria(stats, degen, instance=instance, box=trail.box,
                               enabled=enabled)
     for name in fired:
         stats.criterion_fires[name] += 1
@@ -125,6 +125,5 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
                       seed=seed ^ node.id,
                       incumbent_bound=stats.incumbent_value,
                       deadline=deadline)
-    return cp_search(instance, box, cp_cfg,
-                     extra_constraints=tuple(extra_constraints),
+    return cp_search(instance, trail, prop, cp_cfg,
                      branching=stats.branching)

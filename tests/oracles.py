@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rapidbnb import (BoundDisjunction, CpOutcome, CpStatus, Instance, Side,
-                      from_inequalities)
+from rapidbnb import (BoundDisjunction, CpOutcome, CpStatus, Instance,
+                      Propagator, Side, cp_search, from_inequalities)
+from rapidbnb.conflict import Trail
 from rapidbnb.mps import (INF, MALFORMED_SECTION, NON_NUMERIC_FIELD,
                           UNKNOWN_ROW_REFERENCE, MpsParseError,
                           ParseDiagnostics)
@@ -224,7 +225,15 @@ def check_disjunction(d: BoundDisjunction, point, tol: float = 1e-6) -> bool:
     return False
 
 
-# -- watching the searches ---------------------------------------------
+# -- running and watching the searches --------------------------------
+
+
+def probe(inst: Instance, box, config, branching=None) -> CpOutcome:
+    """`cp_search` over a copy of `box` on a throwaway state: a fresh
+    trail and a propagator holding the instance's rows only."""
+    return cp_search(inst, Trail(box.copy()), Propagator(inst), config,
+                     branching=branching)
+
 
 RECORDED_NAMES = ("rapidbnb.mipsearch.analyze_1uip",
                   "rapidbnb.cpsearch.analyze_1uip",
@@ -328,12 +337,13 @@ class SearchRecorder:
         self._saved: list[tuple[object, str, object]] = []
 
     def _analysis(self, name: str, fn):
-        def recorded(trail, int_mask, tainted_ids, cap=None):
-            out = fn(trail, int_mask, tainted_ids, cap)
+        def recorded(trail, int_mask, tainted_ids, cap=None, base=0):
+            out = fn(trail, int_mask, tainted_ids, cap, base)
             self.calls[name] += 1
             # the trail is intact here, so the uncapped analysis is what
             # gets recorded, and the capped one must agree with it
-            full = out if cap is None else fn(trail, int_mask, tainted_ids)
+            full = out if cap is None else \
+                fn(trail, int_mask, tainted_ids, base=base)
             check_cap_contract(out, full, cap)
             d = full.disjunction
             if d is not None:
@@ -350,10 +360,10 @@ class SearchRecorder:
         return recorded
 
     def _probe(self, name: str, fn):
-        def recorded(instance, scope_box, *args, **kwargs):
-            lower = np.array(scope_box.lower)
-            upper = np.array(scope_box.upper)
-            out = fn(instance, scope_box, *args, **kwargs)
+        def recorded(instance, trail, *args, **kwargs):
+            lower = np.array(trail.box.lower)
+            upper = np.array(trail.box.upper)
+            out = fn(instance, trail, *args, **kwargs)
             self.calls[name] += 1
             self.probes.append(ProbeRecord(lower, upper, out))
             return out

@@ -16,7 +16,7 @@ import pytest
 import oracles
 from rapidbnb.cli import main as cli_main
 from rapidbnb.conflict import BoundDisjunction, to_knapsack
-from rapidbnb.cpsearch import cp_search, CpConfig, node_limit_from_iters
+from rapidbnb.cpsearch import CpConfig, node_limit_from_iters
 from rapidbnb.lp import DegeneracyInfo, measure_degeneracy, solve_lp
 from rapidbnb.mipsearch import MipConfig, SearchStats, SolveResult, _Solve
 from rapidbnb.model import Instance
@@ -212,7 +212,8 @@ def test_criterion_03_one_uip_structure(suite):
     with oracles.SearchRecorder(require=()) as rec:
         while len(analyses) + len(rec.analyses) < 50:
             inst = oracles.random_sat_instance(rng, n=16, m=67)
-            cp_search(inst, inst.root_box(), CpConfig(node_limit=2000, seed=5))
+            oracles.probe(inst, inst.root_box(),
+                          CpConfig(node_limit=2000, seed=5))
     analyses += rec.analyses
     bad = sum(1 for a in analyses if not a.is_one_uip())
     assert bad == 0 and len(analyses) >= 50

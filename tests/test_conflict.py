@@ -16,14 +16,13 @@ from rapidbnb import (
     RapidConfig,
     Side,
     analyze_1uip,
-    cp_search,
     cpsearch,
     from_inequalities,
     solve,
     to_knapsack,
 )
 from rapidbnb.conflict import Trail
-from rapidbnb.propagation import Outcome
+from rapidbnb.propagation import Outcome, Propagator
 
 import oracles
 from test_propagation import Lockstep, mixed_instance
@@ -200,22 +199,19 @@ class TestLazyAntecedents:
         trails: list[EagerTrail] = []
         analyses = []
 
-        def eager_trail(box):
-            trails.append(EagerTrail(box))
-            return trails[-1]
-
         def checked(trail, *args):
             trail.assert_lazy_is_eager()
             analyses.append(trail)
             return analyze_1uip(trail, *args)
 
-        monkeypatch.setattr(cpsearch, "Trail", eager_trail)
         monkeypatch.setattr(cpsearch, "analyze_1uip", checked)
         rng = np.random.default_rng(58)
         for case in range(12):
             inst = general_int_instance(rng) if case % 2 else \
                 oracles.random_sat_instance(rng)
-            cp_search(inst, inst.root_box(), CpConfig(node_limit=300))
+            trails.append(EagerTrail(inst.root_box()))
+            cpsearch.cp_search(inst, trails[-1], Propagator(inst),
+                               CpConfig(node_limit=300))
         assert len(analyses) >= 300
         assert sum(t.checked for t in trails) >= 5000
 
@@ -252,7 +248,8 @@ def harvest_analyses(n_instances=12, seed=50):
             require=("rapidbnb.cpsearch.analyze_1uip",)) as rec:
         for _ in range(n_instances):
             inst = oracles.random_sat_instance(rng)
-            cp_search(inst, inst.root_box(), CpConfig(node_limit=300, seed=1))
+            oracles.probe(inst, inst.root_box(),
+                          CpConfig(node_limit=300, seed=1))
     return rec.analyses
 
 
@@ -305,6 +302,6 @@ class TestSearchRecorder:
         inst = oracles.random_sat_instance(np.random.default_rng(50))
         with pytest.raises(AssertionError, match="never called") as err:
             with oracles.SearchRecorder():
-                cp_search(inst, inst.root_box(), CpConfig(node_limit=300))
+                oracles.probe(inst, inst.root_box(), CpConfig(node_limit=300))
         assert "rapidbnb.rapid.cp_search" in str(err.value)
         assert "rapidbnb.cpsearch.analyze_1uip" not in str(err.value)

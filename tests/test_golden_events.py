@@ -22,11 +22,15 @@ from rapidbnb.rapid import CRITERION_NAMES
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 
+ALL_SIX = RapidConfig(criteria=frozenset(CRITERION_NAMES))
+# "root" and "local-default" use the default criterion, "root-all" and
+# "local" all six
 MODES = {
     "off": MipConfig(rapid_mode="off", seed=1),
     "root": MipConfig(rapid_mode="root", seed=1),
-    "local": MipConfig(rapid_mode="local", seed=1,
-                       rapid=RapidConfig(criteria=frozenset(CRITERION_NAMES))),
+    "local": MipConfig(rapid_mode="local", seed=1, rapid=ALL_SIX),
+    "root-all": MipConfig(rapid_mode="root", seed=1, rapid=ALL_SIX),
+    "local-default": MipConfig(rapid_mode="local", seed=1),
 }
 
 # (model, mode): (nodes, LP iterations, SHA-256 of the event log)
@@ -40,6 +44,12 @@ PINNED = {
     ("clause", "local"):
         (1, 15, "16a9e98395394571550811142b905c4f"
          "5416a2ead55f0a4df16241df5338927d"),
+    ("clause", "root-all"):
+        (1, 15, "16a9e98395394571550811142b905c4f"
+         "5416a2ead55f0a4df16241df5338927d"),
+    ("clause", "local-default"):
+        (1, 15, "295e5f4687adedd4b830e0747e7bd38a"
+         "285caf0d7472fb130941ed3e754df6c9"),
     ("knapsack", "off"):
         (116, 263, "b8304806e6c0be5a8539776a6f63c787"
          "2afc4f5f201c69372e7d9068059c6c8a"),
@@ -49,6 +59,12 @@ PINNED = {
     ("knapsack", "local"):
         (99, 239, "2ed7844c4cbcc1ccd713dfe8a7158b54"
          "eb9ca0aa4a8c31e0849951b41bac59d5"),
+    ("knapsack", "root-all"):
+        (129, 282, "33cad2f49bda945e03a55024fd718198"
+         "50f1e89d35f58e39ce5997d2a30da4cd"),
+    ("knapsack", "local-default"):
+        (116, 263, "bd8d493d7355a6df8c3af8a10e35a3be"
+         "a3c7a9e90458069b9c247c07ed9e38fd"),
     ("cover", "off"):
         (6, 151, "db200cb29270794ccbaf9417311f6a07"
          "92e6e27110648642d9eb483813ad85bf"),
@@ -58,6 +74,12 @@ PINNED = {
     ("cover", "local"):
         (2, 84, "5530b198dfacb0736fd694f0292de112"
          "9cc9f70cd758c74b9314b82a208c355c"),
+    ("cover", "root-all"):
+        (2, 84, "5530b198dfacb0736fd694f0292de112"
+         "9cc9f70cd758c74b9314b82a208c355c"),
+    ("cover", "local-default"):
+        (6, 151, "4fcf41ae8be26118cd6343895618e98d"
+         "df67eb8e3652f83f9bc8bac36967548a"),
     ("general_int0", "off"):
         (56, 99, "d4438ded6b20917f238c0b239f5c4973"
          "dfcc607bbef47c9797a37f36de5df6fd"),
@@ -67,6 +89,12 @@ PINNED = {
     ("general_int0", "local"):
         (49, 86, "40aa84b1cef8b8fdcae8a4759e978c48"
          "b8ce7b5fca1bcadf99cca51b22e4c4ec"),
+    ("general_int0", "root-all"):
+        (49, 86, "5084cb212eb61d3e0e181c0c93e76a76"
+         "9201eca17258998aded17bf0f60b9b8a"),
+    ("general_int0", "local-default"):
+        (56, 99, "609eb10ca5feaa9ea4aa405aebd03df5"
+         "9533a824b9467d306b25295a3249479a"),
     ("general_int1", "off"):
         (22, 51, "7b18766a3a2968097af14b521e306bcb"
          "0cd982d8f9358dea73832528bd0c4cee"),
@@ -76,6 +104,12 @@ PINNED = {
     ("general_int1", "local"):
         (35, 61, "8e290a8c65182fb554386c2e15584585"
          "3de48a40b7549b3c62a6a69d08525654"),
+    ("general_int1", "root-all"):
+        (57, 89, "f0c524ec036140559a7bb297a6e4aeb6"
+         "dd96d82a92c8cc7850326cc3811d2c68"),
+    ("general_int1", "local-default"):
+        (22, 51, "ddfc0b94522c06c2cbdbb9e7ee145fde"
+         "f996d8e951e5d83e157e9abd91aa3ea7"),
     ("general_int2", "off"):
         (22, 41, "caef2d4181c00ca2ed09cf618b100688"
          "9ca18c523d6151faf508832ebb38f62e"),
@@ -85,6 +119,12 @@ PINNED = {
     ("general_int2", "local"):
         (17, 38, "c5ceefd856757f978b40f97a5e4b3a82"
          "6cb4c52e14e1cc730ea447447320896b"),
+    ("general_int2", "root-all"):
+        (17, 38, "c5ceefd856757f978b40f97a5e4b3a82"
+         "6cb4c52e14e1cc730ea447447320896b"),
+    ("general_int2", "local-default"):
+        (22, 41, "9669ea00a0c46d0f3afb27758ee37261"
+         "9543676a46e6cbf7d8fd77f656bec6c4"),
 }
 
 

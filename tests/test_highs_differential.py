@@ -1,7 +1,7 @@
 """Differential check against HiGHS on the benchmark's model families.
 
 The models come from `perfbench/gen.py`, at sizes the enumeration
-oracles cannot reach (12 to 30 variables).  Each one is solved under
+oracles cannot reach (12 to 60 variables).  Each one is solved under
 every probe mode, and the verdict and optimum must match
 `scipy.optimize.milp`.  Skipped when scipy is not installed.
 """
@@ -31,8 +31,11 @@ MODES = {
 
 
 def corpus() -> list[gen.Model]:
-    """Twenty seeded models: clauses, multi-knapsacks, set covers and
-    general integers, with 12 to 30 columns."""
+    """Thirty seeded models: clauses, multi-knapsacks, set covers and
+    general integers.  Twenty have 12 to 30 columns; ten more have 20 to
+    60, where the probe's length cap (5% of the columns) lets it add
+    conflicts of two or three literals to the propagator it shares with
+    its node."""
     rng = np.random.default_rng(20191012)
     models = []
     for k, n in enumerate((12, 13, 14, 15, 16)):
@@ -43,6 +46,14 @@ def corpus() -> list[gen.Model]:
         models.append(gen.cover_model(rng, f"cover{k}", n, n))
     for k in range(5):
         models.append(gen.general_int_model(rng, f"general_int{k}", 12, 4))
+    for k, n in enumerate((36, 40, 44), start=5):
+        models.append(gen.clause_model(rng, f"clause{k}", n))
+    for k, n in enumerate((24, 27, 30), start=5):
+        models.append(gen.knapsack_model(rng, f"knapsack{k}", n, 5))
+    for k, n in enumerate((40, 60), start=5):
+        models.append(gen.cover_model(rng, f"cover{k}", n, n))
+    for k, n in enumerate((20, 24), start=5):
+        models.append(gen.general_int_model(rng, f"general_int{k}", n, 8))
     return models
 
 

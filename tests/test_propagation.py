@@ -5,13 +5,13 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from rapidbnb import (BoundBox, BoundDisjunction, Instance, MipConfig,
-                      Propagator, RapidConfig, Row, cpsearch,
-                      from_inequalities, mipsearch, propagation, solve,
-                      to_knapsack)
+                      Propagator, RapidConfig, Row, from_inequalities,
+                      mipsearch, propagation, solve, to_knapsack)
 from rapidbnb.conflict import Trail
 from rapidbnb.model import FEAS_TOL, INT_TOL, RowKind, Side
 from rapidbnb.propagation import (Deduction, Outcome, PropagationResult,
@@ -262,14 +262,22 @@ class TestClauseRoutes:
         assert row.prepared is lits
 
 
+class RoundRobinItem(NamedTuple):
+    cid: int
+    row: Row | None
+    lits: tuple | None
+    watch: list[int] | None
+
+
 class RoundRobin:
     """Reference fixpoint: every constraint in every pass, until a whole
     pass applies nothing.  Same constraint forms, order and watches as
-    `Propagator`, built on the public propagators only."""
+    `Propagator`, built on the public propagators only; its items carry
+    their `cid`, which a probe reads to number its conflicts above."""
 
     def __init__(self, instance: Instance):
         self.int_mask = instance.integer_mask
-        self.items = []     # (cid, row or None, literals or None, watches)
+        self.items: list[RoundRobinItem] = []
         self.evals = 0
         for i, row in enumerate(instance.rows):
             self.add_constraint(i, row)
@@ -280,9 +288,10 @@ class RoundRobin:
         elif con.kind is RowKind.CLAUSE:
             lits = clause_literals(con)
         else:
-            self.items.append((cid, con, None, None))
+            self.items.append(RoundRobinItem(cid, con, None, None))
             return
-        self.items.append((cid, None, lits, [0, min(1, len(lits) - 1)]))
+        self.items.append(RoundRobinItem(cid, None, lits,
+                                         [0, min(1, len(lits) - 1)]))
 
     def truncate(self, size):
         del self.items[size:]
@@ -1236,7 +1245,7 @@ def test_clause_solves_match_the_round_robin_propagator(monkeypatch):
         reference.append(RoundRobin(inst))
         return reference[-1]
 
-    monkeypatch.setattr(cpsearch, "Propagator", round_robin)
+    # the probe runs on its node's propagator, so this covers it too
     monkeypatch.setattr(mipsearch, "Propagator", round_robin)
     assert run() == new
     # every row of a clause model is a clause, and so is every conflict

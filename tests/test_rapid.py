@@ -13,11 +13,12 @@ import pytest
 import oracles
 from rapidbnb.branching import BranchingStats
 from rapidbnb.conflict import BoundDisjunction, Trail, to_knapsack
-from rapidbnb.cpsearch import CpConfig, CpOutcome, CpStatus, cp_search
+from rapidbnb.cpsearch import CpConfig, CpOutcome, CpStatus
 from rapidbnb import rapid
 from rapidbnb.lp import DegeneracyInfo, solve_lp
 from rapidbnb.mipsearch import MipConfig, Node, SearchStats, _Solve, solve
 from rapidbnb.model import INF, BoundBox, Side, from_inequalities
+from rapidbnb.propagation import Propagator
 from rapidbnb.rapid import (CRITERION_NAMES, ROOT_CRITERIA, RapidConfig,
                             evaluate_criteria, is_rl_depth, maybe_run)
 
@@ -181,7 +182,7 @@ class TestScheduleGating:
         lp = solve_lp(inst, box)
         cfg = RapidConfig(criteria=frozenset(criteria))
         outcome = maybe_run(node, stats, inst, cfg, seed=seed, lp_result=lp,
-                            box=box, extra_constraints=(),
+                            trail=Trail(box), prop=Propagator(inst),
                             events=events if events is not None else [])
         return outcome, box
 
@@ -261,10 +262,10 @@ class TestScheduleGating:
         st = SearchStats(leaves_infeasible=500, n_solutions=1, iter_lp=0)
         outcome, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
                                     {"leaves"}, seed=12)
-        direct = cp_search(inst, inst.root_box(),
-                           CpConfig(node_limit=500, seed=12 ^ 9,
-                                    incumbent_bound=INF),
-                           branching=BranchingStats())
+        direct = oracles.probe(inst, inst.root_box(),
+                               CpConfig(node_limit=500, seed=12 ^ 9,
+                                        incumbent_bound=INF),
+                               branching=BranchingStats())
         assert outcome.status is direct.status
         assert outcome.nodes == direct.nodes
         assert outcome.conflicts == direct.conflicts
@@ -279,10 +280,10 @@ class TestScheduleGating:
         outcome, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
                                     {"leaves"}, seed=12)
         direct = BranchingStats()
-        out = cp_search(inst, inst.root_box(),
-                        CpConfig(node_limit=500, seed=12 ^ 9,
-                                 incumbent_bound=INF),
-                        branching=direct)
+        out = oracles.probe(inst, inst.root_box(),
+                            CpConfig(node_limit=500, seed=12 ^ 9,
+                                     incumbent_bound=INF),
+                            branching=direct)
         assert outcome.nodes == out.nodes > 1
         assert sum(direct.inferences.values()) > 0
         assert st.branching.inferences == direct.inferences
