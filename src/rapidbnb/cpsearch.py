@@ -4,11 +4,14 @@ This is the fast companion search: no LP anywhere, just propagation to a
 fixpoint per node, bounding against the box optimum of the objective (the
 pseudo solution, kept as a float list), conflict analysis on every pruned
 node until the conflict outgrows the length cap, and inference-guided
-branching that dives toward the pseudo solution.  It returns what it
-learned: short conflicts, scope-valid bound tightenings and possibly a
-solution.  Its inference counts go straight into the caller's table.
-It searches on the trail and propagator of the node it probes, in
-levels above the node's, and leaves both as it found them.
+branching that dives toward the pseudo solution.  It stops at its node
+budget, or earlier once it holds a solution and a tenth of the budget
+(`STALL_FRAC`) has passed without a better one: the search is meant to
+be short, and a proof of optimality it cannot finish is wasted.  It
+returns what it learned: short conflicts, scope-valid bound tightenings
+and possibly a solution.  Its inference counts go straight into the
+caller's table.  It searches on the trail and propagator of the node it
+probes, in levels above the node's, and leaves both as it found them.
 
 Conflicts whose proof leans on the objective cutoff hold only for
 improving solutions.  They still propagate inside this search (that is
@@ -33,6 +36,7 @@ from .propagation import Outcome, Propagator
 
 
 class CpStatus(Enum):
+    # stopped by the node budget, a stall after a solution or the deadline
     NODE_LIMIT = "node-limit-reached"
     OPTIMAL = "solved-optimal"
     INFEASIBLE = "solved-infeasible"
@@ -40,6 +44,9 @@ class CpStatus(Enum):
 
 # longest conflict the probe stores, as a share of the variable count
 MAX_CONFLICT_FRAC = 0.05
+# nodes without a better solution that stop a probe holding one, as a
+# share of its node budget
+STALL_FRAC = 0.1
 
 
 @dataclass
@@ -63,7 +70,8 @@ def node_limit_from_iters(iter_lp: int) -> int:
     """Probe budget coupled to the LP iterations done so far: node LPs
     and the strong-branching LPs that were solved.  A node LP handed its
     strong-branching child's result still adds that result's iterations,
-    so the budget is the one solving it again would give."""
+    so the budget is the one solving it again would give.  A tenth of
+    it without a better solution stops a probe that holds one."""
     return min(5000, max(500, int(iter_lp)))
 
 
@@ -111,6 +119,8 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
     best: np.ndarray | None = None
     scope_infeasible = False
     nodes = 0
+    stall = max(1, int(STALL_FRAC * config.node_limit))
+    improved_at = 0     # node count when `best` last improved
     # stack entries: (trail mark of the parent, level, branch or None)
     # branch = (var, side, bound value)
     stack: list[tuple[int, int, tuple | None]] = [(entry, base, None)]
@@ -162,6 +172,8 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
                 global_fix[key] = val
 
     while stack and nodes < config.node_limit:
+        if best is not None and nodes - improved_at >= stall:
+            break
         if config.deadline is not None and time.monotonic() > config.deadline:
             break
         mark, level, branch = stack.pop()
@@ -194,6 +206,7 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
                for cols, coefs, lim in rows):
             best = np.array(xl)
             cbar = obj
+            improved_at = nodes
             continue
 
         choice = select_inference_branching(box, int_mask, table, xl, rng)
@@ -208,7 +221,7 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
         else:
             stack.extend((down, up))
 
-    if stack:   # cut short by the node limit or the deadline
+    if stack:   # cut short by the node limit, a stall or the deadline
         status = CpStatus.NODE_LIMIT
     elif scope_infeasible or best is None:
         status = CpStatus.INFEASIBLE

@@ -205,8 +205,9 @@ class TestLazyAntecedents:
             return analyze_1uip(trail, *args)
 
         monkeypatch.setattr(cpsearch, "analyze_1uip", checked)
+        # probes that stall after a solution stop early, so 24 scopes
         rng = np.random.default_rng(58)
-        for case in range(12):
+        for case in range(24):
             inst = general_int_instance(rng) if case % 2 else \
                 oracles.random_sat_instance(rng)
             trails.append(EagerTrail(inst.root_box()))

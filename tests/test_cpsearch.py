@@ -18,6 +18,7 @@ from rapidbnb import (
     node_limit_from_iters,
     pseudo_solution,
 )
+from rapidbnb import cpsearch
 from rapidbnb.branching import BranchingStats
 from rapidbnb.conflict import Trail
 from rapidbnb.cpsearch import MAX_CONFLICT_FRAC
@@ -153,6 +154,67 @@ class TestNodeLimit:
         assert out.conflicts == []
         assert list(out.box.lower) == list(scope.lower)
         assert list(out.box.upper) == list(scope.upper)
+
+
+class TestStallStop:
+    """A probe holding a solution stops once a tenth of its node budget
+    has passed without a better one; before its first solution it runs
+    on to the budget."""
+
+    def test_stops_a_tenth_of_the_budget_after_the_last_improvement(
+            self, monkeypatch):
+        # the search up to the stop does not depend on the budget, so
+        # budgets without the stall rule (a share of 1 never fires) replay
+        # its prefixes: the returned solution is the one the first
+        # `nodes - stall` nodes find, and the node before that had none
+        # as good
+        limit = 100
+        stall = limit // 10
+        stopped = worse = 0
+        for s in range(60):
+            inst = dense_planted_instance(np.random.default_rng(s))
+            out = oracles.probe(inst, inst.root_box(),
+                                CpConfig(node_limit=limit))
+            if out.solution is None or out.nodes == limit:
+                continue
+            status, value, _ = oracles.enumerate_optimum(inst)
+            assert status == "optimal"
+            assert inst.check_point(out.solution)
+            found = inst.objective_value(out.solution)
+            assert found >= value
+            if out.status is CpStatus.OPTIMAL:
+                assert found == value   # integral data: compares exactly
+                continue
+            assert out.status is CpStatus.NODE_LIMIT
+            stopped += 1
+            worse += found > value
+            with monkeypatch.context() as m:
+                m.setattr(cpsearch, "STALL_FRAC", 1.0)
+                at = oracles.probe(inst, inst.root_box(),
+                                   CpConfig(node_limit=out.nodes - stall))
+                before = oracles.probe(
+                    inst, inst.root_box(),
+                    CpConfig(node_limit=out.nodes - stall - 1))
+            assert np.array_equal(at.solution, out.solution), s
+            assert before.solution is None or \
+                inst.objective_value(before.solution) > found, s
+        assert stopped >= 10 and worse >= 3
+
+    def test_infeasible_scope_needing_more_than_the_stall_is_proven(self):
+        # no solution, no stall: the proof runs past a tenth of the budget
+        rng = np.random.default_rng(67)
+        limit = 200
+        proven = 0
+        for _ in range(16):
+            inst = oracles.random_sat_instance(rng, n=16, m=80)
+            if oracles.feasible_points(inst).shape[0]:
+                continue
+            out = oracles.probe(inst, inst.root_box(),
+                                CpConfig(node_limit=limit))
+            assert out.status is CpStatus.INFEASIBLE
+            assert out.solution is None
+            proven += out.nodes > limit // 10
+        assert proven >= 5
 
 
 class TestLearnedFacts:

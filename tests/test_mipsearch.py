@@ -666,12 +666,14 @@ def plunge_cases():
               gen.clause_model(rng, "clause", 20)]
     cases = [(m, mode, config) for m in models
              for mode, config in PLUNGE_MODES.items()]
-    # children die while extending a trail that carries probe locals
-    dense = gen.general_int_model(np.random.default_rng(45), "dense", 10, 6)
+    # children die while extending a trail that carries probe locals, and
+    # switches keep or detach them
+    dense = [(gen.general_int_model(np.random.default_rng(seed), "dense",
+                                    10, 6), "dense", DENSE_PROBES)
+             for seed in (45, 18, 50, 92)]
     # the root probe keeps a global conflict and a global bound
     rooted = gen.general_int_model(np.random.default_rng(65), "rooted", 10, 6)
-    return cases + [(dense, "dense", DENSE_PROBES),
-                    (rooted, "root", ROOT_ALL_CRITERIA)]
+    return cases + dense + [(rooted, "root", ROOT_ALL_CRITERIA)]
 
 
 class TestPlungeState:

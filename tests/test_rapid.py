@@ -500,32 +500,34 @@ class TestTransferRules:
 
 
 def test_probe_conflicts_ranked_by_form_over_the_scope_box():
-    # a general-integer model whose probes below the root keep conflicts
+    # general-integer models whose probes below the root keep conflicts
     # of both forms; each probe's `lconstr` lines, written ahead of its
     # `rl` line, must follow the ranking recomputed from the scope box
     # the probe was handed: knapsack-row form first, then shorter
-    m = gen.general_int_model(np.random.default_rng(33), "g", 10, 6)
-    inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
     config = MipConfig(rapid_mode="local", rapid=RapidConfig(
         criteria=frozenset(CRITERION_NAMES)))
-    with oracles.SearchRecorder(require=("rapidbnb.rapid.cp_search",)) as rec:
-        res = solve(inst, config)
-    logged, current = [], []
-    for tok in map(str.split, res.events):
-        if tok[0] == "lconstr":
-            current.append((tok[tok.index("form") + 1],
-                            int(tok[tok.index("size") + 1])))
-        elif tok[0] == "rl":
-            logged.append(current)
-            current = []
-    assert len(logged) == len(rec.probes)
     forms = Counter()
-    for probe, lines in zip(rec.probes, logged):
-        ranked = sorted((to_knapsack(d, probe.scope_lower,
-                                     probe.scope_upper) is None, d.size)
-                        for d in probe.outcome.conflicts)
-        expected = [("disjunction" if disjunctive else "linear", size)
-                    for disjunctive, size in ranked]
-        assert lines == expected[:config.rapid.max_transferred_conflicts]
-        forms.update(form for form, _ in lines)
+    for seed in (33, 57, 58):
+        m = gen.general_int_model(np.random.default_rng(seed), "g", 10, 6)
+        inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
+        with oracles.SearchRecorder(
+                require=("rapidbnb.rapid.cp_search",)) as rec:
+            res = solve(inst, config)
+        logged, current = [], []
+        for tok in map(str.split, res.events):
+            if tok[0] == "lconstr":
+                current.append((tok[tok.index("form") + 1],
+                                int(tok[tok.index("size") + 1])))
+            elif tok[0] == "rl":
+                logged.append(current)
+                current = []
+        assert len(logged) == len(rec.probes)
+        for probe, lines in zip(rec.probes, logged):
+            ranked = sorted((to_knapsack(d, probe.scope_lower,
+                                         probe.scope_upper) is None, d.size)
+                            for d in probe.outcome.conflicts)
+            expected = [("disjunction" if disjunctive else "linear", size)
+                        for disjunctive, size in ranked]
+            assert lines == expected[:config.rapid.max_transferred_conflicts]
+            forms.update(form for form, _ in lines)
     assert forms["linear"] >= 1 and forms["disjunction"] >= 1

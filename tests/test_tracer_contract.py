@@ -52,27 +52,31 @@ def test_traced_counts_match_the_solver():
 
 
 def test_probe_event_lines_match_the_traced_counts():
-    # a general-integer model whose probes below the root keep conflicts
-    m = gen.general_int_model(np.random.default_rng(33), "g", 10, 6)
-    inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
+    # general-integer models whose probes below the root keep conflicts
     config = MipConfig(rapid_mode="local", rapid=RapidConfig(
         criteria=frozenset(rapidbnb.rapid.CRITERION_NAMES)))
-    tracer = Tracer(rapidbnb)
-    with tracer.installed():
-        res = tracer.solve(inst, config)
-    counts = tracer.last_counts
+    total_kept = 0
+    for seed in (33, 57, 58):
+        m = gen.general_int_model(np.random.default_rng(seed), "g", 10, 6)
+        inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
+        tracer = Tracer(rapidbnb)
+        with tracer.installed():
+            res = tracer.solve(inst, config)
+        counts = tracer.last_counts
 
-    # one `rl` line per probe run, one `lconstr` line per conflict an
-    # `rl` line reports as kept; below the root the hook is also called
-    # at depths off the schedule, which write no `criteria` line
-    lines = [line.split() for line in res.events]
-    assert counts["rapid.fires"] == sum(tok[0] == "rl" for tok in lines)
-    assert counts["rapid.evals"] > sum(tok[0] == "criteria" for tok in lines)
-    kept = sum(int(tok[tok.index("conflicts") + 1])
-               for tok in lines if tok[0] == "rl")
-    assert kept > 0
-    assert kept == counts["rapid.transferred"] == \
-        sum(tok[0] == "lconstr" for tok in lines)
+        # one `rl` line per probe run, one `lconstr` line per conflict an
+        # `rl` line reports as kept; below the root the hook is also
+        # called at depths off the schedule, which write no `criteria` line
+        lines = [line.split() for line in res.events]
+        assert counts["rapid.fires"] == sum(tok[0] == "rl" for tok in lines)
+        assert counts["rapid.evals"] > \
+            sum(tok[0] == "criteria" for tok in lines)
+        kept = sum(int(tok[tok.index("conflicts") + 1])
+                   for tok in lines if tok[0] == "rl")
+        assert kept == counts["rapid.transferred"] == \
+            sum(tok[0] == "lconstr" for tok in lines)
+        total_kept += kept
+    assert total_kept > 0
 
 
 def test_strong_branching_lps_match_the_solver(monkeypatch):
