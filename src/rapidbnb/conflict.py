@@ -30,6 +30,7 @@ from .model import BoundBox, Row, Side
 
 BRANCH_REASON = -1
 CUTOFF_REASON = -2
+SCOPE_REASON = -3       # a bound that holds throughout the scope
 
 
 @dataclass(slots=True)
@@ -38,7 +39,7 @@ class BoundChange:
     side: Side
     value: float
     level: int
-    reason: int                      # constraint id, BRANCH_REASON, or CUTOFF_REASON
+    reason: int                      # constraint id or a *_REASON
     reads: tuple[tuple[int, Side], ...]   # bounds this deduction read
     old_value: float                 # bound before the change, for undo
     shadowed: int | None             # previous trail position on (var, side)
@@ -56,7 +57,9 @@ class Trail:
 
     Propagators talk to this object: `apply` tightens the box and, when
     the bound actually moved, records the deduction with the bounds it
-    read; `antecedents` finds their trail positions when asked.
+    read; `antecedents` finds their trail positions when asked.  Every
+    write to the box goes through `apply`, `write` or `rewind`, so the
+    changes after a mark are all that moved since it.
     """
 
     def __init__(self, box: BoundBox) -> None:
@@ -99,6 +102,17 @@ class Trail:
         self._last[key] = len(self.changes) - 1
         return True
 
+    def write(self, var: int, side: Side, value: float) -> bool:
+        """Tighten a bound that holds throughout the scope.  `rewind`
+        undoes it like any change, but it never stands for its bound in
+        `_last`, so no deduction or failure names it as an antecedent."""
+        old = self.box.get(var, side)
+        if not self.box.tighten(var, side, value):
+            return False
+        self.changes.append(BoundChange(var, side, float(value), self.level,
+                                        SCOPE_REASON, (), old, None))
+        return True
+
     def fail(self, reason: int, reason_bounds: Iterable[tuple[int, Side]]) -> None:
         self.failure = Failure(reason, tuple(   # start values have no position
             self._last[k] for k in reason_bounds if k in self._last))
@@ -108,11 +122,12 @@ class Trail:
         box = self.box
         while len(self.changes) > mark:
             ch = self.changes.pop()
-            key = (ch.var, ch.side)
-            if ch.shadowed is None:
-                del self._last[key]
-            else:
-                self._last[key] = ch.shadowed
+            if ch.reason != SCOPE_REASON:
+                key = (ch.var, ch.side)
+                if ch.shadowed is None:
+                    del self._last[key]
+                else:
+                    self._last[key] = ch.shadowed
             (box.lower if ch.side is Side.LOWER else box.upper)[ch.var] = \
                 ch.old_value
         self.failure = None

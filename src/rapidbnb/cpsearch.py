@@ -11,7 +11,9 @@ be short, and a proof of optimality it cannot finish is wasted.  It
 returns what it learned: short conflicts, scope-valid bound tightenings
 and possibly a solution.  Its inference counts go straight into the
 caller's table.  It searches on the trail and propagator of the node it
-probes, in levels above the node's, and leaves both as it found them.
+probes, in levels above the node's, and writes its learned units on that
+trail as scope bounds (`Trail.write`), so one rewind to its entry mark
+leaves both as it found them.
 
 Conflicts whose proof leans on the objective cutoff hold only for
 improving solutions.  They still propagate inside this search (that is
@@ -135,7 +137,7 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
     def apply_global_fix() -> bool:
         for (v, s), val in global_fix.items():
             try:
-                box.tighten(v, s, val)
+                trail.write(v, s, val)
             except EmptyBoxError:
                 return False
         return True
@@ -229,12 +231,10 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
         status = CpStatus.OPTIMAL
 
     # what the scope's own fixpoint deduced; then back to the entry state,
-    # the learned units written past the trail included
+    # the learned units written on the trail included
     facts = [ch for ch in trail.changes[entry:] if ch.level == base]
     trail.rewind(entry)
     trail.level = base
-    for v, s in global_fix:
-        (box.lower if s is Side.LOWER else box.upper)[v] = scope.get(v, s)
     prop.truncate(size)
 
     if not scope_infeasible:

@@ -444,11 +444,12 @@ class _Solve:
         """Keep what the probe found at `node` in `trail.box`, its scope.
 
         Conflicts go global at the root and node-local below it; bound
-        tightenings of a probe stopped by its budget go into the global box
-        at the root, and below it onto the trail, as one-literal locals
-        that descendants derive again; a solution is installed only after
-        verification against the original instance.  True means the probe
-        settled the node, whose leaf is already logged.
+        tightenings of a probe stopped by its budget go onto the trail, at
+        the root as scope writes that the global box takes too, and below
+        it as one-literal locals that descendants derive again; a solution
+        is installed only after verification against the original
+        instance.  True means the probe settled the node, whose leaf is
+        already logged.
         """
         inst, stats, box = self.inst, self.stats, trail.box
         at_root = node.depth == 0
@@ -481,7 +482,7 @@ class _Solve:
             try:
                 for j, side, value in deltas:
                     if at_root:
-                        box.tighten(j, side, value)
+                        trail.write(j, side, value)
                         self.global_box.tighten(j, side, value)
                     else:
                         # the reason is the cid the local gets below

@@ -41,15 +41,17 @@ exactly as a full round-robin would.
 A rewind returns the driver to the fixpoint it left, the way a
 watched-literal solver backtracks without touching a watch.  Each quiet
 fixpoint leaves a record of the trail mark it ended at, with every
-constraint clean, and the next fixpoint diffs the box against the
-deepest record whose mark is still on the trail, instead of against
-the deeper state the rewind undid; since the record the bounds have
-only tightened, so the diff wakes what deductions would have.  A clause
-whose watches moved below that record moved them onto literals that
-were non-false on a box inside the record's, so they are non-false on
-the record's box too.  That holds only while every box since the
-record lay inside it, so a box outside it (a bound loosened past the
-trail) drops every record and dirties every constraint.
+constraint clean, and the next fixpoint starts from the deepest record
+whose mark is still on the trail, instead of from the deeper state the
+rewind undid.  Every write to the box between fixpoints is a trail
+entry (`Trail.apply`, `Trail.write`), so the entries after the record's
+mark are exactly the bounds that moved since, each a tightening, and
+waking on them wakes what deductions would have.  A clause whose
+watches moved below that record moved them onto literals that were
+non-false on a box inside the record's, so they are non-false on the
+record's box too.  Records hold no bounds, only marks on the trail they
+were made on, so another trail, or none, drops them all and dirties
+every constraint.
 """
 
 from __future__ import annotations
@@ -326,26 +328,6 @@ def clause_literals(row: Row) -> tuple[tuple[int, Side, float], ...]:
     return lits
 
 
-def _tightened(box: BoundBox, snap: tuple[list[float], list[float]],
-               ) -> tuple[list[int], list[int]] | None:
-    # the columns whose lower bound rose and whose upper bound fell since
-    # the snapshot, or None when a bound loosened: the box is not inside
-    # the snapshot's.  A side that equals it as a whole costs one comparison
-    lower, upper = box.lower, box.upper
-    snap_lower, snap_upper = snap
-    rose = [] if lower == snap_lower else \
-        [j for j, v in enumerate(lower) if v != snap_lower[j]]
-    fell = [] if upper == snap_upper else \
-        [j for j, v in enumerate(upper) if v != snap_upper[j]]
-    for j in rose:
-        if lower[j] < snap_lower[j]:
-            return None
-    for j in fell:
-        if upper[j] > snap_upper[j]:
-            return None
-    return rose, fell
-
-
 class _Item:
     __slots__ = ("idx", "cid", "row", "lits", "watch")
 
@@ -365,10 +347,10 @@ class Propagator:
     constraints must be registered under ids that do not collide.
     `truncate` detaches those added last, as a rewind past their level.
 
-    Between fixpoints `records` keeps, per quiet fixpoint still on the
-    trail, `(mark, change, snapshot, size)`: the trail's length and last
-    change (None at mark 0) at its end, its bounds and its number of
-    constraints; marks rise and boxes shrink up the list.
+    Between fixpoints `records` keeps, per quiet fixpoint still on
+    `trail`, the trail they were made on, `(mark, change, size)`: the
+    trail's length and last change (None at mark 0) at its end and its
+    number of constraints; marks rise up the list.
     `occ[side][j]` lists the rows whose minimum activity reads that
     bound of variable j: the lower one under a positive coefficient
     (every knapsack weight), the upper one under a negative one.
@@ -386,8 +368,8 @@ class Propagator:
             [[] for _ in range(n)], [[] for _ in range(n)])
         self.watch_lower: list[list[int]] = [[] for _ in range(n)]
         self.watch_upper: list[list[int]] = [[] for _ in range(n)]
-        self.records: list[tuple[int, BoundChange | None,
-                                 tuple[list[float], list[float]], int]] = []
+        self.records: list[tuple[int, BoundChange | None, int]] = []
+        self.trail: Trail | None = None
         for i, row in enumerate(instance.rows):
             self.add_constraint(i, row)
 
@@ -419,7 +401,7 @@ class Propagator:
                     occ.remove(item.idx)
         del self.items[size:]
         records = self.records
-        while records and records[-1][3] > size:
+        while records and records[-1][2] > size:
             records.pop()
 
     def _occurrences(self, row: Row) -> list[list[int]]:
@@ -470,52 +452,41 @@ class Propagator:
 
     def _mark_moved(self, box: BoundBox, trail: Trail) -> list[bool]:
         """The dirty flags a fixpoint starts from: the constraints the top
-        record still on the trail held clean unless a bound they read
-        tightened since, and later ones dirty.  With no record, or a box
-        outside it (a bound loosened past the trail), every constraint
+        record still on the trail held clean unless a trail entry after
+        its mark tightened a bound they read, and later ones dirty.  With
+        no record, or a trail other than the records', every constraint
         is dirty."""
         records, changes = self.records, trail.changes
+        if trail is not self.trail:
+            records.clear()
+            self.trail = trail
         while records:
-            mark, change, snap, size = records[-1]
+            mark, change, size = records[-1]
             if mark > len(changes) or \
                     (changes[mark - 1] if mark else None) is not change:
                 records.pop()
                 continue
-            moved = _tightened(box, snap)
-            if moved is None:
-                break
             dirty = [False] * size + [True] * (len(self.items) - size)
-            self._dirty_moved(dirty, box, *moved)
+            # a tightened bound dirties the rows that read it and may
+            # falsify the literals on its variable's other side
+            occ, lows, ups = self.occ, self.watch_lower, self.watch_upper
+            for ch in changes[mark:]:
+                for i in occ[ch.side][ch.var]:
+                    dirty[i] = True
+                watchers = (ups if ch.side is Side.LOWER else lows)[ch.var]
+                if watchers:
+                    self._wake(dirty, watchers, ch.var, box)
             return dirty
-        records.clear()
         return [True] * len(self.items)
 
-    def _dirty_moved(self, dirty: list[bool], box: BoundBox,
-                     rose: list[int], fell: list[int]) -> None:
-        # a risen lower bound dirties the rows that read it and may
-        # falsify upper-bound literals; the same for a fallen upper bound
-        occ_lower, occ_upper = self.occ
-        lows, ups = self.watch_lower, self.watch_upper
-        for j in rose:
-            for i in occ_lower[j]:
-                dirty[i] = True
-            if ups[j]:
-                self._wake(dirty, ups[j], j, box)
-        for j in fell:
-            for i in occ_upper[j]:
-                dirty[i] = True
-            if lows[j]:
-                self._wake(dirty, lows[j], j, box)
-
-    def _stop(self, box: BoundBox, trail: Trail, outcome: Outcome,
+    def _stop(self, trail: Trail, outcome: Outcome,
               applied: list[tuple[int, Side, float]]) -> PropagationResult:
         # a quiet fixpoint leaves a record: a new one on top when the
         # trail grew since the top one, else in its place
         if outcome is not Outcome.INFEASIBLE:
             changes, records = trail.changes, self.records
             mark = len(changes)
-            record = (mark, changes[-1] if mark else None,
-                      (list(box.lower), list(box.upper)), len(self.items))
+            record = (mark, changes[-1] if mark else None, len(self.items))
             if records and records[-1][0] == mark:
                 records[-1] = record
             else:
@@ -527,17 +498,16 @@ class Propagator:
         """Passes over the dirty constraints, in index order, until a pass
         applies nothing.
 
-        A fixpoint starts from the last quiet one still on the trail
-        while the box lies inside it, and otherwise with every constraint
-        dirty (`_mark_moved`).  A constraint is dirty when it was added
-        since, and when a bound moved since its last evaluation in a way
-        that may change its verdict (see the module docstring): by
-        another constraint's deduction, or, since that fixpoint, by
-        branching or bounds written past the trail.  Without `trail` the
-        call runs on a fresh one: it drops every record above mark 0 and
-        replaces that one, so the next call on another trail diffs
-        against this call's fixpoint, or dirties every constraint if its
-        box is not inside it.  A clean constraint's evaluation would
+        A fixpoint starts from the last quiet one still on the trail,
+        and otherwise with every constraint dirty (`_mark_moved`).  A
+        constraint is dirty when it was added since, and when a bound
+        moved since its last evaluation in a way that may change its
+        verdict (see the module docstring): by another constraint's
+        deduction, or, since that fixpoint, by a trail entry, a branching
+        or a scope write.  Every write to `box` between two calls on one
+        trail must be such an entry.  Without `trail` the call runs on a
+        fresh one, so it and the next call on any trail start with every
+        constraint dirty.  A clean constraint's evaluation would
         change nothing, so the result is the same trail as evaluating
         every constraint in every pass.  Its own deductions do not dirty
         a constraint, because no propagator reads a bound it deduces:
@@ -582,7 +552,7 @@ class Propagator:
                     continue
                 if isinstance(res, RowInfeasible):
                     trail.fail(item.cid, res.reason)
-                    return self._stop(box, trail, Outcome.INFEASIBLE, applied)
+                    return self._stop(trail, Outcome.INFEASIBLE, applied)
                 if isinstance(res, Deduction):
                     res = [res]
                 for d in res:
@@ -598,5 +568,5 @@ class Propagator:
                             self._wake(dirty, watchers, d.var, box)
             if not changed:
                 break
-        return self._stop(box, trail, Outcome.REDUCED if applied
+        return self._stop(trail, Outcome.REDUCED if applied
                           else Outcome.FIXPOINT, applied)

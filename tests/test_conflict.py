@@ -21,7 +21,7 @@ from rapidbnb import (
     solve,
     to_knapsack,
 )
-from rapidbnb.conflict import Trail
+from rapidbnb.conflict import SCOPE_REASON, Trail
 from rapidbnb.propagation import Outcome, Propagator
 
 import oracles
@@ -121,6 +121,29 @@ class TestTrail:
         assert not trail.branch(0, Side.UPPER, 3.0, level=1)  # not tighter
         assert trail.mark() == before
 
+    def test_a_scope_write_is_never_an_antecedent(self):
+        # x0 >= 1 branched at level 2, then x0 >= 3 and x1 <= 5 written
+        # for the scope, then a deduction that reads x0's lower bound: it,
+        # and a failure that reads both bounds, name the branch and no write
+        box = BoundBox(np.zeros(2), np.full(2, 6.0))
+        trail = Trail(box)
+        assert trail.branch(0, Side.LOWER, 1.0, level=2)
+        mark = trail.mark()
+        assert trail.write(0, Side.LOWER, 3.0)
+        assert trail.write(1, Side.UPPER, 5.0)
+        assert not trail.write(1, Side.UPPER, 5.0)     # not tighter
+        assert [ch.reason for ch in trail.changes[mark:]] == [SCOPE_REASON] * 2
+        assert box.lower[0] == 3.0 and box.upper[1] == 5.0
+        assert trail.apply(1, Side.LOWER, 2.0, reason=0,
+                           reason_bounds=((0, Side.LOWER),))
+        assert trail.antecedents(3) == (0,)
+        trail.fail(1, ((0, Side.LOWER), (1, Side.UPPER)))
+        assert trail.failure.antecedents == (0,)
+        trail.rewind(mark)
+        assert box.lower == [1.0, 0.0] and box.upper == [6.0, 6.0]
+        assert trail._last == {(0, Side.LOWER): 0}
+        assert trail.failure is None
+
 
 class EagerTrail(Trail):
     """A trail that also keeps what an eager one stored: per change, the
@@ -138,6 +161,13 @@ class EagerTrail(Trail):
             return False
         del self.eager[len(self.changes) - 1:]
         self.eager.append(at_apply)
+        return True
+
+    def write(self, var, side, value) -> bool:
+        if not super().write(var, side, value):
+            return False
+        del self.eager[len(self.changes) - 1:]
+        self.eager.append(())
         return True
 
     def assert_lazy_is_eager(self) -> None:

@@ -366,9 +366,9 @@ class TestProbeOnItsNodesState:
     probes, opening its levels above the node's."""
 
     def test_leaves_the_state_as_it_found_it(self):
-        # every exit step shows: the rewind (trail and box), the level, the
-        # learned units written past the trail on either side (box) and
-        # the detached conflicts (propagator)
+        # every exit step shows: the rewind (trail and box, the learned
+        # units written on the trail on either side included), the level
+        # and the detached conflicts (propagator)
         rng = np.random.default_rng(70)
         units = {Side.LOWER: 0, Side.UPPER: 0}
         probes = 0

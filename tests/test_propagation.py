@@ -418,6 +418,11 @@ class Lockstep:
             step(prop, trail)
         assert trail_record(self.runs[0][1]) == trail_record(self.runs[1][1])
 
+    def write(self, var: int, side: Side, value: float) -> None:
+        """A bound that holds throughout the scope, written on both trails
+        as the probe writes its learned units."""
+        self.each(lambda prop, trail: trail.write(var, side, value))
+
     def fixpoint(self) -> PropagationResult:
         out = []
         self.each(lambda prop, trail: out.append(
@@ -459,11 +464,11 @@ class TestDirtySetFixpoint:
                     for tr in (tr_new, tr_ref):
                         tr.branch(var, side, val, len(marks))
                 elif op < 0.4 and free:
-                    # a bound written past the trail, as a learned unit is
+                    # a scope write, as a learned unit is
                     var = int(rng.choice(free))
                     val = box.lower[var] + 1.0
                     for tr in (tr_new, tr_ref):
-                        tr.box.tighten(var, Side.LOWER, val)
+                        tr.write(var, Side.LOWER, val)
                 elif op < 0.55:
                     mark = marks.pop() if marks else 0
                     for tr in (tr_new, tr_ref):
@@ -555,40 +560,41 @@ class TestWatchWakeups:
         assert run.fixpoint().deductions == [(0, Side.LOWER, 1.0)]
 
     def test_untrued_watch_whose_other_watch_stays_false(self):
-        # x0 or x1: x0 true by a branch, x1 false by a bound written past
-        # the trail, as the probe writes its learned units; the rewind
-        # un-trues x0 and leaves it the clause's unit
+        # x0 or x1: x0 true by a branch, x1 false by a scope write after
+        # the first fixpoint and ahead of the branch's mark, as the probe
+        # writes its learned units; the rewind un-trues x0 and leaves it
+        # the clause's unit
         inst = from_inequalities([0.0] * 2,
                                  [((0, 1), (1.0, 1.0), ">=", 1.0)],
                                  [0] * 2, [1] * 2, integer_set=range(2))
         run = Lockstep(inst)
         run.fixpoint()
+        run.write(1, Side.UPPER, 0.0)
         mark = run.trail.mark()
         run.each(lambda prop, trail: trail.branch(0, Side.LOWER, 1.0, 1))
-        run.each(lambda prop, trail: trail.box.tighten(1, Side.UPPER, 0.0))
         assert run.fixpoint().outcome is Outcome.FIXPOINT
         run.each(lambda prop, trail: trail.rewind(mark))
         assert run.fixpoint().deductions == [(0, Side.LOWER, 1.0)]
-        # x1's bound is off the trail, so the deduction has no antecedent
+        # x1's bound is a scope write, so the deduction has no antecedent
         assert run.trail.antecedents(run.trail.mark() - 1) == ()
 
     def test_failed_clause_stays_dirty(self):
         # x1 or x2 or x3 fails with its watches on x1 and x2, both false
-        # by bounds written past the trail, and x3 false through the
-        # branch x0 <= 0 and x3 <= x0; rewinding the branch frees x3, the
-        # clause's unit now, which it does not watch.  The failure leaves
-        # no record, so the next fixpoint diffs against the root's, where
-        # the fallen upper bounds of x1 and x2 bring the clause back
+        # by scope writes after the first fixpoint and ahead of the
+        # branch's mark, and x3 false through the branch x0 <= 0 and
+        # x3 <= x0; rewinding the branch frees x3, the clause's unit now,
+        # which it does not watch.  The failure leaves no record, so the
+        # next fixpoint starts from the first one's, where the writes of
+        # x1's and x2's upper bounds bring the clause back
         inst = from_inequalities([0.0] * 4,
                                  [((0, 3), (-1.0, 1.0), "<=", 0.0),
                                   ((1, 2, 3), (1.0,) * 3, ">=", 1.0)],
                                  [0] * 4, [1] * 4, integer_set=range(4))
         run = Lockstep(inst)
         run.fixpoint()
-        mark = run.trail.mark()
         for var in (1, 2):
-            run.each(lambda prop, trail: trail.box.tighten(
-                var, Side.UPPER, 0.0))
+            run.write(var, Side.UPPER, 0.0)
+        mark = run.trail.mark()
         run.each(lambda prop, trail: trail.branch(0, Side.UPPER, 0.0, 1))
         assert run.fixpoint().outcome is Outcome.INFEASIBLE
         assert run.trail.failure.reason == 1
@@ -709,15 +715,10 @@ class TestTruncate:
         assert detached >= 200 and failures >= 100 and quiet_after >= 150
 
 
-def write_bound(box: BoundBox, var: int, side: Side, value: float) -> None:
-    """A bound written past the trail, looser or tighter."""
-    (box.lower if side is Side.LOWER else box.upper)[var] = value
-
-
 class TestFixpointRecords:
-    """A fixpoint diffs the box against the quiet fixpoint recorded at the
-    trail's mark, and a tightening wakes only the rows that read the
-    tightened bound: fewer evaluations, the reference trail."""
+    """A fixpoint starts from the quiet fixpoint recorded at the trail's
+    mark and wakes on the trail entries after it, each only the rows that
+    read the bound it tightened: fewer evaluations, the reference trail."""
 
     @staticmethod
     def five_rows(monkeypatch):
@@ -761,21 +762,39 @@ class TestFixpointRecords:
         assert evaluated == [0, 1]
 
     def test_loosening_past_the_trail_wakes_every_row(self, monkeypatch):
-        # x1's upper bound written back up past the trail after a branch
-        # lowered it: the box lies outside every record, so each row is
+        # only a rewind loosens a bound: x1's upper bound goes back up
+        # when the branch that lowered it ahead of the first fixpoint is
+        # rewound.  No record lies at or below the mark, so each row is
         # evaluated once, and the fixpoint that follows is a record again
         inst, evaluated = self.five_rows(monkeypatch)
         prop, trail = Propagator(inst), Trail(inst.root_box())
-        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
         trail.branch(1, Side.UPPER, 2.0, 1)
         assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
-        write_bound(trail.box, 1, Side.UPPER, 6.0)
+        trail.rewind(0)
+        assert trail.box.upper[1] == 6.0
         del evaluated[:]
         assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
         assert evaluated == [0, 1, 2, 3, 4]
         del evaluated[:]
         assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
         assert evaluated == []
+
+    def test_another_trail_or_none_wakes_every_row(self, monkeypatch):
+        # records are marks on the trail they were made on: the first
+        # trail's mark-0 record would match a fresh trail's mark 0, and a
+        # call without a trail runs on a fresh one, each over a box the
+        # record never held
+        inst, evaluated = self.five_rows(monkeypatch)
+        prop, trail = Propagator(inst), Trail(inst.root_box())
+        assert prop.to_fixpoint(trail.box, trail).outcome is Outcome.FIXPOINT
+        other = Trail(BoundBox([3.0, 0.0, 0.0, 0.0], [6.0, 2.0, 6.0, 6.0]))
+        for fixpoint in (lambda: prop.to_fixpoint(other.box, other),
+                         lambda: prop.to_fixpoint(BoundBox([0.0] * 4,
+                                                           [1.0] * 4)),
+                         lambda: prop.to_fixpoint(trail.box, trail)):
+            del evaluated[:]
+            assert fixpoint().outcome is Outcome.FIXPOINT
+            assert evaluated == [0, 1, 2, 3, 4]
 
     def test_rewind_wakes_no_clause(self, monkeypatch):
         # x0 >= 1 or x1 >= 1 with x1 fixed to 0: the root fixpoint deduces
@@ -802,26 +821,30 @@ class TestFixpointRecords:
         assert watched == []
 
     def test_loosen_fixpoint_retighten(self):
-        # x0 or x1 or x2: x2 <= 0 written past the trail before the root
-        # fixpoint, then loosened; a branch x0 <= 0 moves the clause's
-        # watch onto x2, and x2 <= 0 is written again before the rewind.
-        # The box is the root fixpoint's again, yet the clause now
-        # watches a false literal, so x0 <= 0 must still wake it
+        # x0 or x1 or x2: x2 <= 0 written on the trail before the root
+        # fixpoint, then loosened, which only a rewind below that
+        # fixpoint's mark can do; a branch x0 <= 0 moves the clause's
+        # watch onto x2, and after a rewind x2 <= 0 is written again.  The
+        # box is the root fixpoint's again, yet the clause now watches a
+        # false literal, so x0 <= 0 must still wake it.  A box outside a
+        # record can no longer return to it on the record's trail: the
+        # entry at the record's mark is another, so every constraint is
+        # dirty
         inst = from_inequalities([0.0] * 3,
                                  [((0, 1, 2), (1.0,) * 3, ">=", 1.0)],
                                  [0] * 3, [1] * 3, integer_set=range(3))
         run = Lockstep(inst)
-        run.each(lambda prop, trail: write_bound(trail.box, 2, Side.UPPER,
-                                                 0.0))
+        prop, trail = run.runs[0]
+        run.write(2, Side.UPPER, 0.0)
         assert run.fixpoint().outcome is Outcome.FIXPOINT
-        mark = run.trail.mark()
-        run.each(lambda prop, trail: write_bound(trail.box, 2, Side.UPPER,
-                                                 1.0))
+        root = list(trail.box.lower), list(trail.box.upper)
+        run.each(lambda prop, trail: trail.rewind(0))
         run.each(lambda prop, trail: trail.branch(0, Side.UPPER, 0.0, 1))
         assert run.fixpoint().outcome is Outcome.FIXPOINT
-        run.each(lambda prop, trail: write_bound(trail.box, 2, Side.UPPER,
-                                                 0.0))
-        run.each(lambda prop, trail: trail.rewind(mark))
+        run.each(lambda prop, trail: trail.rewind(0))
+        run.write(2, Side.UPPER, 0.0)
+        assert (trail.box.lower, trail.box.upper) == root
+        assert all(prop._mark_moved(trail.box, trail))
         assert run.fixpoint().outcome is Outcome.FIXPOINT
         run.each(lambda prop, trail: trail.branch(0, Side.UPPER, 0.0, 1))
         assert run.fixpoint().deductions == [(1, Side.LOWER, 1.0)]
@@ -843,29 +866,28 @@ class TestFixpointRecords:
 
     def test_writes_past_the_trail_against_round_robin(self):
         # levels as a tree search keeps them (a branching, new
-        # disjunctions, a fixpoint), with bounds written past the trail
-        # that tighten or loosen, a loosening undone after a fixpoint,
-        # fixpoints without a trail, and rewinds that truncate to any
-        # completed level
+        # disjunctions, a fixpoint), with scope writes that tighten,
+        # loosenings (rewinds to just before a change above the root
+        # level), a loosening written back after a fixpoint, fixpoints
+        # without a trail, and rewinds that truncate to any completed
+        # level.  Every write goes through the box, so no pair of bounds
+        # ever crosses
         rng = np.random.default_rng(85)
         ops, outcomes = Counter(), set()
         for case in range(60):
             inst = mixed_instance(rng)
             run = Lockstep(inst)
             prop = run.runs[0][0]
-            root = inst.root_box()
             if run.fixpoint().outcome is Outcome.INFEASIBLE:
                 continue
             levels = [(run.trail.mark(), len(prop.items))]
             next_cid = inst.num_rows
             for step in range(50):
                 box = run.trail.box
-                if any(lo > up for lo, up in zip(box.lower, box.upper)):
-                    break   # loosenings and rewinds crossed a pair of bounds
+                assert all(lo <= up for lo, up in zip(box.lower, box.upper))
                 ints = inst.integer_indices
                 free = [j for j in ints if box.upper[j] - box.lower[j] > 0.5]
-                moved = [j for j in ints if box.lower[j] > root.lower[j] or
-                         box.upper[j] < root.upper[j]]
+                entries = range(levels[0][0], run.trail.mark())
                 op = rng.random()
                 if op < 0.3 and free:
                     ops["branch"] += 1
@@ -892,29 +914,23 @@ class TestFixpointRecords:
                         side, val = Side.LOWER, box.lower[var] + 1.0
                     else:
                         side, val = Side.UPPER, box.upper[var] - 1.0
-                    run.each(lambda prop, trail: write_bound(
-                        trail.box, var, side, val))
-                elif op < 0.6 and moved:
-                    var = int(rng.choice(moved))
-                    if box.lower[var] > root.lower[var]:
-                        side, val = Side.LOWER, float(rng.integers(
-                            root.lower[var], box.lower[var]))
-                    else:
-                        side, val = Side.UPPER, float(rng.integers(
-                            box.upper[var], root.upper[var]) + 1)
+                    run.write(var, side, val)
+                elif op < 0.6 and entries:
+                    mark = int(rng.choice(entries))
+                    change = run.trail.changes[mark]
+                    var, side = change.var, change.side
                     old = box.get(var, side)
-                    run.each(lambda prop, trail: write_bound(
-                        trail.box, var, side, val))
+                    run.each(lambda prop, trail: trail.rewind(mark))
+                    while levels[-1][0] > mark:
+                        levels.pop()
                     if op < 0.5:
                         ops["loosen"] += 1
                         continue
                     ops["loosen, fixpoint, retighten"] += 1
                     outcomes.add(run.fixpoint().outcome)
-                    if box.get(var, side) == val and (
-                            old <= box.upper[var] if side is Side.LOWER
-                            else old >= box.lower[var]):
-                        run.each(lambda prop, trail: write_bound(
-                            trail.box, var, side, old))
+                    if old <= box.upper[var] if side is Side.LOWER \
+                            else old >= box.lower[var]:
+                        run.write(var, side, old)
                 elif op < 0.7:
                     ops["no trail"] += 1
                     out = []
