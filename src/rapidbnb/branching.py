@@ -7,9 +7,8 @@ branching on a variable triggered, and conflict activity (VSIDS) per
 bound side.  It owns the tree's rules for them too: `observe` turns an
 LP objective change into a pseudo-cost, and `ranked` orders candidates
 for strong branching and for the branching choice.  The CP probe
-branches on the inference counts alone and adds its own counts to the
-table it was handed; nothing else records any, so under
-`rapid_mode="off"` the tree's inference term is 0 for every candidate.
+branches on the inference counts alone, in a table of its own per run;
+the tree records none, so its inference term is 0 for every candidate.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ class BranchingStats:
                 self.activity[key] *= 0.95
 
     def score(self, var: int) -> float:
-        """Hybrid score: weighted pseudo-cost product, inferences (the
-        probe's only, see the module note), activity."""
+        """Hybrid score: weighted pseudo-cost product, inferences (none
+        in the tree's table, see the module note), activity."""
         product = max(self.pseudo_cost(var, 0), PC_FLOOR) * \
             max(self.pseudo_cost(var, 1), PC_FLOOR)
         return (W_PC * product

@@ -9,11 +9,12 @@ budget, or earlier once it holds a solution and a tenth of the budget
 (`STALL_FRAC`) has passed without a better one: the search is meant to
 be short, and a proof of optimality it cannot finish is wasted.  It
 returns what it learned: short conflicts, scope-valid bound tightenings
-and possibly a solution.  Its inference counts go straight into the
-caller's table.  It searches on the trail and propagator of the node it
-probes, in levels above the node's, and writes its learned units on that
-trail as scope bounds (`Trail.write`), so one rewind to its entry mark
-leaves both as it found them.
+and possibly a solution.  It branches on the inference counts of its own
+branchings, in a table made per call that the caller never sees.  It
+searches on the trail and propagator of the node it probes, in levels
+above the node's, and writes its learned units on that trail as scope
+bounds (`Trail.write`), so one rewind to its entry mark leaves both as
+it found them.
 
 Conflicts whose proof leans on the objective cutoff hold only for
 improving solutions.  They still propagate inside this search (that is
@@ -90,16 +91,15 @@ def _box_optimum(box: BoundBox, negative: list[bool]) -> list[float]:
 
 
 def cp_search(instance: Instance, trail: Trail, prop: Propagator,
-              config: CpConfig,
-              branching: BranchingStats | None = None) -> CpOutcome:
+              config: CpConfig) -> CpOutcome:
     """Run the probe on `instance` restricted to `trail.box`, its scope,
     on `trail` and on `prop`, which holds only constraints valid there.
 
     Levels up to `trail.level` are the scope's; the probe opens its own
     above them, adds its conflicts under ids above every id in `prop`,
     and leaves trail, box and `prop` as it found them.  It branches on
-    the inference counts in `branching` and adds its own to them.  Two
-    runs with equal inputs, seeds and tables give identical outcomes.
+    the inference counts of its own branchings alone.  Two runs with
+    equal inputs and seeds give identical outcomes.
     """
     n = instance.num_vars
     int_mask = instance.integer_mask
@@ -112,7 +112,7 @@ def cp_search(instance: Instance, trail: Trail, prop: Propagator,
     next_cid = max((item.cid for item in prop.items), default=-1) + 1
 
     rng = random.Random(config.seed)
-    table = branching if branching is not None else BranchingStats()
+    table = BranchingStats()
     cap = math.ceil(MAX_CONFLICT_FRAC * n)
     conflicts: list[BoundDisjunction] = []
     tainted_ids: set[int] = set()

@@ -2,8 +2,8 @@
 
 Six trigger criteria, an exponentially thinning depth schedule, and the
 probe run itself, which hands its outcome back unapplied: the tree
-search decides what to keep of it (`mipsearch._Solve._transfer`).  The
-probe adds its inference counts to the host's branching table itself.
+search decides what to keep of it (`mipsearch._Solve._transfer`).  No
+probe reads or writes the host's branching table.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from .lp import DegeneracyInfo, measure_degeneracy
 from .model import Instance
 
 CRITERION_NAMES = ("dualbound", "leaves", "degeneracy", "obj", "nsols", "sblps")
-# only box-shaped evidence exists before any branching has happened
-ROOT_CRITERIA = frozenset({"degeneracy", "obj", "nsols"})
+# only box-shaped evidence exists before any branching has happened; no
+# solution can exist either, so "nsols" would fire on every root
+ROOT_CRITERIA = frozenset({"degeneracy", "obj"})
 # trigger thresholds; every comparison against them is strict
 RATIO_THRESHOLD = 10.0
 DEGENERACY_SHARE_THRESHOLD = 0.80
@@ -97,8 +98,8 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
     """Run the probe on the node's `trail` and `prop` when the depth
     schedule and a criterion both say so: its outcome, or None if not.
 
-    Only the `criteria` line, the call and fire counts and the branching
-    table change here: the caller decides what to keep of the outcome.
+    Only the `criteria` line and the call and fire counts change here:
+    the caller decides what to keep of the outcome.
     The CP seed is the solve's `seed` xor node id so distinct nodes probe
     differently but reruns are identical.  The probe stops at `deadline`,
     a `time.monotonic()` value.
@@ -125,5 +126,4 @@ def maybe_run(node, stats, instance: Instance, config: RapidConfig, *,
                       seed=seed ^ node.id,
                       incumbent_bound=stats.incumbent_value,
                       deadline=deadline)
-    return cp_search(instance, trail, prop, cp_cfg,
-                     branching=stats.branching)
+    return cp_search(instance, trail, prop, cp_cfg)

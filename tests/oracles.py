@@ -228,11 +228,10 @@ def check_disjunction(d: BoundDisjunction, point, tol: float = 1e-6) -> bool:
 # -- running and watching the searches --------------------------------
 
 
-def probe(inst: Instance, box, config, branching=None) -> CpOutcome:
+def probe(inst: Instance, box, config) -> CpOutcome:
     """`cp_search` over a copy of `box` on a throwaway state: a fresh
     trail and a propagator holding the instance's rows only."""
-    return cp_search(inst, Trail(box.copy()), Propagator(inst), config,
-                     branching=branching)
+    return cp_search(inst, Trail(box.copy()), Propagator(inst), config)
 
 
 RECORDED_NAMES = ("rapidbnb.mipsearch.analyze_1uip",

@@ -36,10 +36,12 @@ def report(criterion: int, detail: str) -> None:
 
 
 def rl_config(seed: int = 1) -> MipConfig:
-    # probe on a dense schedule so the tiny suite still exercises it
+    # probe on a dense schedule so the tiny suite still exercises it; at
+    # the root only degeneracy and a zero-cost scope can fire, below it
+    # also a search that has found no solution yet
     return MipConfig(rapid_mode="local", seed=seed,
                      rapid=RapidConfig(criteria=frozenset({"degeneracy",
-                                                           "nsols"}),
+                                                           "obj", "nsols"}),
                                        f=1, beta=2.0))
 
 

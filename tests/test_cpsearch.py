@@ -398,11 +398,20 @@ class TestProbeOnItsNodesState:
         assert probes >= 20
         assert units[Side.LOWER] >= 3 and units[Side.UPPER] >= 3
 
-    def test_same_outcome_as_on_a_throwaway_state(self):
+    def test_same_outcome_as_on_a_throwaway_state(self, monkeypatch):
         # the same constraints on a fresh trail over the node's box and a
         # fresh propagator, the attached ones under ids far above the
         # host's; the ids the probe gives its conflicts lie above every id
-        # its propagator held, on either state
+        # its propagator held, on either state, and each run leaves the
+        # same inference counts in the table it made for itself
+        tables = []
+
+        class Recorded(BranchingStats):
+            def __init__(self):
+                super().__init__()
+                tables.append(self)
+
+        monkeypatch.setattr(cpsearch, "BranchingStats", Recorded)
         rng = np.random.default_rng(71)
         decided = cut_short = learned = 0
         for case in range(12):
@@ -416,13 +425,12 @@ class TestProbeOnItsNodesState:
                 ref_prop.add_constraint(10**6 + k, d)
             for seed in range(3):
                 config = CpConfig(node_limit=400, seed=seed)
-                table, ref_table = BranchingStats(), BranchingStats()
                 held = max(item.cid for item in prop.items)
                 first = len(prop.added)
-                out = cp_search(inst, trail, prop, config, branching=table)
-                ref = cp_search(inst, ref_trail, ref_prop, config,
-                                branching=ref_table)
+                out = cp_search(inst, trail, prop, config)
+                ref = cp_search(inst, ref_trail, ref_prop, config)
                 assert outcome_data(out) == outcome_data(ref), (case, seed)
+                table, ref_table = tables[-2:]
                 assert table.inferences == ref_table.inferences
                 cids = prop.added[first:]
                 assert cids == list(range(held + 1, held + 1 + len(cids)))

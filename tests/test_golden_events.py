@@ -42,11 +42,11 @@ PINNED = {
         (1, 15, "295e5f4687adedd4b830e0747e7bd38a"
          "285caf0d7472fb130941ed3e754df6c9"),
     ("clause", "local"):
-        (1, 15, "16a9e98395394571550811142b905c4f"
-         "5416a2ead55f0a4df16241df5338927d"),
+        (1, 15, "a13fec21dea04902eb39cb03a40db5bd"
+         "2099df4e9384312b4413180b0af601b5"),
     ("clause", "root-all"):
-        (1, 15, "16a9e98395394571550811142b905c4f"
-         "5416a2ead55f0a4df16241df5338927d"),
+        (1, 15, "a13fec21dea04902eb39cb03a40db5bd"
+         "2099df4e9384312b4413180b0af601b5"),
     ("clause", "local-default"):
         (1, 15, "295e5f4687adedd4b830e0747e7bd38a"
          "285caf0d7472fb130941ed3e754df6c9"),
@@ -57,11 +57,11 @@ PINNED = {
         (116, 263, "0a762ac1116e9d98e63fd14517811cc2"
          "a75c00723038993aa416d6fe4adafac9"),
     ("knapsack", "local"):
-        (115, 258, "f646c08e621ce695b297607fc1213c81"
-         "f4d630a2221d53fabf34061b471e8a52"),
+        (111, 255, "9cc27f164fdfd216cc0914abc1fb51b0"
+         "3b026df9b62eb17a80538345fcb70eac"),
     ("knapsack", "root-all"):
-        (122, 270, "2b75a909c1e0c4a97aecb10e3f391d6c"
-         "b020fb6ca7c418242a086f378f0a9af4"),
+        (116, 263, "0a762ac1116e9d98e63fd14517811cc2"
+         "a75c00723038993aa416d6fe4adafac9"),
     ("knapsack", "local-default"):
         (116, 263, "bd8d493d7355a6df8c3af8a10e35a3be"
          "a3c7a9e90458069b9c247c07ed9e38fd"),
@@ -72,11 +72,11 @@ PINNED = {
         (6, 151, "4fcf41ae8be26118cd6343895618e98d"
          "df67eb8e3652f83f9bc8bac36967548a"),
     ("cover", "local"):
-        (3, 94, "2465d8322bd1b3415e1851d3b191355b"
-         "f64ea3f27833034021d5dfbf52a8588c"),
+        (6, 151, "4fcf41ae8be26118cd6343895618e98d"
+         "df67eb8e3652f83f9bc8bac36967548a"),
     ("cover", "root-all"):
-        (3, 94, "2465d8322bd1b3415e1851d3b191355b"
-         "f64ea3f27833034021d5dfbf52a8588c"),
+        (6, 151, "4fcf41ae8be26118cd6343895618e98d"
+         "df67eb8e3652f83f9bc8bac36967548a"),
     ("cover", "local-default"):
         (6, 151, "4fcf41ae8be26118cd6343895618e98d"
          "df67eb8e3652f83f9bc8bac36967548a"),
@@ -87,11 +87,11 @@ PINNED = {
         (56, 99, "103847109d44646bdba1fe1ec51eeec6"
          "2c0fb61fd6ff17960e8c14fc82d826f4"),
     ("general_int0", "local"):
-        (33, 73, "9fe2dbe640e3c6c513e7b4ad9f12592b"
-         "a9c4a0e8c18bb374241cbb854036e1b0"),
+        (33, 74, "33b381fe0b59071e6c9c448526dba8a2"
+         "f6852d9ed73837f4d1c95bd23a0a156a"),
     ("general_int0", "root-all"):
-        (48, 93, "07fdbf7dbaefa9748740fa68afc11718"
-         "f76dd2e4b858f4dd89a30d5b70c4e968"),
+        (56, 99, "103847109d44646bdba1fe1ec51eeec6"
+         "2c0fb61fd6ff17960e8c14fc82d826f4"),
     ("general_int0", "local-default"):
         (56, 99, "609eb10ca5feaa9ea4aa405aebd03df5"
          "9533a824b9467d306b25295a3249479a"),
@@ -102,11 +102,11 @@ PINNED = {
         (22, 51, "5a9224b2f55be82d4c4982e13b03778c"
          "f21842e0e0d1b9dc7a21f2e61d454495"),
     ("general_int1", "local"):
-        (26, 71, "a38cbbdb87b0393f5434639f96cb1ed1"
-         "87baa91be16b031e7860da4c5ca655ce"),
+        (22, 51, "facfb17f9048aa0f43b685d108d41188"
+         "488d69913e54f7f5449f29d63f7c94a1"),
     ("general_int1", "root-all"):
-        (28, 72, "c60a787680976115dc4211d31fed3572"
-         "0d7b3e8fc076e04288ce647e93a4b334"),
+        (22, 51, "5a9224b2f55be82d4c4982e13b03778c"
+         "f21842e0e0d1b9dc7a21f2e61d454495"),
     ("general_int1", "local-default"):
         (22, 51, "ddfc0b94522c06c2cbdbb9e7ee145fde"
          "f996d8e951e5d83e157e9abd91aa3ea7"),
@@ -117,11 +117,11 @@ PINNED = {
         (22, 41, "54552ee793f42fac4fe49b2bc9b51eb7"
          "adee1f0850b8218fb6a2f5aeecd92901"),
     ("general_int2", "local"):
-        (18, 42, "9b30224d56e36797890c1f2134ec47ed"
-         "ef641dfe951e4756a95a50cb61f4ed76"),
+        (22, 41, "9669ea00a0c46d0f3afb27758ee37261"
+         "9543676a46e6cbf7d8fd77f656bec6c4"),
     ("general_int2", "root-all"):
-        (18, 42, "9b30224d56e36797890c1f2134ec47ed"
-         "ef641dfe951e4756a95a50cb61f4ed76"),
+        (22, 41, "54552ee793f42fac4fe49b2bc9b51eb7"
+         "adee1f0850b8218fb6a2f5aeecd92901"),
     ("general_int2", "local-default"):
         (22, 41, "9669ea00a0c46d0f3afb27758ee37261"
          "9543676a46e6cbf7d8fd77f656bec6c4"),

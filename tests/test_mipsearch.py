@@ -670,10 +670,27 @@ def plunge_cases():
     # switches keep or detach them
     dense = [(gen.general_int_model(np.random.default_rng(seed), "dense",
                                     10, 6), "dense", DENSE_PROBES)
-             for seed in (45, 18, 50, 92)]
-    # the root probe keeps a global conflict and a global bound
+             for seed in (45, 18, 50, 92, 57)]
+    # all six criteria at the root: no root criterion fires on seed 65,
+    # and the zero-cost model's root probe keeps a global conflict and a
+    # global bound
     rooted = gen.general_int_model(np.random.default_rng(65), "rooted", 10, 6)
-    return cases + dense + [(rooted, "root", ROOT_ALL_CRITERIA)]
+    return cases + dense + [(rooted, "root", ROOT_ALL_CRITERIA),
+                            (unit_at_the_root(), "root", ROOT_ALL_CRITERIA)]
+
+
+def unit_at_the_root() -> gen.Model:
+    """A zero-cost model whose root probe keeps a global conflict and a
+    global bound: "obj" fires at the root, the rows of a general-integer
+    model keep the probe from a solution within its budget, and three
+    binaries b, y1, y2 under y1 + b >= 1, y2 + b >= 1, b + y1 + y2 <= 1
+    fail by propagation alone once b = 0, so it learns the unit b >= 1."""
+    m = gen.general_int_model(np.random.default_rng(13), "rooted", 10, 6)
+    rows = m.rows + [([10, 11], [1.0, 1.0], ">=", 1.0),
+                     ([10, 12], [1.0, 1.0], ">=", 1.0),
+                     ([10, 11, 12], [1.0, 1.0, 1.0], "<=", 1.0)]
+    return gen.Model("unit-at-the-root", [0.0] * 13, rows,
+                     m.lower + [0.0] * 3, m.upper + [1.0] * 3)
 
 
 class TestPlungeState:

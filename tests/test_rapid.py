@@ -26,12 +26,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
 
 
-def coverage_instance(n=16, integer_set=None):
-    """min sum x over n binaries subject to x0 + x1 >= 1."""
+def coverage_instance(n=16, integer_set=None, cost=1.0):
+    """min cost * sum x over n binaries subject to x0 + x1 >= 1; at cost 0
+    the "obj" criterion fires on any box."""
     rows = [((0, 1), (1.0, 1.0), ">=", 1.0)]
     if integer_set is None:
         integer_set = range(n)
-    return from_inequalities([1.0] * n, rows, [0.0] * n, [1.0] * n,
+    return from_inequalities([cost] * n, rows, [0.0] * n, [1.0] * n,
                              integer_set)
 
 
@@ -195,18 +196,22 @@ class TestScheduleGating:
         assert outcome is None and events == []
 
     def test_tree_criteria_masked_at_root(self):
-        # only evidence that exists before branching may fire at depth 0
+        # only evidence that exists before branching may fire at depth 0;
+        # the same statistics fire each masked criterion at depth 5
         inst = coverage_instance(n=6)
-        for name in set(CRITERION_NAMES) - ROOT_CRITERIA:
-            st = SearchStats(dual_bound=1.0, root_dual_bound=1.0,
-                             leaves_infeasible=500, leaves_cutoff=0,
-                             sb_no_improvement=500, n_solutions=1)
-            events = []
-            outcome, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                        {name}, events=events)
-            assert outcome is None
-            assert events[-1].endswith("fired -")
-            assert st.rl_calls == 0
+        masked = set(CRITERION_NAMES) - ROOT_CRITERIA
+        assert masked == {"dualbound", "leaves", "nsols", "sblps"}
+        for name in sorted(masked):
+            for depth, fires in ((0, False), (5, True)):
+                st = SearchStats(dual_bound=1.0, root_dual_bound=1.0,
+                                 leaves_infeasible=500, leaves_cutoff=0,
+                                 sb_no_improvement=500, n_solutions=0)
+                events = []
+                outcome, _ = self.run_maybe(inst, fresh_node(0, depth=depth),
+                                            st, {name}, events=events)
+                assert (outcome is not None) is fires, (name, depth)
+                assert events[-1].endswith(f"fired {name if fires else '-'}")
+                assert st.rl_calls == int(fires)
 
     def test_same_criteria_fire_below_root(self):
         inst = coverage_instance(n=6)
@@ -220,10 +225,9 @@ class TestScheduleGating:
         assert st.rl_calls == 1 and st.criterion_fires["leaves"] == 1
 
     def test_degeneracy_is_measured_only_when_enabled(self, monkeypatch):
-        inst = coverage_instance(n=6)
+        inst = coverage_instance(n=6, cost=0.0)
         expected = []
-        self.run_maybe(inst, fresh_node(0, depth=0),
-                       SearchStats(n_solutions=0), {"nsols"},
+        self.run_maybe(inst, fresh_node(0, depth=0), SearchStats(), {"obj"},
                        events=expected)
 
         def refuse(result, box):
@@ -231,29 +235,31 @@ class TestScheduleGating:
 
         monkeypatch.setattr(rapid, "measure_degeneracy", refuse)
         events = []
-        self.run_maybe(inst, fresh_node(0, depth=0),
-                       SearchStats(n_solutions=0), {"nsols"}, events=events)
-        assert events == expected == ["criteria node 0 depth 0 fired nsols"]
+        self.run_maybe(inst, fresh_node(0, depth=0), SearchStats(), {"obj"},
+                       events=events)
+        assert events == expected == ["criteria node 0 depth 0 fired obj"]
         with pytest.raises(AssertionError, match="degeneracy measured"):
             self.run_maybe(inst, fresh_node(0, depth=0), SearchStats(),
-                           {"nsols", "degeneracy"})
+                           {"obj", "degeneracy"})
 
-    def test_root_probe_on_zero_progress_solution_count(self):
-        inst = coverage_instance(n=6)
+    def test_root_probe_on_zero_cost_scope(self):
+        inst = coverage_instance(n=6, cost=0.0)
         solve = _Solve(inst, MipConfig(rapid_mode="root"))
         node = fresh_node(0, depth=0)
-        outcome, box = self.run_maybe(inst, node, solve.stats, {"nsols"},
+        outcome, box = self.run_maybe(inst, node, solve.stats, {"obj"},
                                       events=solve.events)
         assert outcome is not None and outcome.status is CpStatus.OPTIMAL
         # a finished probe at the root settles the whole instance
         assert solve._transfer(node, Trail(box), outcome)
-        assert solve.stats.incumbent_value == pytest.approx(1.0)
+        assert solve.stats.incumbent_value == pytest.approx(0.0)
+        assert solve.stats.incumbent[:2].sum() >= 1.0
 
     def test_mixed_integer_scope_never_probes(self):
-        inst = coverage_instance(n=6, integer_set=range(1, 6))
-        st = SearchStats(n_solutions=0)
+        inst = coverage_instance(n=6, integer_set=range(1, 6),
+                                 cost=0.0)
+        st = SearchStats()
         outcome, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                    {"nsols"})
+                                    {"obj"})
         assert outcome is None and st.rl_calls == 0
 
     def test_probe_seed_mixes_node_id(self):
@@ -264,38 +270,65 @@ class TestScheduleGating:
                                     {"leaves"}, seed=12)
         direct = oracles.probe(inst, inst.root_box(),
                                CpConfig(node_limit=500, seed=12 ^ 9,
-                                        incumbent_bound=INF),
-                               branching=BranchingStats())
+                                        incumbent_bound=INF))
         assert outcome.status is direct.status
         assert outcome.nodes == direct.nodes
         assert outcome.conflicts == direct.conflicts
 
-    def test_probe_inference_counts_reach_the_host_table(self):
-        # the probe adds its counts to the host's table as it runs; a
-        # direct probe with the same seed leaves the same counts in a
-        # fresh table
-        inst = oracles.random_sat_instance(np.random.default_rng(5),
-                                           n=10, m=42)
+    def probe_with_table(self, table):
+        """A probe below the root of an infeasible clause model, under a
+        host whose branching table is `table`."""
+        inst = oracles.random_sat_instance(np.random.default_rng(7),
+                                           n=18, m=76)
         st = SearchStats(leaves_infeasible=500, n_solutions=1, iter_lp=0)
+        st.branching = table
         outcome, _ = self.run_maybe(inst, fresh_node(9, depth=5), st,
                                     {"leaves"}, seed=12)
-        direct = BranchingStats()
-        out = oracles.probe(inst, inst.root_box(),
-                            CpConfig(node_limit=500, seed=12 ^ 9,
-                                     incumbent_bound=INF),
-                            branching=direct)
-        assert outcome.nodes == out.nodes > 1
-        assert sum(direct.inferences.values()) > 0
-        assert st.branching.inferences == direct.inferences
+        assert st.rl_calls == 1 and outcome.nodes > 1
+        return outcome
+
+    @staticmethod
+    def filled_table():
+        # inference counts that rank the variables in a fixed order, and
+        # a pseudo-cost and conflict activity beside them
+        table = BranchingStats()
+        for j in range(18):
+            table.add_inferences(j, 100 * (j + 1))
+        table.observe(3, 1, 2.0, 0.5)
+        table.bump([(4, Side.LOWER, 1.0)])
+        return table
+
+    @staticmethod
+    def table_state(table):
+        return (dict(table.pc_sum), dict(table.pc_count),
+                dict(table.inferences), dict(table.activity),
+                table.conflicts_seen)
+
+    def test_probe_leaves_the_host_table_unchanged(self):
+        # the tree's hybrid score reads only what the tree observed
+        for table in (BranchingStats(), self.filled_table()):
+            before = self.table_state(table)
+            self.probe_with_table(table)
+            assert self.table_state(table) == before
+
+    def test_probe_outcome_ignores_the_host_table(self):
+        # an empty host table and one full of counts steer the probe alike
+        first, second = (self.probe_with_table(table)
+                         for table in (BranchingStats(), self.filled_table()))
+        assert first.status is second.status is CpStatus.INFEASIBLE
+        assert first.nodes == second.nodes
+        assert first.conflicts == second.conflicts
+        assert (first.box.lower, first.box.upper) == \
+            (second.box.lower, second.box.upper)
 
     def test_identical_reruns(self):
-        inst = coverage_instance(n=6)
+        inst = coverage_instance(n=6, cost=0.0)
         runs = []
         for _ in range(2):
-            st = SearchStats(n_solutions=0)
+            st = SearchStats()
             events = []
             outcome, _ = self.run_maybe(inst, fresh_node(0, depth=0), st,
-                                        {"nsols"}, events=events, seed=3)
+                                        {"obj"}, events=events, seed=3)
             runs.append((outcome, events))
         (first, ev1), (second, ev2) = runs
         assert ev1 == ev2
@@ -507,7 +540,7 @@ def test_probe_conflicts_ranked_by_form_over_the_scope_box():
     config = MipConfig(rapid_mode="local", rapid=RapidConfig(
         criteria=frozenset(CRITERION_NAMES)))
     forms = Counter()
-    for seed in (33, 57, 58):
+    for seed in (25, 33, 57, 58):
         m = gen.general_int_model(np.random.default_rng(seed), "g", 10, 6)
         inst = from_inequalities(m.c, m.rows, m.lower, m.upper, range(10))
         with oracles.SearchRecorder(
